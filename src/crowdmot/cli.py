@@ -106,7 +106,7 @@ def _parse_section(parser: configparser.ConfigParser, section: str, fields: dict
 
 def load_gen_config(path: Path, seed_override: int | None) -> tuple[SimConfig, NoiseConfig, dict]:
     """Parse a gen config file into sim/noise configs plus a full echo dict."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")

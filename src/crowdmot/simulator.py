@@ -123,20 +123,6 @@ class SceneSequence:
         return len(self.frames)
 
 
-def expected_density(sigma: float, cluster_size: int, n: int, area_m2: float) -> float:
-    """Closed-form mean neighbor count within DENSITY_RADIUS.
-
-    Two members of one cluster are separated by a Gaussian with per-axis
-    std sigma*sqrt(2), so the within-cluster term is
-    (m-1) * (1 - exp(-r^2 / (4 sigma^2))); pedestrians from other clusters
-    contribute like a uniform process.
-    """
-    r2 = DENSITY_RADIUS * DENSITY_RADIUS
-    within = (cluster_size - 1) * (1.0 - math.exp(-r2 / (4.0 * sigma * sigma)))
-    across = (n - cluster_size) * math.pi * r2 / area_m2
-    return within + across
-
-
 def _capture_prob(sigma: float) -> float:
     """Probability that two members of one cluster are within DENSITY_RADIUS."""
     r2 = DENSITY_RADIUS * DENSITY_RADIUS
@@ -144,7 +130,13 @@ def _capture_prob(sigma: float) -> float:
 
 
 def _expected_density_mixed(sigma: float, sizes: list[int], area_m2: float) -> float:
-    """expected_density generalized to a mixed cluster-size distribution."""
+    """Closed-form mean neighbor count within DENSITY_RADIUS for clusters of `sizes`.
+
+    Two members of one cluster are separated by a Gaussian with per-axis std
+    sigma*sqrt(2), so each cluster mate is within the radius with probability
+    _capture_prob(sigma); pedestrians from other clusters contribute like a
+    uniform process.
+    """
     n = sum(sizes)
     pairs_per_member = sum(s * (s - 1) for s in sizes) / n
     mean_own = sum(s * s for s in sizes) / n

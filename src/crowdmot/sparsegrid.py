@@ -5,14 +5,22 @@ voxelization of a (two-frame) point cloud, stride-doubling downsamples, and
 the two high-resolution fusion topologies. Feature transforms are fixed
 seeded matrices standing in for convolution kernels, so every operation is
 a deterministic function of its inputs.
+
+A grid stores only its occupied cells, as an (n, 3) int64 coordinate array
+sorted by packed key (x*ny + y)*nz + z and an (n, C) float64 feature array
+(the coordinate-list layout of Minkowski Engine). Every operation is one of
+two array steps: pooling rows onto coarser cells (`np.unique` and a segment
+mean) or joining rows by packed key (`np.searchsorted`). No dense volume is
+ever built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
 
 _SNAP = 1e-9
 
@@ -99,33 +107,54 @@ class PointCloud:
 
 @dataclass(frozen=True, eq=False)
 class SparseGrid:
-    """Occupied voxels only: integer coordinates mapped to feature vectors."""
+    """Occupied voxels only, as a coordinate array and a feature array.
+
+    `coords` is an (n, 3) int64 array of cell indices at `stride`. Its rows
+    are sorted by strictly increasing packed key `(x*ny + y)*nz + z`, where
+    (nx, ny, nz) is the strided bound; that is (x, y, z) lexicographic order.
+    `keys` holds those packed keys. Row i of the (n, C) float64 `features`
+    belongs to the cell coords[i], and `channels` is C.
+    """
 
     spec: VoxelSpec
     stride: int
-    channels: int
-    cells: dict[tuple[int, int, int], np.ndarray]
+    coords: np.ndarray
+    features: np.ndarray
     n_dropped: int = 0
+    keys: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.stride not in VALID_STRIDES:
             raise ValueError(f"stride must be one of {VALID_STRIDES}, got {self.stride}")
-        nx, ny, nz = self.spec.strided_shape(self.stride)
-        for coord, feat in self.cells.items():
-            cx, cy, cz = coord
-            if not (0 <= cx < nx and 0 <= cy < ny and 0 <= cz < nz):
-                raise ValueError(f"coordinate {coord} outside {nx}x{ny}x{nz} bound")
-            if feat.shape != (self.channels,):
-                raise ValueError(
-                    f"feature at {coord} has shape {feat.shape}, expected ({self.channels},)"
-                )
+        coords = np.asarray(self.coords)
+        if coords.ndim != 2 or coords.shape[1] != 3 or coords.dtype.kind not in "iu":
+            raise ValueError(f"coords must be (n, 3) integers, got {coords.dtype}{coords.shape}")
+        coords = coords.astype(np.int64, copy=False)
+        features = np.asarray(self.features, dtype=np.float64)
+        if features.ndim != 2 or features.shape[0] != len(coords):
+            raise ValueError(f"features have shape {features.shape}, expected ({len(coords)}, C)")
+        bound = self.spec.strided_shape(self.stride)
+        outside = ((coords < 0) | (coords >= bound)).any(axis=1)
+        if outside.any():
+            coord = tuple(coords[outside][0].tolist())
+            raise ValueError(f"coordinate {coord} outside {'x'.join(map(str, bound))} bound")
+        keys = _pack(coords, bound)
+        if (np.diff(keys) <= 0).any():
+            raise ValueError("coordinates must be unique and sorted by packed key")
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "keys", keys)
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.coords)
+
+    @property
+    def channels(self) -> int:
+        return self.features.shape[1]
 
     @property
     def occupancy(self) -> set[tuple[int, int, int]]:
-        return set(self.cells)
+        return set(map(tuple, self.coords.tolist()))
 
     @property
     def resolution(self) -> tuple[float, float, float]:
@@ -161,12 +190,52 @@ class ChannelMap:
     def n_in(self) -> int:
         return self.weights.shape[1]
 
-    @property
-    def n_out(self) -> int:
-        return self.weights.shape[0]
+    def apply(self, features: np.ndarray) -> np.ndarray:
+        """Map one feature vector, or each row of an (n, n_in) feature array."""
+        return features @ self.weights.T
 
-    def apply(self, feature: np.ndarray) -> np.ndarray:
-        return self.weights @ feature
+
+def _pack(coords: np.ndarray, bound: tuple[int, int, int]) -> np.ndarray:
+    """Packed keys (x*ny + y)*nz + z of (n, 3) coordinates inside `bound`."""
+    return np.ravel_multi_index(coords.T, bound)
+
+
+def _pool(
+    coords: np.ndarray, features: np.ndarray, factor: int, bound: tuple[int, int, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean-pool feature rows onto the cells of `coords // factor`.
+
+    `bound` is the strided bound of the coarse cells. Returns the occupied
+    coarse coordinates in key order, each cell's mean feature row and its row
+    count. Rows of one cell are summed in input order, as a sparse
+    (cells x rows) indicator matrix times the feature array.
+    """
+    keys, inverse, counts = np.unique(
+        _pack(coords // factor, bound), return_inverse=True, return_counts=True
+    )
+    rows = np.arange(len(inverse))
+    sums = csr_array((np.ones(len(rows)), (inverse, rows)), shape=(len(keys), len(rows))) @ features
+    return np.column_stack(np.unravel_index(keys, bound)), sums / counts[:, None], counts
+
+
+def _join(grid: SparseGrid, stride: int, coords: np.ndarray) -> np.ndarray:
+    """Feature rows of `grid` at (n, 3) `coords` given at `stride`.
+
+    A searchsorted join on packed keys: a coarser grid gives each cell the
+    row of its ancestor, a finer grid is first mean-pooled to `stride`, and
+    cells that `grid` lacks get zero rows.
+    """
+    if grid.stride < stride:
+        bound = grid.spec.strided_shape(stride)
+        pooled, means, _ = _pool(grid.coords, grid.features, stride // grid.stride, bound)
+        grid = SparseGrid(grid.spec, stride, pooled, means)
+    keys = _pack(coords // (grid.stride // stride), grid.spec.strided_shape(grid.stride))
+    if not len(grid):
+        return np.zeros((len(keys), grid.channels))
+    pos = np.minimum(np.searchsorted(grid.keys, keys), len(grid) - 1)
+    rows = grid.features[pos]
+    rows[grid.keys[pos] != keys] = 0.0
+    return rows
 
 
 def voxelize(pc: PointCloud, spec: VoxelSpec = VoxelSpec()) -> SparseGrid:
@@ -183,24 +252,16 @@ def voxelize(pc: PointCloud, spec: VoxelSpec = VoxelSpec()) -> SparseGrid:
     deltas = np.array([spec.dx, spec.dy, spec.dz])
     inside = ((pts[:, :3] >= mins) & (pts[:, :3] < maxs)).all(axis=1)
     kept = pts[inside]
-    n_dropped = int(len(pts) - len(kept))
-    cells: dict[tuple[int, int, int], np.ndarray] = {}
-    if len(kept):
-        shape = np.array(spec.shape)
-        idx = np.floor((kept[:, :3] - mins) / deltas + _SNAP).astype(np.int64)
-        np.minimum(idx, shape - 1, out=idx)
-        order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0]))
-        idx = idx[order]
-        kept = kept[order]
-        uniq, starts, counts = np.unique(
-            idx, axis=0, return_index=True, return_counts=True
-        )
-        for coord, start, count in zip(uniq, starts, counts):
-            block = kept[start : start + count]
-            cells[tuple(int(c) for c in coord)] = np.array(
-                [float(count), float(block[:, 3].mean()), float(block[:, 4].mean())]
-            )
-    return SparseGrid(spec=spec, stride=1, channels=3, cells=cells, n_dropped=n_dropped)
+    idx = np.floor((kept[:, :3] - mins) / deltas + _SNAP).astype(np.int64)
+    np.minimum(idx, np.array(spec.shape) - 1, out=idx)
+    coords, means, counts = _pool(idx, kept[:, 3:], 1, spec.shape)
+    return SparseGrid(
+        spec=spec,
+        stride=1,
+        coords=coords,
+        features=np.column_stack([counts, means]),
+        n_dropped=int(len(pts) - len(kept)),
+    )
 
 
 def downsample(grid: SparseGrid, mix: ChannelMap) -> SparseGrid:
@@ -213,52 +274,15 @@ def downsample(grid: SparseGrid, mix: ChannelMap) -> SparseGrid:
         raise ValueError(f"stride {grid.stride} cannot be downsampled further")
     if mix.n_in != grid.channels:
         raise ValueError(f"channel map expects {mix.n_in} channels, grid has {grid.channels}")
-    groups: dict[tuple[int, int, int], list[np.ndarray]] = {}
-    for (cx, cy, cz), feat in grid.cells.items():
-        groups.setdefault((cx // 2, cy // 2, cz // 2), []).append(feat)
-    cells = {
-        coord: mix.apply(np.mean(feats, axis=0)) for coord, feats in groups.items()
-    }
+    stride = grid.stride * 2
+    coords, means, _ = _pool(grid.coords, grid.features, 2, grid.spec.strided_shape(stride))
     return SparseGrid(
         spec=grid.spec,
-        stride=grid.stride * 2,
-        channels=mix.n_out,
-        cells=cells,
+        stride=stride,
+        coords=coords,
+        features=mix.apply(means),
         n_dropped=grid.n_dropped,
     )
-
-
-def _resample_occupancy(occ: set[tuple[int, int, int]], factor: int) -> set[tuple[int, int, int]]:
-    """Coarsen an occupancy set by an integer power-of-two factor."""
-    return {(x // factor, y // factor, z // factor) for x, y, z in occ}
-
-
-def _pooled_cells(grid: SparseGrid, factor: int) -> dict[tuple[int, int, int], np.ndarray]:
-    """Mean-pool a grid's cells onto coordinates coarsened by `factor`."""
-    groups: dict[tuple[int, int, int], list[np.ndarray]] = {}
-    for (cx, cy, cz), feat in grid.cells.items():
-        groups.setdefault((cx // factor, cy // factor, cz // factor), []).append(feat)
-    return {coord: np.mean(feats, axis=0) for coord, feats in groups.items()}
-
-
-def _resampler(grid: SparseGrid, stride: int):
-    """Lookup returning `grid`'s feature at a coordinate expressed at `stride`.
-
-    Finer grids are mean-pooled over the target block; coarser grids
-    replicate their ancestor cell; missing cells contribute zeros.
-    """
-    zeros = np.zeros(grid.channels)
-    if grid.stride == stride:
-        cells = grid.cells
-        return lambda coord: cells.get(coord, zeros)
-    if grid.stride > stride:
-        factor = grid.stride // stride
-        cells = grid.cells
-        return lambda coord: cells.get(
-            (coord[0] // factor, coord[1] // factor, coord[2] // factor), zeros
-        )
-    pooled = _pooled_cells(grid, stride // grid.stride)
-    return lambda coord: pooled.get(coord, zeros)
 
 
 def fuse_hr(sf2: SparseGrid, sf4: SparseGrid) -> SparseGrid:
@@ -274,19 +298,12 @@ def fuse_hr(sf2: SparseGrid, sf4: SparseGrid) -> SparseGrid:
         )
     if sf2.spec != sf4.spec:
         raise ValueError("inputs use different voxel specs")
-    pooled = downsample(sf2, ChannelMap.identity(sf2.channels))
-    cells = {}
-    for coord, feat in pooled.cells.items():
-        anc = (coord[0] // 2, coord[1] // 2, coord[2] // 2)
-        upper = sf4.cells.get(anc)
-        if upper is None:
-            upper = np.zeros(sf4.channels)
-        cells[coord] = np.concatenate([feat, upper])
+    coords, pooled, _ = _pool(sf2.coords, sf2.features, 2, sf2.spec.strided_shape(4))
     return SparseGrid(
         spec=sf2.spec,
         stride=4,
-        channels=sf2.channels + sf4.channels,
-        cells=cells,
+        coords=coords,
+        features=np.hstack([pooled, _join(sf4, 4, coords)]),
         n_dropped=sf2.n_dropped,
     )
 
@@ -314,51 +331,31 @@ def fuse_ms(
     if len({g.spec for g in grids}) != 1:
         raise ValueError("inputs use different voxel specs")
 
-    projected = []
+    current = []
     for level, g in enumerate(grids):
         pmap = ChannelMap.seeded(g.channels, width, seed=seed * 101 + level)
-        projected.append(
-            SparseGrid(
-                spec=g.spec,
-                stride=g.stride,
-                channels=width,
-                cells={c: pmap.apply(f) for c, f in g.cells.items()},
-            )
-        )
+        current.append(SparseGrid(g.spec, g.stride, g.coords, pmap.apply(g.features)))
 
-    current = projected
     for rnd in range(2):
         exchanged = []
         for level, target in enumerate(current):
             emap = ChannelMap.seeded(width, width, seed=seed * 101 + 10 * (rnd + 1) + level)
-            lookups = [_resampler(source, target.stride) for source in current]
-            cells = {}
-            for coord in target.cells:
-                total = np.zeros(width)
-                for lookup in lookups:
-                    total = total + lookup(coord)
-                cells[coord] = emap.apply(total)
+            total = sum(_join(source, target.stride, target.coords) for source in current)
             exchanged.append(
-                SparseGrid(spec=target.spec, stride=target.stride, channels=width, cells=cells)
+                SparseGrid(target.spec, target.stride, target.coords, emap.apply(total))
             )
         current = exchanged
 
-    out_occ = (
-        _resample_occupancy(current[0].occupancy, 4)
-        | _resample_occupancy(current[1].occupancy, 2)
-        | current[2].occupancy
-    )
+    bound = sf1.spec.strided_shape(4)
+    keys = [_pack(g.coords // (4 // g.stride), bound) for g in current[:3]]
+    coords = np.column_stack(np.unravel_index(np.unique(np.concatenate(keys)), bound))
     out_map = ChannelMap.seeded(4 * width, width, seed=seed * 101 + 97)
-    lookups = [_resampler(g, 4) for g in current]
-    cells = {}
-    for coord in sorted(out_occ):
-        stacked = np.concatenate([lookup(coord) for lookup in lookups])
-        cells[coord] = out_map.apply(stacked)
+    stacked = np.hstack([_join(g, 4, coords) for g in current])
     return SparseGrid(
         spec=sf1.spec,
         stride=4,
-        channels=width,
-        cells=cells,
+        coords=coords,
+        features=out_map.apply(stacked),
         n_dropped=sf1.n_dropped,
     )
 
@@ -379,8 +376,8 @@ def encoder_chain(
     sf1 = SparseGrid(
         spec=base.spec,
         stride=1,
-        channels=widths[0],
-        cells={c: stem.apply(f) for c, f in base.cells.items()},
+        coords=base.coords,
+        features=stem.apply(base.features),
         n_dropped=base.n_dropped,
     )
     sf2 = downsample(sf1, ChannelMap.seeded(widths[0], widths[1], seed=seed * 101 + 51))

@@ -1,8 +1,10 @@
 """Command-line pipelines: outputs, manifests, determinism, diagnostics."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +68,17 @@ class TestGen:
         other = tmp_path / "gen3"
         assert main(["gen", "--config", str(config_path), "--out", str(other), "--seed", "99"]) == 0
         assert digest_dir(gen_dir)["gt.jsonl"] != digest_dir(other)["gt.jsonl"]
+
+    def test_readme_quick_start_config_runs_verbatim(self, tmp_path):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        config = tmp_path / "scene.ini"
+        config.write_text(block)
+        out = tmp_path / "gen"
+        assert main(["gen", "--config", str(config), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["sim"]["target_density2"] == 3.8
+        assert manifest["config"]["noise"]["clutter_rate"] == 1.0
 
     def test_missing_required_field_names_it(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

@@ -13,9 +13,9 @@ from crowdmot.simulator import (
     NoiseConfig,
     SceneSequence,
     SimConfig,
+    _expected_density_mixed,
     corrupt,
     density_sweep,
-    expected_density,
     gen_scene,
     solve_cluster_params,
 )
@@ -36,7 +36,7 @@ class TestClusterSolver:
         assert sum(sizes) == 25 and sigma > 0
 
     def test_closed_form_monotone_in_sigma(self):
-        d = [expected_density(s, 6, 40, 9600.0) for s in (0.3, 0.8, 2.0, 10.0)]
+        d = [_expected_density_mixed(s, [5] * 8, 9600.0) for s in (0.3, 0.8, 2.0, 10.0)]
         assert d == sorted(d, reverse=True)
 
     def test_unreachable_density_raises(self):

@@ -23,6 +23,14 @@ def cloud(rows):
     return PointCloud(np.array(rows, dtype=float))
 
 
+def grid_of(stride, channels, cells):
+    """A SparseGrid at `stride` from {coord: feature vector}."""
+    keys = sorted(cells)
+    coords = np.array(keys, dtype=np.int64).reshape(-1, 3)
+    features = np.array([cells[k] for k in keys], dtype=float).reshape(len(keys), channels)
+    return SparseGrid(SPEC, stride, coords, features)
+
+
 def random_cloud(rng, n=400):
     pts = np.column_stack(
         [
@@ -68,10 +76,47 @@ class TestPointCloud:
         assert (pc.points[1:, 4] == 1.0).all()
 
 
+class TestSparseGrid:
+    def test_channels_and_length_follow_the_arrays(self):
+        grid = grid_of(2, 4, {(1, 2, 3): np.ones(4), (0, 5, 1): np.zeros(4)})
+        assert len(grid) == 2 and grid.channels == 4
+        assert grid.coords.tolist() == [[0, 5, 1], [1, 2, 3]]
+        assert grid.occupancy == {(0, 5, 1), (1, 2, 3)}
+
+    @pytest.mark.parametrize("coord", [(-1, 0, 0), (1280, 0, 0), (0, 640, 0), (0, 0, 20)])
+    def test_out_of_bound_coordinate_rejected(self, coord):
+        # The stride-2 bound is 1280x640x20.
+        with pytest.raises(ValueError, match="outside 1280x640x20 bound"):
+            SparseGrid(SPEC, 2, np.array([coord]), np.zeros((1, 3)))
+
+    def test_unsorted_coordinates_rejected(self):
+        coords = np.array([[0, 0, 1], [0, 0, 0]])
+        with pytest.raises(ValueError, match="sorted"):
+            SparseGrid(SPEC, 1, coords, np.zeros((2, 3)))
+
+    def test_duplicate_coordinates_rejected(self):
+        coords = np.array([[4, 5, 6], [4, 5, 6]])
+        with pytest.raises(ValueError, match="unique"):
+            SparseGrid(SPEC, 1, coords, np.zeros((2, 3)))
+
+    def test_feature_row_count_mismatch_rejected(self):
+        coords = np.array([[0, 0, 0], [0, 0, 1]])
+        with pytest.raises(ValueError, match=r"features have shape \(3, 3\), expected \(2, C\)"):
+            SparseGrid(SPEC, 1, coords, np.zeros((3, 3)))
+
+    def test_non_integer_coordinates_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            SparseGrid(SPEC, 1, np.zeros((1, 3)), np.zeros((1, 3)))
+
+    def test_invalid_stride_rejected(self):
+        with pytest.raises(ValueError, match="stride"):
+            grid_of(3, 3, {})
+
+
 class TestVoxelize:
     def test_origin_point_lands_in_expected_voxel(self):
         grid = voxelize(cloud([[0.0, 0.0, 0.0, 0.5, 0.0]]), SPEC)
-        assert set(grid.cells) == {(1280, 640, 25)}
+        assert grid.occupancy == {(1280, 640, 25)}
         assert grid.stride == 1 and grid.channels == 3
 
     def test_count_and_means(self):
@@ -84,7 +129,8 @@ class TestVoxelize:
             ),
             SPEC,
         )
-        feat = grid.cells[(1280, 640, 25)]
+        assert grid.coords.tolist() == [[1280, 640, 25]]
+        feat = grid.features[0]
         assert feat[0] == 2.0
         assert feat[1] == 0.5
         assert feat[2] == 0.5
@@ -119,22 +165,21 @@ class TestVoxelize:
         rng = np.random.default_rng(1)
         pc = random_cloud(rng, n=700)
         grid = voxelize(pc, SPEC)
-        assert sum(f[0] for f in grid.cells.values()) + grid.n_dropped == 700
+        assert grid.features[:, 0].sum() + grid.n_dropped == 700
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         pc = random_cloud(rng)
         a, b = voxelize(pc, SPEC), voxelize(pc, SPEC)
-        assert a.cells.keys() == b.cells.keys()
-        for key in a.cells:
-            np.testing.assert_array_equal(a.cells[key], b.cells[key])
+        np.testing.assert_array_equal(a.coords, b.coords)
+        np.testing.assert_array_equal(a.features, b.features)
 
 
 class TestDownsample:
     def test_coordinate_halving(self):
-        grid = SparseGrid(SPEC, 1, 3, {(3, 3, 3): np.ones(3)})
+        grid = grid_of(1, 3, {(3, 3, 3): np.ones(3)})
         out = downsample(grid, ChannelMap.identity(3))
-        assert set(out.cells) == {(1, 1, 1)}
+        assert out.occupancy == {(1, 1, 1)}
         assert out.stride == 2
 
     def test_occupancy_never_increases(self):
@@ -148,25 +193,23 @@ class TestDownsample:
 
     def test_feature_is_mapped_child_average(self):
         mix = ChannelMap.seeded(3, 5, seed=1)
-        grid = SparseGrid(
-            SPEC,
+        grid = grid_of(
             1,
             3,
             {(0, 0, 0): np.array([1.0, 0.0, 0.0]), (1, 1, 1): np.array([3.0, 1.0, 0.0])},
         )
         out = downsample(grid, mix)
-        np.testing.assert_allclose(
-            out.cells[(0, 0, 0)], mix.apply(np.array([2.0, 0.5, 0.0]))
-        )
+        assert out.coords.tolist() == [[0, 0, 0]]
+        np.testing.assert_allclose(out.features[0], mix.apply(np.array([2.0, 0.5, 0.0])))
         assert out.channels == 5
 
     def test_stride_overflow_rejected(self):
-        grid = SparseGrid(SPEC, 8, 3, {})
+        grid = grid_of(8, 3, {})
         with pytest.raises(ValueError):
             downsample(grid, ChannelMap.identity(3))
 
     def test_resolution_tracks_stride(self):
-        grid = SparseGrid(SPEC, 1, 3, {})
+        grid = grid_of(1, 3, {})
         for _ in range(3):
             grid = downsample(grid, ChannelMap.identity(3))
         assert grid.stride == 8
@@ -197,9 +240,17 @@ class TestFuseHr:
         assert fused.channels == sf2.channels + sf4.channels
 
     def test_empty_inputs(self):
-        empty2 = SparseGrid(SPEC, 2, 32, {})
-        empty8 = SparseGrid(SPEC, 8, 128, {})
+        empty2 = grid_of(2, 32, {})
+        empty8 = grid_of(8, 128, {})
         assert len(fuse_hr(empty2, empty8)) == 0
+
+    def test_missing_stride8_cells_read_as_zeros(self):
+        _, sf2, _, _ = self.chain()
+        fused = fuse_hr(sf2, grid_of(8, 128, {}))
+        pooled = downsample(sf2, ChannelMap.identity(sf2.channels))
+        np.testing.assert_array_equal(fused.coords, pooled.coords)
+        np.testing.assert_array_equal(fused.features[:, : sf2.channels], pooled.features)
+        assert (fused.features[:, sf2.channels :] == 0).all()
 
     def test_occupancy_is_pooled_sf2_footprint(self):
         _, sf2, _, sf4 = self.chain()
@@ -221,17 +272,17 @@ class TestFuseMs:
     def test_single_voxel_propagates_to_one_cell(self):
         base = voxelize(cloud([[0.0, 0.0, 0.0, 0.5, 0.0]]), SPEC)
         fused = fuse_ms(*encoder_chain(base))
-        assert set(fused.cells) == {(320, 160, 6)}
+        assert fused.occupancy == {(320, 160, 6)}
         assert fused.stride == 4
 
     def test_channel_count_is_configured_width(self):
         sf1, sf2, sf3, sf4 = self.chain()
         assert fuse_ms(sf1, sf2, sf3, sf4, width=48).channels == 48
         empty = fuse_ms(
-            SparseGrid(SPEC, 1, 16, {}),
-            SparseGrid(SPEC, 2, 32, {}),
-            SparseGrid(SPEC, 4, 64, {}),
-            SparseGrid(SPEC, 8, 128, {}),
+            grid_of(1, 16, {}),
+            grid_of(2, 32, {}),
+            grid_of(4, 64, {}),
+            grid_of(8, 128, {}),
             width=48,
         )
         assert empty.channels == 48 and len(empty) == 0
@@ -246,9 +297,8 @@ class TestFuseMs:
         sf1, sf2, sf3, sf4 = self.chain()
         a = fuse_ms(sf1, sf2, sf3, sf4)
         b = fuse_ms(sf1, sf2, sf3, sf4)
-        assert a.cells.keys() == b.cells.keys()
-        for key in a.cells:
-            np.testing.assert_array_equal(a.cells[key], b.cells[key])
+        np.testing.assert_array_equal(a.coords, b.coords)
+        np.testing.assert_array_equal(a.features, b.features)
 
     def test_wrong_strides_rejected(self):
         sf1, sf2, sf3, sf4 = self.chain()
@@ -268,7 +318,7 @@ class TestOccupancyPurity:
             )
         }
         grids = [
-            SparseGrid(SPEC, 1, 3, {c: rng.uniform(0, 9, 3) for c in coords})
+            grid_of(1, 3, {c: rng.uniform(0, 9, 3) for c in coords})
             for _ in range(2)
         ]
         outputs = []

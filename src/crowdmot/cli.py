@@ -32,7 +32,7 @@ from .formats import (
     write_scene_jsonl,
     write_trajectories_jsonl,
 )
-from .geometry import GridSpec, OutOfBoundsError, quantize_to_grid
+from .geometry import GridSpec, OutOfBoundsError, check_positive, quantize_to_grid
 from .simulator import NoiseConfig, SimConfig, corrupt, gen_scene
 from .sparsegrid import DEFAULT_WIDTHS, PointCloud, VoxelSpec, topology_report
 from .targets import make_daw, make_heatmap, make_motion_offsets, make_relationship_offsets
@@ -189,6 +189,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_targets(args: argparse.Namespace) -> int:
+    check_positive("--sigma", args.sigma)
+    check_positive("--th", args.th)
+    check_positive("--rel-radius", args.rel_radius)
     dx, dy = _parse_pair(args.grid, "--grid")
     x_min, x_max, y_min, y_max = _parse_extent(args.extent)
     try:

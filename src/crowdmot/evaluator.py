@@ -14,7 +14,7 @@ from typing import Hashable, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import Box3D, bev_iou
+from .geometry import Box3D, bev_iou, check_positive, pairs_within
 from .targets import GtObject
 from .simulator import DENSITY_RADIUS, SceneSequence
 
@@ -71,16 +71,16 @@ class MatchResult:
 
 
 def _iou_matrix(gt_boxes: list[Box3D], pred_boxes: list[Box3D]) -> np.ndarray:
-    """Pairwise rotated BEV IoU; far-apart pairs are skipped as exact zeros."""
+    """Pairwise rotated BEV IoU; pairs too far apart to overlap stay exact zeros."""
     iou = np.zeros((len(gt_boxes), len(pred_boxes)))
     gt_bev = [b.bev() for b in gt_boxes]
     pr_bev = [b.bev() for b in pred_boxes]
-    radii_g = [0.5 * math.hypot(b.length, b.width) for b in gt_bev]
-    radii_p = [0.5 * math.hypot(b.length, b.width) for b in pr_bev]
-    for i, g in enumerate(gt_bev):
-        for j, p in enumerate(pr_bev):
-            if math.hypot(g.cx - p.cx, g.cy - p.cy) < radii_g[i] + radii_p[j]:
-                iou[i, j] = bev_iou(g, p)
+    # bev_iou is 0 beyond the sum of the half-diagonals, at most twice the largest.
+    reach = max((math.hypot(b.length, b.width) for b in gt_bev + pr_bev), default=0.0)
+    gt_xy = [(b.cx, b.cy) for b in gt_bev]
+    pr_xy = [(b.cx, b.cy) for b in pr_bev]
+    for i, j in zip(*pairs_within(gt_xy, pr_xy, reach)):
+        iou[i, j] = bev_iou(gt_bev[i], pr_bev[j])
     return iou
 
 
@@ -245,21 +245,15 @@ def density_stats(scene: SceneSequence, radius: float = DENSITY_RADIUS) -> float
     Counted per pedestrian per frame with a strict distance comparison,
     excluding the pedestrian itself, then averaged over all pedestrian-frames.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    check_positive("radius", radius)
     total = 0
     samples = 0
     for frame in scene.frames:
-        n = len(frame)
-        if n == 0:
-            continue
-        xs = np.array([o.box.cx for o in frame])
-        ys = np.array([o.box.cy for o in frame])
-        d2 = (xs[:, None] - xs[None, :]) ** 2 + (ys[:, None] - ys[None, :]) ** 2
-        within = d2 < radius * radius
-        np.fill_diagonal(within, False)
-        total += int(within.sum())
-        samples += n
+        xy = np.array([(o.box.cx, o.box.cy) for o in frame]).reshape(-1, 2)
+        i, j = pairs_within(xy, xy, radius)
+        d = xy[i] - xy[j]
+        total += int(np.count_nonzero((i != j) & (d[:, 0] ** 2 + d[:, 1] ** 2 < radius * radius)))
+        samples += len(frame)
     if samples == 0:
         raise MetricUndefinedError("density undefined for an empty scene")
     return total / samples

@@ -1,4 +1,4 @@
-"""BEV grid quantization and rotated-rectangle IoU.
+"""BEV grid quantization, rotated-rectangle IoU and neighbour search.
 
 Everything here is a pure function on immutable values. The BEV plane is the
 ground plane seen from above; boxes live there as rotated rectangles.
@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+from scipy.spatial import cKDTree
 
 # Cells whose fractional index lands within this distance of an integer are
 # snapped up before flooring, so boundary coordinates quantize into the cell
@@ -20,6 +23,12 @@ _AREA_EPS = 1e-12
 
 class OutOfBoundsError(ValueError):
     """A coordinate or cell index fell outside its grid."""
+
+
+def check_positive(name: str, value: float) -> None:
+    """Raise ValueError unless value is finite and above zero."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def normalize_yaw(yaw: float) -> float:
@@ -216,3 +225,28 @@ def bev_iou(a: BoxBEV, b: BoxBEV) -> float:
         return 0.0
     union = a.area + b.area - inter
     return inter / union
+
+
+def pairs_within(a_xy, b_xy, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate index pairs (i, j) with points a_xy[i] and b_xy[j] near each other.
+
+    a_xy and b_xy are sequences of (x, y) points. Every pair at most r apart
+    is returned, and possibly pairs up to a relative 1e-9 beyond r: the tree
+    rounds distances differently from the callers' exact tests, so callers
+    re-test the candidates with their own rule. Pairs come sorted by (i, j).
+    Passing one point set twice returns its self-pairs (i, i) too.
+    """
+    if not 0.0 <= r < math.inf:
+        raise ValueError(f"neighbour radius must be finite and >= 0, got {r}")
+    a = np.reshape(np.asarray(a_xy, dtype=float), (-1, 2))
+    b = np.reshape(np.asarray(b_xy, dtype=float), (-1, 2))
+    bound = r * (1.0 + 1e-9)
+    found = cKDTree(a).sparse_distance_matrix(cKDTree(b), bound, output_type="ndarray")
+    # The tree sums squares, which underflow to 0 for subnormal gaps, so it can
+    # report a pair at any distance below ~1e-154 as within r; drop those.
+    i, j = found["i"], found["j"]
+    d = a[i] - b[j]
+    keep = np.hypot(d[:, 0], d[:, 1]) <= bound
+    i, j = i[keep], j[keep]
+    order = np.lexsort((j, i))
+    return i[order], j[order]

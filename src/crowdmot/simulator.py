@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import Box3D, normalize_yaw
+from .geometry import Box3D, normalize_yaw, pairs_within
 from .targets import (
     GtObject,
     MotionOffset,
@@ -214,39 +214,36 @@ def _reflect(value: float, vel: float, lo: float, hi: float) -> tuple[float, flo
 
 
 def _repair_separation(pos: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Push pedestrian pairs apart until every pair is >= MIN_SEPARATION."""
-    n = pos.shape[0]
-    if n < 2:
-        return pos
+    """Push pedestrian pairs apart until every pair is >= MIN_SEPARATION.
+
+    Each round pushes every close pair in ascending (a, b) order, using the
+    offsets taken at the start of the round; 32 rounds push, the last checks.
+    """
     gap = MIN_SEPARATION * 1.01
-    for _ in range(32):
-        diff = pos[:, None, :] - pos[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=2))
-        iu = np.triu_indices(n, k=1)
-        bad = dist[iu] < MIN_SEPARATION
+    for round_ in range(33):
+        i, j = pairs_within(pos, pos, MIN_SEPARATION)
+        i, j = i[i < j], j[i < j]
+        diff = pos[i] - pos[j]
+        dist = np.sqrt((diff**2).sum(axis=1))
+        bad = dist < MIN_SEPARATION
         if not bad.any():
             return pos
-        for a, b in zip(iu[0][bad], iu[1][bad]):
-            d = dist[a, b]
+        if round_ == 32:
+            raise InfeasibleSceneError(
+                "could not maintain minimum pedestrian separation; "
+                "the scene is too densely packed for the area"
+            )
+        for a, b, d, delta in zip(i[bad], j[bad], dist[bad], diff[bad]):
             if d < 1e-12:
                 # Coincident pair: split along a fixed direction.
                 direction = np.array([1.0, 0.0])
                 d = 0.0
             else:
-                direction = diff[a, b] / d
+                direction = delta / d
             push = 0.5 * (gap - d)
             pos[a] += direction * push
             pos[b] -= direction * push
         np.clip(pos, lo, hi, out=pos)
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    np.fill_diagonal(dist, np.inf)
-    if dist.min() < MIN_SEPARATION:
-        raise InfeasibleSceneError(
-            "could not maintain minimum pedestrian separation; "
-            "the scene is too densely packed for the area"
-        )
-    return pos
 
 
 # Kernel width (m) of the smooth neighbor count used by placement calibration.
@@ -266,11 +263,13 @@ def _soft_within_density(pos: np.ndarray, cluster_of: np.ndarray) -> float:
     Cross-cluster pairs are excluded because anchor placement, not member
     spread, determines them.
     """
-    d2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)
-    same = cluster_of[:, None] == cluster_of[None, :]
-    kernel = _soft_kernel(np.sqrt(d2))
-    return float(kernel[same].sum() / pos.shape[0])
+    # Row-major pair order, self-pairs kept at infinite distance (their kernel
+    # is about 8.8e-27, not 0): the calibration bisection depends on the exact
+    # bits of this sum.
+    i, j = np.nonzero(cluster_of[:, None] == cluster_of[None, :])
+    d2 = ((pos[i] - pos[j]) ** 2).sum(axis=1)
+    d2[i == j] = np.inf
+    return float(_soft_kernel(np.sqrt(d2)).sum() / pos.shape[0])
 
 
 def _soft_capture(sigma: float) -> float:

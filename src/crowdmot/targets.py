@@ -12,7 +12,7 @@ from typing import Hashable, Iterable
 
 import numpy as np
 
-from .geometry import Box3D, GridSpec, quantize_to_grid
+from .geometry import Box3D, GridSpec, check_positive, pairs_within, quantize_to_grid
 
 # Predicted probabilities are clamped into [EPS, 1-EPS] before the loss.
 PROB_EPS = 1e-7
@@ -102,8 +102,8 @@ class LossParams:
     def __post_init__(self) -> None:
         if self.alpha < 0 or self.gamma < 0 or self.weight_floor < 0:
             raise ValueError("alpha, gamma and weight_floor must be non-negative")
-        if self.sigma <= 0 or self.th <= 0:
-            raise ValueError("sigma and th must be positive")
+        check_positive("sigma", self.sigma)
+        check_positive("th", self.th)
 
 
 def _check_unique_ids(objects: Iterable[GtObject]) -> None:
@@ -130,6 +130,7 @@ def make_heatmap(
     """
     if combine not in ("max", "sum"):
         raise ValueError(f"combine must be 'max' or 'sum', got {combine!r}")
+    check_positive("sigma", sigma)
     heat = np.zeros((grid.nx, grid.ny))
     if not objects:
         return DenseGrid2D(grid, heat)
@@ -158,6 +159,7 @@ def make_daw(
     (x_min + j*dx, y_min + k*dy) is strictly below th meters. The cell point
     is the origin corner by default, the cell midpoint with midpoint=True.
     """
+    check_positive("th", th)
     weights = np.zeros((grid.nx, grid.ny))
     if not objects:
         return DenseGrid2D(grid, weights)
@@ -251,29 +253,17 @@ def make_relationship_offsets(
     offset (masked, not regressed to zero).
     """
     _check_unique_ids(objects)
-    n = len(objects)
-    result: dict[Hashable, RelationshipOffset] = {}
-    if n == 0:
-        return result
-    if n == 1:
-        return {objects[0].instance_id: RelationshipOffset.undefined()}
-
-    order = sorted(range(n), key=lambda i: objects[i].instance_id)
-    xs = np.array([objects[i].box.cx for i in order])
-    ys = np.array([objects[i].box.cy for i in order])
-    d2 = (xs[:, None] - xs[None, :]) ** 2 + (ys[:, None] - ys[None, :]) ** 2
-    np.fill_diagonal(d2, np.inf)
-    # Rows/cols are in ascending-id order, so argmin's first-hit rule breaks
-    # distance ties toward the smaller instance_id.
-    nearest = np.argmin(d2, axis=1)
-    best_d2 = d2[np.arange(n), nearest]
-    for row, idx in enumerate(order):
-        obj = objects[idx]
-        if best_d2[row] <= radius * radius:
-            other = objects[order[nearest[row]]]
-            result[obj.instance_id] = RelationshipOffset(
-                other.box.cx - obj.box.cx, other.box.cy - obj.box.cy, True
-            )
-        else:
-            result[obj.instance_id] = RelationshipOffset.undefined()
+    check_positive("radius", radius)
+    xy = [(o.box.cx, o.box.cy) for o in objects]
+    near = [[] for _ in objects]
+    for i, j in zip(*pairs_within(xy, xy, radius)):
+        rx, ry = xy[j][0] - xy[i][0], xy[j][1] - xy[i][1]
+        d2 = rx * rx + ry * ry
+        if i != j and d2 <= radius * radius:
+            near[i].append((d2, objects[j].instance_id, rx, ry))
+    result = {o.instance_id: RelationshipOffset.undefined() for o in objects}
+    for obj, found in zip(objects, near):
+        if found:
+            _, _, rx, ry = min(found)
+            result[obj.instance_id] = RelationshipOffset(rx, ry, True)
     return result

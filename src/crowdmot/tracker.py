@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .geometry import Box3D
+from .geometry import Box3D, pairs_within
 from .targets import MotionOffset, RelationshipOffset
 
 
@@ -65,8 +65,9 @@ class TrackerConfig:
     birth_score_min: float = 0.3
 
     def __post_init__(self) -> None:
-        if self.max_match_dist <= 0 or self.max_age <= 0 or self.birth_score_min <= 0:
-            raise ValueError("tracker config values must be positive")
+        ok = 0 < self.max_match_dist < math.inf and self.max_age > 0 and self.birth_score_min > 0
+        if not ok:
+            raise ValueError(f"tracker values must be positive, max_match_dist finite: {self}")
 
 
 @dataclass
@@ -95,22 +96,20 @@ def associate(
     frames = {d.frame for d in dets}
     if len(frames) > 1:
         raise ValueError(f"detections span multiple frames: {sorted(frames)}")
-    assigned: dict[int, Optional[int]] = {i: None for i in range(len(dets))}
-    free = dict(tracks)
+    shifted = [(d.box.cx + d.offset.ox, d.box.cy + d.offset.oy) for d in dets]
+    near = [[] for _ in dets]
+    for i, j in zip(*pairs_within(shifted, [c for _, c in tracks], cfg.max_match_dist)):
+        near[i].append(tracks[j])
+    assigned: list[Optional[int]] = [None] * len(dets)
+    claimed: set[int] = set()
     for i in sorted(range(len(dets)), key=lambda i: (-dets[i].score, i)):
-        if not free:
-            break
-        det = dets[i]
-        px = det.box.cx + det.offset.ox
-        py = det.box.cy + det.offset.oy
-        best = min(
-            ((math.hypot(cx - px, cy - py), tid) for tid, (cx, cy) in free.items()),
-        )
-        dist, tid = best
+        px, py = shifted[i]
+        free = [(math.hypot(cx - px, cy - py), t) for t, (cx, cy) in near[i] if t not in claimed]
+        dist, tid = min(free, default=(math.inf, None))
         if dist <= cfg.max_match_dist:
             assigned[i] = tid
-            del free[tid]
-    return [(i, assigned[i]) for i in range(len(dets))]
+            claimed.add(tid)
+    return list(enumerate(assigned))
 
 
 def step(

@@ -286,6 +286,43 @@ class TestDensity:
         assert not empty_region.any()
 
 
+class TestRejectedRadii:
+    """Neighbour radii, spreads and gates must be finite and positive."""
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("density", "--radius", "nan"),
+            ("eval", "--radius", "nan"),
+            ("track", "--max-match-dist", "nan"),
+            ("track", "--max-match-dist", "inf"),
+            ("track", "--birth-score-min", "nan"),
+            ("targets", "--rel-radius", "-1"),
+            ("targets", "--rel-radius", "nan"),
+            ("targets", "--sigma", "nan"),
+            ("targets", "--th", "nan"),
+        ],
+    )
+    def test_fails_with_one_line_and_no_outputs(
+        self, gen_dir, tmp_path, capsys, command, flag, value
+    ):
+        gt, det = str(gen_dir / "gt.jsonl"), str(gen_dir / "det.jsonl")
+        traj = tmp_path / "track" / "traj.jsonl"
+        assert main(["track", "--det", det, "--out", str(traj.parent)]) == 0
+        inputs = {
+            "density": ["--gt", gt],
+            "eval": ["--gt", gt, "--traj", str(traj)],
+            "track": ["--det", det],
+            "targets": ["--gt", gt, "--grid", "0.5,0.5", "--extent=-30,30,-20,20"],
+        }[command]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([command, *inputs, "--out", str(out), f"{flag}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestVoxelshapes:
     @pytest.fixture()
     def points_file(self, tmp_path):

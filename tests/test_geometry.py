@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crowdmot.geometry import (
     Box3D,
@@ -13,6 +15,7 @@ from crowdmot.geometry import (
     bev_iou,
     cell_center,
     normalize_yaw,
+    pairs_within,
     quantize_to_grid,
 )
 
@@ -184,6 +187,43 @@ class TestBevIou:
         a = BoxBEV(0.0, 0.0, 1.0, 1.0, 0.0)
         b = BoxBEV(1.0, 0.0, 1.0, 1.0, 0.0)
         assert bev_iou(a, b) == 0.0
+
+
+# Whole-metre coordinates make duplicates and exact distances common; sets of
+# more than 16 points split the tree into several leaves.
+_COORD = st.one_of(st.integers(-6, 6).map(float), st.floats(-10.0, 10.0))
+_POINTS = st.lists(st.tuples(_COORD, _COORD), max_size=40)
+_RADIUS = st.one_of(st.integers(0, 6).map(float), st.floats(0.0, 20.0))
+
+
+class TestPairsWithin:
+    @settings(max_examples=200, deadline=None)
+    @given(a=_POINTS, b=_POINTS, r=_RADIUS, same=st.booleans())
+    @example(a=[], b=[(0.0, 0.0)], r=1.0, same=False)
+    @example(a=[(0.0, 0.0)], b=[], r=1.0, same=False)
+    @example(a=[(1.0, 2.0), (1.0, 2.0), (1.0, 2.0)], b=[], r=0.0, same=True)
+    @example(a=[(0.0, 0.0)], b=[(3.0, 4.0)], r=5.0, same=False)
+    @example(a=[(0.0, 0.0), (3.0, 4.0)], b=[], r=5.0, same=True)
+    # A subnormal gap squares to 0, so the tree alone would report it at r=0.
+    @example(a=[(0.0, 0.0)], b=[(0.0, 2.2250738585e-313)], r=0.0, same=False)
+    def test_against_brute_force(self, a, b, r, same):
+        if same:
+            b = a
+        i, j = pairs_within(a, b, r)
+        got = list(zip(i.tolist(), j.tolist()))
+
+        def dist(p, q):
+            return math.hypot(a[p][0] - b[q][0], a[p][1] - b[q][1])
+
+        brute = {(p, q) for p in range(len(a)) for q in range(len(b)) if dist(p, q) <= r}
+        assert brute <= set(got)
+        assert all(dist(p, q) <= r * (1 + 1e-9) for p, q in got)
+        assert got == sorted(set(got))
+
+    @pytest.mark.parametrize("r", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_radius(self, r):
+        with pytest.raises(ValueError, match="radius"):
+            pairs_within([(0.0, 0.0)], [(0.0, 0.0)], r)
 
 
 def _random_box(rng: np.random.Generator, yaw: float | None = None) -> BoxBEV:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from crowdmot import simulator
 from crowdmot.evaluator import density_stats
 from crowdmot.simulator import (
     InfeasibleSceneError,
@@ -14,6 +15,7 @@ from crowdmot.simulator import (
     SceneSequence,
     SimConfig,
     _expected_density_mixed,
+    _repair_separation,
     corrupt,
     density_sweep,
     gen_scene,
@@ -115,6 +117,45 @@ class TestGenScene:
             [density_stats(gen_scene(small_cfg(seed=s))) for s in range(8)]
         )
         assert measured == pytest.approx(2.0, rel=0.15)
+
+
+class TestRepairSeparation:
+    LO, HI = np.array([-10.0, -10.0]), np.array([10.0, 10.0])
+
+    def test_coincident_pair_splits_along_x(self):
+        pos = _repair_separation(np.zeros((2, 2)), self.LO, self.HI)
+        half_gap = 0.5 * MIN_SEPARATION * 1.01
+        assert pos.tolist() == [[half_gap, 0.0], [-half_gap, 0.0]]
+
+    def test_pushes_use_offsets_from_the_start_of_the_round(self):
+        # Pedestrian 1 is too close to both others; its second push must use
+        # its position before the first push, so the two pushes stay axis-aligned.
+        pos = np.array([[0.0, 0.0], [0.25, 0.0], [0.25, 0.25]])
+        push = 0.5 * (MIN_SEPARATION * 1.01 - 0.25)
+        pos = _repair_separation(pos, self.LO, self.HI)
+        expected = [[-push, 0.0], [0.25 + push, -push], [0.25, 0.25 + push]]
+        np.testing.assert_allclose(pos, expected, rtol=0, atol=1e-12)
+
+    def test_no_pair_left_closer_than_minimum(self):
+        pos = np.random.default_rng(3).uniform(-1.5, 1.5, (60, 2))
+        pos = _repair_separation(pos, self.LO, self.HI)
+        for a, b in itertools.combinations(pos, 2):
+            assert math.hypot(*(a - b)) >= MIN_SEPARATION
+
+    def test_overpacked_cluster_raises_after_last_round(self, monkeypatch):
+        searches = []
+        pairs_within = simulator.pairs_within
+
+        def counting(a_xy, b_xy, r):
+            searches.append(r)
+            return pairs_within(a_xy, b_xy, r)
+
+        monkeypatch.setattr(simulator, "pairs_within", counting)
+        # 20 pedestrians cannot keep 0.3 m apart inside a 0.5 m square.
+        pos = np.random.default_rng(4).uniform(0.0, 0.5, (20, 2))
+        with pytest.raises(InfeasibleSceneError, match="separation"):
+            _repair_separation(pos, np.zeros(2), np.full(2, 0.5))
+        assert len(searches) == 33
 
 
 class TestCorrupt:

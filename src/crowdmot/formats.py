@@ -86,6 +86,7 @@ def _frame_line(frame: int, timestamp: float, objects: list[dict]) -> str:
     return json.dumps(
         {"frame": frame, "timestamp": timestamp, "objects": objects},
         separators=(",", ":"),
+        allow_nan=False,
     )
 
 
@@ -214,6 +215,14 @@ def read_trajectories_jsonl(path: Path) -> tuple[list[list[tuple[int, Box3D]]], 
     return frames, timestamps
 
 
+def _reject_constant(name: str):
+    raise FormatError(f"non-finite number {name}")
+
+
+# One strict decoder for every line: the NaN and Infinity tokens are not JSON.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def _read_records(path: Path) -> Iterable[tuple[int, dict]]:
     last_frame = -1
     with open(path) as handle:
@@ -222,12 +231,20 @@ def _read_records(path: Path) -> Iterable[tuple[int, dict]]:
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                rec = _DECODER.decode(line)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from None
+            except FormatError as exc:
+                raise FormatError(f"{path}:{line_no}: {exc}") from None
+            if not isinstance(rec, dict):
+                raise FormatError(f"{path}:{line_no}: record is not a JSON object")
             for need in ("frame", "timestamp", "objects"):
                 if need not in rec:
                     raise FormatError(f"{path}:{line_no}: missing field {need!r}")
+            if not isinstance(rec["objects"], list):
+                raise FormatError(f"{path}:{line_no}: 'objects' is not a list")
+            if not all(isinstance(obj, dict) for obj in rec["objects"]):
+                raise FormatError(f"{path}:{line_no}: an entry of 'objects' is not an object")
             if int(rec["frame"]) != last_frame + 1:
                 raise FormatError(
                     f"{path}:{line_no}: frame {rec['frame']} out of order "
@@ -247,7 +264,12 @@ def _frame_rate_of(timestamps: list[float]) -> float:
 def write_grid(path: Path, grid: DenseGrid2D) -> None:
     spec = grid.grid
     header = f"{spec.nx} {spec.ny} {spec.dx!r} {spec.dy!r} {spec.x_min!r} {spec.y_min!r}"
-    rows = [" ".join(repr(float(v)) for v in row) for row in grid.values]
+    # repr each distinct value once. The table is keyed on the bit pattern, not
+    # on float equality, which would merge -0.0 with 0.0.
+    bits = np.ascontiguousarray(grid.values).view(np.uint64)
+    distinct, index = np.unique(bits, return_inverse=True)
+    table = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    rows = [" ".join(row) for row in table[index.reshape(bits.shape)].tolist()]
     atomic_write_text(path, "\n".join([header, *rows]) + "\n")
 
 
@@ -265,6 +287,9 @@ def read_grid(path: Path) -> DenseGrid2D:
     return DenseGrid2D(spec, values)
 
 
+_PGM_LEVELS = np.array([str(level) for level in range(256)], dtype=object)
+
+
 def write_pgm(path: Path, grid: DenseGrid2D) -> None:
     """Grayscale dump: values scaled so the grid maximum maps to 255."""
     values = grid.values
@@ -273,6 +298,6 @@ def write_pgm(path: Path, grid: DenseGrid2D) -> None:
     if peak > 0:
         scaled = np.clip(np.round(values / peak * 255.0), 0, 255).astype(np.int64)
     # PGM rows scan y from top; emit k-major so the image is ny rows of nx.
-    rows = [" ".join(str(v) for v in scaled[:, k]) for k in range(scaled.shape[1] - 1, -1, -1)]
+    rows = [" ".join(row) for row in _PGM_LEVELS[scaled[:, ::-1].T].tolist()]
     text = f"P2\n{scaled.shape[0]} {scaled.shape[1]}\n255\n" + "\n".join(rows) + "\n"
     atomic_write_text(path, text)

@@ -234,14 +234,17 @@ def pairs_within(a_xy, b_xy, r: float) -> tuple[np.ndarray, np.ndarray]:
     is returned, and possibly pairs up to a relative 1e-9 beyond r: the tree
     rounds distances differently from the callers' exact tests, so callers
     re-test the candidates with their own rule. Pairs come sorted by (i, j).
-    Passing one point set twice returns its self-pairs (i, i) too.
+    Passing one point set twice returns its self-pairs (i, i) too; passing
+    the same object twice builds its tree only once.
     """
     if not 0.0 <= r < math.inf:
         raise ValueError(f"neighbour radius must be finite and >= 0, got {r}")
     a = np.reshape(np.asarray(a_xy, dtype=float), (-1, 2))
-    b = np.reshape(np.asarray(b_xy, dtype=float), (-1, 2))
+    b = a if b_xy is a_xy else np.reshape(np.asarray(b_xy, dtype=float), (-1, 2))
     bound = r * (1.0 + 1e-9)
-    found = cKDTree(a).sparse_distance_matrix(cKDTree(b), bound, output_type="ndarray")
+    tree = cKDTree(a)
+    other = tree if b is a else cKDTree(b)
+    found = tree.sparse_distance_matrix(other, bound, output_type="ndarray")
     # The tree sums squares, which underflow to 0 for subnormal gaps, so it can
     # report a pair at any distance below ~1e-154 as within r; drop those.
     i, j = found["i"], found["j"]

@@ -7,6 +7,7 @@ and evaluates the density-weighted focal loss with its analytic gradient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
@@ -18,6 +19,10 @@ from .geometry import Box3D, GridSpec, check_positive, pairs_within, quantize_to
 PROB_EPS = 1e-7
 
 DEFAULT_NEIGHBOR_RADIUS = 3.0
+
+# exp(-x) is exactly 0.0 in float64 for every x >= 746, so the heatmap kernel
+# vanishes beyond sqrt(746) * sigma cells.
+_EXP_UNDERFLOW = math.sqrt(746.0)
 
 
 class GridMismatchError(ValueError):
@@ -127,6 +132,10 @@ def make_heatmap(
     combined per cell with `max` (default; centers are exactly 1 and values
     stay in [0, 1]) or `sum` (the literal additive form, which can exceed 1
     where objects are adjacent).
+
+    The kernel is exactly 0.0 once the exponent passes 746, so each object is
+    stamped only on the cells within ceil(sqrt(746) * sigma) + 1 of its own;
+    the cells beyond would add 0.0, which neither combine rule can notice.
     """
     if combine not in ("max", "sum"):
         raise ValueError(f"combine must be 'max' or 'sum', got {combine!r}")
@@ -134,16 +143,22 @@ def make_heatmap(
     heat = np.zeros((grid.nx, grid.ny))
     if not objects:
         return DenseGrid2D(grid, heat)
-    jj = np.arange(grid.nx, dtype=np.float64)[:, None]
-    kk = np.arange(grid.ny, dtype=np.float64)[None, :]
-    inv_s2 = 1.0 / (sigma * sigma)
+    # The stamp holds the kernel at every offset an object can reach on this grid.
+    reach = math.ceil(_EXP_UNDERFLOW * sigma) + 1
+    rj, rk = min(reach, grid.nx - 1), min(reach, grid.ny - 1)
+    dj = np.arange(-rj, rj + 1, dtype=np.float64)[:, None]
+    dk = np.arange(-rk, rk + 1, dtype=np.float64)[None, :]
+    stamp = np.exp(-(dj**2 + dk**2) * (1.0 / (sigma * sigma)))
     for obj in objects:
         j_star, k_star = quantize_to_grid(obj.box.cx, obj.box.cy, grid)
-        kernel = np.exp(-((jj - j_star) ** 2 + (kk - k_star) ** 2) * inv_s2)
+        j0, j1 = max(j_star - rj, 0), min(j_star + rj + 1, grid.nx)
+        k0, k1 = max(k_star - rk, 0), min(k_star + rk + 1, grid.ny)
+        window = heat[j0:j1, k0:k1]
+        kernel = stamp[j0 - j_star + rj : j1 - j_star + rj, k0 - k_star + rk : k1 - k_star + rk]
         if combine == "max":
-            np.maximum(heat, kernel, out=heat)
+            np.maximum(window, kernel, out=window)
         else:
-            heat += kernel
+            window += kernel
     return DenseGrid2D(grid, heat)
 
 
@@ -158,6 +173,10 @@ def make_daw(
     w[j, k] counts objects whose BEV distance from the cell point
     (x_min + j*dx, y_min + k*dy) is strictly below th meters. The cell point
     is the origin corner by default, the cell midpoint with midpoint=True.
+
+    Cell points more than ceil(th/dx) + 1 columns or ceil(th/dy) + 1 rows
+    from an object's cell lie more than half a cell beyond th from it, so
+    each object is tested only on that window.
     """
     check_positive("th", th)
     weights = np.zeros((grid.nx, grid.ny))
@@ -167,11 +186,13 @@ def make_daw(
     gx = grid.x_min + (np.arange(grid.nx) + shift) * grid.dx
     gy = grid.y_min + (np.arange(grid.ny) + shift) * grid.dy
     th2 = th * th
+    rj, rk = math.ceil(th / grid.dx) + 1, math.ceil(th / grid.dy) + 1
     for obj in objects:
-        # Validates the object is on the grid, like the heatmap path.
-        quantize_to_grid(obj.box.cx, obj.box.cy, grid)
-        d2 = (gx[:, None] - obj.box.cx) ** 2 + (gy[None, :] - obj.box.cy) ** 2
-        weights += d2 < th2
+        # Also validates the object is on the grid, like the heatmap path.
+        j, k = quantize_to_grid(obj.box.cx, obj.box.cy, grid)
+        sj, sk = slice(max(j - rj, 0), j + rj + 1), slice(max(k - rk, 0), k + rk + 1)
+        d2 = (gx[sj, None] - obj.box.cx) ** 2 + (gy[None, sk] - obj.box.cy) ** 2
+        weights[sj, sk] += d2 < th2
     return DenseGrid2D(grid, weights)
 
 

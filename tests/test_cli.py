@@ -323,6 +323,35 @@ class TestRejectedRadii:
         assert not out.exists()
 
 
+class TestMalformedJsonl:
+    """Every malformed line ends in one path:line error, exit 2, no outputs."""
+
+    GOOD = '{"frame":0,"timestamp":0.0,"objects":[]}'
+
+    @pytest.mark.parametrize("command", ["density", "track"])
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("5", "record is not a JSON object"),
+            ('[{"frame":1}]', "record is not a JSON object"),
+            ('{"frame":1,"timestamp":NaN,"objects":[]}', "non-finite number NaN"),
+            ('{"frame":1,"timestamp":Infinity,"objects":[]}', "non-finite number Infinity"),
+            ('{"frame":1,"timestamp":0.1,"objects":[{"cx":-Infinity}]}', "non-finite number -Infinity"),
+            ('{"frame":1,"timestamp":0.1,"objects":{"id":0}}', "'objects' is not a list"),
+            ('{"frame":1,"timestamp":0.1,"objects":[5]}', "an entry of 'objects' is not an object"),
+        ],
+        ids=["number", "array", "nan", "infinity", "minus-infinity", "objects-dict", "entry-number"],
+    )
+    def test_fails_with_one_line_and_no_outputs(self, tmp_path, capsys, command, line, message):
+        path = tmp_path / "in.jsonl"
+        path.write_text(self.GOOD + "\n" + line + "\n")
+        flag = {"density": "--gt", "track": "--det"}[command]
+        out = tmp_path / "out"
+        assert main([command, flag, str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:2: {message}\n"
+        assert not out.exists()
+
+
 class TestVoxelshapes:
     @pytest.fixture()
     def points_file(self, tmp_path):

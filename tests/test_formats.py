@@ -83,6 +83,12 @@ class TestDetectionsJsonl:
         with pytest.raises(FormatError, match="score"):
             read_detections_jsonl(path)
 
+    def test_non_finite_number_is_not_written(self, tmp_path):
+        path = tmp_path / "det.jsonl"
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_detections_jsonl(path, [[]], [float("nan")])
+        assert not path.exists()
+
 
 class TestTrajectoriesJsonl:
     def test_round_trip_through_tracker(self, scene, tmp_path):
@@ -127,3 +133,78 @@ class TestGridFiles:
         assert lines[1] == "4 2"
         values = [int(v) for row in lines[3:] for v in row.split()]
         assert len(values) == 8 and max(values) == 255 and min(values) >= 0
+
+
+def per_value_grid_text(dense):
+    spec = dense.grid
+    header = f"{spec.nx} {spec.ny} {spec.dx!r} {spec.dy!r} {spec.x_min!r} {spec.y_min!r}"
+    rows = [" ".join(repr(float(v)) for v in row) for row in dense.values]
+    return "\n".join([header, *rows]) + "\n"
+
+
+def per_value_pgm_text(dense):
+    values = dense.values
+    peak = float(values.max())
+    scaled = np.zeros_like(values, dtype=np.int64)
+    if peak > 0:
+        scaled = np.clip(np.round(values / peak * 255.0), 0, 255).astype(np.int64)
+    nx, ny = scaled.shape
+    rows = [" ".join(str(v) for v in scaled[:, k]) for k in range(ny - 1, -1, -1)]
+    return f"P2\n{nx} {ny}\n255\n" + "\n".join(rows) + "\n"
+
+
+TINY = float(np.nextafter(0.0, 1.0))  # the smallest subnormal
+
+
+class TestWritersMatchPerValueText:
+    """The table-driven writers emit exactly the per-value repr/str text."""
+
+    CASES = {
+        "signed_zeros": (
+            GridSpec(0.0, 1.5, 0.0, 1.0, 0.5, 0.5),
+            [[-0.0, 0.0], [0.0, -0.0], [-0.0, 1.0]],
+        ),
+        "subnormals": (GridSpec(0.0, 1.0, 0.0, 1.0, 0.5, 0.5), [[TINY, -TINY], [0.0, -0.0]]),
+        "extremes": (
+            GridSpec(0.0, 1.0, 0.0, 1.5, 0.5, 0.5),
+            [[float("nan"), 1e300, -1e-300], [-float("nan"), 0.1 + 0.2, 1e-300]],
+        ),
+        "one_row": (
+            GridSpec(0.0, 0.5, 0.0, 3.5, 0.5, 0.5),
+            [[0.25, 1.0, 0.25, 0.0, 0.5, 0.75, 1.0]],
+        ),
+        "one_column": (
+            GridSpec(0.0, 3.5, 0.0, 0.5, 0.5, 0.5),
+            [[0.25], [1.0], [0.25], [0.0], [0.5], [0.75], [1.0]],
+        ),
+        "all_zero": (GridSpec(-1.0, 1.0, -0.5, 0.5, 0.5, 0.5), np.zeros((4, 2))),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_write_grid(self, tmp_path, case):
+        spec, values = self.CASES[case]
+        dense = DenseGrid2D(spec, np.array(values, dtype=np.float64))
+        write_grid(tmp_path / "x.grid", dense)
+        assert (tmp_path / "x.grid").read_text() == per_value_grid_text(dense)
+
+    @pytest.mark.parametrize(
+        "case", ["signed_zeros", "subnormals", "one_row", "one_column", "all_zero"]
+    )
+    def test_write_pgm(self, tmp_path, case):
+        spec, values = self.CASES[case]
+        dense = DenseGrid2D(spec, np.array(values, dtype=np.float64))
+        write_pgm(tmp_path / "x.pgm", dense)
+        assert (tmp_path / "x.pgm").read_text() == per_value_pgm_text(dense)
+
+    def test_pgm_of_a_random_grid(self, tmp_path):
+        spec = GridSpec(-3.0, 3.0, -1.5, 1.5, 0.25, 0.5)
+        dense = DenseGrid2D(spec, np.random.default_rng(3).uniform(0, 7, (spec.nx, spec.ny)))
+        write_pgm(tmp_path / "x.pgm", dense)
+        assert (tmp_path / "x.pgm").read_text() == per_value_pgm_text(dense)
+
+    def test_grid_of_a_non_contiguous_array(self, tmp_path):
+        spec = GridSpec(0.0, 1.0, 0.0, 1.5, 0.5, 0.5)
+        values = np.arange(6.0).reshape(3, 2).T * -0.5
+        dense = DenseGrid2D(spec, values)
+        write_grid(tmp_path / "x.grid", dense)
+        assert (tmp_path / "x.grid").read_text() == per_value_grid_text(dense)

@@ -4,8 +4,12 @@ Reruns are compared with themselves elsewhere; this test compares them with
 fixed SHA-256 digests, so a refactor that changes a number in them fails here.
 The crowd is dense enough that every neighbour search has work to do: 300
 pedestrians in 60 m x 40 m with a density target of 3 neighbours within 2 m,
-with clutter and relationship offsets on.
+with clutter and relationship offsets on. The heatmap and weight grids and
+their PGM dumps are pinned together by one digest over their sorted
+(name, digest) list.
 """
+
+import hashlib
 
 from crowdmot.cli import main
 from crowdmot.formats import sha256_file
@@ -39,6 +43,10 @@ GOLDEN = {
     "density/density.txt": "6f1916e98ef5b0bdd2e0dd357275efe128a9178156b75433f759f51e9234c5ea",
 }
 
+# SHA-256 of the "name digest" lines, sorted by name, of every heatmap_* and
+# weights_* .grid and .pgm file that targets writes (4 frames, 16 files).
+GOLDEN_GRIDS = "6da539df8ca22fd0f7ea151c64f6898b371f2faa7fe42cd2550b87e231d590f1"
+
 
 def test_pipeline_outputs_match_golden_digests(tmp_path, monkeypatch):
     # Relative paths: the eval report names its inputs.
@@ -47,10 +55,18 @@ def test_pipeline_outputs_match_golden_digests(tmp_path, monkeypatch):
     for argv in (
         ["gen", "--config", "crowd.ini", "--out", "gen"],
         ["targets", "--gt", "gen/gt.jsonl", "--out", "targets",
-         "--extent=-30,30,-20,20", "--grid", "0.5,0.5"],
+         "--extent=-30,30,-20,20", "--grid", "0.5,0.5", "--dump-pgm"],
         ["track", "--det", "gen/det.jsonl", "--out", "track"],
         ["eval", "--gt", "gen/gt.jsonl", "--traj", "track/traj.jsonl", "--out", "eval"],
         ["density", "--gt", "gen/gt.jsonl", "--out", "density"],
     ):
         assert main(argv) == 0, argv
     assert {name: sha256_file(tmp_path / name) for name in GOLDEN} == GOLDEN
+    grids = sorted(
+        path
+        for pattern in ("heatmap_*", "weights_*")
+        for path in (tmp_path / "targets").glob(pattern)
+    )
+    assert [path.suffix for path in grids] == [".grid", ".pgm"] * 8
+    listing = "".join(f"{path.name} {sha256_file(path)}\n" for path in grids)
+    assert hashlib.sha256(listing.encode()).hexdigest() == GOLDEN_GRIDS

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from crowdmot.geometry import Box3D, GridSpec, OutOfBoundsError
+from crowdmot.geometry import Box3D, GridSpec, OutOfBoundsError, quantize_to_grid
 from crowdmot.targets import (
     DenseGrid2D,
     GridMismatchError,
@@ -119,6 +119,82 @@ class TestDaw:
         crowd_peak = daw.values[: GRID.nx // 2, : GRID.ny // 2].max()
         loner_peak = daw.values[GRID.nx // 2 :, GRID.ny // 2 :].max()
         assert crowd_peak >= 4.0 > loner_peak == 1.0
+
+
+def _edge_objects(grid, rng, n_random=6):
+    """Objects on the first and last cell, on every grid corner, and inside."""
+    x_last = np.nextafter(grid.x_max, -math.inf)
+    y_last = np.nextafter(grid.y_max, -math.inf)
+    points = [
+        (grid.x_min, grid.y_min),
+        (x_last, y_last),
+        (grid.x_min, y_last),
+        (x_last, grid.y_min),
+        (grid.x_min, 0.5 * (grid.y_min + grid.y_max)),
+        (0.5 * (grid.x_min + grid.x_max), y_last),
+    ]
+    points += [
+        (rng.uniform(grid.x_min, grid.x_max), rng.uniform(grid.y_min, grid.y_max))
+        for _ in range(n_random)
+    ]
+    return [ped(i, float(x), float(y)) for i, (x, y) in enumerate(points)]
+
+
+class TestWindowedStencils:
+    """The windowed stencils equal the full-grid expressions bit for bit."""
+
+    HEAT_GRID = GridSpec(-50.0, 50.0, -40.0, 40.0, 0.5, 0.5)
+    # dx != dy, and neither divides the radii below.
+    DAW_GRID = GridSpec(-3.0, 4.5, -2.1, 2.1, 0.3, 0.7)
+
+    @staticmethod
+    def full_grid_heatmap(objects, grid, sigma, combine):
+        heat = np.zeros((grid.nx, grid.ny))
+        jj = np.arange(grid.nx, dtype=np.float64)[:, None]
+        kk = np.arange(grid.ny, dtype=np.float64)[None, :]
+        inv_s2 = 1.0 / (sigma * sigma)
+        for obj in objects:
+            j, k = quantize_to_grid(obj.box.cx, obj.box.cy, grid)
+            kernel = np.exp(-((jj - j) ** 2 + (kk - k) ** 2) * inv_s2)
+            heat = np.maximum(heat, kernel) if combine == "max" else heat + kernel
+        return heat
+
+    @staticmethod
+    def full_grid_daw(objects, grid, th, midpoint):
+        shift = 0.5 if midpoint else 0.0
+        gx = grid.x_min + (np.arange(grid.nx) + shift) * grid.dx
+        gy = grid.y_min + (np.arange(grid.ny) + shift) * grid.dy
+        weights = np.zeros((grid.nx, grid.ny))
+        for obj in objects:
+            d2 = (gx[:, None] - obj.box.cx) ** 2 + (gy[None, :] - obj.box.cy) ** 2
+            weights += d2 < th * th
+        return weights
+
+    @pytest.mark.parametrize("combine", ["max", "sum"])
+    @pytest.mark.parametrize("sigma", [0.05, 0.3, 1.7, 40.0])
+    def test_heatmap_matches_full_grid(self, sigma, combine):
+        grid = self.HEAT_GRID
+        objs = _edge_objects(grid, np.random.default_rng(7))
+        got = make_heatmap(objs, grid, sigma=sigma, combine=combine).values
+        want = self.full_grid_heatmap(objs, grid, sigma, combine)
+        assert got.tobytes() == want.tobytes()
+
+    def test_heatmap_window_larger_than_a_narrow_grid(self):
+        grid = GridSpec(0.0, 0.5, -4.0, 4.0, 0.5, 0.5)  # a 1 x 16 grid
+        objs = _edge_objects(grid, np.random.default_rng(8), n_random=2)
+        for sigma in (0.3, 1.7, 40.0):
+            got = make_heatmap(objs, grid, sigma=sigma, combine="sum").values
+            want = self.full_grid_heatmap(objs, grid, sigma, "sum")
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("midpoint", [False, True])
+    @pytest.mark.parametrize("th", [0.05, 0.3, 0.7, 1.15, 2.0, 9.0])
+    def test_daw_matches_full_grid(self, th, midpoint):
+        grid = self.DAW_GRID
+        objs = _edge_objects(grid, np.random.default_rng(9), n_random=20)
+        got = make_daw(objs, grid, th=th, midpoint=midpoint).values
+        want = self.full_grid_daw(objs, grid, th, midpoint)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestFocalDawLoss:

@@ -28,6 +28,7 @@ from .formats import (
     sha256_file,
     write_detections_jsonl,
     write_grid,
+    write_offsets_jsonl,
     write_pgm,
     write_scene_jsonl,
     write_trajectories_jsonl,
@@ -209,8 +210,6 @@ def cmd_targets(args: argparse.Namespace) -> int:
                 raise OutOfBoundsError(f"frame {frame}, object {obj.instance_id}: {exc}") from None
     out = Path(args.out)
     outputs = []
-    offset_lines = []
-    prev_objs = []
     for frame, objs in enumerate(scene.frames):
         heat = make_heatmap(objs, grid, sigma=args.sigma)
         daw = make_daw(objs, grid, th=args.th)
@@ -224,29 +223,12 @@ def cmd_targets(args: argparse.Namespace) -> int:
                 pgm = dst.with_suffix(".pgm")
                 write_pgm(pgm, src)
                 outputs.append(pgm)
-        motion = make_motion_offsets(objs, prev_objs)
-        rel = make_relationship_offsets(objs, radius=args.rel_radius)
-        objects = []
-        for obj in sorted(objs, key=lambda o: o.instance_id):
-            off = motion[obj.instance_id]
-            rel_off = rel[obj.instance_id]
-            objects.append(
-                {
-                    "id": int(obj.instance_id),
-                    "offset": [off.ox, off.oy, off.oz],
-                    "newborn": off.newborn,
-                    "rel": [rel_off.rx, rel_off.ry] if rel_off.defined else None,
-                }
-            )
-        offset_lines.append(
-            json.dumps(
-                {"frame": frame, "timestamp": scene.timestamps[frame], "objects": objects},
-                separators=(",", ":"),
-            )
-        )
-        prev_objs = objs
+    offsets = (
+        (make_motion_offsets(objs, prev), make_relationship_offsets(objs, radius=args.rel_radius))
+        for objs, prev in zip(scene.frames, [[], *scene.frames])
+    )
     offsets_path = out / "offsets.jsonl"
-    atomic_write_text(offsets_path, "".join(line + "\n" for line in offset_lines))
+    write_offsets_jsonl(offsets_path, scene.timestamps, offsets)
     outputs.append(offsets_path)
     config = {
         "grid": {"dx": dx, "dy": dy, "x_min": x_min, "x_max": x_max, "y_min": y_min, "y_max": y_max},

@@ -6,6 +6,12 @@ GT objects carry {id, cx, cy, cz, l, w, h, yaw}; detections additionally
 carry score, offset [ox, oy, oz], optionally newborn and rel ([rx, ry] or
 null when no neighbor is in range); trajectory objects carry score and use
 the track id as id. For detection records the id is the within-frame index.
+Offset-target objects carry {id, offset [ox, oy, oz], newborn, rel}.
+
+Frames are numbered 0, 1, ... with strictly increasing timestamps; every
+number is finite, ids are integers unique within their frame, and objects
+are written in ascending id order. Every JSONL file is written through
+_write_frames, and every JSONL reader goes through _read_frames.
 
 Grid files are plain text: a header line "nx ny dx dy x_min y_min" followed
 by nx rows of ny values (row j lists cells (j, 0..ny-1)).
@@ -18,9 +24,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import tempfile
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
@@ -67,19 +75,8 @@ def _box_fields(box: Box3D) -> dict:
     }
 
 
-def _box_from_fields(rec: dict, where: str) -> Box3D:
-    try:
-        return Box3D(
-            cx=float(rec["cx"]),
-            cy=float(rec["cy"]),
-            cz=float(rec["cz"]),
-            length=float(rec["l"]),
-            height=float(rec["h"]),
-            width=float(rec["w"]),
-            yaw=float(rec["yaw"]),
-        )
-    except KeyError as exc:
-        raise FormatError(f"{where}: missing box field {exc.args[0]!r}") from None
+def _rel_field(rel: RelationshipOffset) -> list[float] | None:
+    return [rel.rx, rel.ry] if rel.defined else None
 
 
 def _frame_line(frame: int, timestamp: float, objects: list[dict]) -> str:
@@ -90,129 +87,185 @@ def _frame_line(frame: int, timestamp: float, objects: list[dict]) -> str:
     )
 
 
-def write_scene_jsonl(path: Path, scene: SceneSequence) -> None:
-    lines = []
-    for frame, (objs, ts) in enumerate(zip(scene.frames, scene.timestamps)):
-        objects = [
-            {"id": int(o.instance_id), **_box_fields(o.box)}
-            for o in sorted(objs, key=lambda o: o.instance_id)
-        ]
-        lines.append(_frame_line(frame, ts, objects))
+def _write_frames(path: Path, timestamps: list[float], frames: Iterable[list[dict]]) -> None:
+    """One line per frame, each frame's objects in ascending id order."""
+    lines = [
+        _frame_line(frame, ts, sorted(objects, key=itemgetter("id")))
+        for frame, (ts, objects) in enumerate(zip(timestamps, frames, strict=True))
+    ]
     atomic_write_text(path, "".join(line + "\n" for line in lines))
 
 
-def read_scene_jsonl(path: Path) -> SceneSequence:
-    frames: list[list[GtObject]] = []
-    timestamps: list[float] = []
-    for line_no, rec in _read_records(path):
-        objs = []
-        for obj in rec["objects"]:
-            if "id" not in obj:
-                raise FormatError(f"{path}:{line_no}: object without id")
-            objs.append(
-                GtObject(
-                    instance_id=int(obj["id"]),
-                    box=_box_from_fields(obj, f"{path}:{line_no}"),
-                    frame=int(rec["frame"]),
-                )
-            )
-        frames.append(objs)
-        timestamps.append(float(rec["timestamp"]))
-    return SceneSequence(frames, timestamps, _frame_rate_of(timestamps))
+def write_scene_jsonl(path: Path, scene: SceneSequence) -> None:
+    frames = (
+        [{"id": int(o.instance_id), **_box_fields(o.box)} for o in objs] for objs in scene.frames
+    )
+    _write_frames(path, scene.timestamps, frames)
+
+
+def _detection_record(index: int, det: Detection) -> dict:
+    obj = {
+        "id": index,
+        **_box_fields(det.box),
+        "score": det.score,
+        "offset": list(det.offset.as_tuple()),
+    }
+    if det.offset.newborn:
+        obj["newborn"] = True
+    if det.relationship is not None:
+        obj["rel"] = _rel_field(det.relationship)
+    return obj
 
 
 def write_detections_jsonl(
     path: Path, det_frames: list[list[Detection]], timestamps: list[float]
 ) -> None:
-    if len(det_frames) != len(timestamps):
-        raise ValueError("detection frames and timestamps length mismatch")
-    lines = []
-    for frame, (dets, ts) in enumerate(zip(det_frames, timestamps)):
-        objects = []
-        for i, det in enumerate(dets):
-            obj = {
-                "id": i,
-                **_box_fields(det.box),
-                "score": det.score,
-                "offset": list(det.offset.as_tuple()),
-            }
-            if det.offset.newborn:
-                obj["newborn"] = True
-            if det.relationship is not None:
-                obj["rel"] = (
-                    [det.relationship.rx, det.relationship.ry]
-                    if det.relationship.defined
-                    else None
-                )
-            objects.append(obj)
-        lines.append(_frame_line(frame, ts, objects))
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
-
-
-def read_detections_jsonl(path: Path) -> tuple[list[list[Detection]], list[float]]:
-    det_frames: list[list[Detection]] = []
-    timestamps: list[float] = []
-    for line_no, rec in _read_records(path):
-        frame = int(rec["frame"])
-        dets = []
-        for obj in rec["objects"]:
-            where = f"{path}:{line_no}"
-            for need in ("score", "offset"):
-                if need not in obj:
-                    raise FormatError(f"{where}: detection missing field {need!r}")
-            ox, oy, oz = (float(v) for v in obj["offset"])
-            rel = None
-            if "rel" in obj:
-                rel = (
-                    RelationshipOffset(float(obj["rel"][0]), float(obj["rel"][1]), True)
-                    if obj["rel"] is not None
-                    else RelationshipOffset.undefined()
-                )
-            dets.append(
-                Detection(
-                    box=_box_from_fields(obj, where),
-                    score=float(obj["score"]),
-                    offset=MotionOffset(ox, oy, oz, newborn=bool(obj.get("newborn", False))),
-                    frame=frame,
-                    relationship=rel,
-                )
-            )
-        det_frames.append(dets)
-        timestamps.append(float(rec["timestamp"]))
-    return det_frames, timestamps
+    frames = ([_detection_record(i, det) for i, det in enumerate(dets)] for dets in det_frames)
+    _write_frames(path, timestamps, frames)
 
 
 def write_trajectories_jsonl(
     path: Path, trajectories: list[Trajectory], timestamps: list[float]
 ) -> None:
-    per_frame: dict[int, list[dict]] = {i: [] for i in range(len(timestamps))}
+    frames: list[list[dict]] = [[] for _ in timestamps]
     for traj in trajectories:
         for frame, box, score in traj.entries:
-            if frame not in per_frame:
+            if not 0 <= frame < len(frames):
                 raise ValueError(f"trajectory frame {frame} outside sequence")
-            per_frame[frame].append(
-                {"id": traj.track_id, **_box_fields(box), "score": score}
-            )
-    lines = []
-    for frame in range(len(timestamps)):
-        objects = sorted(per_frame[frame], key=lambda o: o["id"])
-        lines.append(_frame_line(frame, timestamps[frame], objects))
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+            frames[frame].append({"id": traj.track_id, **_box_fields(box), "score": score})
+    _write_frames(path, timestamps, frames)
+
+
+def write_offsets_jsonl(
+    path: Path,
+    timestamps: list[float],
+    offsets: Iterable[tuple[dict[Hashable, MotionOffset], dict[Hashable, RelationshipOffset]]],
+) -> None:
+    """Offset targets: per frame, the motion and relationship offsets by instance id."""
+    frames = (
+        [
+            {"id": int(key), "offset": list(off.as_tuple()), "newborn": off.newborn,
+             "rel": _rel_field(rels[key])}
+            for key, off in motion.items()
+        ]
+        for motion, rels in offsets
+    )
+    _write_frames(path, timestamps, frames)
+
+
+_LARGEST = sys.float_info.max
+
+
+def _number(obj: dict | list, key: str | int) -> float:
+    """obj[key] as a float; it must be a finite JSON number, not a bool."""
+    value = obj[key]
+    if type(value) in (float, int) and -_LARGEST <= value <= _LARGEST:
+        return float(value)
+    raise FormatError(f"{key!r} must be a finite number, got {value!r}")
+
+
+def _integer(obj: dict, key: str) -> int:
+    """obj[key]; it must be a JSON integer, not a bool."""
+    value = obj[key]
+    if type(value) is int:
+        return value
+    raise FormatError(f"{key!r} must be an integer, got {value!r}")
+
+
+def _numbers(obj: dict, key: str, n: int) -> list[float]:
+    """obj[key] as floats; it must be a list of n finite JSON numbers."""
+    value = obj[key]
+    if type(value) is list and len(value) == n:
+        try:
+            return [_number(value, i) for i in range(n)]
+        except FormatError:
+            pass
+    raise FormatError(f"{key!r} must be a list of {n} finite numbers, got {value!r}")
+
+
+def _box(obj: dict) -> Box3D:
+    return Box3D(
+        cx=_number(obj, "cx"),
+        cy=_number(obj, "cy"),
+        cz=_number(obj, "cz"),
+        length=_number(obj, "l"),
+        height=_number(obj, "h"),
+        width=_number(obj, "w"),
+        yaw=_number(obj, "yaw"),
+    )
+
+
+def _read_frames(path: Path, decode: Callable[[int, dict, int], object]) -> tuple[list, list]:
+    """Per-frame decode(id, object, frame) values and the frame timestamps.
+
+    Frames must be numbered 0, 1, ... in order with strictly increasing
+    timestamps, and each object needs an integer id unique within its frame.
+    """
+    frames: list[list] = []
+    timestamps: list[float] = []
+    for line_no, rec in _read_records(path):
+        try:
+            frame = _integer(rec, "frame")
+            if frame != len(frames):
+                raise FormatError(f"frame {frame} out of order (expected {len(frames)})")
+            timestamp = _number(rec, "timestamp")
+            if timestamps and timestamp <= timestamps[-1]:
+                raise FormatError(f"timestamp {timestamp!r} is not after {timestamps[-1]!r}")
+            objects = rec["objects"]
+            if type(objects) is not list:
+                raise FormatError("'objects' is not a list")
+            values, ids = [], set()
+            for obj in objects:
+                if type(obj) is not dict:
+                    raise FormatError("an entry of 'objects' is not an object")
+                key = _integer(obj, "id")
+                if key in ids:
+                    raise FormatError(f"duplicate id {key}")
+                ids.add(key)
+                values.append(decode(key, obj, frame))
+        except KeyError as exc:
+            raise FormatError(f"{path}:{line_no}: missing field {exc.args[0]!r}") from None
+        except ValueError as exc:
+            raise FormatError(f"{path}:{line_no}: {exc}") from None
+        frames.append(values)
+        timestamps.append(timestamp)
+    return frames, timestamps
+
+
+def read_scene_jsonl(path: Path) -> SceneSequence:
+    frames, timestamps = _read_frames(
+        path, lambda key, obj, frame: GtObject(instance_id=key, box=_box(obj), frame=frame)
+    )
+    return SceneSequence(frames, timestamps)
+
+
+def _detection(key: int, obj: dict, frame: int) -> Detection:
+    newborn = obj.get("newborn", False)
+    if type(newborn) is not bool:
+        raise FormatError(f"'newborn' must be true or false, got {newborn!r}")
+    relationship = None
+    if "rel" in obj:
+        relationship = (
+            RelationshipOffset.undefined()
+            if obj["rel"] is None
+            else RelationshipOffset(*_numbers(obj, "rel", 2), True)
+        )
+    return Detection(
+        box=_box(obj),
+        score=_number(obj, "score"),
+        offset=MotionOffset(*_numbers(obj, "offset", 3), newborn=newborn),
+        frame=frame,
+        relationship=relationship,
+    )
+
+
+def read_detections_jsonl(path: Path) -> tuple[list[list[Detection]], list[float]]:
+    return _read_frames(path, _detection)
 
 
 def read_trajectories_jsonl(path: Path) -> tuple[list[list[tuple[int, Box3D]]], list[float]]:
     """Per-frame (track id, box) lists, as the evaluator consumes them."""
-    frames: list[list[tuple[int, Box3D]]] = []
-    timestamps: list[float] = []
-    for line_no, rec in _read_records(path):
-        preds = []
-        for obj in rec["objects"]:
-            if "id" not in obj:
-                raise FormatError(f"{path}:{line_no}: object without id")
-            preds.append((int(obj["id"]), _box_from_fields(obj, f"{path}:{line_no}")))
-        frames.append(preds)
-        timestamps.append(float(rec["timestamp"]))
-    return frames, timestamps
+    return _read_frames(path, lambda key, obj, frame: (key, _box(obj)))
 
 
 def _reject_constant(name: str):
@@ -224,7 +277,6 @@ _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def _read_records(path: Path) -> Iterable[tuple[int, dict]]:
-    last_frame = -1
     with open(path) as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
@@ -234,31 +286,13 @@ def _read_records(path: Path) -> Iterable[tuple[int, dict]]:
                 rec = _DECODER.decode(line)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from None
-            except FormatError as exc:
+            except ValueError as exc:
                 raise FormatError(f"{path}:{line_no}: {exc}") from None
-            if not isinstance(rec, dict):
+            except RecursionError:
+                raise FormatError(f"{path}:{line_no}: JSON nested too deeply") from None
+            if type(rec) is not dict:
                 raise FormatError(f"{path}:{line_no}: record is not a JSON object")
-            for need in ("frame", "timestamp", "objects"):
-                if need not in rec:
-                    raise FormatError(f"{path}:{line_no}: missing field {need!r}")
-            if not isinstance(rec["objects"], list):
-                raise FormatError(f"{path}:{line_no}: 'objects' is not a list")
-            if not all(isinstance(obj, dict) for obj in rec["objects"]):
-                raise FormatError(f"{path}:{line_no}: an entry of 'objects' is not an object")
-            if int(rec["frame"]) != last_frame + 1:
-                raise FormatError(
-                    f"{path}:{line_no}: frame {rec['frame']} out of order "
-                    f"(expected {last_frame + 1})"
-                )
-            last_frame = int(rec["frame"])
             yield line_no, rec
-
-
-def _frame_rate_of(timestamps: list[float]) -> float:
-    if len(timestamps) < 2:
-        return 1.0
-    diffs = np.diff(timestamps)
-    return float(1.0 / np.median(diffs))
 
 
 def write_grid(path: Path, grid: DenseGrid2D) -> None:

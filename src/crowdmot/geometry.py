@@ -7,7 +7,7 @@ ground plane seen from above; boxes live there as rotated rectangles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -31,6 +31,15 @@ def check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
+def check_finite_fields(config) -> None:
+    """Raise ValueError naming the first dataclass field that holds a non-finite float."""
+    for field in fields(config):
+        value = getattr(config, field.name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, float) and not math.isfinite(item):
+                raise ValueError(f"{field.name} must be finite, got {value}")
+
+
 def normalize_yaw(yaw: float) -> float:
     """Wrap an angle into [-pi, pi)."""
     wrapped = math.fmod(yaw + math.pi, 2.0 * math.pi)
@@ -51,6 +60,7 @@ class GridSpec:
     dy: float
 
     def __post_init__(self) -> None:
+        check_finite_fields(self)
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ValueError(f"degenerate extents: {self}")
         if not (self.dx > 0.0 and self.dy > 0.0):
@@ -85,8 +95,10 @@ class BoxBEV:
     yaw: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.length > 0.0 and self.width > 0.0):
-            raise ValueError(f"box sides must be positive: {self}")
+        if not (math.isfinite(self.cx) and math.isfinite(self.cy) and math.isfinite(self.yaw)):
+            raise ValueError(f"box centre and yaw must be finite: {self}")
+        if not (0.0 < self.length < math.inf and 0.0 < self.width < math.inf):
+            raise ValueError(f"box sides must be finite and positive: {self}")
         object.__setattr__(self, "yaw", normalize_yaw(self.yaw))
 
     @property
@@ -116,8 +128,12 @@ class Box3D:
     yaw: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.length > 0.0 and self.height > 0.0 and self.width > 0.0):
-            raise ValueError(f"box sizes must be positive: {self}")
+        if not (math.isfinite(self.cx) and math.isfinite(self.cy) and math.isfinite(self.cz)
+                and math.isfinite(self.yaw)):
+            raise ValueError(f"box centre and yaw must be finite: {self}")
+        if not (0.0 < self.length < math.inf and 0.0 < self.height < math.inf
+                and 0.0 < self.width < math.inf):
+            raise ValueError(f"box sizes must be finite and positive: {self}")
         object.__setattr__(self, "yaw", normalize_yaw(self.yaw))
 
     def bev(self) -> BoxBEV:

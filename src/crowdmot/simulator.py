@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import Box3D, normalize_yaw, pairs_within
+from .geometry import Box3D, check_finite_fields, normalize_yaw, pairs_within
 from .targets import (
     GtObject,
     MotionOffset,
@@ -69,6 +69,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_finite_fields(self)
         x_min, x_max, y_min, y_max = self.area
         if x_max <= x_min or y_max <= y_min:
             raise ValueError(f"degenerate area {self.area}")
@@ -98,6 +99,7 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_finite_fields(self)
         if not 0.0 <= self.p_miss <= 1.0:
             raise ValueError(f"p_miss {self.p_miss} outside [0, 1]")
         if self.pos_sigma < 0 or self.offset_sigma < 0 or self.clutter_rate < 0:
@@ -110,7 +112,6 @@ class SceneSequence:
 
     frames: list[list[GtObject]]
     timestamps: list[float]
-    frame_rate: float
 
     def __post_init__(self) -> None:
         if len(self.frames) != len(self.timestamps):
@@ -336,7 +337,7 @@ def gen_scene(cfg: SimConfig) -> SceneSequence:
     dt = 1.0 / cfg.frame_rate
     timestamps = [i * dt for i in range(cfg.n_frames)]
     if cfg.n_pedestrians == 0:
-        return SceneSequence([[] for _ in range(cfg.n_frames)], timestamps, cfg.frame_rate)
+        return SceneSequence([[] for _ in range(cfg.n_frames)], timestamps)
 
     sizes, sigma_c = solve_cluster_params(cfg)
     rng = np.random.default_rng([cfg.seed, 0xC0FFEE])
@@ -464,7 +465,7 @@ def gen_scene(cfg: SimConfig) -> SceneSequence:
             )
         frames.append(frame_objs)
 
-    return SceneSequence(frames, timestamps, cfg.frame_rate)
+    return SceneSequence(frames, timestamps)
 
 
 def corrupt(scene: SceneSequence, noise: NoiseConfig) -> list[list[Detection]]:

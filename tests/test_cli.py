@@ -1,13 +1,18 @@
 """Command-line pipelines: outputs, manifests, determinism, diagnostics."""
 
+import contextlib
+import io
 import json
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdmot.cli import main
 from crowdmot.formats import read_grid, sha256_file
@@ -323,10 +328,56 @@ class TestRejectedRadii:
         assert not out.exists()
 
 
+class TestNonFiniteSettings:
+    """A non-finite config or grid value is named, exit 2, no outputs."""
+
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("sim", "speed_max", "inf"),
+            ("sim", "frame_rate", "inf"),
+            ("sim", "target_density2", "nan"),
+            ("noise", "pos_sigma", "nan"),
+        ],
+    )
+    def test_gen_config(self, tmp_path, capsys, section, field, value):
+        config = tmp_path / "scene.ini"
+        text = re.sub(rf"^{field} = .*\n", "", CONFIG, flags=re.M)
+        config.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{field} = {value}\n"))
+        out = tmp_path / "out"
+        assert main(["gen", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {field} must be finite, got {value}\n"
+        assert not out.exists()
+
+    def test_targets_extent(self, tmp_path, capsys, gen_dir):
+        out = tmp_path / "out"
+        argv = ["targets", "--gt", str(gen_dir / "gt.jsonl"), "--out", str(out)]
+        assert main([*argv, "--extent=-inf,inf,-20,20"]) == 2
+        assert capsys.readouterr().err == "error: x_min must be finite, got -inf\n"
+        assert not out.exists()
+
+
 class TestMalformedJsonl:
     """Every malformed line ends in one path:line error, exit 2, no outputs."""
 
     GOOD = '{"frame":0,"timestamp":0.0,"objects":[]}'
+    BOX = '"cx":1.0,"cy":0.0,"cz":0.8,"l":0.6,"w":0.6,"h":1.7,"yaw":0.0'
+    GT = '{"id":0,' + BOX + '}'
+    DET = '{"id":0,' + BOX + ',"score":0.9,"offset":[0.0,0.0,0.0],"rel":null}'
+
+    def fails(self, tmp_path, capsys, command, line, message):
+        path = tmp_path / "in.jsonl"
+        path.write_text(self.GOOD + "\n" + line + "\n")
+        inputs = {
+            "density": ["--gt", str(path)],
+            "eval": ["--gt", str(path), "--traj", str(path)],
+            "targets": ["--gt", str(path), "--grid", "0.5,0.5", "--extent=-5,5,-5,5"],
+            "track": ["--det", str(path)],
+        }[command]
+        out = tmp_path / "out"
+        assert main([command, *inputs, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:2: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["density", "track"])
     @pytest.mark.parametrize(
@@ -339,17 +390,127 @@ class TestMalformedJsonl:
             ('{"frame":1,"timestamp":0.1,"objects":[{"cx":-Infinity}]}', "non-finite number -Infinity"),
             ('{"frame":1,"timestamp":0.1,"objects":{"id":0}}', "'objects' is not a list"),
             ('{"frame":1,"timestamp":0.1,"objects":[5]}', "an entry of 'objects' is not an object"),
+            ("[" * 100_000 + "]" * 100_000, "JSON nested too deeply"),
         ],
-        ids=["number", "array", "nan", "infinity", "minus-infinity", "objects-dict", "entry-number"],
+        ids=["number", "array", "nan", "infinity", "minus-infinity", "objects-dict", "entry-number",
+             "deep-nesting"],
     )
     def test_fails_with_one_line_and_no_outputs(self, tmp_path, capsys, command, line, message):
-        path = tmp_path / "in.jsonl"
-        path.write_text(self.GOOD + "\n" + line + "\n")
-        flag = {"density": "--gt", "track": "--det"}[command]
-        out = tmp_path / "out"
-        assert main([command, flag, str(path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {path}:2: {message}\n"
-        assert not out.exists()
+        self.fails(tmp_path, capsys, command, line, message)
+
+    @pytest.mark.parametrize("command", ["targets", "density", "eval"])
+    @pytest.mark.parametrize(
+        "frame, objects, message",
+        [
+            ('1,"timestamp":1e999', [GT], "'timestamp' must be a finite number, got inf"),
+            ('"0","timestamp":0.1', [GT], "'frame' must be an integer, got '0'"),
+            ('1,"timestamp":0.0', [GT], "timestamp 0.0 is not after 0.0"),
+            ('1,"timestamp":0.1', [GT.replace('"cx":1.0', '"cx":"1.5"')],
+             "'cx' must be a finite number, got '1.5'"),
+            ('1,"timestamp":0.1', [GT.replace('"cx":1.0', '"cx":true')],
+             "'cx' must be a finite number, got True"),
+            ('1,"timestamp":0.1', [GT.replace('"cx":1.0', '"cx":null')],
+             "'cx' must be a finite number, got None"),
+            ('1,"timestamp":0.1', [GT.replace('"cx":1.0,', '')], "missing field 'cx'"),
+            ('1,"timestamp":0.1', [GT.replace('"id":0', '"id":1.7')],
+             "'id' must be an integer, got 1.7"),
+            ('1,"timestamp":0.1', [GT.replace('"id":0', '"id":"abc"')],
+             "'id' must be an integer, got 'abc'"),
+            ('1,"timestamp":0.1', [GT.replace('"l":0.6', '"l":-1')],
+             "box sizes must be finite and positive: Box3D(cx=1.0, cy=0.0, cz=0.8, "
+             "length=-1.0, height=1.7, width=0.6, yaw=0.0)"),
+            ('1,"timestamp":0.1', [GT, GT], "duplicate id 0"),
+        ],
+        ids=["timestamp-overflow", "frame-string", "timestamp-repeated", "cx-string", "cx-bool",
+             "cx-null", "cx-missing", "id-float", "id-string", "length-negative", "id-repeated"],
+    )
+    def test_gt_field_fails(self, tmp_path, capsys, command, frame, objects, message):
+        line = f'{{"frame":{frame},"objects":[{",".join(objects)}]}}'
+        self.fails(tmp_path, capsys, command, line, message)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ('"offset":[0.0,0.0,0.0]', '"offset":[0,0]',
+             "'offset' must be a list of 3 finite numbers, got [0, 0]"),
+            ('"offset":[0.0,0.0,0.0]', '"offset":3',
+             "'offset' must be a list of 3 finite numbers, got 3"),
+            ('"rel":null', '"rel":[0]', "'rel' must be a list of 2 finite numbers, got [0]"),
+            ('"rel":null', '"rel":[0,1e999]',
+             "'rel' must be a list of 2 finite numbers, got [0, inf]"),
+            ('"rel":null', '"newborn":1', "'newborn' must be true or false, got 1"),
+            ('"score":0.9', '"score":"x"', "'score' must be a finite number, got 'x'"),
+            ('"score":0.9', '"score":1.5', "score 1.5 outside [0, 1]"),
+            ('"cx":1.0', '"cx":1e999', "'cx' must be a finite number, got inf"),
+        ],
+        ids=["offset-short", "offset-number", "rel-short", "rel-overflow", "newborn-number",
+             "score-string", "score-range", "cx-overflow"],
+    )
+    def test_detection_field_fails(self, tmp_path, capsys, old, new, message):
+        line = '{"frame":1,"timestamp":0.1,"objects":[' + self.DET.replace(old, new) + "]}"
+        self.fails(tmp_path, capsys, "track", line, message)
+
+
+@pytest.fixture(scope="module")
+def clean_run(tmp_path_factory):
+    """A valid gen output and its trajectories, shared by the corruption examples."""
+    root = tmp_path_factory.mktemp("clean")
+    (root / "scene.ini").write_text(CONFIG)
+    gen, trk = root / "gen", root / "trk"
+    assert main(["gen", "--config", str(root / "scene.ini"), "--out", str(gen)]) == 0
+    assert main(["track", "--det", str(gen / "det.jsonl"), "--out", str(trk)]) == 0
+    return root
+
+
+DROP = object()
+OVERFLOW = "overflow-placeholder"  # written as the JSON number 1e999, which reads as inf
+REPLACEMENTS = ["x", None, True, [1.0], OVERFLOW, DROP]
+BOX_FIELDS = ["id", "cx", "cy", "cz", "l", "w", "h", "yaw"]
+
+
+class TestCorruptedGenOutput:
+    """Any one required field of a gen output made invalid ends in one path:line error."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_fails_with_one_line_and_no_outputs(self, clean_run, data):
+        kind = data.draw(st.sampled_from(["gt", "det"]))
+        lines = (clean_run / "gen" / f"{kind}.jsonl").read_text().splitlines()
+        line_no = data.draw(st.integers(1, len(lines)))
+        record = json.loads(lines[line_no - 1])
+        target = record
+        fields = ["frame", "timestamp", "objects"]
+        if record["objects"] and data.draw(st.booleans()):
+            target = data.draw(st.sampled_from(record["objects"]))
+            fields = BOX_FIELDS + (["score", "offset"] if kind == "det" else [])
+        field = data.draw(st.sampled_from(fields))
+        floats = [1.5] if field in ("id", "frame") else []
+        value = data.draw(st.sampled_from(REPLACEMENTS + floats))
+        if value is DROP:
+            del target[field]
+        else:
+            target[field] = value
+        lines[line_no - 1] = json.dumps(record).replace(f'"{OVERFLOW}"', "1e999")
+        commands = {
+            "gt": [
+                ["density"],
+                ["targets", "--grid", "0.5,0.5", "--extent=-30,30,-20,20"],
+                ["eval", "--traj", str(clean_run / "trk" / "traj.jsonl")],
+            ],
+            "det": [["track"]],
+        }[kind]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "in.jsonl"
+            path.write_text("\n".join(lines) + "\n")
+            flag = "--det" if kind == "det" else "--gt"
+            for command, *rest in commands:
+                out = Path(tmp) / "out"
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    assert main([command, flag, str(path), *rest, "--out", str(out)]) == 2
+                assert err.getvalue().startswith(f"error: {path}:{line_no}: ")
+                assert err.getvalue().count("\n") == 1
+                assert not out.exists()
 
 
 class TestVoxelshapes:

@@ -226,7 +226,7 @@ class TestEvaluateSequence:
 
 class TestDensityStats:
     def scene(self, frames):
-        return SceneSequence(frames, [float(i) for i in range(len(frames))], 1.0)
+        return SceneSequence(frames, [float(i) for i in range(len(frames))])
 
     def test_single_pedestrian(self):
         assert density_stats(self.scene([[gt(0, 0, 0)]])) == 0.0

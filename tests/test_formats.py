@@ -83,6 +83,13 @@ class TestDetectionsJsonl:
         with pytest.raises(FormatError, match="score"):
             read_detections_jsonl(path)
 
+    @pytest.mark.parametrize("n_frames", [1, 3])
+    def test_frame_count_must_match_timestamps(self, tmp_path, n_frames):
+        path = tmp_path / "det.jsonl"
+        with pytest.raises(ValueError, match="zip"):
+            write_detections_jsonl(path, [[]] * n_frames, [0.0, 0.1])
+        assert not path.exists()
+
     def test_non_finite_number_is_not_written(self, tmp_path):
         path = tmp_path / "det.jsonl"
         with pytest.raises(ValueError, match="JSON compliant"):

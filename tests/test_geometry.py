@@ -56,6 +56,12 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(0.0, 1.03, 0.0, 1.0, 0.1, 0.1)
 
+    @pytest.mark.parametrize("field", ["x_min", "x_max", "y_min", "y_max", "dx", "dy"])
+    def test_rejects_non_finite_naming_the_field(self, field):
+        values = {"x_min": 0.0, "x_max": 1.0, "y_min": 0.0, "y_max": 1.0, "dx": 0.5, "dy": 0.5}
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got inf$"):
+            GridSpec(**{**values, field: math.inf})
+
 
 class TestQuantize:
     def test_lower_corner(self):
@@ -116,6 +122,25 @@ class TestYawNormalization:
         box = BoxBEV(0, 0, 1, 1, yaw=math.pi)
         assert box.yaw == -math.pi
         assert Box3D(0, 0, 0, 1, 1, 1, yaw=4 * math.pi).yaw == pytest.approx(0.0)
+
+
+class TestBoxesRejectNonFinite:
+    BOX3D = {
+        "cx": 0.0, "cy": 0.0, "cz": 0.8, "length": 0.6, "height": 1.7, "width": 0.6, "yaw": 0.0
+    }
+    BOXBEV = {"cx": 0.0, "cy": 0.0, "length": 0.6, "width": 0.6, "yaw": 0.0}
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", list(BOX3D))
+    def test_box3d(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            Box3D(**{**self.BOX3D, field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", list(BOXBEV))
+    def test_box_bev(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            BoxBEV(**{**self.BOXBEV, field: value})
 
 
 class TestBevIou:

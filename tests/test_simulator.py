@@ -239,8 +239,8 @@ class TestDensitySweep:
 class TestSceneSequence:
     def test_rejects_noninc_timestamps(self):
         with pytest.raises(ValueError):
-            SceneSequence([[], []], [0.0, 0.0], 10.0)
+            SceneSequence([[], []], [0.0, 0.0])
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
-            SceneSequence([[]], [0.0, 0.1], 10.0)
+            SceneSequence([[]], [0.0, 0.1])

@@ -108,7 +108,11 @@ def _parse_section(parser: configparser.ConfigParser, section: str, fields: dict
 def load_gen_config(path: Path, seed_override: int | None) -> tuple[SimConfig, NoiseConfig, dict]:
     """Parse a gen config file into sim/noise configs plus a full echo dict."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
+    try:
+        read = parser.read(str(path))
+    except configparser.Error as exc:
+        # Some of these messages span lines; the error stays one line.
+        raise ConfigError(" ".join(str(exc).split())) from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     if not parser.has_section("sim"):

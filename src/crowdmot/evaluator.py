@@ -1,8 +1,9 @@
 """CLEAR-MOT evaluation with rotated BEV-IoU matching, plus crowd statistics.
 
 Frame matching keeps still-valid pairings from earlier frames, then solves
-the remaining ground-truth/prediction assignment for maximum total IoU.
-Identity switches count every change of the track id matched to a GT object.
+the remaining ground-truth/prediction assignment for maximum total IoU, one
+connected component of the above-threshold pairs at a time. Identity
+switches count every change of the track id matched to a GT object.
 """
 
 from __future__ import annotations
@@ -14,17 +15,13 @@ from typing import Hashable, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import Box3D, bev_iou, check_positive, pairs_within
+from .geometry import Box3D, bev_iou_pairs, check_positive, pairs_within
 from .targets import GtObject
 from .simulator import DENSITY_RADIUS, SceneSequence
 
 # Coverage thresholds for mostly-tracked / mostly-lost trajectory counting.
 MT_COVERAGE = 0.8
 ML_COVERAGE = 0.2
-
-# Tiny index-based cost perturbation so exact-tie assignments resolve toward
-# lexicographically smaller (gt, pred) pairs, deterministically.
-_TIE_EPS = 1e-12
 
 
 class MetricUndefinedError(ValueError):
@@ -61,7 +58,7 @@ class EvalCounts:
 
 @dataclass(frozen=True)
 class MatchResult:
-    """Outcome of matching one frame."""
+    """Outcome of matching one frame; matches are (gt id, track id) sorted by gt id."""
 
     matches: list[tuple[Hashable, int]]
     fp: int
@@ -70,18 +67,83 @@ class MatchResult:
     prev_map: dict[Hashable, int]
 
 
-def _iou_matrix(gt_boxes: list[Box3D], pred_boxes: list[Box3D]) -> np.ndarray:
-    """Pairwise rotated BEV IoU; pairs too far apart to overlap stay exact zeros."""
-    iou = np.zeros((len(gt_boxes), len(pred_boxes)))
-    gt_bev = [b.bev() for b in gt_boxes]
-    pr_bev = [b.bev() for b in pred_boxes]
-    # bev_iou is 0 beyond the sum of the half-diagonals, at most twice the largest.
-    reach = max((math.hypot(b.length, b.width) for b in gt_bev + pr_bev), default=0.0)
-    gt_xy = [(b.cx, b.cy) for b in gt_bev]
-    pr_xy = [(b.cx, b.cy) for b in pr_bev]
-    for i, j in zip(*pairs_within(gt_xy, pr_xy, reach)):
-        iou[i, j] = bev_iou(gt_bev[i], pr_bev[j])
-    return iou
+def _iou_matrix(
+    gt_boxes: list[Box3D], pred_boxes: list[Box3D]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sparse rotated BEV IoU: (i, j, iou) for every pair near enough to overlap.
+
+    Pairs come sorted by (i, j); every pair left out has an IoU of exactly 0.
+    """
+    # IoU is 0 beyond the sum of the half-diagonals, at most twice the largest.
+    reach = max((math.hypot(b.length, b.width) for b in gt_boxes + pred_boxes), default=0.0)
+    gt_xy = [(b.cx, b.cy) for b in gt_boxes]
+    pr_xy = [(b.cx, b.cy) for b in pred_boxes]
+    i, j = pairs_within(gt_xy, pr_xy, reach)
+    return i, j, bev_iou_pairs(gt_boxes, pred_boxes, i, j)
+
+
+def _sorted_indices(ids: list) -> list[int]:
+    """Positions of ids sorted by id, or by str(id) where ids do not compare."""
+    try:
+        return sorted(range(len(ids)), key=ids.__getitem__)
+    except TypeError:
+        return sorted(range(len(ids)), key=lambda k: str(ids[k]))
+
+
+def _components(edges: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """Split (row, column) edges into the connected components of their graph."""
+    parent: dict = {}
+
+    def root(node):
+        parent.setdefault(node, node)
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    for r, c in edges:
+        parent[root(("r", r))] = root(("c", c))
+    groups: dict = {}
+    for r, c in edges:
+        groups.setdefault(root(("r", r)), []).append((r, c))
+    return list(groups.values())
+
+
+def _best_matching(score: np.ndarray) -> list[tuple[int, int]]:
+    """The tie rule on one component: rows and columns are in report order.
+
+    score holds the component's IoUs, 0 where a pair is below the threshold.
+    Among the matchings of maximal math.fsum total, return the one whose
+    sorted pair list is lexicographically smallest. Rows are fixed in order:
+    the matching ends where the pairs fixed so far already reach the maximum;
+    otherwise each row takes the first column that still allows a maximal
+    completion, and stays unmatched if none does. `witness` is a maximal
+    matching that extends the fixed pairs, so its own column needs no solve.
+    """
+    rows, cols = linear_sum_assignment(score, maximize=True)
+    best = math.fsum(score[rows, cols])
+    witness = dict(zip(rows.tolist(), cols.tolist()))
+    fixed: list[tuple[int, int]] = []
+    taken: list[float] = []
+    free = list(range(score.shape[1]))
+    for r in range(score.shape[0]):
+        if math.fsum(taken) == best:
+            break
+        for c in free:
+            if score[r, c] == 0.0:
+                continue
+            rest = [k for k in free if k != c]
+            if witness.get(r) != c:
+                sub = score[r + 1:][:, rest]
+                sub_rows, sub_cols = linear_sum_assignment(sub, maximize=True)
+                if math.fsum([*taken, score[r, c], *sub[sub_rows, sub_cols]]) != best:
+                    continue
+                witness = {r + 1 + a: rest[b] for a, b in zip(sub_rows.tolist(), sub_cols.tolist())}
+            fixed.append((r, c))
+            taken.append(score[r, c])
+            free = rest
+            break
+    return fixed
 
 
 def match_frame(
@@ -97,6 +159,13 @@ def match_frame(
     meet the threshold. Unmatched predictions are false positives, unmatched
     GT objects false negatives, and a GT object matched to a different track
     id than its previous one counts one identity switch.
+
+    The assignment is solved separately on each connected component of the
+    graph of free GT objects and predictions joined by above-threshold
+    pairs; a component of one pair is matched directly. Ties are broken per
+    component: among the matchings of maximal total IoU (summed with
+    math.fsum), the one whose sorted (gt id, track id) list is
+    lexicographically smallest wins.
     """
     gt_ids = [g.instance_id for g in gts]
     track_ids = [tid for tid, _ in preds]
@@ -105,7 +174,10 @@ def match_frame(
     if len(set(track_ids)) != len(track_ids):
         raise ValueError("duplicate track ids in frame")
 
-    iou = _iou_matrix([g.box for g in gts], [b for _, b in preds])
+    gt_index, pred_index, iou = _iou_matrix([g.box for g in gts], [b for _, b in preds])
+    keep = iou >= cfg.iou_threshold
+    # The above-threshold pairs: (GT index, prediction index) -> IoU.
+    score = dict(zip(zip(gt_index[keep].tolist(), pred_index[keep].tolist()), iou[keep].tolist()))
     track_col = {tid: j for j, tid in enumerate(track_ids)}
 
     matched: dict[Hashable, int] = {}
@@ -115,23 +187,26 @@ def match_frame(
         if tid is None or tid not in track_col:
             continue
         j = track_col[tid]
-        if j not in used_cols and iou[i, j] >= cfg.iou_threshold:
+        if j not in used_cols and (i, j) in score:
             matched[gt_ids[i]] = tid
             used_cols.add(j)
 
-    free_rows = [i for i in range(len(gts)) if gt_ids[i] not in matched]
-    free_cols = [j for j in range(len(preds)) if j not in used_cols]
-    if free_rows and free_cols:
-        scores = iou[np.ix_(free_rows, free_cols)].copy()
-        scores[scores < cfg.iou_threshold] = 0.0
-        cost = -scores + _TIE_EPS * (
-            np.arange(len(free_rows))[:, None] * len(free_cols)
-            + np.arange(len(free_cols))[None, :]
-        )
-        rows, cols = linear_sum_assignment(cost)
-        for r, c in zip(rows, cols):
-            if scores[r, c] >= cfg.iou_threshold:
-                matched[gt_ids[free_rows[r]]] = track_ids[free_cols[c]]
+    report_order = _sorted_indices(gt_ids)
+    row_rank = {r: k for k, r in enumerate(report_order)}
+    col_rank = {c: k for k, c in enumerate(_sorted_indices(track_ids))}
+    free_edges = [
+        (r, c) for r, c in score if gt_ids[r] not in matched and c not in used_cols
+    ]
+    for edges in _components(free_edges):
+        if len(edges) == 1:
+            pairs = edges
+        else:
+            rows = sorted({r for r, _ in edges}, key=row_rank.__getitem__)
+            cols = sorted({c for _, c in edges}, key=col_rank.__getitem__)
+            local = np.array([[score.get((r, c), 0.0) for c in cols] for r in rows])
+            pairs = [(rows[a], cols[b]) for a, b in _best_matching(local)]
+        for r, c in pairs:
+            matched[gt_ids[r]] = track_ids[c]
 
     ids_count = sum(
         1
@@ -140,12 +215,8 @@ def match_frame(
     )
     new_map = dict(prev_map)
     new_map.update(matched)
-    try:
-        matches = sorted(matched.items())
-    except TypeError:
-        matches = sorted(matched.items(), key=lambda kv: str(kv[0]))
     return MatchResult(
-        matches=matches,
+        matches=[(gt_ids[r], matched[gt_ids[r]]) for r in report_order if gt_ids[r] in matched],
         fp=len(preds) - len(matched),
         fn=len(gts) - len(matched),
         ids=ids_count,

@@ -20,6 +20,10 @@ _SNAP = 1e-9
 # Intersections with polygon area below this are treated as empty.
 _AREA_EPS = 1e-12
 
+# Signs of the half-length and half-width offsets of a box's corners,
+# counter-clockwise from (+l/2, +w/2), as in BoxBEV.corners.
+_CORNER_SIGNS = np.array([[1.0, -1.0, -1.0, 1.0], [1.0, 1.0, -1.0, -1.0]])
+
 
 class OutOfBoundsError(ValueError):
     """A coordinate or cell index fell outside its grid."""
@@ -173,74 +177,120 @@ def cell_center(j: int, k: int, grid: GridSpec, midpoint: bool = False) -> tuple
     return grid.x_min + (j + shift) * grid.dx, grid.y_min + (k + shift) * grid.dy
 
 
-def _polygon_area(poly: list[tuple[float, float]]) -> float:
-    """Signed shoelace area (positive for counter-clockwise winding)."""
-    area = 0.0
-    n = len(poly)
-    for i in range(n):
-        x0, y0 = poly[i]
-        x1, y1 = poly[(i + 1) % n]
-        area += x0 * y1 - x1 * y0
-    return 0.5 * area
+def _box_arrays(boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-box (cx, cy, length, width, yaw) rows, corners and half-diagonals.
+
+    corners[0] and corners[1] hold each box's four corner xs and ys, made by
+    the same math.cos/math.sin values and the same operations, in the same
+    order, as BoxBEV.corners, so their bits match. A Box3D stands for its
+    footprint: its yaw is wrapped once more, as Box3D.bev() wraps it.
+    """
+    fields = np.array(
+        [
+            (b.cx, b.cy, b.length, b.width, b.yaw if isinstance(b, BoxBEV) else normalize_yaw(b.yaw))
+            for b in boxes
+        ],
+        dtype=float,
+    ).reshape(-1, 5)
+    cx, cy, length, width, yaw = fields.T[:, :, None]
+    c = np.array(list(map(math.cos, yaw.ravel().tolist()))).reshape(-1, 1)
+    s = np.array(list(map(math.sin, yaw.ravel().tolist()))).reshape(-1, 1)
+    dx = 0.5 * length * _CORNER_SIGNS[0]
+    dy = 0.5 * width * _CORNER_SIGNS[1]
+    corners = np.stack((cx + c * dx - s * dy, cy + s * dx + c * dy))
+    half_diagonal = 0.5 * np.array(list(map(math.hypot, length.ravel().tolist(), width.ravel().tolist())))
+    return fields, corners, half_diagonal.reshape(-1)
 
 
-def _clip_polygon(
-    subject: list[tuple[float, float]], clip: list[tuple[float, float]]
-) -> list[tuple[float, float]]:
-    """Sutherland-Hodgman clip of a polygon against a convex CCW polygon."""
-    output = subject
-    n = len(clip)
-    for i in range(n):
-        if not output:
-            break
-        ax, ay = clip[i]
-        bx, by = clip[(i + 1) % n]
-        ex, ey = bx - ax, by - ay
-        input_poly = output
-        output = []
-        prev = input_poly[-1]
-        prev_side = ex * (prev[1] - ay) - ey * (prev[0] - ax)
-        for curr in input_poly:
-            curr_side = ex * (curr[1] - ay) - ey * (curr[0] - ax)
-            if curr_side >= 0.0:
-                if prev_side < 0.0:
-                    output.append(_intersect(prev, curr, prev_side, curr_side))
-                output.append(curr)
-            elif prev_side >= 0.0:
-                output.append(_intersect(prev, curr, prev_side, curr_side))
-            prev, prev_side = curr, curr_side
-    return output
+def _clip(polygon: np.ndarray, clip: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sutherland-Hodgman clip of quads against convex counter-clockwise quads.
+
+    polygon and clip are (2, n, 4) arrays of corner xs and ys. Returns the n
+    clipped polygons as a (2, n, width) array whose row p holds count[p]
+    vertices, in the order the scalar algorithm makes them: each clip edge
+    keeps the vertices on its left (side >= 0) and puts an edge crossing
+    before the vertex that ends the crossing edge. A step lays its
+    candidates out as (crossing, vertex) per input vertex, and a stable sort
+    of the emitted flags packs them to the front of each row.
+    """
+    n = polygon.shape[1]
+    rows = np.arange(n)[:, None]
+    count = np.full(n, 4)
+    edge = clip[:, :, [1, 2, 3, 0]] - clip
+    for e in range(4):
+        d = polygon - clip[:, :, e, None]
+        side = edge[0, :, e, None] * d[1] - edge[1, :, e, None] * d[0]
+        k = np.arange(polygon.shape[2])
+        prev = (k - 1) % count[:, None]
+        prev_side, prev_point = side[rows, prev], polygon[:, rows, prev]
+        t = prev_side / (prev_side - side)
+        inside = side >= 0.0
+        valid = k < count[:, None]
+        candidates = np.empty((2, n, len(k), 2))
+        candidates[..., 0] = prev_point + t * (polygon - prev_point)
+        candidates[..., 1] = polygon
+        emitted = np.empty((n, len(k), 2), dtype=bool)
+        emitted[..., 0] = valid & (inside != (prev_side >= 0.0))
+        emitted[..., 1] = valid & inside
+        emitted = emitted.reshape(n, 2 * len(k))
+        count = emitted.sum(axis=1)
+        order = np.argsort(~emitted, axis=1, kind="stable")[:, : count.max(initial=0)]
+        polygon = candidates.reshape(2, n, 2 * len(k))[:, rows, order]
+    return polygon, count
 
 
-def _intersect(p, q, side_p, side_q) -> tuple[float, float]:
-    t = side_p / (side_p - side_q)
-    return p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])
+def _shoelace(polygon: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Signed area of each row's polygon, its terms added in vertex order."""
+    k = np.arange(polygon.shape[2])
+    nxt = polygon[:, np.arange(len(count))[:, None], (k + 1) % np.maximum(count, 1)[:, None]]
+    terms = np.where(k < count[:, None], polygon[0] * nxt[1] - nxt[0] * polygon[1], 0.0)
+    # cumsum adds column after column, as the scalar loop does from 0.0.
+    return 0.5 * np.cumsum(np.column_stack((np.zeros(len(count)), terms)), axis=1)[:, -1]
+
+
+def bev_iou_pairs(boxes_a, boxes_b, i, j) -> np.ndarray:
+    """Rotated BEV IoU of boxes_a[i[k]] and boxes_b[j[k]] for every k.
+
+    boxes_a and boxes_b are sequences of BoxBEV, or of Box3D taken as their
+    footprints (Box3D.bev()); i and j index them. Exact convex polygon
+    clipping, run for all pairs at once. Equal boxes give exactly 1.0. Each
+    pair is ordered canonically (the box whose (cx, cy, length, width, yaw)
+    tuple is smaller is clipped against the other), so a swapped pair
+    returns identical bits. Pairs whose centres are at least the sum of the
+    half-diagonals apart, and overlaps below 1e-12 in area, give exactly 0.0.
+    """
+    boxes = [*boxes_a, *boxes_b]
+    fields, corners, half = _box_arrays(boxes)
+    i = np.asarray(i, dtype=np.intp)
+    j = np.asarray(j, dtype=np.intp) + len(boxes_a)
+    a, b = fields[i], fields[j]
+    iou = (a == b).all(axis=1).astype(float)
+    dist = np.array(list(map(math.hypot, *(a[:, :2] - b[:, :2]).T.tolist())))
+    live = np.flatnonzero((iou == 0.0) & (dist < half[i] + half[j]))
+    if not len(live):
+        return iou
+    a, b = a[live], b[live]
+    # Tuple order: the first field that differs decides.
+    first = (a != b).argmax(axis=1)
+    swap = (b < a)[np.arange(len(live)), first]
+    lo = np.where(swap, j[live], i[live])
+    hi = np.where(swap, i[live], j[live])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        polygon, count = _clip(corners[:, lo], corners[:, hi])
+        inter = np.abs(_shoelace(polygon, count))
+    overlap = (count >= 3) & (inter >= _AREA_EPS)
+    union = a[:, 2] * a[:, 3] + b[:, 2] * b[:, 3] - inter
+    iou[live[overlap]] = inter[overlap] / union[overlap]
+    return iou
 
 
 def bev_iou(a: BoxBEV, b: BoxBEV) -> float:
     """Intersection-over-union of two rotated rectangles on the BEV plane.
 
-    Exact convex polygon clipping; symmetric in its arguments (the pair is
-    ordered canonically before clipping so swapped calls return identical
-    bits). Overlap area below 1e-12 counts as disjoint.
+    One pair through bev_iou_pairs: symmetric in its arguments to the bit,
+    1.0 for equal boxes, and 0.0 for overlaps below 1e-12 in area.
     """
-    if a == b:
-        return 1.0
-    # Canonical operand order makes the float result symmetric.
-    if (b.cx, b.cy, b.length, b.width, b.yaw) < (a.cx, a.cy, a.length, a.width, a.yaw):
-        a, b = b, a
-    ra = 0.5 * math.hypot(a.length, a.width)
-    rb = 0.5 * math.hypot(b.length, b.width)
-    if math.hypot(a.cx - b.cx, a.cy - b.cy) >= ra + rb:
-        return 0.0
-    inter_poly = _clip_polygon(a.corners(), b.corners())
-    if len(inter_poly) < 3:
-        return 0.0
-    inter = abs(_polygon_area(inter_poly))
-    if inter < _AREA_EPS:
-        return 0.0
-    union = a.area + b.area - inter
-    return inter / union
+    return float(bev_iou_pairs([a], [b], [0], [0])[0])
 
 
 def pairs_within(a_xy, b_xy, r: float) -> tuple[np.ndarray, np.ndarray]:

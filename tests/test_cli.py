@@ -102,6 +102,24 @@ class TestGen:
         assert "n_pedestrians" in err and "many" in err
 
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[sim]\nseed = 1\nseed = 2\n", "option 'seed' in section 'sim' already exists"),
+            ("seed = 1\n[sim]\n", "File contains no section headers."),
+        ],
+        ids=["repeated-key", "no-section-header"],
+    )
+    def test_malformed_config_is_one_error_line(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text)
+        out = tmp_path / "o"
+        assert main(["gen", "--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not out.exists()
+
+
 class TestTargets:
     def test_empty_frame_yields_zero_heatmap(self, tmp_path):
         gt = tmp_path / "gt.jsonl"

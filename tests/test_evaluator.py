@@ -5,9 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from crowdmot.evaluator import (
     EvalCounts,
+    MatchConfig,
     MetricUndefinedError,
     aggregate,
     density_stats,
@@ -16,7 +20,7 @@ from crowdmot.evaluator import (
     mota,
     mtr_mlr,
 )
-from crowdmot.geometry import Box3D, bev_iou
+from crowdmot.geometry import Box3D, bev_iou, bev_iou_pairs
 from crowdmot.simulator import SceneSequence
 from crowdmot.targets import GtObject
 
@@ -139,6 +143,149 @@ class TestMatchFrame:
             permuted = match_frame(gts, perm, {})
             assert (base.fp, base.fn, base.ids) == (permuted.fp, permuted.fn, permuted.ids)
             assert base.matches == permuted.matches
+
+
+def tie_rule_match(gts, preds, threshold):
+    """Exhaustive oracle of the documented rule, with no earlier pairings.
+
+    Split the above-threshold (gt id, track id) pairs into connected
+    components; in each, enumerate every matching, keep those of maximal
+    math.fsum total, and take the lexicographically smallest sorted list.
+    """
+    score = {
+        (g.instance_id, tid): bev_iou(g.box.bev(), b.bev())
+        for g in gts
+        for tid, b in preds
+    }
+    edges = {pair: v for pair, v in score.items() if v >= threshold}
+    component = {}
+    for g, t in edges:  # merge labels until every edge joins one component
+        a, b = component.setdefault(("g", g), ("g", g)), component.setdefault(("t", t), ("t", t))
+        for node, label in list(component.items()):
+            if label == b:
+                component[node] = a
+    result = []
+    for label in set(component.values()):
+        local = [e for e in edges if component[("g", e[0])] == label]
+        rows = sorted({g for g, _ in local})
+
+        def matchings(k, used):
+            """Every matching of rows[k:] that avoids the used track ids."""
+            if k == len(rows):
+                yield []
+                return
+            for rest in matchings(k + 1, used):
+                yield rest
+            for g, t in local:
+                if g == rows[k] and t not in used:
+                    for rest in matchings(k + 1, used | {t}):
+                        yield [(g, t)] + rest
+
+        best_total, best = -1.0, None
+        for chosen in matchings(0, frozenset()):
+            total = math.fsum(edges[e] for e in chosen)
+            if total > best_total or (total == best_total and chosen < best):
+                best_total, best = total, chosen
+        result += best
+    return sorted(result)
+
+
+_SPOT = st.sampled_from([-0.3, 0.0, 0.2, 0.3, 0.45])
+_POOL_BOX = st.builds(
+    lambda x, y, yaw, length: box(x, y, l=length, yaw=yaw),
+    _SPOT, _SPOT, st.sampled_from([0.0, 0.4, math.pi / 4]), st.sampled_from([0.6, 0.9]),
+)
+
+
+class TestTieRule:
+    def test_identical_boxes_pair_up_in_id_order(self):
+        gts = [gt(1, 0.0, 0.0), gt(0, 0.0, 0.0)]
+        preds = [(11, box(0.0, 0.0)), (10, box(0.0, 0.0))]
+        assert match_frame(gts, preds, {}).matches == [(0, 10), (1, 11)]
+
+    def test_a_pair_the_fsum_cannot_see_stays_unmatched(self):
+        # GT 1 and track 11 are 1000 m squares overlapping on a sliver one ulp
+        # wide: their IoU, about 6e-17, is below half an ulp of the total 1.0,
+        # so the matchings with and without them tie, and the shorter sorted
+        # list is the smaller.
+        width = 1000.0 - math.nextafter(1000.0, 0.0)
+        gts = [gt(0, 0.0, 0.0), gt(1, 0.0, 0.0, l=1000.0, w=1000.0)]
+        preds = [(10, box(0.0, 0.0)), (11, box(1000.0 - width, 0.0, l=1000.0, w=1000.0))]
+        sliver = bev_iou(gts[1].box.bev(), preds[1][1].bev())
+        assert 0.0 < sliver and 1.0 + sliver == 1.0
+        result = match_frame(gts, preds, {}, MatchConfig(1e-20))
+        assert result.matches == [(0, 10)] == tie_rule_match(gts, preds, 1e-20)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pool=st.lists(_POOL_BOX, min_size=1, max_size=4),
+        gt_picks=st.lists(st.integers(0, 3), max_size=5),
+        pred_picks=st.lists(st.integers(0, 3), max_size=5),
+        gt_ids=st.permutations(range(5)),
+        threshold=st.one_of(st.sampled_from([0.05, 0.1, 0.3, 0.5]), st.floats(0.05, 1.0)),
+    )
+    # Two identical GT boxes (ids 0, 1) and two identical predictions (10, 11).
+    @example(pool=[box(0.0, 0.0)], gt_picks=[0, 0], pred_picks=[0, 0],
+             gt_ids=[0, 1, 2, 3, 4], threshold=0.5)
+    def test_matches_exhaustive_oracle(self, pool, gt_picks, pred_picks, gt_ids, threshold):
+        gts = [GtObject(gt_ids[k], pool[p % len(pool)]) for k, p in enumerate(gt_picks)]
+        preds = [(10 + 7 * k % 5, pool[p % len(pool)]) for k, p in enumerate(pred_picks)]
+        result = match_frame(gts, preds, {}, MatchConfig(threshold))
+        assert result.matches == tie_rule_match(gts, preds, threshold)
+
+
+def dense_match(gts, preds, prev_map, threshold):
+    """The whole-frame reference: kept pairings, then one dense assignment."""
+    i, j = np.divmod(np.arange(len(gts) * len(preds)), max(len(preds), 1))
+    iou = bev_iou_pairs([g.box for g in gts], [b for _, b in preds], i, j)
+    iou = iou.reshape(len(gts), len(preds))
+    col = {tid: j for j, (tid, _) in enumerate(preds)}
+    matched, used = {}, set()
+    for i, g in enumerate(gts):
+        j = col.get(prev_map.get(g.instance_id))
+        if j is not None and j not in used and iou[i, j] >= threshold:
+            matched[g.instance_id] = preds[j][0]
+            used.add(j)
+    rows = [i for i, g in enumerate(gts) if g.instance_id not in matched]
+    cols = [j for j in range(len(preds)) if j not in used]
+    score = iou[np.ix_(rows, cols)]
+    score[score < threshold] = 0.0
+    r, c = linear_sum_assignment(score, maximize=True)
+    chosen = [(a, b) for a, b in zip(r, c) if score[a, b] > 0.0]
+    # Unique by a margin: dropping any chosen pair costs more than rounding.
+    best = score[r, c].sum()
+    for a, b in chosen:
+        without = score.copy()
+        without[a, b] = -1.0
+        r2, c2 = linear_sum_assignment(without, maximize=True)
+        if without[r2, c2].clip(0.0).sum() > best - 1e-9:
+            return None
+    for a, b in chosen:
+        matched[gts[rows[a]].instance_id] = preds[cols[b]][0]
+    return sorted(matched.items())
+
+
+class TestComponentSplit:
+    def test_matches_dense_assignment_on_crowded_frames(self):
+        rng = np.random.default_rng(21)
+        compared = 0
+        for _ in range(40):
+            n = int(rng.integers(20, 60))
+            centres = rng.uniform(-3.0, 3.0, size=(n, 2))
+            gts = [gt(i, *c, yaw=rng.uniform(-3, 3)) for i, c in enumerate(centres)]
+            preds = [
+                (int(t), box(*(centres[k] + rng.normal(0, 0.2, 2)), yaw=rng.uniform(-3, 3)))
+                for t, k in zip(rng.permutation(n + 5)[:n], rng.permutation(n))
+                if rng.uniform() > 0.1
+            ]
+            prev_map = {i: preds[k][0] for i, k in enumerate(rng.integers(0, len(preds), 5))}
+            threshold = float(rng.choice([0.05, 0.2, 0.5]))
+            expected = dense_match(gts, preds, prev_map, threshold)
+            if expected is None:
+                continue
+            compared += 1
+            assert match_frame(gts, preds, prev_map, MatchConfig(threshold)).matches == expected
+        assert compared >= 30
 
 
 class TestMota:

@@ -13,6 +13,7 @@ from crowdmot.geometry import (
     GridSpec,
     OutOfBoundsError,
     bev_iou,
+    bev_iou_pairs,
     cell_center,
     normalize_yaw,
     pairs_within,
@@ -40,6 +41,51 @@ def raster_iou(a: BoxBEV, b: BoxBEV, cells: int = 1400) -> float:
     in_a, in_b = inside(a), inside(b)
     union = (in_a | in_b).sum()
     return float((in_a & in_b).sum() / union) if union else 0.0
+
+
+def scalar_iou(a: BoxBEV, b: BoxBEV) -> float:
+    """Bit oracle: rotated IoU by per-pair Sutherland-Hodgman clipping in floats.
+
+    The kernel must return these bits: the same canonical operand order,
+    early zero beyond the half-diagonals, vertex order and 1e-12 area floor.
+    """
+    if a == b:
+        return 1.0
+    if (b.cx, b.cy, b.length, b.width, b.yaw) < (a.cx, a.cy, a.length, a.width, a.yaw):
+        a, b = b, a
+    ra = 0.5 * math.hypot(a.length, a.width)
+    rb = 0.5 * math.hypot(b.length, b.width)
+    if math.hypot(a.cx - b.cx, a.cy - b.cy) >= ra + rb:
+        return 0.0
+    output = a.corners()
+    clip = b.corners()
+    for k in range(4):
+        if not output:
+            break
+        ax, ay = clip[k]
+        bx, by = clip[(k + 1) % 4]
+        ex, ey = bx - ax, by - ay
+        polygon, output = output, []
+        prev = polygon[-1]
+        prev_side = ex * (prev[1] - ay) - ey * (prev[0] - ax)
+        for curr in polygon:
+            curr_side = ex * (curr[1] - ay) - ey * (curr[0] - ax)
+            if (curr_side >= 0.0) != (prev_side >= 0.0):
+                t = prev_side / (prev_side - curr_side)
+                output.append((prev[0] + t * (curr[0] - prev[0]), prev[1] + t * (curr[1] - prev[1])))
+            if curr_side >= 0.0:
+                output.append(curr)
+            prev, prev_side = curr, curr_side
+    if len(output) < 3:
+        return 0.0
+    area = 0.0
+    for k, (x0, y0) in enumerate(output):
+        x1, y1 = output[(k + 1) % len(output)]
+        area += x0 * y1 - x1 * y0
+    inter = abs(0.5 * area)
+    if inter < 1e-12:
+        return 0.0
+    return inter / (a.area + b.area - inter)
 
 
 class TestGridSpec:
@@ -212,6 +258,105 @@ class TestBevIou:
         a = BoxBEV(0.0, 0.0, 1.0, 1.0, 0.0)
         b = BoxBEV(1.0, 0.0, 1.0, 1.0, 0.0)
         assert bev_iou(a, b) == 0.0
+
+
+def _diamond(cx: float, side: float) -> BoxBEV:
+    """A square turned by 45 degrees: its corners lie on the x axis."""
+    return BoxBEV(cx, 0.0, side, side, math.pi / 4)
+
+
+class TestBevIouPairs:
+    """The batched kernel returns the bits of the per-pair scalar oracle."""
+
+    @staticmethod
+    def assert_bits(a_boxes, b_boxes):
+        k = np.arange(len(a_boxes))
+        expected = np.array([scalar_iou(a, b) for a, b in zip(a_boxes, b_boxes)])
+        assert bev_iou_pairs(a_boxes, b_boxes, k, k).tobytes() == expected.tobytes()
+        assert bev_iou_pairs(b_boxes, a_boxes, k, k).tobytes() == expected.tobytes()
+        return expected
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(11)
+        a = [_random_box(rng) for _ in range(3000)]
+        b = [
+            BoxBEV(box.cx + rng.normal(0, 1.0), box.cy + rng.normal(0, 1.0),
+                   rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0), rng.uniform(-4, 4))
+            for box in a
+        ]
+        iou = self.assert_bits(a, b)
+        assert np.count_nonzero(iou) > 1000
+
+    def test_sizes_from_a_millimetre_to_a_kilometre(self):
+        rng = np.random.default_rng(12)
+        a, b = [], []
+        for _ in range(1500):
+            scale = 10.0 ** rng.uniform(-3, 3)
+            centre = rng.uniform(-100, 100, 2)
+            a.append(BoxBEV(*centre, *(scale * rng.uniform(0.3, 3.0, 2)), rng.uniform(-4, 4)))
+            b.append(BoxBEV(*(centre + scale * rng.normal(0, 0.8, 2)),
+                            *(scale * rng.uniform(0.3, 3.0, 2)), rng.uniform(-4, 4)))
+        iou = self.assert_bits(a, b)
+        assert np.count_nonzero(iou) > 500
+
+    def test_special_pairs(self):
+        square = BoxBEV(2.0, -1.0, 1.0, 1.0, 0.0)
+        pairs = [
+            (square, square),  # identical
+            (square, BoxBEV(2.0, -1.0, 1.0, 1.0, 0.0)),  # equal, not the same object
+            (square, BoxBEV(2.0, -1.0, 0.5, 2.0, 0.3)),  # coincident centres
+            (square, BoxBEV(2.0, -1.0, 1.0, 1.0, math.pi / 2)),  # same footprint, other yaw
+            (square, BoxBEV(3.0, -1.0, 1.0, 1.0, 0.0)),  # edges touch
+            (square, BoxBEV(3.0, 0.0, 1.0, 1.0, 0.0)),  # corners touch
+            (square, BoxBEV(2.5, -1.0, 1.0, 1.0, 0.0)),  # half offset
+            (BoxBEV(0.0, 0.0, 2.0, 1.0, math.pi), BoxBEV(0.1, 0.0, 2.0, 1.0, -math.pi)),
+            (BoxBEV(0.0, 0.0, 2.0, 1.0, math.nextafter(math.pi, 0.0)),
+             BoxBEV(0.0, 0.1, 2.0, 1.0, -math.pi)),  # yaws at +-pi
+            (square, BoxBEV(2.1, -0.9, 0.3, 0.2, 0.7)),  # nested
+            (BoxBEV(2.1, -0.9, 0.3, 0.2, 0.7), square),  # nested, other order
+            (BoxBEV(0.0, 0.0, 1e-3, 1e-3, 0.2), BoxBEV(2e-4, 0.0, 1e-3, 1e-3, -0.2)),
+            (BoxBEV(0.0, 0.0, 1e3, 1e3, 0.2), BoxBEV(200.0, 0.0, 1e3, 1e3, -0.2)),
+        ]
+        iou = self.assert_bits([p[0] for p in pairs], [p[1] for p in pairs])
+        assert iou[0] == iou[1] == iou[3] == 1.0
+        assert iou[4] == iou[5] == 0.0
+        assert 0.0 < iou[9] == iou[10] < 1.0
+
+    def test_just_inside_and_outside_the_half_diagonals(self):
+        # Two diamonds whose corners meet on the x axis at distance ra + rb.
+        a, b = [], []
+        for side in (0.5, 1.0, 3.0):
+            reach = math.hypot(side, side)
+            gap = reach
+            for step in range(-3, 4):
+                shifted = gap
+                for _ in range(abs(step)):
+                    shifted = math.nextafter(shifted, math.inf if step > 0 else 0.0)
+                for overlap in (0.0, 1e-7, 1e-5):
+                    a.append(_diamond(0.0, side))
+                    b.append(_diamond(shifted - overlap, side))
+        iou = self.assert_bits(a, b)
+        assert iou.max() > 0.0
+
+    def test_scalar_call_is_the_kernel(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            a, b = _random_box(rng), _random_box(rng)
+            assert bev_iou(a, b) == scalar_iou(a, b)
+
+    def test_box3d_stands_for_its_footprint(self):
+        rng = np.random.default_rng(14)
+        boxes = [
+            Box3D(*rng.uniform(-2, 2, 3), *rng.uniform(0.3, 2.0, 3), rng.uniform(-7, 7))
+            for _ in range(200)
+        ]
+        i, j = np.divmod(np.arange(200 * 200), 200)
+        footprints = [b.bev() for b in boxes]
+        assert (bev_iou_pairs(boxes, boxes, i, j).tobytes()
+                == bev_iou_pairs(footprints, footprints, i, j).tobytes())
+
+    def test_empty(self):
+        assert bev_iou_pairs([], [], [], []).shape == (0,)
 
 
 # Whole-metre coordinates make duplicates and exact distances common; sets of

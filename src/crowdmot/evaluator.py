@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import Box3D, bev_iou_pairs, check_positive, pairs_within
 from .targets import GtObject
@@ -109,6 +108,89 @@ def _components(edges: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
     return list(groups.values())
 
 
+def linear_sum_assignment(score) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of a maximum-total assignment of a rectangular matrix.
+
+    The contract of scipy.optimize.linear_sum_assignment(score, maximize=True)
+    on finite entries: min(n, m) pairs, rows increasing, with maximal total.
+    The optimum is exact: every float is a dyadic rational, so the entries
+    are scaled by their common power of two to Python ints, negated, and
+    solved by shortest augmenting paths (Jonker and Volgenant 1987, in the
+    rectangular form of Crouse, IEEE TAES 2016) in integer arithmetic.
+    """
+    matrix = np.asarray(score, dtype=float)
+    if matrix.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {matrix.shape}")
+    if not np.isfinite(matrix).all():
+        raise ValueError("matrix contains non-finite entries")
+    transposed = matrix.shape[0] > matrix.shape[1]
+    if transposed:
+        matrix = matrix.T
+    ratios = [x.as_integer_ratio() for x in matrix.ravel().tolist()]
+    scale = max((q for _, q in ratios), default=1)
+    flat = [-p * (scale // q) for p, q in ratios]
+    n, m = matrix.shape
+    cols = _shortest_augmenting_paths([flat[r * m:(r + 1) * m] for r in range(n)], m)
+    rows = np.arange(n)
+    cols = np.array(cols, dtype=np.intp)
+    if transposed:
+        order = np.argsort(cols)
+        rows, cols = cols[order], rows[order]
+    return rows, cols
+
+
+def _shortest_augmenting_paths(cost: list[list[int]], m: int) -> list[int]:
+    """Each row's column in a minimum-total assignment of n <= m rows.
+
+    Rows are added one at a time; each takes the shortest augmenting path
+    in reduced costs cost[i][j] - u[i] - v[j] (Dijkstra over the columns),
+    and the dual potentials u, v are updated so that all reduced costs stay
+    non-negative. Integer costs keep every step exact.
+    """
+    n = len(cost)
+    u, v = [0] * n, [0] * m
+    col4row, row4col = [-1] * n, [-1] * m
+    for cur in range(n):
+        shortest = [math.inf] * m
+        path = [-1] * m
+        remaining = list(range(m))
+        seen_rows, seen_cols = [], []
+        low, i, sink = 0, cur, -1
+        while sink == -1:
+            seen_rows.append(i)
+            row, ui = cost[i], u[i]
+            best, index = math.inf, -1
+            for k, j in enumerate(remaining):
+                r = low + row[j] - ui - v[j]
+                if r < shortest[j]:
+                    path[j], shortest[j] = i, r
+                # Prefer a free column on ties: the path ends sooner.
+                if shortest[j] < best or (shortest[j] == best and row4col[j] == -1):
+                    best, index = shortest[j], k
+            low = best
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += low
+        for i in seen_rows[1:]:
+            u[i] += low - shortest[col4row[i]]
+        for j in seen_cols:
+            v[j] -= low - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 def _best_matching(score: np.ndarray) -> list[tuple[int, int]]:
     """The tie rule on one component: rows and columns are in report order.
 
@@ -119,8 +201,10 @@ def _best_matching(score: np.ndarray) -> list[tuple[int, int]]:
     otherwise each row takes the first column that still allows a maximal
     completion, and stays unmatched if none does. `witness` is a maximal
     matching that extends the fixed pairs, so its own column needs no solve.
+    linear_sum_assignment's optimum is exact, and math.fsum rounds an exact
+    sum correctly, so `best` is the largest fsum total of any matching.
     """
-    rows, cols = linear_sum_assignment(score, maximize=True)
+    rows, cols = linear_sum_assignment(score)
     best = math.fsum(score[rows, cols])
     witness = dict(zip(rows.tolist(), cols.tolist()))
     fixed: list[tuple[int, int]] = []
@@ -135,7 +219,7 @@ def _best_matching(score: np.ndarray) -> list[tuple[int, int]]:
             rest = [k for k in free if k != c]
             if witness.get(r) != c:
                 sub = score[r + 1:][:, rest]
-                sub_rows, sub_cols = linear_sum_assignment(sub, maximize=True)
+                sub_rows, sub_cols = linear_sum_assignment(sub)
                 if math.fsum([*taken, score[r, c], *sub[sub_rows, sub_cols]]) != best:
                     continue
                 witness = {r + 1 + a: rest[b] for a, b in zip(sub_rows.tolist(), sub_cols.tolist())}

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 # Cells whose fractional index lands within this distance of an integer are
 # snapped up before flooring, so boundary coordinates quantize into the cell
@@ -23,6 +22,10 @@ _AREA_EPS = 1e-12
 # Signs of the half-length and half-width offsets of a box's corners,
 # counter-clockwise from (+l/2, +w/2), as in BoxBEV.corners.
 _CORNER_SIGNS = np.array([[1.0, -1.0, -1.0, 1.0], [1.0, 1.0, -1.0, -1.0]])
+
+# Up to this many (i, j) pairs, pairs_within tests every pair: that costs
+# less than binning the points into cells.
+_DENSE_PAIRS = 2048
 
 
 class OutOfBoundsError(ValueError):
@@ -296,26 +299,62 @@ def bev_iou(a: BoxBEV, b: BoxBEV) -> float:
 def pairs_within(a_xy, b_xy, r: float) -> tuple[np.ndarray, np.ndarray]:
     """Candidate index pairs (i, j) with points a_xy[i] and b_xy[j] near each other.
 
-    a_xy and b_xy are sequences of (x, y) points. Every pair at most r apart
-    is returned, and possibly pairs up to a relative 1e-9 beyond r: the tree
-    rounds distances differently from the callers' exact tests, so callers
+    a_xy and b_xy are sequences of finite (x, y) points. Returned are exactly
+    the pairs whose np.hypot distance is at most r·(1 + 1e-9): every pair at
+    most r apart and possibly a few up to that slack beyond, so callers
     re-test the candidates with their own rule. Pairs come sorted by (i, j).
     Passing one point set twice returns its self-pairs (i, i) too; passing
-    the same object twice builds its tree only once.
+    the same object twice bins its points only once.
     """
     if not 0.0 <= r < math.inf:
         raise ValueError(f"neighbour radius must be finite and >= 0, got {r}")
     a = np.reshape(np.asarray(a_xy, dtype=float), (-1, 2))
     b = a if b_xy is a_xy else np.reshape(np.asarray(b_xy, dtype=float), (-1, 2))
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("neighbour search needs finite coordinates")
     bound = r * (1.0 + 1e-9)
-    tree = cKDTree(a)
-    other = tree if b is a else cKDTree(b)
-    found = tree.sparse_distance_matrix(other, bound, output_type="ndarray")
-    # The tree sums squares, which underflow to 0 for subnormal gaps, so it can
-    # report a pair at any distance below ~1e-154 as within r; drop those.
-    i, j = found["i"], found["j"]
+    if len(a) * len(b) <= _DENSE_PAIRS:
+        d = a[:, None, :] - b[None, :, :]
+        return np.nonzero(np.hypot(d[..., 0], d[..., 1]) <= bound)
+    i, j = _cell_candidates(a, b, bound)
     d = a[i] - b[j]
     keep = np.hypot(d[:, 0], d[:, 1]) <= bound
     i, j = i[keep], j[keep]
-    order = np.lexsort((j, i))
+    order = np.argsort(i * len(b) + j)
     return i[order], j[order]
+
+
+def _cell_candidates(a: np.ndarray, b: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
+    """A superset of the pairs of a and b at most bound apart, unsorted.
+
+    Points are binned into square cells of side at least bound, so a pair
+    within bound lies in the same or adjacent cells. The side carries a
+    relative 1e-6 margin, far above the rounding of x / side, and grows with
+    the coordinates' magnitude so that cell indices stay below 2**28; it is
+    never below 2**-1000, where the margin would vanish in subnormal
+    rounding. A larger cell only adds candidates. b's points are sorted by
+    packed cell key x·width + y, so cells (x+dx, y-1..y+1) form one
+    contiguous key range: three searchsorted ranges per point of a, asked in
+    key order, which keeps the searches local.
+    """
+    scale = max(float(np.abs(a).max()), float(np.abs(b).max()))
+    side = max(bound * (1.0 + 1e-6), scale * 2.0**-28, 2.0**-1000)
+    cell_a = np.floor(a / side).astype(np.int64)
+    cell_b = cell_a if b is a else np.floor(b / side).astype(np.int64)
+    # Shifting the lowest index to 1, with one spare column above the
+    # highest, keeps y - 1 and y + 1 inside their own x column.
+    low = np.minimum(cell_a.min(axis=0), cell_b.min(axis=0)) - 1
+    width = int(max(cell_a[:, 1].max(), cell_b[:, 1].max()) - low[1]) + 2
+    key_a = (cell_a[:, 0] - low[0]) * width + (cell_a[:, 1] - low[1])
+    key_b = key_a if b is a else (cell_b[:, 0] - low[0]) * width + (cell_b[:, 1] - low[1])
+    by_key = np.argsort(key_b)
+    sorted_keys = key_b[by_key]
+    query = by_key if b is a else np.argsort(key_a)
+    centre = key_a[query] + width * np.arange(-1, 2)[:, None]
+    start = np.searchsorted(sorted_keys, centre - 1, side="left").ravel()
+    count = np.searchsorted(sorted_keys, centre + 1, side="right").ravel() - start
+    # Position k of the concatenated ranges is start[range] + (k - range offset).
+    offset = np.repeat(start - (np.cumsum(count) - count), count)
+    j = by_key[offset + np.arange(int(count.sum()))]
+    i = np.repeat(np.tile(query, 3), count)
+    return i, j

@@ -10,8 +10,9 @@ A grid stores only its occupied cells, as an (n, 3) int64 coordinate array
 sorted by packed key (x*ny + y)*nz + z and an (n, C) float64 feature array
 (the coordinate-list layout of Minkowski Engine). Every operation is one of
 two array steps: pooling rows onto coarser cells (`np.unique` and a segment
-mean) or joining rows by packed key (`np.searchsorted`). No dense volume is
-ever built.
+mean, summed in input order) or joining rows by packed key
+(`np.searchsorted`). Both are planned from coordinates alone, so one plan
+serves every feature array of the same cells. No dense volume is ever built.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_array
 
 _SNAP = 1e-9
 
@@ -84,6 +84,9 @@ class PointCloud:
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 5:
             raise ValueError(f"points must be (n, 5), got {pts.shape}")
+        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+        if len(bad):
+            raise ValueError(f"point {bad[0]} has a non-finite value: {pts[bad[0]].tolist()}")
         flags = pts[:, 4]
         if not np.isin(flags, (0.0, 1.0)).all():
             raise ValueError("time_flag channel must be 0 or 1")
@@ -200,6 +203,50 @@ def _pack(coords: np.ndarray, bound: tuple[int, int, int]) -> np.ndarray:
     return np.ravel_multi_index(coords.T, bound)
 
 
+class _Pooling:
+    """How rows at cells `coords` fall into the coarser cells `coords // factor`.
+
+    `keys` are the occupied coarse cells' packed keys (in `bound`, the
+    coarse strided bound) in increasing order, `counts` their row counts,
+    and `rank[c]` the row of cell c in `ranked_means`. Made from coordinates
+    alone, so one pooling averages every feature array of those rows.
+    """
+
+    def __init__(self, coords: np.ndarray, factor: int, bound: tuple[int, int, int]):
+        self.keys, inverse, self.counts = np.unique(
+            _pack(coords // factor, bound), return_inverse=True, return_counts=True
+        )
+        # Rank cells deepest first, so the cells that have a d-th row form a
+        # prefix of the ranks. Rows are grouped by cell rank, in input order
+        # within a cell, then split by depth (a row's place in its cell):
+        # slice d holds the d-th row of each cell that has one, in rank order.
+        by_count = np.argsort(-self.counts, kind="stable")
+        self.rank = np.empty_like(by_count)
+        self.rank[by_count] = np.arange(len(by_count))
+        rank = self.rank[inverse]
+        by_rank = np.argsort(rank, kind="stable")
+        ranked_counts = self.counts[by_count]
+        self._ranked_counts = ranked_counts[:, None]
+        depth = np.arange(len(by_rank)) - (np.cumsum(ranked_counts) - ranked_counts)[rank[by_rank]]
+        rows = by_rank[np.argsort(depth, kind="stable")]
+        self._slices = np.split(rows, np.cumsum(np.bincount(depth))[:-1])
+
+    def ranked_means(self, features: np.ndarray) -> np.ndarray:
+        """Each coarse cell's mean feature row, the cell of rank r in row r.
+
+        A cell's rows are added in input order, starting from 0.0: the
+        order, and so the bits, of a sparse (cells x rows) indicator matrix
+        times `features`. One vectorised add per depth keeps that order.
+        """
+        first, *deeper = self._slices
+        sums = features[first]
+        sums += 0.0
+        for rows in deeper:
+            sums[: len(rows)] += features[rows]
+        sums /= self._ranked_counts
+        return sums
+
+
 def _pool(
     coords: np.ndarray, features: np.ndarray, factor: int, bound: tuple[int, int, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -207,35 +254,55 @@ def _pool(
 
     `bound` is the strided bound of the coarse cells. Returns the occupied
     coarse coordinates in key order, each cell's mean feature row and its row
-    count. Rows of one cell are summed in input order, as a sparse
-    (cells x rows) indicator matrix times the feature array.
+    count.
     """
-    keys, inverse, counts = np.unique(
-        _pack(coords // factor, bound), return_inverse=True, return_counts=True
-    )
-    rows = np.arange(len(inverse))
-    sums = csr_array((np.ones(len(rows)), (inverse, rows)), shape=(len(keys), len(rows))) @ features
-    return np.column_stack(np.unravel_index(keys, bound)), sums / counts[:, None], counts
+    pooling = _Pooling(coords, factor, bound)
+    coarse = np.column_stack(np.unravel_index(pooling.keys, bound))
+    return coarse, pooling.ranked_means(features)[pooling.rank], pooling.counts
 
 
-def _join(grid: SparseGrid, stride: int, coords: np.ndarray) -> np.ndarray:
-    """Feature rows of `grid` at (n, 3) `coords` given at `stride`.
+class _Join:
+    """Reads a grid's feature rows at (n, 3) `coords` given at `stride`.
 
-    A searchsorted join on packed keys: a coarser grid gives each cell the
-    row of its ancestor, a finer grid is first mean-pooled to `stride`, and
-    cells that `grid` lacks get zero rows.
+    A searchsorted join on packed keys: a grid at `stride` or coarser gives
+    each cell the row of its ancestor; a finer grid is first mean-pooled to
+    `stride` by `pooling`, its _Pooling at that stride. Cells the source
+    lacks get zero rows. The join depends only on the coordinates, so
+    calling it reads any feature array of the grid's rows. Where `grid` is
+    at `stride` and `coords` are exactly its cells, the call returns the
+    feature array it was given, not a copy.
     """
-    if grid.stride < stride:
-        bound = grid.spec.strided_shape(stride)
-        pooled, means, _ = _pool(grid.coords, grid.features, stride // grid.stride, bound)
-        grid = SparseGrid(grid.spec, stride, pooled, means)
-    keys = _pack(coords // (grid.stride // stride), grid.spec.strided_shape(grid.stride))
-    if not len(grid):
-        return np.zeros((len(keys), grid.channels))
-    pos = np.minimum(np.searchsorted(grid.keys, keys), len(grid) - 1)
-    rows = grid.features[pos]
-    rows[grid.keys[pos] != keys] = 0.0
-    return rows
+
+    def __init__(self, grid: SparseGrid, stride: int, coords: np.ndarray,
+                 pooling: _Pooling | None = None):
+        self.pooling = pooling
+        if pooling is not None:
+            source = pooling.keys
+            keys = _pack(coords, grid.spec.strided_shape(stride))
+        else:
+            source = grid.keys
+            keys = _pack(coords // (grid.stride // stride), grid.spec.strided_shape(grid.stride))
+        self._rows = self._missing = None
+        if not np.array_equal(source, keys):
+            self._rows = np.minimum(np.searchsorted(source, keys), max(len(source) - 1, 0))
+            if len(source):
+                missing = source[self._rows] != keys
+                self._missing = missing if missing.any() else None
+        if pooling is not None and len(source):
+            # Pooled rows come in the pooling's rank order.
+            self._rows = pooling.rank if self._rows is None else pooling.rank[self._rows]
+
+    def __call__(self, features: np.ndarray) -> np.ndarray:
+        if self.pooling is not None:
+            features = self.pooling.ranked_means(features)
+        if self._rows is None:
+            return features
+        if not len(features):
+            return np.zeros((len(self._rows), features.shape[1]))
+        rows = features[self._rows]
+        if self._missing is not None:
+            rows[self._missing] = 0.0
+        return rows
 
 
 def voxelize(pc: PointCloud, spec: VoxelSpec = VoxelSpec()) -> SparseGrid:
@@ -303,7 +370,7 @@ def fuse_hr(sf2: SparseGrid, sf4: SparseGrid) -> SparseGrid:
         spec=sf2.spec,
         stride=4,
         coords=coords,
-        features=np.hstack([pooled, _join(sf4, 4, coords)]),
+        features=np.hstack([pooled, _Join(sf4, 4, coords)(sf4.features)]),
         n_dropped=sf2.n_dropped,
     )
 
@@ -331,28 +398,44 @@ def fuse_ms(
     if len({g.spec for g in grids}) != 1:
         raise ValueError("inputs use different voxel specs")
 
-    current = []
-    for level, g in enumerate(grids):
-        pmap = ChannelMap.seeded(g.channels, width, seed=seed * 101 + level)
-        current.append(SparseGrid(g.spec, g.stride, g.coords, pmap.apply(g.features)))
+    spec = sf1.spec
+    # Every finer level's pooling onto every coarser stride, and every
+    # level's join onto every level's cells, are made once: the joins serve
+    # both rounds, the poolings the output step too.
+    pools = {
+        (source, target): _Pooling(grids[source].coords, strides[target] // strides[source],
+                                   spec.strided_shape(strides[target]))
+        for target in range(4)
+        for source in range(target)
+    }
+    joins = [
+        [_Join(g, strides[target], grids[target].coords, pools.get((source, target)))
+         for source, g in enumerate(grids)]
+        for target in range(4)
+    ]
 
+    features = [
+        ChannelMap.seeded(g.channels, width, seed=seed * 101 + level).apply(g.features)
+        for level, g in enumerate(grids)
+    ]
     for rnd in range(2):
-        exchanged = []
-        for level, target in enumerate(current):
-            emap = ChannelMap.seeded(width, width, seed=seed * 101 + 10 * (rnd + 1) + level)
-            total = sum(_join(source, target.stride, target.coords) for source in current)
-            exchanged.append(
-                SparseGrid(target.spec, target.stride, target.coords, emap.apply(total))
+        features = [
+            ChannelMap.seeded(width, width, seed=seed * 101 + 10 * (rnd + 1) + level).apply(
+                sum(join(f) for join, f in zip(joins[level], features))
             )
-        current = exchanged
+            for level in range(4)
+        ]
 
-    bound = sf1.spec.strided_shape(4)
-    keys = [_pack(g.coords // (4 // g.stride), bound) for g in current[:3]]
+    bound = spec.strided_shape(4)
+    keys = [_pack(g.coords // (4 // g.stride), bound) for g in grids[:3]]
     coords = np.column_stack(np.unravel_index(np.unique(np.concatenate(keys)), bound))
     out_map = ChannelMap.seeded(4 * width, width, seed=seed * 101 + 97)
-    stacked = np.hstack([_join(g, 4, coords) for g in current])
+    stacked = np.hstack([
+        _Join(g, 4, coords, pools.get((level, 2)))(f)
+        for level, (g, f) in enumerate(zip(grids, features))
+    ])
     return SparseGrid(
-        spec=sf1.spec,
+        spec=spec,
         stride=4,
         coords=coords,
         features=out_map.apply(stacked),

@@ -564,6 +564,19 @@ class TestVoxelshapes:
         rc = main(["voxelshapes", "--points", str(path), "--out", str(tmp_path / "o")])
         assert rc != 0
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_point_rejected(self, tmp_path, capsys, value):
+        pts = np.random.default_rng(0).uniform(-10, 10, (100, 3))
+        pts[37, 2] = value
+        path = tmp_path / "bad.npy"
+        np.save(path, pts)
+        out = tmp_path / "o"
+        assert main(["voxelshapes", "--points", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: point 37 has a non-finite value")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_empty_cloud(self, tmp_path):
         path = tmp_path / "empty.npy"
         np.save(path, np.zeros((0, 3)))
@@ -583,6 +596,22 @@ class TestVoxelshapes:
 
 
 class TestConsoleEntrypoint:
+    def test_help_imports_no_scipy(self):
+        # The runtime is numpy-only; scipy is a test oracle and must stay out
+        # of every CLI call's import time.
+        code = (
+            "import sys\n"
+            "from crowdmot.cli import main\n"
+            "try:\n"
+            "    main(['--help'])\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
+
     def test_module_invocation(self, tmp_path, config_path):
         out = tmp_path / "sub"
         result = subprocess.run(

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linear_sum_assignment
+from hypothesis.extra.numpy import array_shapes, arrays
+from scipy.optimize import linear_sum_assignment as scipy_assignment
 
 from crowdmot.evaluator import (
     EvalCounts,
@@ -17,6 +19,7 @@ from crowdmot.evaluator import (
     density_stats,
     evaluate_sequence,
     match_frame,
+    linear_sum_assignment,
     mota,
     mtr_mlr,
 )
@@ -234,6 +237,64 @@ class TestTieRule:
         assert result.matches == tie_rule_match(gts, preds, threshold)
 
 
+def exact_best_total(matrix):
+    """Exhaustive maximum over complete matchings of the smaller side, in exact rationals.
+
+    A dynamic program over the subsets of used columns: row k of the (n <= m)
+    matrix takes one column not in the subset.
+    """
+    if matrix.shape[0] > matrix.shape[1]:
+        matrix = matrix.T
+    n, m = matrix.shape
+    best = {0: Fraction(0)}
+    for k in range(n):
+        step = {}
+        for used, total in best.items():
+            for c in range(m):
+                if not used >> c & 1:
+                    key, value = used | 1 << c, total + Fraction(float(matrix[k, c]))
+                    step[key] = max(step.get(key, value), value)
+        best = step
+    return max(best.values())
+
+
+# IoU-like entries: exact zeros, one, 6e-17 slivers and values a few ulps
+# apart, so that near-ties a float solver could misorder are common.
+_ENTRY = st.one_of(
+    st.sampled_from([0.0, 1.0, 0.5, 6e-17, 1e-300]),
+    st.floats(0.0, 1.0),
+    st.builds(
+        lambda x, k: x + k * math.ulp(x), st.sampled_from([0.3, 0.7, 1 / 3]), st.integers(-3, 3)
+    ),
+)
+
+
+class TestLinearSumAssignment:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        matrix=arrays(
+            float, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=7), elements=_ENTRY
+        ),
+    )
+    # One 6e-17 sliver against a total of 1.0, and two entries one ulp apart.
+    @example(matrix=np.array([[1.0, 0.0], [0.0, 6e-17]]))
+    @example(matrix=np.array([[0.3, 0.3 + 2**-54], [0.3 + 2**-54, 0.3]]))
+    def test_exact_optimum_against_exhaustive_and_scipy(self, matrix):
+        rows, cols = linear_sum_assignment(matrix)
+        assert len(rows) == len(cols) == min(matrix.shape)
+        assert rows.tolist() == sorted(set(rows.tolist())) and len(set(cols.tolist())) == len(cols)
+        total = sum(map(Fraction, matrix[rows, cols].tolist()), Fraction(0))
+        assert total == exact_best_total(matrix)
+        ref_rows, ref_cols = scipy_assignment(matrix, maximize=True)
+        assert len(ref_rows) == len(rows)
+        reference = sum(map(Fraction, matrix[ref_rows, ref_cols].tolist()), Fraction(0))
+        assert total >= reference
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            linear_sum_assignment(np.array([[0.5, math.nan]]))
+
+
 def dense_match(gts, preds, prev_map, threshold):
     """The whole-frame reference: kept pairings, then one dense assignment."""
     i, j = np.divmod(np.arange(len(gts) * len(preds)), max(len(preds), 1))
@@ -250,14 +311,14 @@ def dense_match(gts, preds, prev_map, threshold):
     cols = [j for j in range(len(preds)) if j not in used]
     score = iou[np.ix_(rows, cols)]
     score[score < threshold] = 0.0
-    r, c = linear_sum_assignment(score, maximize=True)
+    r, c = scipy_assignment(score, maximize=True)
     chosen = [(a, b) for a, b in zip(r, c) if score[a, b] > 0.0]
     # Unique by a margin: dropping any chosen pair costs more than rounding.
     best = score[r, c].sum()
     for a, b in chosen:
         without = score.copy()
         without[a, b] = -1.0
-        r2, c2 = linear_sum_assignment(without, maximize=True)
+        r2, c2 = scipy_assignment(without, maximize=True)
         if without[r2, c2].clip(0.0).sum() > best - 1e-9:
             return None
     for a, b in chosen:

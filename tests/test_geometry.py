@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from crowdmot.geometry import (
     Box3D,
@@ -359,11 +360,22 @@ class TestBevIouPairs:
         assert bev_iou_pairs([], [], [], []).shape == (0,)
 
 
-# Whole-metre coordinates make duplicates and exact distances common; sets of
-# more than 16 points split the tree into several leaves.
-_COORD = st.one_of(st.integers(-6, 6).map(float), st.floats(-10.0, 10.0))
-_POINTS = st.lists(st.tuples(_COORD, _COORD), max_size=40)
-_RADIUS = st.one_of(st.integers(0, 6).map(float), st.floats(0.0, 20.0))
+# Whole-metre coordinates make duplicates and exact distances common; the
+# wide and subnormal ranges test the cell size's growth and floor. Up to 60
+# points a side puts a query on both sides of the dense cut-off of 2048 pairs.
+_COORD = st.one_of(
+    st.integers(-6, 6).map(float),
+    st.floats(-10.0, 10.0),
+    st.floats(-1e300, 1e300),
+    st.floats(-1e-300, 1e-300),
+)
+_POINTS = st.lists(st.tuples(_COORD, _COORD), max_size=60)
+_RADIUS = st.one_of(
+    st.integers(0, 6).map(float),
+    st.floats(0.0, 20.0),
+    st.floats(0.0, 1e-300),
+    st.floats(0.0, 1e300),
+)
 
 
 class TestPairsWithin:
@@ -374,8 +386,15 @@ class TestPairsWithin:
     @example(a=[(1.0, 2.0), (1.0, 2.0), (1.0, 2.0)], b=[], r=0.0, same=True)
     @example(a=[(0.0, 0.0)], b=[(3.0, 4.0)], r=5.0, same=False)
     @example(a=[(0.0, 0.0), (3.0, 4.0)], b=[], r=5.0, same=True)
-    # A subnormal gap squares to 0, so the tree alone would report it at r=0.
+    # A subnormal gap squares to 0, so a squared-distance test alone would
+    # report it at r=0.
     @example(a=[(0.0, 0.0)], b=[(0.0, 2.2250738585e-313)], r=0.0, same=False)
+    # 50 x 50 points: past the dense cut-off, with exact distances at r.
+    @example(a=[(float(k % 7), float(k // 7)) for k in range(50)], b=[], r=1.0, same=True)
+    @example(a=[(1e300, -1e300), (-1e300, 1e300)] * 30, b=[(1e300, 1e300)] * 40, r=0.0, same=False)
+    # Neighbours 0.5 apart across a 2e12 span: the cell side grows with it.
+    @example(a=[(k * 4e10, -k * 4e10) for k in range(-25, 25)],
+             b=[(k * 4e10 + 0.5, -k * 4e10) for k in range(-25, 25)], r=1.0, same=False)
     def test_against_brute_force(self, a, b, r, same):
         if same:
             b = a
@@ -389,6 +408,24 @@ class TestPairsWithin:
         assert brute <= set(got)
         assert all(dist(p, q) <= r * (1 + 1e-9) for p, q in got)
         assert got == sorted(set(got))
+        # The k-d tree search this replaced, re-tested with np.hypot as it
+        # was: every pair it found is still found. Its squared distances
+        # overflow beyond about 1e154, so it is asked only below that.
+        if a and b and max(abs(c) for p in a + b for c in p) < 1e150 and r < 1e150:
+            bound = r * (1.0 + 1e-9)
+            found = cKDTree(np.array(a)).sparse_distance_matrix(
+                cKDTree(np.array(b)), bound, output_type="ndarray"
+            )
+            d = np.array(a)[found["i"]] - np.array(b)[found["j"]]
+            keep = np.hypot(d[:, 0], d[:, 1]) <= bound
+            assert set(zip(found["i"][keep].tolist(), found["j"][keep].tolist())) <= set(got)
+
+    def test_rejects_non_finite_points(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                pairs_within([(0.0, bad)], [(0.0, 0.0)], 1.0)
+            with pytest.raises(ValueError, match="finite"):
+                pairs_within([(0.0, 0.0)] * 60, [(bad, 0.0)] * 60, 1.0)
 
     @pytest.mark.parametrize("r", [-1.0, math.nan, math.inf])
     def test_rejects_bad_radius(self, r):

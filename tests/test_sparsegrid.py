@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 from crowdmot.sparsegrid import (
     ChannelMap,
@@ -11,6 +14,7 @@ from crowdmot.sparsegrid import (
     downsample,
     encoder_chain,
     fuse_hr,
+    _pool,
     fuse_ms,
     topology_report,
     voxelize,
@@ -67,6 +71,14 @@ class TestPointCloud:
         with pytest.raises(ValueError):
             PointCloud(bad)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, 2, 3])
+    def test_non_finite_values_rejected(self, value, column):
+        pts = np.zeros((3, 5))
+        pts[1, column] = value
+        with pytest.raises(ValueError, match="point 1 has a non-finite value"):
+            PointCloud(pts)
+
     def test_two_frame_merge(self):
         curr = np.array([[0.0, 0.0, 0.0, 0.5]])
         prev = np.array([[1.0, 1.0, 0.0, 0.7], [2.0, 2.0, 0.0, 0.1]])
@@ -111,6 +123,37 @@ class TestSparseGrid:
     def test_invalid_stride_rejected(self):
         with pytest.raises(ValueError, match="stride"):
             grid_of(3, 3, {})
+
+
+class TestPool:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(0, 300),
+        side=st.integers(1, 12),
+        channels=st.sampled_from([1, 2, 3, 16, 64]),
+        factor=st.sampled_from([1, 2, 8]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # Every row in one cell: 300 rows deep.
+    @example(n=300, side=1, channels=3, factor=1, seed=0)
+    def test_sums_match_the_sparse_indicator_product(self, n, side, channels, factor, seed):
+        # The pooled sums are the bits of a (cells x rows) indicator matrix
+        # times the features: each cell's rows added in input order from 0.0,
+        # which -0.0, NaN and mixed magnitudes would expose.
+        rng = np.random.default_rng(seed)
+        coords = rng.integers(0, side, (n, 3))
+        features = rng.standard_normal((n, channels)) * 10.0 ** rng.integers(-8, 9, (n, channels))
+        features[rng.random(features.shape) < 0.1] = -0.0
+        features[rng.random(features.shape) < 0.02] = np.nan
+        bound = SPEC.strided_shape(factor)
+        pooled, means, counts = _pool(coords, features, factor, bound)
+        keys, inverse = np.unique(
+            np.ravel_multi_index((coords // factor).T, bound), return_inverse=True
+        )
+        indicator = csr_array((np.ones(n), (inverse, np.arange(n))), shape=(len(keys), n))
+        assert pooled.tolist() == np.column_stack(np.unravel_index(keys, bound)).tolist()
+        assert counts.tolist() == np.bincount(inverse, minlength=len(keys)).tolist()
+        assert means.tobytes() == ((indicator @ features) / counts[:, None]).tobytes()
 
 
 class TestVoxelize:

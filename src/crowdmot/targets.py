@@ -136,15 +136,26 @@ def make_heatmap(
     The kernel is exactly 0.0 once the exponent passes 746, so each object is
     stamped only on the cells within ceil(sqrt(746) * sigma) + 1 of its own;
     the cells beyond would add 0.0, which neither combine rule can notice.
+
+    sigma must be finite, positive and large enough that 1/sigma^2 is finite
+    (above about 7.46e-155); a smaller one raises ValueError.
     """
     if combine not in ("max", "sum"):
         raise ValueError(f"combine must be 'max' or 'sum', got {combine!r}")
     check_positive("sigma", sigma)
+    # A smaller sigma would make the stamp centre exp(-0 * inf), which is NaN,
+    # or divide by zero.
+    if not (sigma * sigma > 0.0 and math.isfinite(1.0 / (sigma * sigma))):
+        raise ValueError(
+            f"sigma must be above about 7.46e-155 (1/sigma^2 finite), got {sigma!r}"
+        )
     heat = np.zeros((grid.nx, grid.ny))
     if not objects:
         return DenseGrid2D(grid, heat)
-    # The stamp holds the kernel at every offset an object can reach on this grid.
-    reach = math.ceil(_EXP_UNDERFLOW * sigma) + 1
+    # The stamp holds the kernel at every offset an object can reach on this
+    # grid; the reach is capped at the grid size first, so a huge sigma cannot
+    # overflow the ceil.
+    reach = math.ceil(min(_EXP_UNDERFLOW * sigma, max(grid.nx, grid.ny))) + 1
     rj, rk = min(reach, grid.nx - 1), min(reach, grid.ny - 1)
     dj = np.arange(-rj, rj + 1, dtype=np.float64)[:, None]
     dk = np.arange(-rk, rk + 1, dtype=np.float64)[None, :]
@@ -186,7 +197,9 @@ def make_daw(
     gx = grid.x_min + (np.arange(grid.nx) + shift) * grid.dx
     gy = grid.y_min + (np.arange(grid.ny) + shift) * grid.dy
     th2 = th * th
-    rj, rk = math.ceil(th / grid.dx) + 1, math.ceil(th / grid.dy) + 1
+    # Capped at the grid size, so a huge th cannot overflow the ceil.
+    rj = math.ceil(min(th / grid.dx, grid.nx)) + 1
+    rk = math.ceil(min(th / grid.dy, grid.ny)) + 1
     for obj in objects:
         # Also validates the object is on the grid, like the heatmap path.
         j, k = quantize_to_grid(obj.box.cx, obj.box.cy, grid)

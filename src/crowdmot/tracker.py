@@ -29,11 +29,6 @@ class Detection:
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score {self.score} outside [0, 1]")
 
-    @property
-    def k(self) -> int:
-        """Number of regressed attributes (10, or 12 with the relationship)."""
-        return 12 if self.relationship is not None else 10
-
 
 @dataclass
 class Trajectory:
@@ -51,9 +46,6 @@ class Trajectory:
     def last_center(self) -> tuple[float, float]:
         box = self.entries[-1][1]
         return (box.cx, box.cy)
-
-    def frames(self) -> list[int]:
-        return [frame for frame, _, _ in self.entries]
 
 
 @dataclass(frozen=True)

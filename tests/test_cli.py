@@ -173,6 +173,21 @@ class TestTargets:
         assert rc != 0
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--sigma", "--th"])
+    def test_huge_spread_covers_the_whole_grid(self, gen_dir, tmp_path, flag):
+        out = tmp_path / "targets"
+        rc = main(
+            ["targets", "--gt", str(gen_dir / "gt.jsonl"), "--out", str(out),
+             "--grid", "0.5,0.5", "--extent=-30,30,-20,20", "--dump-pgm", f"{flag}=1e308"]
+        )
+        assert rc == 0
+        assert not any("nan" in path.read_text() for path in out.iterdir())
+        n_objects = len(json.loads((gen_dir / "gt.jsonl").read_text().splitlines()[0])["objects"])
+        if flag == "--sigma":
+            assert (read_grid(out / "heatmap_0000.grid").values == 1.0).all()
+        else:
+            assert (read_grid(out / "weights_0000.grid").values == n_objects).all()
+
     def test_quiet_env_silences_stdout(self, gen_dir, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CROWDMOT_LOG", "quiet")
         out = tmp_path / "density"
@@ -323,6 +338,8 @@ class TestRejectedRadii:
             ("targets", "--rel-radius", "-1"),
             ("targets", "--rel-radius", "nan"),
             ("targets", "--sigma", "nan"),
+            ("targets", "--sigma", "1e-160"),
+            ("targets", "--sigma", "1e-300"),
             ("targets", "--th", "nan"),
         ],
     )

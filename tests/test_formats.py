@@ -1,7 +1,12 @@
 """Round-trips and schema validation for the on-disk formats."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crowdmot.formats import (
     FormatError,
@@ -215,3 +220,49 @@ class TestWritersMatchPerValueText:
         dense = DenseGrid2D(spec, values)
         write_grid(tmp_path / "x.grid", dense)
         assert (tmp_path / "x.grid").read_text() == per_value_grid_text(dense)
+
+
+SUBNORMALS = st.sampled_from([TINY, 3 * TINY, 2.2250738585072009e-308])
+
+
+@st.composite
+def sparse_grids(draw):
+    """Small grids, mostly one fill value per row with a few cells set.
+
+    Rows are all 0.0, all -0.0 or sparse, or, in a negative grid, filled with
+    a negative value so that no cell is 0.0; values include subnormals.
+    """
+    nx, ny = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    values = st.floats(allow_nan=False, allow_infinity=False) | SUBNORMALS | SUBNORMALS.map(
+        lambda v: -v
+    )
+    negative = draw(st.booleans())
+    if negative:
+        values = values.map(lambda v: -abs(v) or -TINY)
+    fills = values if negative else st.sampled_from([0.0, -0.0])
+    rows = []
+    for _ in range(nx):
+        row = [draw(fills)] * ny
+        for k in draw(st.lists(st.integers(0, ny - 1), max_size=3)):
+            row[k] = draw(values)
+        rows.append(row)
+    return np.array(rows, dtype=np.float64)
+
+
+class TestWritersOnSparseGrids:
+    """Both writers against the per-value oracles, on grids with shared rows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=sparse_grids())
+    @example(values=np.zeros((1, 5)))
+    @example(values=np.full((5, 1), -0.0))
+    @example(values=np.array([[-0.0, -0.0], [0.0, 0.0], [-TINY, 0.0]]))
+    @example(values=np.array([[-1.0, -1.0, -1.0], [-1.0, -TINY, -1.0]]))
+    def test_match_per_value_text(self, values):
+        nx, ny = values.shape
+        dense = DenseGrid2D(GridSpec(0.0, 0.5 * nx, 0.0, 0.5 * ny, 0.5, 0.5), values)
+        with tempfile.TemporaryDirectory() as tmp:
+            write_grid(Path(tmp) / "x.grid", dense)
+            write_pgm(Path(tmp) / "x.pgm", dense)
+            assert (Path(tmp) / "x.grid").read_text() == per_value_grid_text(dense)
+            assert (Path(tmp) / "x.pgm").read_text() == per_value_pgm_text(dense)

@@ -213,10 +213,9 @@ class TestCorrupt:
         dets = corrupt(scene, NoiseConfig(emit_rel=True, seed=4))
         flat = [d for frame in dets for d in frame]
         assert all(d.relationship is not None for d in flat)
-        assert all(d.k == 12 for d in flat)
         assert any(d.relationship.defined for d in flat)
         plain = corrupt(scene, NoiseConfig(seed=4))
-        assert all(d.relationship is None and d.k == 10 for f in plain for d in f)
+        assert all(d.relationship is None for f in plain for d in f)
 
 
 class TestDensitySweep:

@@ -78,6 +78,13 @@ class TestHeatmap:
         }
         assert int((heat.values == 1.0).sum()) == len(peak_cells)
 
+    @pytest.mark.parametrize("sigma", [1e-160, 1e-300, 7.458340731200206e-155])
+    def test_sigma_whose_inverse_square_overflows_raises(self, sigma):
+        # 1/sigma^2 would be inf (a NaN centre) or a division by zero.
+        for objects in ([], [ped(0, 1.2, -0.7)]):
+            with pytest.raises(ValueError, match="sigma"):
+                make_heatmap(objects, GRID, sigma=sigma)
+
     def test_object_outside_grid_raises(self):
         with pytest.raises(OutOfBoundsError):
             make_heatmap([ped(0, 100.0, 0.0)], GRID)
@@ -171,7 +178,7 @@ class TestWindowedStencils:
         return weights
 
     @pytest.mark.parametrize("combine", ["max", "sum"])
-    @pytest.mark.parametrize("sigma", [0.05, 0.3, 1.7, 40.0])
+    @pytest.mark.parametrize("sigma", [7.458340731200208e-155, 0.05, 0.3, 1.7, 40.0, 1e308])
     def test_heatmap_matches_full_grid(self, sigma, combine):
         grid = self.HEAT_GRID
         objs = _edge_objects(grid, np.random.default_rng(7))
@@ -182,13 +189,13 @@ class TestWindowedStencils:
     def test_heatmap_window_larger_than_a_narrow_grid(self):
         grid = GridSpec(0.0, 0.5, -4.0, 4.0, 0.5, 0.5)  # a 1 x 16 grid
         objs = _edge_objects(grid, np.random.default_rng(8), n_random=2)
-        for sigma in (0.3, 1.7, 40.0):
+        for sigma in (0.3, 1.7, 40.0, 1e308):
             got = make_heatmap(objs, grid, sigma=sigma, combine="sum").values
             want = self.full_grid_heatmap(objs, grid, sigma, "sum")
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("midpoint", [False, True])
-    @pytest.mark.parametrize("th", [0.05, 0.3, 0.7, 1.15, 2.0, 9.0])
+    @pytest.mark.parametrize("th", [0.05, 0.3, 0.7, 1.15, 2.0, 9.0, 1e308])
     def test_daw_matches_full_grid(self, th, midpoint):
         grid = self.DAW_GRID
         objs = _edge_objects(grid, np.random.default_rng(9), n_random=20)

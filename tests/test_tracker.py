@@ -202,7 +202,7 @@ class TestRunSequence:
         ids = [t.track_id for t in trajectories]
         assert len(ids) == len(set(ids))
         for t in trajectories:
-            frames_seen = t.frames()
+            frames_seen = [frame for frame, _, _ in t.entries]
             assert frames_seen == sorted(frames_seen)
             assert len(set(frames_seen)) == len(frames_seen)
 

@@ -2,21 +2,21 @@
 
 __version__ = "0.1.0"
 
-from .geometry import Box3D, BoxBEV, GridSpec, bev_iou, cell_center, quantize_to_grid
+from .records import (
+    Box3D, BoxBEV, Detection, GtObject, MotionOffset, RelationshipOffset, SceneSequence, Trajectory,
+)
+from .geometry import GridSpec, bev_iou, cell_center, quantize_to_grid
 from .targets import (
     DenseGrid2D,
-    GtObject,
     LossParams,
-    MotionOffset,
-    RelationshipOffset,
     focal_daw_loss,
     make_daw,
     make_heatmap,
     make_motion_offsets,
     make_relationship_offsets,
 )
-from .tracker import Detection, TrackerConfig, TrackerState, Trajectory, associate, run_sequence, step
-from .simulator import NoiseConfig, SceneSequence, SimConfig, corrupt, density_sweep, gen_scene
+from .tracker import TrackerConfig, TrackerState, associate, run_sequence, step
+from .simulator import NoiseConfig, SimConfig, corrupt, density_sweep, gen_scene
 from .evaluator import (
     EvalCounts,
     MatchConfig,

@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__
 from .evaluator import MatchConfig, aggregate, density_stats, evaluate_sequence
 from .formats import (
-    FormatError,
     atomic_write_text,
     read_detections_jsonl,
     read_scene_jsonl,
@@ -331,8 +330,13 @@ def cmd_density(args: argparse.Namespace) -> int:
 def cmd_voxelshapes(args: argparse.Namespace) -> int:
     try:
         raw = np.load(args.points)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, EOFError) as exc:
         raise ConfigError(f"cannot load point file {args.points}: {exc}") from None
+    if not isinstance(raw, np.ndarray):
+        raw.close()
+        raise ConfigError(f"{args.points} is an archive of arrays, not one .npy array")
+    if raw.dtype.kind not in "iuf":
+        raise ConfigError(f"points must be integers or floats, got dtype {raw.dtype}")
     if raw.ndim != 2 or raw.shape[1] not in (3, 4, 5):
         raise ConfigError(f"points must be (n, 3|4|5), got {raw.shape}")
     if raw.shape[1] < 5:
@@ -421,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, FormatError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

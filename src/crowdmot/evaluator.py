@@ -14,9 +14,8 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .geometry import Box3D, bev_iou_pairs, check_positive, pairs_within
-from .targets import GtObject
-from .simulator import DENSITY_RADIUS, SceneSequence
+from .geometry import bev_iou_pairs, check_positive, pairs_within
+from .records import DENSITY_RADIUS, Box3D, GtObject, SceneSequence
 
 # Coverage thresholds for mostly-tracked / mostly-lost trajectory counting.
 MT_COVERAGE = 0.8

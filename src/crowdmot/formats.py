@@ -32,10 +32,11 @@ from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
-from .geometry import Box3D, GridSpec
-from .simulator import SceneSequence
-from .targets import DenseGrid2D, GtObject, MotionOffset, RelationshipOffset
-from .tracker import Detection, Trajectory
+from .geometry import GridSpec
+from .records import (
+    Box3D, Detection, GtObject, MotionOffset, RelationshipOffset, SceneSequence, Trajectory,
+)
+from .targets import DenseGrid2D
 
 
 class FormatError(ValueError):
@@ -234,7 +235,7 @@ def _read_frames(path: Path, decode: Callable[[int, dict, int], object]) -> tupl
 
 def read_scene_jsonl(path: Path) -> SceneSequence:
     frames, timestamps = _read_frames(
-        path, lambda key, obj, frame: GtObject(instance_id=key, box=_box(obj), frame=frame)
+        path, lambda key, obj, frame: GtObject(instance_id=key, box=_box(obj))
     )
     return SceneSequence(frames, timestamps)
 
@@ -277,12 +278,12 @@ _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def _read_records(path: Path) -> Iterable[tuple[int, dict]]:
-    with open(path) as handle:
+    with open(path, "rb") as handle:
         for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
             try:
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
                 rec = _DECODER.decode(line)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from None

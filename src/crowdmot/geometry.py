@@ -11,6 +11,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .records import BoxBEV, normalize_yaw
+
 # Cells whose fractional index lands within this distance of an integer are
 # snapped up before flooring, so boundary coordinates quantize into the cell
 # they start (exact-arithmetic floor semantics despite float division).
@@ -47,14 +49,6 @@ def check_finite_fields(config) -> None:
                 raise ValueError(f"{field.name} must be finite, got {value}")
 
 
-def normalize_yaw(yaw: float) -> float:
-    """Wrap an angle into [-pi, pi)."""
-    wrapped = math.fmod(yaw + math.pi, 2.0 * math.pi)
-    if wrapped < 0.0:
-        wrapped += 2.0 * math.pi
-    return wrapped - math.pi
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Rectangular BEV grid: extents in meters, cell sizes dx/dy in meters."""
@@ -89,63 +83,6 @@ class GridSpec:
     @property
     def ny(self) -> int:
         return round((self.y_max - self.y_min) / self.dy)
-
-
-@dataclass(frozen=True)
-class BoxBEV:
-    """Rotated rectangle on the ground plane. Yaw is wrapped to [-pi, pi)."""
-
-    cx: float
-    cy: float
-    length: float
-    width: float
-    yaw: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.cx) and math.isfinite(self.cy) and math.isfinite(self.yaw)):
-            raise ValueError(f"box centre and yaw must be finite: {self}")
-        if not (0.0 < self.length < math.inf and 0.0 < self.width < math.inf):
-            raise ValueError(f"box sides must be finite and positive: {self}")
-        object.__setattr__(self, "yaw", normalize_yaw(self.yaw))
-
-    @property
-    def area(self) -> float:
-        return self.length * self.width
-
-    def corners(self) -> list[tuple[float, float]]:
-        """Corner coordinates counter-clockwise, starting at (+l/2, +w/2)."""
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        hl, hw = 0.5 * self.length, 0.5 * self.width
-        return [
-            (self.cx + c * dx - s * dy, self.cy + s * dx + c * dy)
-            for dx, dy in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))
-        ]
-
-
-@dataclass(frozen=True)
-class Box3D:
-    """Upright 3D box: center, sizes (length along heading), yaw about z."""
-
-    cx: float
-    cy: float
-    cz: float
-    length: float
-    height: float
-    width: float
-    yaw: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.cx) and math.isfinite(self.cy) and math.isfinite(self.cz)
-                and math.isfinite(self.yaw)):
-            raise ValueError(f"box centre and yaw must be finite: {self}")
-        if not (0.0 < self.length < math.inf and 0.0 < self.height < math.inf
-                and 0.0 < self.width < math.inf):
-            raise ValueError(f"box sizes must be finite and positive: {self}")
-        object.__setattr__(self, "yaw", normalize_yaw(self.yaw))
-
-    def bev(self) -> BoxBEV:
-        """Footprint of the box on the ground plane."""
-        return BoxBEV(self.cx, self.cy, self.length, self.width, self.yaw)
 
 
 def quantize_to_grid(x: float, y: float, grid: GridSpec) -> tuple[int, int]:

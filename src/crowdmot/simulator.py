@@ -15,18 +15,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import Box3D, check_finite_fields, normalize_yaw, pairs_within
-from .targets import (
-    GtObject,
-    MotionOffset,
-    RelationshipOffset,
-    make_motion_offsets,
-    make_relationship_offsets,
+from .geometry import check_finite_fields, pairs_within
+from .records import (
+    DENSITY_RADIUS, Box3D, Detection, GtObject, MotionOffset, RelationshipOffset, SceneSequence,
+    normalize_yaw,
 )
-from .tracker import Detection
-
-# Radius (meters) at which the crowding target is defined.
-DENSITY_RADIUS = 2.0
+from .targets import make_motion_offsets, make_relationship_offsets
 
 # Hard floor on pedestrian center separation, held in every frame.
 MIN_SEPARATION = 0.3
@@ -104,24 +98,6 @@ class NoiseConfig:
             raise ValueError(f"p_miss {self.p_miss} outside [0, 1]")
         if self.pos_sigma < 0 or self.offset_sigma < 0 or self.clutter_rate < 0:
             raise ValueError("sigmas and clutter_rate must be non-negative")
-
-
-@dataclass(frozen=True, eq=False)
-class SceneSequence:
-    """Ground-truth frames with persistent instance ids and timestamps."""
-
-    frames: list[list[GtObject]]
-    timestamps: list[float]
-
-    def __post_init__(self) -> None:
-        if len(self.frames) != len(self.timestamps):
-            raise ValueError("frames and timestamps length mismatch")
-        for t0, t1 in zip(self.timestamps, self.timestamps[1:]):
-            if t1 <= t0:
-                raise ValueError("timestamps must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.frames)
 
 
 def _capture_prob(sigma: float) -> float:
@@ -460,7 +436,6 @@ def gen_scene(cfg: SimConfig) -> SceneSequence:
                         width=float(width),
                         yaw=math.atan2(vel[1], vel[0]),
                     ),
-                    frame=fi,
                 )
             )
         frames.append(frame_objs)

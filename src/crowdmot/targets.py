@@ -13,7 +13,8 @@ from typing import Hashable, Iterable
 
 import numpy as np
 
-from .geometry import Box3D, GridSpec, check_positive, pairs_within, quantize_to_grid
+from .geometry import GridSpec, check_positive, pairs_within, quantize_to_grid
+from .records import GtObject, MotionOffset, RelationshipOffset
 
 # Predicted probabilities are clamped into [EPS, 1-EPS] before the loss.
 PROB_EPS = 1e-7
@@ -48,45 +49,6 @@ class DenseGrid2D:
                 f"({self.grid.nx}, {self.grid.ny})"
             )
         object.__setattr__(self, "values", arr)
-
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> "DenseGrid2D":
-        return cls(grid, np.zeros((grid.nx, grid.ny)))
-
-
-@dataclass(frozen=True)
-class GtObject:
-    """One annotated object in one frame."""
-
-    instance_id: Hashable
-    box: Box3D
-    frame: int = 0
-
-
-@dataclass(frozen=True)
-class MotionOffset:
-    """Displacement from an object's current position to its previous one."""
-
-    ox: float
-    oy: float
-    oz: float
-    newborn: bool = False
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.ox, self.oy, self.oz)
-
-
-@dataclass(frozen=True)
-class RelationshipOffset:
-    """BEV vector from an object to its nearest neighbor, if one is in range."""
-
-    rx: float
-    ry: float
-    defined: bool
-
-    @classmethod
-    def undefined(cls) -> "RelationshipOffset":
-        return cls(0.0, 0.0, False)
 
 
 @dataclass(frozen=True)

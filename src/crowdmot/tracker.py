@@ -11,41 +11,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .geometry import Box3D, pairs_within
-from .targets import MotionOffset, RelationshipOffset
-
-
-@dataclass(frozen=True)
-class Detection:
-    """One detector output: box, confidence, predicted offsets."""
-
-    box: Box3D
-    score: float
-    offset: MotionOffset
-    frame: int
-    relationship: Optional[RelationshipOffset] = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score {self.score} outside [0, 1]")
-
-
-@dataclass
-class Trajectory:
-    """One tracked object: identity plus its per-frame boxes."""
-
-    track_id: int
-    entries: list[tuple[int, Box3D, float]]
-    birth_frame: int
-    last_matched_frame: int
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def last_center(self) -> tuple[float, float]:
-        box = self.entries[-1][1]
-        return (box.cx, box.cy)
+from .geometry import pairs_within
+from .records import Box3D, Detection, Trajectory
 
 
 @dataclass(frozen=True)
@@ -140,7 +107,6 @@ def step(
             state.live[new_id] = Trajectory(
                 track_id=new_id,
                 entries=[(frame, det.box, det.score)],
-                birth_frame=frame,
                 last_matched_frame=frame,
             )
             outputs.append((new_id, det.box))

@@ -5,19 +5,18 @@ criterion. Every expected value is produced by an independent oracle coded
 here (brute force, enumeration, finite differences) or is exact arithmetic.
 """
 
-import itertools
-import json
-import math
 import time
 
 import numpy as np
+from oracles import exhaustive_assignment, exhaustive_iou_match, iou_matrix
 import pytest
 
 from crowdmot.cli import main
 from crowdmot.evaluator import MatchConfig, density_stats, evaluate_sequence, match_frame, mota
 from crowdmot.evaluator import EvalCounts
 from crowdmot.formats import sha256_file
-from crowdmot.geometry import Box3D, GridSpec, bev_iou
+from crowdmot.geometry import GridSpec
+from crowdmot.records import Box3D, Detection, GtObject, MotionOffset
 from crowdmot.simulator import NoiseConfig, SimConfig, corrupt, gen_scene
 from crowdmot.sparsegrid import (
     ChannelMap,
@@ -30,15 +29,13 @@ from crowdmot.sparsegrid import (
 )
 from crowdmot.targets import (
     DenseGrid2D,
-    GtObject,
     LossParams,
-    MotionOffset,
     focal_daw_loss,
     make_daw,
     make_heatmap,
     make_relationship_offsets,
 )
-from crowdmot.tracker import Detection, TrackerConfig, associate, run_sequence
+from crowdmot.tracker import TrackerConfig, associate, run_sequence
 
 AREA = (-60.0, 60.0, -40.0, 40.0)
 
@@ -190,32 +187,6 @@ def test_criterion_4_perfect_input_bijection():
     report("4 tracker-perfect-input-bijection")
 
 
-def _exhaustive_assignment(dets, tracks, max_dist):
-    """Most matches, then least total distance, over all gated assignments."""
-    dists = {}
-    for i, d in enumerate(dets):
-        px, py = d.box.cx + d.offset.ox, d.box.cy + d.offset.oy
-        for tid, (cx, cy) in tracks:
-            dist = math.hypot(cx - px, cy - py)
-            if dist <= max_dist:
-                dists[(i, tid)] = dist
-    ids = [tid for tid, _ in tracks]
-    best = (0, 0.0, frozenset())
-    unique = True
-    for r in range(min(len(dets), len(ids)) + 1):
-        for rows in itertools.combinations(range(len(dets)), r):
-            for perm in itertools.permutations(ids, r):
-                pairs = frozenset(zip(rows, perm))
-                if not all(p in dists for p in pairs):
-                    continue
-                total = sum(dists[p] for p in pairs)
-                if r > best[0] or (r == best[0] and total < best[1] - 1e-12):
-                    best, unique = (r, total, pairs), True
-                elif r == best[0] and abs(total - best[1]) <= 1e-12 and pairs != best[2]:
-                    unique = False
-    return best[2], unique
-
-
 def test_criterion_5_greedy_association_matches_exhaustive():
     """Greedy equals exhaustive assignment on 10,000 random frames with up to
     5 detections/tracks whenever the optimum is unique."""
@@ -262,33 +233,13 @@ def test_criterion_5_greedy_association_matches_exhaustive():
         greedy = {
             (i, tid) for i, tid in associate(dets, tracks, cfg) if tid is not None
         }
-        oracle, unique = _exhaustive_assignment(dets, tracks, cfg.max_match_dist)
+        oracle, unique = exhaustive_assignment(dets, tracks, cfg.max_match_dist)
         if not unique:
             ambiguous += 1
             continue
         assert greedy == set(oracle)
     assert ambiguous < 100
     report("5 greedy-association-oracle")
-
-
-def _exhaustive_iou_match(iou, threshold):
-    """Max total IoU over assignments restricted to pairs >= threshold."""
-    n, m = iou.shape
-    feasible = {(i, j) for i in range(n) for j in range(m) if iou[i, j] >= threshold}
-    best = (0.0, frozenset())
-    unique = True
-    for r in range(min(n, m) + 1):
-        for rows in itertools.combinations(range(n), r):
-            for perm in itertools.permutations(range(m), r):
-                pairs = frozenset(zip(rows, perm))
-                if not pairs <= feasible:
-                    continue
-                total = sum(iou[p] for p in pairs)
-                if total > best[0] + 1e-12:
-                    best, unique = (total, pairs), True
-                elif abs(total - best[0]) <= 1e-12 and pairs != best[1] and len(pairs):
-                    unique = False
-    return best[1], best[0], unique
 
 
 def test_criterion_6_clear_mot_arithmetic_and_hungarian():
@@ -310,12 +261,9 @@ def test_criterion_6_clear_mot_arithmetic_and_hungarian():
             (j, ped_box(*(anchors[j % len(anchors)] + rng.normal(0, 0.1, 2))))
             for j in range(n_pr)
         ]
-        iou = np.zeros((n_gt, n_pr))
-        for i, g in enumerate(gts):
-            for j, (_, b) in enumerate(preds):
-                iou[i, j] = bev_iou(g.box.bev(), b.bev())
+        iou = iou_matrix([g.box for g in gts], [b for _, b in preds])
         result = match_frame(gts, preds, {}, MatchConfig())
-        pairs, total, unique = _exhaustive_iou_match(iou, 0.5)
+        pairs, total, unique = exhaustive_iou_match(iou, 0.5)
         assert len(result.matches) == len(pairs)
         got_total = sum(iou[gid, tid] for gid, tid in result.matches)
         assert got_total == pytest.approx(total, abs=1e-9)

@@ -269,6 +269,34 @@ class TestTrackAndEval:
         assert rc != 0
 
 
+def tree_state(root):
+    """Every path under root, with the bytes of each file."""
+    return {p: p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize("case", ["gt-is-directory", "out-is-file", "out-under-file"])
+def test_os_error_fails_with_one_line_and_writes_nothing(tmp_path, capsys, case):
+    config = tmp_path / "scene.ini"
+    config.write_text(CONFIG)
+    gt = tmp_path / "gt.jsonl"
+    gt.write_text(
+        '{"frame":0,"timestamp":0.0,"objects":[{"id":0,"cx":0.0,"cy":0.0,"cz":0.8,'
+        '"l":0.6,"w":0.6,"h":1.7,"yaw":0.0}]}\n'
+    )
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    argv = {
+        "gt-is-directory": ["density", "--gt", str(tmp_path), "--out", str(tmp_path / "out")],
+        "out-is-file": ["gen", "--config", str(config), "--out", str(blocker)],
+        "out-under-file": ["density", "--gt", str(gt), "--out", str(blocker / "sub")],
+    }[case]
+    before = tree_state(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert tree_state(tmp_path) == before
+
+
 class TestDensity:
     def test_reports_value(self, gen_dir, tmp_path, capsys):
         out = tmp_path / "density"
@@ -402,7 +430,8 @@ class TestMalformedJsonl:
 
     def fails(self, tmp_path, capsys, command, line, message):
         path = tmp_path / "in.jsonl"
-        path.write_text(self.GOOD + "\n" + line + "\n")
+        line = line if isinstance(line, bytes) else line.encode()
+        path.write_bytes(self.GOOD.encode() + b"\n" + line + b"\n")
         inputs = {
             "density": ["--gt", str(path)],
             "eval": ["--gt", str(path), "--traj", str(path)],
@@ -426,9 +455,10 @@ class TestMalformedJsonl:
             ('{"frame":1,"timestamp":0.1,"objects":{"id":0}}', "'objects' is not a list"),
             ('{"frame":1,"timestamp":0.1,"objects":[5]}', "an entry of 'objects' is not an object"),
             ("[" * 100_000 + "]" * 100_000, "JSON nested too deeply"),
+            (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
         ],
         ids=["number", "array", "nan", "infinity", "minus-infinity", "objects-dict", "entry-number",
-             "deep-nesting"],
+             "deep-nesting", "not-utf-8"],
     )
     def test_fails_with_one_line_and_no_outputs(self, tmp_path, capsys, command, line, message):
         self.fails(tmp_path, capsys, command, line, message)
@@ -580,6 +610,27 @@ class TestVoxelshapes:
         np.save(path, np.zeros((4, 7)))
         rc = main(["voxelshapes", "--points", str(path), "--out", str(tmp_path / "o")])
         assert rc != 0
+
+    @pytest.mark.parametrize(
+        "name, write, message",
+        [
+            ("points.npz", lambda path: np.savez(path, points=np.zeros((4, 3))),
+             "is an archive of arrays, not one .npy array"),
+            ("points.npy", lambda path: path.write_bytes(b""), "cannot load point file"),
+            ("points.npy", lambda path: np.save(path, np.ones((4, 3), dtype=complex)),
+             "points must be integers or floats, got dtype complex128"),
+        ],
+        ids=["npz", "empty", "complex"],
+    )
+    def test_unreadable_point_file_rejected(self, tmp_path, capsys, name, write, message):
+        path = tmp_path / name
+        write(path)
+        out = tmp_path / "o"
+        assert main(["voxelshapes", "--points", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_point_rejected(self, tmp_path, capsys, value):

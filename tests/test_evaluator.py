@@ -1,6 +1,5 @@
 """CLEAR-MOT matching, metric arithmetic, and the density statistic."""
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
+from oracles import exhaustive_iou_match, iou_matrix
 from scipy.optimize import linear_sum_assignment as scipy_assignment
 
 from crowdmot.evaluator import (
@@ -23,45 +23,16 @@ from crowdmot.evaluator import (
     mota,
     mtr_mlr,
 )
-from crowdmot.geometry import Box3D, bev_iou, bev_iou_pairs
-from crowdmot.simulator import SceneSequence
-from crowdmot.targets import GtObject
+from crowdmot.geometry import bev_iou, bev_iou_pairs
+from crowdmot.records import Box3D, GtObject, SceneSequence
 
 
 def box(x, y, l=0.6, w=0.6, yaw=0.0):
     return Box3D(cx=x, cy=y, cz=0.85, length=l, height=1.7, width=w, yaw=yaw)
 
 
-def gt(instance_id, x, y, frame=0, **kw):
-    return GtObject(instance_id=instance_id, box=box(x, y, **kw), frame=frame)
-
-
-def brute_force_match(gt_boxes, pred_boxes, threshold):
-    """Exhaustive max-total-IoU matching over pairs meeting the threshold."""
-    iou = np.zeros((len(gt_boxes), len(pred_boxes)))
-    for i, g in enumerate(gt_boxes):
-        for j, p in enumerate(pred_boxes):
-            iou[i, j] = bev_iou(g.bev(), p.bev())
-    feasible = {
-        (i, j)
-        for i in range(len(gt_boxes))
-        for j in range(len(pred_boxes))
-        if iou[i, j] >= threshold
-    }
-    best_total, best_pairs, unique = 0.0, frozenset(), True
-    cols = list(range(len(pred_boxes)))
-    for r in range(min(len(gt_boxes), len(pred_boxes)) + 1):
-        for rows in itertools.combinations(range(len(gt_boxes)), r):
-            for perm in itertools.permutations(cols, r):
-                pairs = frozenset(zip(rows, perm))
-                if not pairs <= feasible:
-                    continue
-                total = sum(iou[p] for p in pairs)
-                if total > best_total + 1e-12:
-                    best_total, best_pairs, unique = total, pairs, True
-                elif abs(total - best_total) <= 1e-12 and pairs != best_pairs:
-                    unique = False
-    return best_pairs, best_total, unique
+def gt(instance_id, x, y, **kw):
+    return GtObject(instance_id=instance_id, box=box(x, y, **kw))
 
 
 class TestMatchFrame:
@@ -123,9 +94,8 @@ class TestMatchFrame:
                 for j in range(n_pr)
             ]
             result = match_frame(gts, preds, {})
-            oracle_pairs, oracle_total, unique = brute_force_match(
-                [g.box for g in gts], [b for _, b in preds], 0.5
-            )
+            iou = iou_matrix([g.box for g in gts], [b for _, b in preds])
+            oracle_pairs, oracle_total, unique = exhaustive_iou_match(iou, 0.5)
             got = {(gts.index(next(g for g in gts if g.instance_id == gid)), tid) for gid, tid in result.matches}
             assert len(got) == len(oracle_pairs)
             if unique:
@@ -399,7 +369,7 @@ class TestMtrMlr:
 
 class TestEvaluateSequence:
     def test_perfect_tracking(self):
-        frames = [[gt(i, i * 2.0, 0.1 * f, frame=f) for i in range(3)] for f in range(5)]
+        frames = [[gt(i, i * 2.0, 0.1 * f) for i in range(3)] for f in range(5)]
         preds = [[(i, g.box) for i, g in enumerate(fr)] for fr in frames]
         metrics = evaluate_sequence(frames, preds)
         assert metrics.mota == 1.0
@@ -407,7 +377,7 @@ class TestEvaluateSequence:
         assert metrics.counts.p == 15
 
     def test_coverage_drives_mtr_mlr(self):
-        frames = [[gt(0, 0.0, 0.0, frame=f), gt(1, 5.0, 0.0, frame=f)] for f in range(10)]
+        frames = [[gt(0, 0.0, 0.0), gt(1, 5.0, 0.0)] for _ in range(10)]
         preds = []
         for f in range(10):
             frame_preds = [(0, box(0.0, 0.0))]

@@ -48,6 +48,16 @@ class TestSceneJsonl:
         for a, b in zip(scene.frames, loaded.frames):
             assert sorted(a, key=lambda o: o.instance_id) == list(b)
 
+    def test_crlf_line_endings_read_as_lf(self, scene, tmp_path):
+        lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+        write_scene_jsonl(lf, scene)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        a, b = read_scene_jsonl(lf), read_scene_jsonl(crlf)
+        assert (a.frames, a.timestamps) == (b.frames, b.timestamps)
+        crlf.write_bytes(b'{"frame":0,"timestamp":0.0,"objects":[]}\r\n\r\n{nope}\r\n')
+        with pytest.raises(FormatError, match="crlf.jsonl:3: invalid JSON"):
+            read_scene_jsonl(crlf)
+
     def test_out_of_order_frames_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(

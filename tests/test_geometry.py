@@ -9,17 +9,15 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from crowdmot.geometry import (
-    Box3D,
-    BoxBEV,
     GridSpec,
     OutOfBoundsError,
     bev_iou,
     bev_iou_pairs,
     cell_center,
-    normalize_yaw,
     pairs_within,
     quantize_to_grid,
 )
+from crowdmot.records import Box3D, BoxBEV, normalize_yaw
 
 GRID = GridSpec(-96.0, 96.0, -48.0, 48.0, 0.6, 0.6)
 

@@ -1,0 +1,113 @@
+"""The modules form one acyclic layering: value types, algorithms, then IO/CLI.
+
+Each module may import only crowdmot modules of an earlier layer. The check
+reads the sources with ast, so it sees every import statement, including
+ones inside functions, without importing anything.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "crowdmot"
+
+# Modules in one layer do not import each other.
+LAYERS = [
+    {"records"},
+    {"geometry"},
+    {"targets", "tracker", "evaluator", "sparsegrid"},
+    {"simulator"},
+    {"formats"},
+    {"cli"},
+]
+LAYER = {name: rank for rank, layer in enumerate(LAYERS) for name in layer}
+MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+
+
+def crowdmot_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, module) for every crowdmot module an import statement names.
+
+    Covers `from .x import y`, `from . import x`, `from crowdmot.x import y`,
+    `from crowdmot import x` and `import crowdmot.x`. A name imported from
+    the package itself counts only when it is a module, so `from . import
+    __version__` names none.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths = [alias.name.split(".") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level <= 1:
+            parent = (["crowdmot"] if node.level else []) + (node.module or "").split(".")
+            parent = [part for part in parent if part]
+            paths = [parent[:2]] if len(parent) > 1 else [parent + [a.name] for a in node.names]
+        else:
+            continue
+        found += [
+            (node.lineno, path[1])
+            for path in paths
+            if path[0] == "crowdmot" and len(path) > 1 and path[1] in MODULES
+        ]
+    return found
+
+
+def back_edges(name: str, source: str) -> list[str]:
+    return [
+        f"{name}.py:{line} imports {target}"
+        for line, target in crowdmot_imports(ast.parse(source))
+        if LAYER.get(target, len(LAYERS)) >= LAYER[name]
+    ]
+
+
+def test_every_module_has_a_layer():
+    assert set(MODULES) == set(LAYER)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_imports_only_earlier_layers(name):
+    assert back_edges(name, (SRC / f"{name}.py").read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source, target",
+    [
+        ("from .formats import write_grid", "formats"),
+        ("from . import formats", "formats"),
+        ("from crowdmot.formats import write_grid", "formats"),
+        ("from crowdmot import formats", "formats"),
+        ("import crowdmot.formats", "formats"),
+        ("import crowdmot.formats as f", "formats"),
+        ("def f():\n    from .formats import write_grid", "formats"),
+        ("from . import __version__", None),
+        ("from .records import Box3D", "records"),
+        ("import numpy", None),
+        ("from numpy import zeros", None),
+    ],
+)
+def test_import_forms_are_recognised(source, target):
+    found = [module for _, module in crowdmot_imports(ast.parse(source))]
+    assert found == ([target] if target else [])
+
+
+def test_planted_back_edge_is_reported():
+    source = (SRC / "simulator.py").read_text() + "\nfrom .formats import write_grid\n"
+    line = len(source.splitlines())
+    assert back_edges("simulator", source) == [f"simulator.py:{line} imports formats"]
+    assert back_edges("records", "from .records import Box3D\n") == ["records.py:1 imports records"]
+    assert back_edges("cli", "from . import __version__, formats\n") == []
+
+
+def test_records_uses_only_the_standard_library():
+    tree = ast.parse((SRC / "records.py").read_text())
+    roots = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    ] + [
+        "." * node.level + (node.module or "")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+    ]
+    assert roots and all(root.split(".")[0] in sys.stdlib_module_names for root in roots)

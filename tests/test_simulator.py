@@ -12,7 +12,6 @@ from crowdmot.simulator import (
     InfeasibleSceneError,
     MIN_SEPARATION,
     NoiseConfig,
-    SceneSequence,
     SimConfig,
     _expected_density_mixed,
     _repair_separation,
@@ -21,6 +20,7 @@ from crowdmot.simulator import (
     gen_scene,
     solve_cluster_params,
 )
+from crowdmot.records import SceneSequence
 from crowdmot.targets import make_motion_offsets
 
 AREA = (-60.0, 60.0, -40.0, 40.0)

@@ -62,17 +62,6 @@ def pinned_grids(points):
     return grids
 
 
-def as_arrays(grid):
-    """(coords, features) of a grid in ascending coordinate order."""
-    if hasattr(grid, "features"):
-        return grid.coords, grid.features
-    # The dict-of-cells layout of earlier versions, which wrote the pins.
-    keys = sorted(grid.cells)
-    coords = np.array(keys, dtype=np.int64).reshape(-1, 3)
-    features = np.array([grid.cells[k] for k in keys]).reshape(len(keys), grid.channels)
-    return coords, features
-
-
 @pytest.fixture(scope="module")
 def stored():
     with np.load(DATA) as data:
@@ -90,7 +79,7 @@ def test_points_are_the_documented_cloud(stored):
 
 @pytest.mark.parametrize("name", ["sf1", "sf2", "sf3", "sf4", "hr", "ms", "hr_missing", "ms_missing"])
 def test_features_match_pins(stored, computed, name):
-    coords, features = as_arrays(computed[name])
+    coords, features = computed[name].coords, computed[name].features
     np.testing.assert_array_equal(coords, stored[f"{name}_coords"])
     assert features.shape == stored[f"{name}_features"].shape
     np.testing.assert_allclose(features, stored[f"{name}_features"], rtol=1e-12, atol=1e-12)
@@ -109,7 +98,7 @@ if __name__ == "__main__":
     points = make_points()
     arrays = {"points": points}
     for name, grid in pinned_grids(points).items():
-        arrays[f"{name}_coords"], arrays[f"{name}_features"] = as_arrays(grid)
+        arrays[f"{name}_coords"], arrays[f"{name}_features"] = grid.coords, grid.features
     DATA.parent.mkdir(exist_ok=True)
     np.savez_compressed(DATA, **arrays)
     print(f"wrote {DATA}")

@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from crowdmot.geometry import Box3D, GridSpec, OutOfBoundsError, quantize_to_grid
+from crowdmot.geometry import GridSpec, OutOfBoundsError, quantize_to_grid
+from crowdmot.records import Box3D, GtObject, MotionOffset
 from crowdmot.targets import (
     DenseGrid2D,
     GridMismatchError,
-    GtObject,
     LossParams,
-    MotionOffset,
     focal_daw_loss,
     make_daw,
     make_heatmap,
@@ -22,11 +21,10 @@ from crowdmot.targets import (
 GRID = GridSpec(-8.0, 8.0, -8.0, 8.0, 0.5, 0.5)
 
 
-def ped(instance_id, x, y, frame=0, z=0.85):
+def ped(instance_id, x, y, z=0.85):
     return GtObject(
         instance_id=instance_id,
         box=Box3D(cx=x, cy=y, cz=z, length=0.6, height=1.7, width=0.6),
-        frame=frame,
     )
 
 
@@ -281,19 +279,19 @@ class TestFocalDawLoss:
 
 class TestMotionOffsets:
     def test_stationary(self):
-        curr = [ped(0, 1.0, 2.0, frame=1)]
-        prev = [ped(0, 1.0, 2.0, frame=0)]
+        curr = [ped(0, 1.0, 2.0)]
+        prev = [ped(0, 1.0, 2.0)]
         assert make_motion_offsets(curr, prev)[0] == MotionOffset(0.0, 0.0, 0.0)
 
     def test_sign_convention(self):
-        curr = [ped(0, 2.0, 0.0, frame=1)]
-        prev = [ped(0, 1.0, 0.0, frame=0)]
+        curr = [ped(0, 2.0, 0.0)]
+        prev = [ped(0, 1.0, 0.0)]
         off = make_motion_offsets(curr, prev)[0]
         assert (off.ox, off.oy, off.oz) == (-1.0, 0.0, 0.0)
         assert not off.newborn
 
     def test_newborn(self):
-        off = make_motion_offsets([ped(7, 0.0, 0.0, frame=1)], [])[7]
+        off = make_motion_offsets([ped(7, 0.0, 0.0)], [])[7]
         assert off == MotionOffset(0.0, 0.0, 0.0, newborn=True)
 
     def test_duplicate_ids_rejected(self):

@@ -1,15 +1,13 @@
 """Greedy association and track lifecycle."""
 
-import itertools
 import math
 
 import numpy as np
 import pytest
+from oracles import exhaustive_assignment
 
-from crowdmot.geometry import Box3D
-from crowdmot.targets import MotionOffset
+from crowdmot.records import Box3D, Detection, MotionOffset
 from crowdmot.tracker import (
-    Detection,
     TrackerConfig,
     TrackerState,
     associate,
@@ -27,39 +25,6 @@ def det(x, y, score=0.9, ox=0.0, oy=0.0, frame=0):
         offset=MotionOffset(ox, oy, 0.0),
         frame=frame,
     )
-
-
-def brute_force_assignment(dets, tracks, max_dist):
-    """Enumerate every injective inside-gate det->track assignment.
-
-    Best = most matched pairs, then least total distance. Returns the best
-    pair set and whether it is unique (no other equally good assignment
-    within 1e-12 of the same total).
-    """
-    dists = {}
-    for i, d in enumerate(dets):
-        px, py = d.box.cx + d.offset.ox, d.box.cy + d.offset.oy
-        for tid, (cx, cy) in tracks:
-            dist = math.hypot(cx - px, cy - py)
-            if dist <= max_dist:
-                dists[(i, tid)] = dist
-    track_ids = [tid for tid, _ in tracks]
-    candidates = [(0, 0.0, frozenset())]
-    for r in range(1, min(len(dets), len(track_ids)) + 1):
-        for det_subset in itertools.combinations(range(len(dets)), r):
-            for perm in itertools.permutations(track_ids, r):
-                pairs = frozenset(zip(det_subset, perm))
-                if all(p in dists for p in pairs):
-                    candidates.append((r, sum(dists[p] for p in pairs), pairs))
-    best_r = max(r for r, _, _ in candidates)
-    finalists = [(total, pairs) for r, total, pairs in candidates if r == best_r]
-    best_total, best_pairs = min(finalists, key=lambda c: c[0])
-    rivals = [
-        pairs
-        for total, pairs in finalists
-        if total <= best_total + 1e-12 and pairs != best_pairs
-    ]
-    return set(best_pairs), not rivals
 
 
 class TestAssociate:
@@ -83,7 +48,7 @@ class TestAssociate:
         tracks = [(0, (0.0, 0.0)), (1, (1.0, 0.0))]
         result = dict(associate([d1, d2], tracks, CFG))
         assert result == {0: 0, 1: 1}
-        oracle, unique = brute_force_assignment([d1, d2], tracks, CFG.max_match_dist)
+        oracle, unique = exhaustive_assignment([d1, d2], tracks, CFG.max_match_dist)
         assert unique and {(i, t) for i, t in result.items()} == oracle
 
     def test_score_order_not_input_order(self):

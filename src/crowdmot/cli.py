@@ -112,6 +112,8 @@ def load_gen_config(path: Path, seed_override: int | None) -> tuple[SimConfig, N
     except configparser.Error as exc:
         # Some of these messages span lines; the error stays one line.
         raise ConfigError(" ".join(str(exc).split())) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     if not parser.has_section("sim"):

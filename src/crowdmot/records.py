@@ -97,6 +97,10 @@ class MotionOffset:
     oz: float
     newborn: bool = False
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.ox) and math.isfinite(self.oy) and math.isfinite(self.oz)):
+            raise ValueError(f"motion offset must be finite: {self}")
+
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.ox, self.oy, self.oz)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -65,8 +66,13 @@ class SimConfig:
     def __post_init__(self) -> None:
         check_finite_fields(self)
         x_min, x_max, y_min, y_max = self.area
-        if x_max <= x_min or y_max <= y_min:
+        width, height = x_max - x_min, y_max - y_min
+        if width <= 0 or height <= 0:
             raise ValueError(f"degenerate area {self.area}")
+        if not math.isfinite(width * height):
+            raise ValueError(f"area {self.area} is too large: width times height must be finite")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.n_pedestrians < 0 or self.n_frames <= 0:
             raise ValueError("n_pedestrians must be >= 0 and n_frames positive")
         if self.target_density2 < 0:
@@ -96,8 +102,10 @@ class NoiseConfig:
         check_finite_fields(self)
         if not 0.0 <= self.p_miss <= 1.0:
             raise ValueError(f"p_miss {self.p_miss} outside [0, 1]")
-        if self.pos_sigma < 0 or self.offset_sigma < 0 or self.clutter_rate < 0:
-            raise ValueError("sigmas and clutter_rate must be non-negative")
+        for name in ("pos_sigma", "offset_sigma", "clutter_rate", "score_true_sigma",
+                     "score_clutter_sigma", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
 def _capture_prob(sigma: float) -> float:
@@ -106,19 +114,21 @@ def _capture_prob(sigma: float) -> float:
     return 1.0 - math.exp(-r2 / (4.0 * sigma * sigma))
 
 
-def _expected_density_mixed(sigma: float, sizes: list[int], area_m2: float) -> float:
-    """Closed-form mean neighbor count within DENSITY_RADIUS for clusters of `sizes`.
+def _density_model(sizes: list[int], area_m2: float) -> Callable[[float], float]:
+    """Closed-form mean neighbor count within DENSITY_RADIUS, as a function of
+    the cluster spread sigma, for clusters of `sizes`.
 
     Two members of one cluster are separated by a Gaussian with per-axis std
     sigma*sqrt(2), so each cluster mate is within the radius with probability
     _capture_prob(sigma); pedestrians from other clusters contribute like a
-    uniform process.
+    uniform process. The terms that do not depend on sigma are summed once.
     """
     n = sum(sizes)
     pairs_per_member = sum(s * (s - 1) for s in sizes) / n
     mean_own = sum(s * s for s in sizes) / n
     r2 = DENSITY_RADIUS * DENSITY_RADIUS
-    return pairs_per_member * _capture_prob(sigma) + (n - mean_own) * math.pi * r2 / area_m2
+    cross = (n - mean_own) * math.pi * r2 / area_m2
+    return lambda sigma: pairs_per_member * _capture_prob(sigma) + cross
 
 
 def solve_cluster_params(cfg: SimConfig) -> tuple[list[int], float]:
@@ -164,30 +174,39 @@ def solve_cluster_params(cfg: SimConfig) -> tuple[list[int], float]:
     for i in range(n - sum(sizes)):
         sizes[i] += 1
 
+    expected_density = _density_model(sizes, area_m2)
     lo, hi = _SIGMA_LO, _SIGMA_HI
-    if _expected_density_mixed(lo, sizes, area_m2) < target:
+    if expected_density(lo) < target:
         raise InfeasibleSceneError(
             f"target_density2={target} unreachable even at minimal cluster spread"
         )
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if _expected_density_mixed(mid, sizes, area_m2) >= target:
+        if expected_density(mid) >= target:
             lo = mid
         else:
             hi = mid
     return sizes, 0.5 * (lo + hi)
 
 
-def _reflect(value: float, vel: float, lo: float, hi: float) -> tuple[float, float]:
-    """Bounce a coordinate off [lo, hi] walls, flipping its velocity."""
+def _reflect(value: np.ndarray, vel: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+    """Bounce (n, 2) coordinates off the [lo, hi] walls in place, flipping their velocities.
+
+    Each coordinate is reflected up to four times, lo checked before hi, then
+    clamped with Python's min/max rule: it is kept unless strictly outside.
+    """
     for _ in range(4):
-        if value < lo:
-            value, vel = 2.0 * lo - value, -vel
-        elif value > hi:
-            value, vel = 2.0 * hi - value, -vel
-        else:
+        below = value < lo
+        above = ~below & (value > hi)
+        out = below | above
+        if not out.any():
             break
-    return min(max(value, lo), hi), vel
+        for wall, side in ((lo, below), (hi, above)):
+            rows, axes = np.nonzero(side)
+            value[rows, axes] = 2.0 * wall[axes] - value[rows, axes]
+        np.negative(vel, out=vel, where=out)
+    np.copyto(value, lo, where=lo > value)
+    np.copyto(value, hi, where=hi < value)
 
 
 def _repair_separation(pos: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -210,16 +229,17 @@ def _repair_separation(pos: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.nd
                 "could not maintain minimum pedestrian separation; "
                 "the scene is too densely packed for the area"
             )
-        for a, b, d, delta in zip(i[bad], j[bad], dist[bad], diff[bad]):
-            if d < 1e-12:
-                # Coincident pair: split along a fixed direction.
-                direction = np.array([1.0, 0.0])
-                d = 0.0
-            else:
-                direction = delta / d
-            push = 0.5 * (gap - d)
-            pos[a] += direction * push
-            pos[b] -= direction * push
+        d, delta = dist[bad], diff[bad]
+        # Coincident pairs split along a fixed direction.
+        coincident = d < 1e-12
+        d[coincident] = 0.0
+        direction = delta / np.where(coincident, 1.0, d)[:, None]
+        direction[coincident] = (1.0, 0.0)
+        step = direction * (0.5 * (gap - d))[:, None]
+        # One in-order add over a, b, a, b, ... with +step, -step: each
+        # coordinate sums its pushes in the same order as a loop over the pairs.
+        rows = np.column_stack([i[bad], j[bad]]).ravel()
+        np.add.at(pos, rows, np.stack([step, -step], axis=1).reshape(-1, 2))
         np.clip(pos, lo, hi, out=pos)
 
 
@@ -232,20 +252,21 @@ def _soft_kernel(d: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(np.clip(z, -60.0, 60.0)))
 
 
-def _soft_within_density(pos: np.ndarray, cluster_of: np.ndarray) -> float:
+def _soft_within_density(
+    pos: np.ndarray, i: np.ndarray, j: np.ndarray, self_pair: np.ndarray
+) -> float:
     """Smooth within-cluster neighbor count: a sigmoid ramp at the radius.
 
     Used only for placement calibration; the sharp count would park marginal
     pairs exactly on the radius, where any subsequent motion loses them.
     Cross-cluster pairs are excluded because anchor placement, not member
-    spread, determines them.
+    spread, determines them: (i, j) are the within-cluster pairs in row-major
+    order and self_pair marks i == j. Self-pairs are kept at infinite
+    distance (their kernel is about 8.8e-27, not 0): the calibration
+    bisection depends on the exact bits of this sum.
     """
-    # Row-major pair order, self-pairs kept at infinite distance (their kernel
-    # is about 8.8e-27, not 0): the calibration bisection depends on the exact
-    # bits of this sum.
-    i, j = np.nonzero(cluster_of[:, None] == cluster_of[None, :])
     d2 = ((pos[i] - pos[j]) ** 2).sum(axis=1)
-    d2[i == j] = np.inf
+    d2[self_pair] = np.inf
     return float(_soft_kernel(np.sqrt(d2)).sum() / pos.shape[0])
 
 
@@ -281,6 +302,9 @@ def _calibrate_spread(
     n = sum(sizes)
     pairs_per_member = sum(s * (s - 1) for s in sizes) / n
     goal = pairs_per_member * _soft_capture(sigma_c)
+    # The within-cluster pairs do not depend on the scale being bisected.
+    i, j = np.nonzero(cluster_of[:, None] == cluster_of[None, :])
+    self_pair = i == j
 
     def placed(beta: float) -> np.ndarray:
         pos = anchors[cluster_of] + beta * offsets
@@ -289,7 +313,7 @@ def _calibrate_spread(
 
     def density(beta: float) -> float:
         try:
-            return _soft_within_density(placed(beta), cluster_of)
+            return _soft_within_density(placed(beta), i, j, self_pair)
         except InfeasibleSceneError:
             return math.inf
 
@@ -305,6 +329,43 @@ def _calibrate_spread(
         else:
             b_hi = mid
     return placed(0.5 * (b_lo + b_hi))
+
+
+class _CellIndex:
+    """Placed points binned into square cells, for the separation test of a candidate.
+
+    A point closer than MIN_SEPARATION to a candidate lies in the candidate's
+    cell or one of the eight around it, so too_close tests those cells' points
+    alone, with the same np.hypot rule as a scan over every placed point. As in
+    geometry.pairs_within, the cell side carries a relative 1e-6 margin and
+    grows with `scale` (the largest coordinate magnitude that will be added or
+    asked), so that x / side stays below 2**28 where x / MIN_SEPARATION would
+    overflow; it is never below 2**-1000. `points` is the caller's (n, 2)
+    array, filled in before each index is added.
+    """
+
+    def __init__(self, points: np.ndarray, scale: float) -> None:
+        self.points = points
+        self.side = max(MIN_SEPARATION * (1.0 + 1e-6), scale * 2.0**-28, 2.0**-1000)
+        self.cells: dict[tuple[int, int], list[int]] = {}
+
+    def _cell(self, x: float, y: float) -> tuple[int, int]:
+        return math.floor(x / self.side), math.floor(y / self.side)
+
+    def add(self, k: int) -> None:
+        x, y = self.points[k].tolist()
+        self.cells.setdefault(self._cell(x, y), []).append(k)
+
+    def too_close(self, cand: np.ndarray) -> bool:
+        """Whether any added point has np.hypot distance below MIN_SEPARATION."""
+        cx, cy = self._cell(*cand.tolist())
+        near = [
+            k
+            for gx in (cx - 1, cx, cx + 1)
+            for gy in (cy - 1, cy, cy + 1)
+            for k in self.cells.get((gx, gy), ())
+        ]
+        return bool(near) and np.hypot(*(self.points[near] - cand).T).min() < MIN_SEPARATION
 
 
 def gen_scene(cfg: SimConfig) -> SceneSequence:
@@ -334,7 +395,10 @@ def gen_scene(cfg: SimConfig) -> SceneSequence:
     anchors = rng.uniform(anchor_lo, anchor_hi, size=(len(sizes), 2))
     positions = np.zeros((cfg.n_pedestrians, 2))
     homes = np.zeros_like(positions)
-    cluster_of = np.zeros(cfg.n_pedestrians, dtype=int)
+    cluster_of = np.repeat(np.arange(len(sizes)), sizes)
+    # Only candidates inside [lo, hi] reach the index.
+    index = _CellIndex(positions, float(np.abs(np.concatenate([lo, hi])).max()))
+    (lo_x, lo_y), (hi_x, hi_y) = lo.tolist(), hi.tolist()
     placed = 0
     for ci, size in enumerate(sizes):
         for _ in range(size):
@@ -345,9 +409,10 @@ def gen_scene(cfg: SimConfig) -> SceneSequence:
                 else:
                     offset = rng.normal(0.0, sigma_c, 2)
                 cand = anchors[ci] + offset
-                if not ((lo <= cand) & (cand <= hi)).all():
+                x, y = cand.tolist()
+                if not (lo_x <= x <= hi_x and lo_y <= y <= hi_y):
                     continue
-                if placed and (np.hypot(*(positions[:placed] - cand).T).min() < MIN_SEPARATION):
+                if index.too_close(cand):
                     continue
                 break
             else:
@@ -357,7 +422,7 @@ def gen_scene(cfg: SimConfig) -> SceneSequence:
                 )
             positions[placed] = cand
             homes[placed] = offset
-            cluster_of[placed] = ci
+            index.add(placed)
             placed += 1
 
     if not uniform_mode and cfg.n_pedestrians > 1:
@@ -371,9 +436,12 @@ def gen_scene(cfg: SimConfig) -> SceneSequence:
         ],
         axis=1,
     )
+    # Per pedestrian (length, height, width, cz): fixed over the sequence.
+    dims = [(length, height, width, height / 2.0) for length, width, height in sizes_lwh.tolist()]
 
     # Motion state: per-cluster anchor velocity, per-member relative velocity,
     # each piecewise constant with its own resample clock (2-5 s segments).
+    # Only the due clocks draw, in ascending index order.
     anchor_vel = np.zeros((len(sizes), 2))
     anchor_heading = rng.uniform(-math.pi, math.pi, len(sizes))
     anchor_clock = np.zeros(len(sizes))
@@ -383,34 +451,30 @@ def gen_scene(cfg: SimConfig) -> SceneSequence:
 
     frames: list[list[GtObject]] = []
     for fi in range(cfg.n_frames):
-        for ci in range(len(sizes)):
-            if anchor_clock[ci] <= 0.0:
-                anchor_clock[ci] = rng.uniform(2.0, 5.0)
-                if fi > 0:
-                    anchor_heading[ci] = normalize_yaw(
-                        anchor_heading[ci] + rng.uniform(-1.2, 1.2)
-                    )
-                speed = rng.uniform(cfg.speed_min, cfg.speed_max)
-                anchor_vel[ci] = speed * np.array(
-                    [math.cos(anchor_heading[ci]), math.sin(anchor_heading[ci])]
-                )
-        for pi in range(cfg.n_pedestrians):
-            if member_clock[pi] <= 0.0:
-                member_clock[pi] = rng.uniform(2.0, 5.0)
-                pull = (homes[pi] - rel[pi]) / member_clock[pi]
-                vel = pull + rng.normal(0.0, _REL_SPEED_SIGMA, 2)
-                speed = float(np.hypot(*vel))
-                if speed > _REL_SPEED_CAP:
-                    vel *= _REL_SPEED_CAP / speed
-                rel_vel[pi] = vel
+        for ci in np.flatnonzero(anchor_clock <= 0.0).tolist():
+            anchor_clock[ci] = rng.uniform(2.0, 5.0)
+            heading = float(anchor_heading[ci])
+            if fi > 0:
+                heading = anchor_heading[ci] = normalize_yaw(heading + rng.uniform(-1.2, 1.2))
+            speed = rng.uniform(cfg.speed_min, cfg.speed_max)
+            anchor_vel[ci] = (speed * math.cos(heading), speed * math.sin(heading))
+        due = np.flatnonzero(member_clock <= 0.0)
+        if due.size:
+            clocks = np.empty(due.size)
+            kicks = np.empty((due.size, 2))
+            for k in range(due.size):
+                clocks[k] = rng.uniform(2.0, 5.0)
+                kicks[k] = rng.normal(0.0, _REL_SPEED_SIGMA, 2)
+            member_clock[due] = clocks
+            vel = (homes[due] - rel[due]) / clocks[:, None] + kicks
+            speed = np.hypot(vel[:, 0], vel[:, 1])
+            fast = speed > _REL_SPEED_CAP
+            vel[fast] *= (_REL_SPEED_CAP / speed[fast])[:, None]
+            rel_vel[due] = vel
 
         if fi > 0:
-            for ci in range(len(sizes)):
-                for axis in range(2):
-                    nxt = anchors[ci, axis] + anchor_vel[ci, axis] * dt
-                    anchors[ci, axis], anchor_vel[ci, axis] = _reflect(
-                        nxt, anchor_vel[ci, axis], anchor_lo[axis], anchor_hi[axis]
-                    )
+            anchors += anchor_vel * dt
+            _reflect(anchors, anchor_vel, anchor_lo, anchor_hi)
             rel += rel_vel * dt
             positions = anchors[cluster_of] + rel
             np.clip(positions, lo, hi, out=positions)
@@ -420,25 +484,13 @@ def gen_scene(cfg: SimConfig) -> SceneSequence:
         anchor_clock -= dt
         member_clock -= dt
 
-        frame_objs = []
-        for pi in range(cfg.n_pedestrians):
-            vel = anchor_vel[cluster_of[pi]] + rel_vel[pi]
-            length, width, height = sizes_lwh[pi]
-            frame_objs.append(
-                GtObject(
-                    instance_id=pi,
-                    box=Box3D(
-                        cx=float(positions[pi, 0]),
-                        cy=float(positions[pi, 1]),
-                        cz=float(height / 2.0),
-                        length=float(length),
-                        height=float(height),
-                        width=float(width),
-                        yaw=math.atan2(vel[1], vel[0]),
-                    ),
-                )
+        vel = anchor_vel[cluster_of] + rel_vel
+        frames.append([
+            GtObject(pi, Box3D(x, y, cz, length, height, width, math.atan2(vy, vx)))
+            for pi, ((x, y), (vx, vy), (length, height, width, cz)) in enumerate(
+                zip(positions.tolist(), vel.tolist(), dims)
             )
-        frames.append(frame_objs)
+        ])
 
     return SceneSequence(frames, timestamps)
 
@@ -469,16 +521,13 @@ def corrupt(scene: SceneSequence, noise: NoiseConfig) -> list[list[Detection]]:
         rel_map = make_relationship_offsets(ordered) if noise.emit_rel else {}
         dets: list[Detection] = []
         for obj in ordered:
+            # Per object, whether or not it is missed: one uniform, then three
+            # normals of jitter, three of offset noise and one of score. One
+            # call of seven draws the same variates as calls of 3, 3 and 1.
             miss_u = rng.uniform()
-            jitter = rng.standard_normal(3) * noise.pos_sigma
-            off_noise = rng.standard_normal(3) * noise.offset_sigma
-            score = float(
-                np.clip(
-                    noise.score_true_mean + rng.standard_normal() * noise.score_true_sigma,
-                    0.0,
-                    1.0,
-                )
-            )
+            jx, jy, jz, nx, ny, nz, ns = rng.standard_normal(7).tolist()
+            # min/max in this order is np.clip's rule, signed zeros included.
+            score = min(1.0, max(0.0, noise.score_true_mean + ns * noise.score_true_sigma))
             if miss_u < noise.p_miss:
                 continue
             true_off = true_offsets[obj.instance_id]
@@ -486,23 +535,23 @@ def corrupt(scene: SceneSequence, noise: NoiseConfig) -> list[list[Detection]]:
             dets.append(
                 Detection(
                     box=Box3D(
-                        cx=box.cx + jitter[0],
-                        cy=box.cy + jitter[1],
-                        cz=box.cz + jitter[2],
-                        length=box.length,
-                        height=box.height,
-                        width=box.width,
-                        yaw=box.yaw,
+                        box.cx + jx * noise.pos_sigma,
+                        box.cy + jy * noise.pos_sigma,
+                        box.cz + jz * noise.pos_sigma,
+                        box.length,
+                        box.height,
+                        box.width,
+                        box.yaw,
                     ),
                     score=score,
                     offset=MotionOffset(
-                        true_off.ox + off_noise[0],
-                        true_off.oy + off_noise[1],
-                        true_off.oz + off_noise[2],
+                        true_off.ox + nx * noise.offset_sigma,
+                        true_off.oy + ny * noise.offset_sigma,
+                        true_off.oz + nz * noise.offset_sigma,
                         newborn=true_off.newborn,
                     ),
                     frame=fi,
-                    relationship=rel_map.get(obj.instance_id) if noise.emit_rel else None,
+                    relationship=rel_map.get(obj.instance_id),
                 )
             )
         n_clutter = int(rng.poisson(noise.clutter_rate))
@@ -511,20 +560,17 @@ def corrupt(scene: SceneSequence, noise: NoiseConfig) -> list[list[Detection]]:
             cy = rng.uniform(cl_lo[1], cl_hi[1])
             dims = [p * rng.uniform(1.0 - BOX_JITTER, 1.0 + BOX_JITTER) for p in BOX_PRIOR]
             yaw = rng.uniform(-math.pi, math.pi)
-            off_noise = rng.standard_normal(3) * noise.offset_sigma
-            score = float(
-                np.clip(
-                    noise.score_clutter_mean
-                    + rng.standard_normal() * noise.score_clutter_sigma,
-                    0.0,
-                    1.0,
-                )
-            )
+            # Three normals of offset noise and one of score, as for objects.
+            nx, ny, nz, ns = rng.standard_normal(4).tolist()
+            score = min(1.0, max(0.0, noise.score_clutter_mean + ns * noise.score_clutter_sigma))
             dets.append(
                 Detection(
                     box=Box3D(cx, cy, dims[2] / 2.0, dims[0], dims[2], dims[1], yaw),
                     score=score,
-                    offset=MotionOffset(off_noise[0], off_noise[1], off_noise[2], newborn=True),
+                    offset=MotionOffset(
+                        nx * noise.offset_sigma, ny * noise.offset_sigma, nz * noise.offset_sigma,
+                        newborn=True,
+                    ),
                     frame=fi,
                     relationship=RelationshipOffset.undefined() if noise.emit_rel else None,
                 )

@@ -1,7 +1,9 @@
-"""Exhaustive matching oracles shared by the tracker, evaluator and acceptance tests.
+"""Reference implementations the fast code is checked against.
 
-Each one enumerates every injective pairing of rows to columns, so it is
-meant for frames of a handful of objects.
+The matching oracles, shared by the tracker, evaluator and acceptance tests,
+enumerate every injective pairing of rows to columns, so they are meant for
+frames of a handful of objects. The simulator oracles are the plain loops the
+simulator's array code must reproduce bit for bit.
 """
 
 import itertools
@@ -9,7 +11,8 @@ import math
 
 import numpy as np
 
-from crowdmot.geometry import bev_iou
+from crowdmot.geometry import bev_iou, pairs_within
+from crowdmot.simulator import MIN_SEPARATION
 
 # Totals this close to the best one count as ties.
 TIE = 1e-12
@@ -74,3 +77,53 @@ def exhaustive_iou_match(iou, threshold):
     best_total, best_pairs = max(scored, key=lambda c: c[0])
     unique = all(total < best_total - TIE for total, pairs in scored if pairs != best_pairs)
     return best_pairs, best_total, unique
+
+
+def too_close_to_any_placed(placed, cand):
+    """The placement test by a scan over every placed point: any np.hypot below MIN_SEPARATION."""
+    placed = np.reshape(np.asarray(placed, dtype=float), (-1, 2))
+    # Far pairs near the float limit overflow to inf, which is not close.
+    with np.errstate(over="ignore"):
+        return len(placed) > 0 and bool(np.hypot(*(placed - cand).T).min() < MIN_SEPARATION)
+
+
+def reflect_scalar(value, vel, lo, hi):
+    """Bounce one coordinate off [lo, hi] up to four times, flipping its velocity, then clamp."""
+    for _ in range(4):
+        if value < lo:
+            value, vel = 2.0 * lo - value, -vel
+        elif value > hi:
+            value, vel = 2.0 * hi - value, -vel
+        else:
+            break
+    return min(max(value, lo), hi), vel
+
+
+def repair_separation_by_pair_loop(pos, lo, hi):
+    """Separation repair with each round's pushes made pair by pair, in ascending (a, b) order.
+
+    The pushes of a round use the offsets taken at its start. Returns None
+    where the simulator raises: pairs still too close after 32 rounds.
+    """
+    gap = MIN_SEPARATION * 1.01
+    for _ in range(32):
+        i, j = pairs_within(pos, pos, MIN_SEPARATION)
+        i, j = i[i < j], j[i < j]
+        diff = pos[i] - pos[j]
+        dist = np.sqrt((diff**2).sum(axis=1))
+        bad = dist < MIN_SEPARATION
+        if not bad.any():
+            return pos
+        for a, b, d, delta in zip(i[bad], j[bad], dist[bad], diff[bad]):
+            if d < 1e-12:
+                direction = np.array([1.0, 0.0])
+                d = 0.0
+            else:
+                direction = delta / d
+            push = 0.5 * (gap - d)
+            pos[a] += direction * push
+            pos[b] -= direction * push
+        np.clip(pos, lo, hi, out=pos)
+    i, j = pairs_within(pos, pos, MIN_SEPARATION)
+    d = pos[i[i < j]] - pos[j[i < j]]
+    return None if (np.sqrt((d**2).sum(axis=1)) < MIN_SEPARATION).any() else pos

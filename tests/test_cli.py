@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -418,6 +419,63 @@ class TestNonFiniteSettings:
         assert main([*argv, "--extent=-inf,inf,-20,20"]) == 2
         assert capsys.readouterr().err == "error: x_min must be finite, got -inf\n"
         assert not out.exists()
+
+
+class TestRejectedGenConfig:
+    """A gen config the simulator cannot honour: one line naming the cause, exit 2, no outputs.
+
+    Warnings are turned into errors, so a RuntimeWarning on the way fails too.
+    """
+
+    @staticmethod
+    def run(tmp_path, capsys, text, *flags):
+        config = tmp_path / "scene.ini"
+        config.write_bytes(text)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["gen", "--config", str(config), "--out", str(out), *flags]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "np.float64" not in err
+        return err
+
+    @pytest.mark.parametrize(
+        "section, values, message",
+        [
+            ("sim", {"x_min": "-1e308", "x_max": "1e308"},
+             "area (-1e+308, 1e+308, -20.0, 20.0) is too large"),
+            ("sim", {"seed": "-1"}, "seed must be non-negative, got -1\n"),
+            ("noise", {"seed": "-1"}, "seed must be non-negative, got -1\n"),
+            ("noise", {"score_true_sigma": "-0.1"},
+             "score_true_sigma must be non-negative, got -0.1\n"),
+            ("noise", {"score_clutter_sigma": "-0.1"},
+             "score_clutter_sigma must be non-negative, got -0.1\n"),
+            ("noise", {"offset_sigma": "1e308"}, "motion offset must be finite: MotionOffset("),
+            ("noise", {"pos_sigma": "1e308"}, "box centre and yaw must be finite: Box3D("),
+        ],
+        ids=["area-overflow", "sim-seed", "noise-seed", "score-true-sigma", "score-clutter-sigma",
+             "offset-sigma-overflow", "pos-sigma-overflow"],
+    )
+    def test_fails_with_one_line_and_no_outputs(self, tmp_path, capsys, section, values, message):
+        # The section's own lines for these fields are replaced.
+        head, header, tail = CONFIG.partition(f"[{section}]\n")
+        body, sep, rest = tail.partition("\n[")
+        lines = [
+            line for line in body.splitlines(keepends=True) if line.split(" = ")[0] not in values
+        ]
+        lines += [f"{field} = {value}\n" for field, value in values.items()]
+        text = head + header + "".join(lines) + sep + rest
+        assert message in self.run(tmp_path, capsys, text.encode())
+
+    def test_negative_seed_flag_names_the_seed(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, CONFIG.encode(), "--seed", "-1")
+        assert err == "error: seed must be non-negative, got -1\n"
+
+    def test_non_utf8_config_names_the_file(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, CONFIG.encode().replace(b"seed = 4", b"seed = 4 ; \xff"))
+        path = tmp_path / "scene.ini"
+        assert err.startswith(f"error: {path}: not UTF-8: ") and "0xff" in err
 
 
 class TestMalformedJsonl:

@@ -7,8 +7,13 @@ pedestrians in 60 m x 40 m with a density target of 3 neighbours within 2 m,
 with clutter and relationship offsets on. The heatmap and weight grids and
 their PGM dumps are pinned together by one digest over their sorted
 (name, digest) list. A second eval at IoU threshold 0.05 links many GT
-objects and predictions into shared matching components. voxelshapes is
-pinned for each topology on a fixed seeded point cloud.
+objects and predictions into shared matching components. Three more gen
+runs pin simulator branches that crowd misses: a density at the uniform
+floor, so every pedestrian sits on its own anchor; a long run in a narrow
+strip, where anchors bounce off the walls hundreds of times, several times
+within one frame; and heavy clutter, misses and score clipping with
+relationship offsets on. voxelshapes is pinned for each topology on a fixed
+seeded point cloud.
 """
 
 import hashlib
@@ -78,6 +83,44 @@ def test_pipeline_outputs_match_golden_digests(tmp_path, monkeypatch):
     assert [path.suffix for path in grids] == [".grid", ".pgm"] * 8
     listing = "".join(f"{path.name} {sha256_file(path)}\n" for path in grids)
     assert hashlib.sha256(listing.encode()).hexdigest() == GOLDEN_GRIDS
+
+
+GEN_SCENES = {
+    "uniform": (
+        "[sim]\nn_pedestrians = 200\nn_frames = 5\nx_min = -30\nx_max = 30\ny_min = -20\n"
+        "y_max = 20\ntarget_density2 = 1.05\nseed = 3\n\n"
+        "[noise]\npos_sigma = 0.05\np_miss = 0.1\nseed = 4\n",
+        "0b09990cc76464b627c4e8cb60d9a3e2eabd68c40ce12ae28789c17a4f84b344",
+        "e598b8844e6902fa4f750809bdab6929ae5fa8cc3bcd40730c0abae8c289db4a",
+    ),
+    "narrow": (
+        "[sim]\nn_pedestrians = 24\nn_frames = 120\nx_min = 0\nx_max = 40\ny_min = 0\n"
+        "y_max = 2.5\ntarget_density2 = 3\nspeed_min = 1.0\nspeed_max = 3.0\nframe_rate = 2\n"
+        "seed = 5\n\n"
+        "[noise]\npos_sigma = 0.05\noffset_sigma = 0.02\nseed = 6\n",
+        "c40ed353b40a385bc1f68f6ce996f6b037bcd02dad51d192db045884eb373d18",
+        "91e3a5d9c6b3071799f7584323a8fd0c36ea083c1c26afe9e7670fbc4ea190c2",
+    ),
+    "clutter": (
+        "[sim]\nn_pedestrians = 60\nn_frames = 6\nx_min = -15\nx_max = 15\ny_min = -10\n"
+        "y_max = 10\ntarget_density2 = 2\nseed = 7\n\n"
+        "[noise]\npos_sigma = 0.2\noffset_sigma = 0.1\np_miss = 0.3\nclutter_rate = 12\n"
+        "score_true_mean = 0.95\nscore_true_sigma = 0.2\nscore_clutter_mean = 0.2\n"
+        "score_clutter_sigma = 0.3\nemit_rel = true\nseed = 8\n",
+        "96483433dd16add670f85a41102669a00cee67a674a8c8ff2e7ebbd2de806dc4",
+        "de172bd96b3e42bf5e3ab1e4cecac67b7f19005800c0064ef99e900e2be22689",
+    ),
+}
+
+
+@pytest.mark.parametrize("scene", sorted(GEN_SCENES))
+def test_gen_scene_matches_golden_digests(tmp_path, scene):
+    config, gt_digest, det_digest = GEN_SCENES[scene]
+    (tmp_path / "scene.ini").write_text(config)
+    out = tmp_path / "gen"
+    assert main(["gen", "--config", str(tmp_path / "scene.ini"), "--out", str(out)]) == 0
+    assert sha256_file(out / "gt.jsonl") == gt_digest
+    assert sha256_file(out / "det.jsonl") == det_digest
 
 
 VOXELSHAPES = {

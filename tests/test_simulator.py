@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdmot import simulator
 from crowdmot.evaluator import density_stats
@@ -13,7 +15,9 @@ from crowdmot.simulator import (
     MIN_SEPARATION,
     NoiseConfig,
     SimConfig,
-    _expected_density_mixed,
+    _CellIndex,
+    _density_model,
+    _reflect,
     _repair_separation,
     corrupt,
     density_sweep,
@@ -22,6 +26,7 @@ from crowdmot.simulator import (
 )
 from crowdmot.records import SceneSequence
 from crowdmot.targets import make_motion_offsets
+from oracles import reflect_scalar, repair_separation_by_pair_loop, too_close_to_any_placed
 
 AREA = (-60.0, 60.0, -40.0, 40.0)
 
@@ -38,7 +43,7 @@ class TestClusterSolver:
         assert sum(sizes) == 25 and sigma > 0
 
     def test_closed_form_monotone_in_sigma(self):
-        d = [_expected_density_mixed(s, [5] * 8, 9600.0) for s in (0.3, 0.8, 2.0, 10.0)]
+        d = [_density_model([5] * 8, 9600.0)(s) for s in (0.3, 0.8, 2.0, 10.0)]
         assert d == sorted(d, reverse=True)
 
     def test_unreachable_density_raises(self):
@@ -156,6 +161,86 @@ class TestRepairSeparation:
         with pytest.raises(InfeasibleSceneError, match="separation"):
             _repair_separation(pos, np.zeros(2), np.full(2, 0.5))
         assert len(searches) == 33
+
+    @pytest.mark.parametrize("n, spread", [(40, 0.1), (40, 0.15), (30, 0.2), (30, 0.6), (40, 0.3)])
+    def test_matches_the_pair_loop_bit_for_bit(self, n, spread):
+        # Tight clusters, so pedestrians sit in several close pairs at once
+        # and their pushes accumulate; one pair is coincident. The last
+        # cluster keeps pushing pairs back together for all 32 rounds.
+        pos = np.random.default_rng(5).normal(0.0, spread, (n, 2))
+        pos[1] = pos[0]
+        expected = repair_separation_by_pair_loop(pos.copy(), self.LO, self.HI)
+        if expected is None:
+            with pytest.raises(InfeasibleSceneError):
+                _repair_separation(pos, self.LO, self.HI)
+        else:
+            assert _repair_separation(pos, self.LO, self.HI).tobytes() == expected.tobytes()
+
+
+# Coordinates around bases where x / MIN_SEPARATION loses the cell: near
+# 1.5e15 a float's spacing is most of a cell, near +-1e300 x / 0.3 has no
+# fraction left, and 1.7e308 / 0.3 overflows.
+_BASES = st.sampled_from([0.0, -7.3, 1.5e15, -3e15, 1e300, -1e300, 1.7e308])
+_SHIFTS = st.sampled_from([0.0, MIN_SEPARATION, -MIN_SEPARATION, 0.18, 0.24, -0.24]) | st.floats(
+    -1.0, 1.0
+)
+
+
+class TestCellIndex:
+    @staticmethod
+    def check(placed, cands):
+        points = np.reshape(np.array(placed, dtype=float), (-1, 2))
+        cands = np.reshape(np.array(cands, dtype=float), (-1, 2))
+        index = _CellIndex(points, float(np.abs(np.vstack([points, cands])).max(initial=0.0)))
+        # As in placement: each point is asked about before it is added.
+        for k, point in enumerate(points):
+            assert index.too_close(point) == too_close_to_any_placed(points[:k], point)
+            index.add(k)
+        for cand in cands:
+            assert index.too_close(cand) == too_close_to_any_placed(points, cand)
+
+    def test_pairs_exactly_min_separation_apart_are_not_too_close(self):
+        self.check(
+            [(0.0, 0.0), (5.0, 5.0)],
+            [(MIN_SEPARATION, 0.0), (0.0, -MIN_SEPARATION), (0.18, 0.24), (5.0, 5.2999)],
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_a_scan_over_every_placed_point(self, data):
+        bases = data.draw(st.lists(st.tuples(_BASES, _BASES), min_size=1, max_size=3))
+        point = st.tuples(st.sampled_from(bases), _SHIFTS, _SHIFTS).map(
+            lambda p: (p[0][0] + p[1], p[0][1] + p[2])
+        )
+        placed = data.draw(st.lists(point, max_size=30))
+        shifted = [
+            (x + dx, y + dy)
+            for x, y in placed
+            for dx, dy in ((MIN_SEPARATION, 0.0), (0.0, -MIN_SEPARATION), (0.18, 0.24))
+        ]
+        self.check(placed, data.draw(st.lists(point, max_size=10)) + shifted)
+
+
+class TestReflect:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_scalar_bounces_bit_for_bit(self, data):
+        wall = st.floats(-50.0, 50.0)
+        lo = np.array(data.draw(st.tuples(wall, wall)))
+        hi = np.array(data.draw(st.tuples(wall, wall)))
+        coord = st.floats(-300.0, 300.0) | st.sampled_from([0.0, -0.0])
+        value = np.array(data.draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6)))
+        vel = np.array(data.draw(
+            st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+                     min_size=len(value), max_size=len(value))
+        ))
+        expected = [
+            [reflect_scalar(v, w, lo[axis], hi[axis]) for axis, (v, w) in enumerate(zip(vs, ws))]
+            for vs, ws in zip(value, vel)
+        ]
+        _reflect(value, vel, lo, hi)
+        assert value.tobytes() == np.array([[v for v, _ in row] for row in expected]).tobytes()
+        assert vel.tobytes() == np.array([[w for _, w in row] for row in expected]).tobytes()
 
 
 class TestCorrupt:

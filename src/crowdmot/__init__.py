@@ -3,9 +3,9 @@
 __version__ = "0.1.0"
 
 from .records import (
-    Box3D, BoxBEV, Detection, GtObject, MotionOffset, RelationshipOffset, SceneSequence, Trajectory,
+    Box3D, BoxBEV, Detection, GtObject, MotionOffset, RelationshipOffset, SceneSequence,
 )
-from .geometry import GridSpec, bev_iou, cell_center, quantize_to_grid
+from .geometry import Frame, GridSpec, bev_iou, cell_center, quantize_to_grid, to_frame, to_objects
 from .targets import (
     DenseGrid2D,
     LossParams,
@@ -42,10 +42,13 @@ __all__ = [
     "__version__",
     "Box3D",
     "BoxBEV",
+    "Frame",
     "GridSpec",
     "bev_iou",
     "cell_center",
     "quantize_to_grid",
+    "to_frame",
+    "to_objects",
     "DenseGrid2D",
     "GtObject",
     "LossParams",
@@ -59,7 +62,6 @@ __all__ = [
     "Detection",
     "TrackerConfig",
     "TrackerState",
-    "Trajectory",
     "associate",
     "run_sequence",
     "step",

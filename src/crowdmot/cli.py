@@ -2,8 +2,9 @@
 
 Every command validates its inputs up front, computes in memory, then writes
 its files plus a manifest.json recording the resolved configuration, seeds,
-and content digests of all inputs and outputs. Reruns with the same inputs
-produce byte-identical files.
+and content digests of all inputs and outputs. Inputs are hashed from disk;
+each output's digest is the one its writer computed from the bytes it wrote.
+Reruns with the same inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .formats import (
     write_scene_jsonl,
     write_trajectories_jsonl,
 )
-from .geometry import GridSpec, OutOfBoundsError, check_positive, quantize_to_grid
+from .geometry import GridSpec, OutOfBoundsError, check_positive, quantize_to_grid, to_objects
 from .simulator import NoiseConfig, SimConfig, corrupt, gen_scene
 from .sparsegrid import DEFAULT_WIDTHS, PointCloud, VoxelSpec, topology_report
 from .targets import make_daw, make_heatmap, make_motion_offsets, make_relationship_offsets
@@ -146,8 +147,9 @@ def load_gen_config(path: Path, seed_override: int | None) -> tuple[SimConfig, N
 
 
 def _write_manifest(
-    out_dir: Path, command: str, config: dict, inputs: list[Path], outputs: list[Path]
+    out_dir: Path, command: str, config: dict, inputs: list[Path], outputs: dict[Path, str]
 ) -> None:
+    """manifest.json: inputs hashed from disk, outputs with the digests their writers returned."""
     # Output paths are stored relative to the manifest so reruns into
     # different directories stay byte-identical.
     manifest = {
@@ -156,7 +158,7 @@ def _write_manifest(
         "command": command,
         "config": config,
         "inputs": {str(p): sha256_file(p) for p in inputs},
-        "outputs": {str(p.relative_to(out_dir)): sha256_file(p) for p in outputs},
+        "outputs": {str(p.relative_to(out_dir)): digest for p, digest in outputs.items()},
     }
     atomic_write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -187,9 +189,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
     dets = corrupt(scene, noise)
     out = Path(args.out)
     gt_path, det_path = out / "gt.jsonl", out / "det.jsonl"
-    write_scene_jsonl(gt_path, scene)
-    write_detections_jsonl(det_path, dets, scene.timestamps)
-    _write_manifest(out, "gen", echo, [Path(args.config)], [gt_path, det_path])
+    outputs = {
+        gt_path: write_scene_jsonl(gt_path, scene),
+        det_path: write_detections_jsonl(det_path, dets, scene.timestamps),
+    }
+    _write_manifest(out, "gen", echo, [Path(args.config)], outputs)
     _say(f"wrote {gt_path} and {det_path}")
     return 0
 
@@ -204,37 +208,35 @@ def cmd_targets(args: argparse.Namespace) -> int:
         grid = GridSpec(x_min, x_max, y_min, y_max, dx, dy)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    scene = read_scene_jsonl(Path(args.gt))
+    columns, timestamps = read_scene_jsonl(Path(args.gt))
+    frames = [to_objects(f) for f in columns]
     # Validate every object against the grid before writing anything, so a
     # bad late frame cannot leave partial outputs behind.
-    for frame, objs in enumerate(scene.frames):
+    for frame, objs in enumerate(frames):
         for obj in objs:
             try:
                 quantize_to_grid(obj.box.cx, obj.box.cy, grid)
             except OutOfBoundsError as exc:
                 raise OutOfBoundsError(f"frame {frame}, object {obj.instance_id}: {exc}") from None
     out = Path(args.out)
-    outputs = []
-    for frame, objs in enumerate(scene.frames):
+    outputs = {}
+    for frame, objs in enumerate(frames):
         heat = make_heatmap(objs, grid, sigma=args.sigma)
         daw = make_daw(objs, grid, th=args.th)
         heat_path = out / f"heatmap_{frame:04d}.grid"
         daw_path = out / f"weights_{frame:04d}.grid"
-        write_grid(heat_path, heat)
-        write_grid(daw_path, daw)
-        outputs += [heat_path, daw_path]
+        outputs[heat_path] = write_grid(heat_path, heat)
+        outputs[daw_path] = write_grid(daw_path, daw)
         if args.dump_pgm:
             for src, dst in ((heat, heat_path), (daw, daw_path)):
                 pgm = dst.with_suffix(".pgm")
-                write_pgm(pgm, src)
-                outputs.append(pgm)
+                outputs[pgm] = write_pgm(pgm, src)
     offsets = (
         (make_motion_offsets(objs, prev), make_relationship_offsets(objs, radius=args.rel_radius))
-        for objs, prev in zip(scene.frames, [[], *scene.frames])
+        for objs, prev in zip(frames, [[], *frames])
     )
     offsets_path = out / "offsets.jsonl"
-    write_offsets_jsonl(offsets_path, scene.timestamps, offsets)
-    outputs.append(offsets_path)
+    outputs[offsets_path] = write_offsets_jsonl(offsets_path, timestamps, offsets)
     config = {
         "grid": {"dx": dx, "dy": dy, "x_min": x_min, "x_max": x_max, "y_min": y_min, "y_max": y_max},
         "sigma": args.sigma,
@@ -243,7 +245,7 @@ def cmd_targets(args: argparse.Namespace) -> int:
         "dump_pgm": bool(args.dump_pgm),
     }
     _write_manifest(out, "targets", config, [Path(args.gt)], outputs)
-    _say(f"wrote targets for {len(scene.frames)} frames to {out}")
+    _say(f"wrote targets for {len(frames)} frames to {out}")
     return 0
 
 
@@ -254,17 +256,18 @@ def cmd_track(args: argparse.Namespace) -> int:
         birth_score_min=args.birth_score_min,
     )
     det_frames, timestamps = read_detections_jsonl(Path(args.det))
-    trajectories = run_sequence(det_frames, cfg)
+    tracks = run_sequence(det_frames, cfg)
     out = Path(args.out)
     traj_path = out / "traj.jsonl"
-    write_trajectories_jsonl(traj_path, trajectories, timestamps)
+    digest = write_trajectories_jsonl(traj_path, tracks, timestamps)
     config = {
         "max_match_dist": cfg.max_match_dist,
         "max_age": cfg.max_age,
         "birth_score_min": cfg.birth_score_min,
     }
-    _write_manifest(out, "track", config, [Path(args.det)], [traj_path])
-    _say(f"wrote {len(trajectories)} trajectories to {traj_path}")
+    _write_manifest(out, "track", config, [Path(args.det)], {traj_path: digest})
+    n_tracks = len(set().union(*(f.ids.tolist() for f in tracks)))
+    _say(f"wrote {n_tracks} trajectories to {traj_path}")
     return 0
 
 
@@ -278,11 +281,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     densities = []
     lines = []
     for gt_path, traj_path in zip(args.gt, args.traj):
-        scene = read_scene_jsonl(Path(gt_path))
-        pred_frames, _ = read_trajectories_jsonl(Path(traj_path))
-        metrics = evaluate_sequence(scene.frames, pred_frames, cfg)
-        density = density_stats(scene, radius=args.radius)
-        samples = sum(len(f) for f in scene.frames)
+        gt_frames, gt_times = read_scene_jsonl(Path(gt_path))
+        pred_frames, pred_times = read_trajectories_jsonl(Path(traj_path))
+        _check_same_sequence(gt_path, gt_times, traj_path, pred_times)
+        metrics = evaluate_sequence(gt_frames, pred_frames, cfg)
+        density = density_stats(gt_frames, radius=args.radius)
+        samples = sum(len(f) for f in gt_frames)
         per_seq.append(metrics)
         densities.append((density, samples))
         lines.append(f"sequence: gt={gt_path} traj={traj_path}")
@@ -294,12 +298,28 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = "\n".join(lines) + "\n"
     out = Path(args.out)
     report_path = out / "report.txt"
-    atomic_write_text(report_path, report)
+    digest = atomic_write_text(report_path, report)
     config = {"iou_threshold": cfg.iou_threshold, "density_radius": args.radius}
     inputs = [Path(p) for p in args.gt] + [Path(p) for p in args.traj]
-    _write_manifest(out, "eval", config, inputs, [report_path])
+    _write_manifest(out, "eval", config, inputs, {report_path: digest})
     _say(report.rstrip("\n"))
     return 0
+
+
+def _check_same_sequence(gt_path: str, gt_times: list, traj_path: str, traj_times: list) -> None:
+    """Raise ConfigError unless the trajectory file has the GT file's frame timestamps."""
+    if gt_times == traj_times:
+        return
+    pairs = list(zip(gt_times, traj_times))
+    k = next((k for k, (a, b) in enumerate(pairs) if a != b), len(pairs))
+    if k < len(pairs):
+        detail = f"timestamp {traj_times[k]!r}, GT {gt_times[k]!r}"
+    else:
+        detail = f"{len(traj_times)} frames, GT {len(gt_times)}"
+    raise ConfigError(
+        f"trajectories {traj_path} are not of the sequence in {gt_path}: "
+        f"they differ first at frame {k} ({detail})"
+    )
 
 
 def _metric_lines(metrics, density: float, radius: float) -> list[str]:
@@ -318,13 +338,13 @@ def _metric_lines(metrics, density: float, radius: float) -> list[str]:
 
 
 def cmd_density(args: argparse.Namespace) -> int:
-    scene = read_scene_jsonl(Path(args.gt))
-    density = density_stats(scene, radius=args.radius)
+    frames, _ = read_scene_jsonl(Path(args.gt))
+    density = density_stats(frames, radius=args.radius)
     text = f"density@{args.radius}m {density!r}\n"
     out = Path(args.out)
     density_path = out / "density.txt"
-    atomic_write_text(density_path, text)
-    _write_manifest(out, "density", {"radius": args.radius}, [Path(args.gt)], [density_path])
+    digest = atomic_write_text(density_path, text)
+    _write_manifest(out, "density", {"radius": args.radius}, [Path(args.gt)], {density_path: digest})
     _say(text.rstrip("\n"))
     return 0
 
@@ -359,9 +379,9 @@ def cmd_voxelshapes(args: argparse.Namespace) -> int:
     text = "\n".join(lines) + "\n"
     out = Path(args.out)
     table_path = out / "voxelshapes.txt"
-    atomic_write_text(table_path, text)
+    digest = atomic_write_text(table_path, text)
     config = {"topology": args.topology, "seed": args.seed, "widths": list(DEFAULT_WIDTHS)}
-    _write_manifest(out, "voxelshapes", config, [Path(args.points)], [table_path])
+    _write_manifest(out, "voxelshapes", config, [Path(args.points)], {table_path: digest})
     _say(text.rstrip("\n"))
     return 0
 

@@ -3,7 +3,8 @@
 Frame matching keeps still-valid pairings from earlier frames, then solves
 the remaining ground-truth/prediction assignment for maximum total IoU, one
 connected component of the above-threshold pairs at a time. Identity
-switches count every change of the track id matched to a GT object.
+switches count every change of the track id matched to a GT object. GT and
+predicted frames come as geometry.Frame columns.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .geometry import bev_iou_pairs, check_positive, pairs_within
-from .records import DENSITY_RADIUS, Box3D, GtObject, SceneSequence
+from .geometry import Frame, bev_iou_pairs, check_positive, footprints, pairs_within
+from .records import DENSITY_RADIUS
 
 # Coverage thresholds for mostly-tracked / mostly-lost trajectory counting.
 MT_COVERAGE = 0.8
@@ -66,26 +67,24 @@ class MatchResult:
 
 
 def _iou_matrix(
-    gt_boxes: list[Box3D], pred_boxes: list[Box3D]
+    gt_boxes: np.ndarray, pred_boxes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sparse rotated BEV IoU: (i, j, iou) for every pair near enough to overlap.
+    """Sparse rotated BEV IoU of two frames' (n, 7) box rows.
 
-    Pairs come sorted by (i, j); every pair left out has an IoU of exactly 0.
+    Returns (i, j, iou) for every pair near enough to overlap, sorted by
+    (i, j); every pair left out has an IoU of exactly 0.
     """
+    gt, pred = footprints(gt_boxes), footprints(pred_boxes)
     # IoU is 0 beyond the sum of the half-diagonals, at most twice the largest.
-    reach = max((math.hypot(b.length, b.width) for b in gt_boxes + pred_boxes), default=0.0)
-    gt_xy = [(b.cx, b.cy) for b in gt_boxes]
-    pr_xy = [(b.cx, b.cy) for b in pred_boxes]
-    i, j = pairs_within(gt_xy, pr_xy, reach)
-    return i, j, bev_iou_pairs(gt_boxes, pred_boxes, i, j)
+    sides = np.concatenate([gt[:, 2:4], pred[:, 2:4]]).T.tolist()
+    reach = max(map(math.hypot, *sides), default=0.0)
+    i, j = pairs_within(gt[:, :2], pred[:, :2], reach)
+    return i, j, bev_iou_pairs(gt, pred, i, j)
 
 
-def _sorted_indices(ids: list) -> list[int]:
-    """Positions of ids sorted by id, or by str(id) where ids do not compare."""
-    try:
-        return sorted(range(len(ids)), key=ids.__getitem__)
-    except TypeError:
-        return sorted(range(len(ids)), key=lambda k: str(ids[k]))
+def _sorted_indices(ids: list[int]) -> list[int]:
+    """Positions of ids in ascending id order."""
+    return sorted(range(len(ids)), key=ids.__getitem__)
 
 
 def _components(edges: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
@@ -230,12 +229,12 @@ def _best_matching(score: np.ndarray) -> list[tuple[int, int]]:
 
 
 def match_frame(
-    gts: list[GtObject],
-    preds: list[tuple[int, Box3D]],
+    gts: Frame,
+    preds: Frame,
     prev_map: dict[Hashable, int],
     cfg: MatchConfig = MatchConfig(),
 ) -> MatchResult:
-    """Match one frame's GT objects against predicted (track id, box) pairs.
+    """Match one frame's GT objects against its predicted tracks (ids are track ids).
 
     Pairings inherited from prev_map are kept when still above the IoU
     threshold; the rest are assigned for maximal total IoU among pairs that
@@ -250,14 +249,14 @@ def match_frame(
     math.fsum), the one whose sorted (gt id, track id) list is
     lexicographically smallest wins.
     """
-    gt_ids = [g.instance_id for g in gts]
-    track_ids = [tid for tid, _ in preds]
+    gt_ids = gts.ids.tolist()
+    track_ids = preds.ids.tolist()
     if len(set(gt_ids)) != len(gt_ids):
         raise ValueError("duplicate GT instance ids in frame")
     if len(set(track_ids)) != len(track_ids):
         raise ValueError("duplicate track ids in frame")
 
-    gt_index, pred_index, iou = _iou_matrix([g.box for g in gts], [b for _, b in preds])
+    gt_index, pred_index, iou = _iou_matrix(gts.boxes, preds.boxes)
     keep = iou >= cfg.iou_threshold
     # The above-threshold pairs: (GT index, prediction index) -> IoU.
     score = dict(zip(zip(gt_index[keep].tolist(), pred_index[keep].tolist()), iou[keep].tolist()))
@@ -340,8 +339,8 @@ class SequenceMetrics:
 
 
 def evaluate_sequence(
-    gt_frames: Sequence[list[GtObject]],
-    pred_frames: Sequence[list[tuple[int, Box3D]]],
+    gt_frames: Sequence[Frame],
+    pred_frames: Sequence[Frame],
     cfg: MatchConfig = MatchConfig(),
 ) -> SequenceMetrics:
     """Run frame-by-frame matching over a sequence and aggregate the metrics."""
@@ -359,10 +358,10 @@ def evaluate_sequence(
         prev_map = result.prev_map
         counts += EvalCounts(ids=result.ids, fp=result.fp, fn=result.fn, p=len(gts))
         matched_ids = {gid for gid, _ in result.matches}
-        for g in gts:
-            present[g.instance_id] = present.get(g.instance_id, 0) + 1
-            if g.instance_id in matched_ids:
-                covered[g.instance_id] = covered.get(g.instance_id, 0) + 1
+        for gid in gts.ids.tolist():
+            present[gid] = present.get(gid, 0) + 1
+            if gid in matched_ids:
+                covered[gid] = covered.get(gid, 0) + 1
     coverages = {gid: covered.get(gid, 0) / n for gid, n in present.items()}
     mtr, mlr = mtr_mlr(list(coverages.values()))
     return SequenceMetrics(
@@ -393,7 +392,7 @@ def aggregate(per_sequence: Sequence[SequenceMetrics]) -> SequenceMetrics:
     )
 
 
-def density_stats(scene: SceneSequence, radius: float = DENSITY_RADIUS) -> float:
+def density_stats(frames: Sequence[Frame], radius: float = DENSITY_RADIUS) -> float:
     """Mean number of other pedestrians within `radius` of each pedestrian.
 
     Counted per pedestrian per frame with a strict distance comparison,
@@ -402,8 +401,8 @@ def density_stats(scene: SceneSequence, radius: float = DENSITY_RADIUS) -> float
     check_positive("radius", radius)
     total = 0
     samples = 0
-    for frame in scene.frames:
-        xy = np.array([(o.box.cx, o.box.cy) for o in frame]).reshape(-1, 2)
+    for frame in frames:
+        xy = frame.boxes[:, :2]
         i, j = pairs_within(xy, xy, radius)
         d = xy[i] - xy[j]
         total += int(np.count_nonzero((i != j) & (d[:, 0] ** 2 + d[:, 1] ** 2 < radius * radius)))

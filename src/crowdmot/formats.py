@@ -9,33 +9,44 @@ the track id as id. For detection records the id is the within-frame index.
 Offset-target objects carry {id, offset [ox, oy, oz], newborn, rel}.
 
 Frames are numbered 0, 1, ... with strictly increasing timestamps; every
-number is finite, ids are integers unique within their frame, and objects
-are written in ascending id order. Every JSONL file is written through
-_write_frames, and every JSONL reader goes through _read_frames.
+number is finite, ids are integers unique within their frame that fit in 64
+bits, and objects are written in ascending id order. Every JSONL file is
+written through _write_frames, and every JSONL reader goes through
+_read_frames, which returns one geometry.Frame of columns per line.
+
+A reader checks each frame in bulk: the fields are gathered with
+itemgetter, every number must be a JSON float (an int anywhere sends the
+frame down the slow path), and the finiteness, side, score and id checks
+run on the gathered lists and arrays. A frame that fails any of them is
+decoded again object by object (_box, _detection), which raises the error
+of the first bad field, or accepts a frame that only held ints. So the
+per-object decoder is the error path and the oracle of the bulk one, and
+both give the same bits.
 
 Grid files are plain text: a header line "nx ny dx dy x_min y_min" followed
 by nx rows of ny values (row j lists cells (j, 0..ny-1)).
 
-All writes go through a temp file and an atomic rename.
+All writes go through a temp file and an atomic rename, and every writer
+returns the SHA-256 of the bytes it wrote.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
 import sys
 import tempfile
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable, Optional
 
 import numpy as np
 
-from .geometry import GridSpec
-from .records import (
-    Box3D, Detection, GtObject, MotionOffset, RelationshipOffset, SceneSequence, Trajectory,
-)
+from .geometry import BOX_FIELDS, Frame, GridSpec, to_frame, wrap_yaw
+from .records import Box3D, Detection, MotionOffset, RelationshipOffset, SceneSequence
 from .targets import DenseGrid2D
 
 
@@ -43,17 +54,20 @@ class FormatError(ValueError):
     """A file does not follow the expected schema."""
 
 
-def atomic_write_text(path: Path, text: str) -> None:
+def atomic_write_text(path: Path, text: str) -> str:
+    """Write text as UTF-8 through a temp file and a rename; the SHA-256 of its bytes."""
+    data = text.encode()
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return hashlib.sha256(data).hexdigest()
 
 
 def sha256_file(path: Path) -> str:
@@ -88,20 +102,20 @@ def _frame_line(frame: int, timestamp: float, objects: list[dict]) -> str:
     )
 
 
-def _write_frames(path: Path, timestamps: list[float], frames: Iterable[list[dict]]) -> None:
+def _write_frames(path: Path, timestamps: list[float], frames: Iterable[list[dict]]) -> str:
     """One line per frame, each frame's objects in ascending id order."""
     lines = [
         _frame_line(frame, ts, sorted(objects, key=itemgetter("id")))
         for frame, (ts, objects) in enumerate(zip(timestamps, frames, strict=True))
     ]
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    return atomic_write_text(path, "".join(line + "\n" for line in lines))
 
 
-def write_scene_jsonl(path: Path, scene: SceneSequence) -> None:
+def write_scene_jsonl(path: Path, scene: SceneSequence) -> str:
     frames = (
         [{"id": int(o.instance_id), **_box_fields(o.box)} for o in objs] for objs in scene.frames
     )
-    _write_frames(path, scene.timestamps, frames)
+    return _write_frames(path, scene.timestamps, frames)
 
 
 def _detection_record(index: int, det: Detection) -> dict:
@@ -120,28 +134,28 @@ def _detection_record(index: int, det: Detection) -> dict:
 
 def write_detections_jsonl(
     path: Path, det_frames: list[list[Detection]], timestamps: list[float]
-) -> None:
+) -> str:
     frames = ([_detection_record(i, det) for i, det in enumerate(dets)] for dets in det_frames)
-    _write_frames(path, timestamps, frames)
+    return _write_frames(path, timestamps, frames)
 
 
-def write_trajectories_jsonl(
-    path: Path, trajectories: list[Trajectory], timestamps: list[float]
-) -> None:
-    frames: list[list[dict]] = [[] for _ in timestamps]
-    for traj in trajectories:
-        for frame, box, score in traj.entries:
-            if not 0 <= frame < len(frames):
-                raise ValueError(f"trajectory frame {frame} outside sequence")
-            frames[frame].append({"id": traj.track_id, **_box_fields(box), "score": score})
-    _write_frames(path, timestamps, frames)
+def write_trajectories_jsonl(path: Path, frames: list[Frame], timestamps: list[float]) -> str:
+    """The tracker's output frames: per object its track id, box and score."""
+    records = (
+        [
+            {"id": key, **dict(zip(BOX_FIELDS, row)), "score": score}
+            for key, row, score in zip(f.ids.tolist(), f.boxes.tolist(), f.score.tolist())
+        ]
+        for f in frames
+    )
+    return _write_frames(path, timestamps, records)
 
 
 def write_offsets_jsonl(
     path: Path,
     timestamps: list[float],
     offsets: Iterable[tuple[dict[Hashable, MotionOffset], dict[Hashable, RelationshipOffset]]],
-) -> None:
+) -> str:
     """Offset targets: per frame, the motion and relationship offsets by instance id."""
     frames = (
         [
@@ -151,7 +165,7 @@ def write_offsets_jsonl(
         ]
         for motion, rels in offsets
     )
-    _write_frames(path, timestamps, frames)
+    return _write_frames(path, timestamps, frames)
 
 
 _LARGEST = sys.float_info.max
@@ -196,13 +210,126 @@ def _box(obj: dict) -> Box3D:
     )
 
 
-def _read_frames(path: Path, decode: Callable[[int, dict, int], object]) -> tuple[list, list]:
-    """Per-frame decode(id, object, frame) values and the frame timestamps.
+_INT64 = 2**63
+_IDS = itemgetter("id")
+_BOXES = itemgetter(*BOX_FIELDS)
+_SCORES = itemgetter("score")
+_OFFSETS = itemgetter("offset")
+# Stands for a rel field an object does not have.
+_ABSENT = object()
+
+
+def _only(values: Iterable, kind: type) -> bool:
+    """Whether every value is exactly of type kind (a bool is not an int)."""
+    return set(map(type, values)) <= {kind}
+
+
+def _box_columns(objects: list) -> Optional[Frame]:
+    """The Frame of a frame's GT or trajectory objects, or None where the bulk check fails.
+
+    Passes only when every id is an int, unique and within 64 bits, every
+    box field is a float, all finite, and every side is positive: what _box
+    accepts, less the frames that hold an int field.
+    """
+    try:
+        ids = list(map(_IDS, objects))
+        rows = list(map(_BOXES, objects))
+    except (KeyError, TypeError):
+        return None
+    if not (_only(ids, int) and _only(chain.from_iterable(rows), float)):
+        return None
+    if len(set(ids)) != len(ids) or not all(-_INT64 <= key < _INT64 for key in ids):
+        return None
+    boxes = np.array(rows, dtype=float).reshape(-1, 7)
+    if not (np.isfinite(boxes).all() and (boxes[:, 3:6] > 0.0).all()):
+        return None
+    boxes[:, 6] = wrap_yaw(boxes[:, 6])
+    return Frame(np.array(ids, dtype=np.int64), boxes)
+
+
+def _detection_columns(objects: list) -> Optional[Frame]:
+    """The Frame of a frame's detections, or None where the bulk check fails.
+
+    Besides _box_columns' checks: scores are floats in [0, 1], newborn flags
+    bools, offsets lists of 3 finite floats, and each rel null, absent or a
+    list of 2 finite floats: what _detection accepts, less the int fields.
+    """
+    frame = _box_columns(objects)
+    if frame is None:
+        return None
+    try:
+        scores = list(map(_SCORES, objects))
+        offsets = list(map(_OFFSETS, objects))
+    except KeyError:
+        return None
+    newborn = [obj.get("newborn", False) for obj in objects]
+    rels = [obj.get("rel", _ABSENT) for obj in objects]
+    defined = [rel is not None and rel is not _ABSENT for rel in rels]
+    given = [rel for rel, ok in zip(rels, defined) if ok]
+    if not (_only(scores, float) and _only(newborn, bool) and _only(offsets + given, list)):
+        return None
+    if set(map(len, offsets)) - {3} or set(map(len, given)) - {2}:
+        return None
+    if not _only(chain.from_iterable(offsets + given), float):
+        return None
+    score = np.array(scores, dtype=float)
+    offset = np.array(offsets, dtype=float).reshape(-1, 3)
+    defined = np.array(defined, dtype=bool)
+    rel = np.full((len(objects), 2), np.nan)
+    rel[defined] = np.array(given, dtype=float).reshape(-1, 2)
+    in_range = (score >= 0.0) & (score <= 1.0)
+    if not (in_range.all() and np.isfinite(offset).all() and np.isfinite(rel[defined]).all()):
+        return None
+    return dataclasses.replace(
+        frame,
+        score=score,
+        offset=offset,
+        newborn=np.array(newborn, dtype=bool),
+        rel=rel,
+        has_rel=np.array([rel is not _ABSENT for rel in rels], dtype=bool),
+    )
+
+
+def _decode(objects: list, decode: Callable[[int, dict], object]) -> tuple[np.ndarray, Frame]:
+    """The ids and to_frame of objects decoded one by one: the first bad field raises."""
+    values, ids = [], {}
+    for obj in objects:
+        if type(obj) is not dict:
+            raise FormatError("an entry of 'objects' is not an object")
+        key = _integer(obj, "id")
+        if key in ids:
+            raise FormatError(f"duplicate id {key}")
+        ids[key] = None
+        values.append(decode(key, obj))
+    for key in ids:
+        if not -_INT64 <= key < _INT64:
+            raise FormatError(f"id {key} does not fit in 64 bits")
+    return np.array(list(ids), dtype=np.int64), to_frame(values)
+
+
+def _boxes_one_by_one(objects: list, frame: int) -> Frame:
+    ids, decoded = _decode(objects, lambda key, obj: (key, _box(obj)))
+    return Frame(ids, decoded.boxes)
+
+
+def _detections_one_by_one(objects: list, frame: int) -> Frame:
+    ids, decoded = _decode(objects, lambda key, obj: _detection(obj, frame))
+    return dataclasses.replace(decoded, ids=ids)
+
+
+def _read_frames(
+    path: Path,
+    columns: Callable[[list], Optional[Frame]],
+    one_by_one: Callable[[list, int], Frame],
+) -> tuple[list[Frame], list[float]]:
+    """One Frame per line and the frame timestamps.
 
     Frames must be numbered 0, 1, ... in order with strictly increasing
     timestamps, and each object needs an integer id unique within its frame.
+    columns(objects) checks and gathers a frame in bulk; where it returns
+    None, one_by_one(objects, frame) decodes the frame object by object.
     """
-    frames: list[list] = []
+    frames: list[Frame] = []
     timestamps: list[float] = []
     for line_no, rec in _read_records(path):
         try:
@@ -215,15 +342,9 @@ def _read_frames(path: Path, decode: Callable[[int, dict, int], object]) -> tupl
             objects = rec["objects"]
             if type(objects) is not list:
                 raise FormatError("'objects' is not a list")
-            values, ids = [], set()
-            for obj in objects:
-                if type(obj) is not dict:
-                    raise FormatError("an entry of 'objects' is not an object")
-                key = _integer(obj, "id")
-                if key in ids:
-                    raise FormatError(f"duplicate id {key}")
-                ids.add(key)
-                values.append(decode(key, obj, frame))
+            values = columns(objects)
+            if values is None:
+                values = one_by_one(objects, frame)
         except KeyError as exc:
             raise FormatError(f"{path}:{line_no}: missing field {exc.args[0]!r}") from None
         except ValueError as exc:
@@ -233,14 +354,12 @@ def _read_frames(path: Path, decode: Callable[[int, dict, int], object]) -> tupl
     return frames, timestamps
 
 
-def read_scene_jsonl(path: Path) -> SceneSequence:
-    frames, timestamps = _read_frames(
-        path, lambda key, obj, frame: GtObject(instance_id=key, box=_box(obj))
-    )
-    return SceneSequence(frames, timestamps)
+def read_scene_jsonl(path: Path) -> tuple[list[Frame], list[float]]:
+    """Per-frame GT columns and the frame timestamps."""
+    return _read_frames(path, _box_columns, _boxes_one_by_one)
 
 
-def _detection(key: int, obj: dict, frame: int) -> Detection:
+def _detection(obj: dict, frame: int) -> Detection:
     newborn = obj.get("newborn", False)
     if type(newborn) is not bool:
         raise FormatError(f"'newborn' must be true or false, got {newborn!r}")
@@ -260,13 +379,14 @@ def _detection(key: int, obj: dict, frame: int) -> Detection:
     )
 
 
-def read_detections_jsonl(path: Path) -> tuple[list[list[Detection]], list[float]]:
-    return _read_frames(path, _detection)
+def read_detections_jsonl(path: Path) -> tuple[list[Frame], list[float]]:
+    """Per-frame detection columns (ids as in the file) and the frame timestamps."""
+    return _read_frames(path, _detection_columns, _detections_one_by_one)
 
 
-def read_trajectories_jsonl(path: Path) -> tuple[list[list[tuple[int, Box3D]]], list[float]]:
-    """Per-frame (track id, box) lists, as the evaluator consumes them."""
-    return _read_frames(path, lambda key, obj, frame: (key, _box(obj)))
+def read_trajectories_jsonl(path: Path) -> tuple[list[Frame], list[float]]:
+    """Per-frame (track id, box) columns, as the evaluator consumes them; scores are not read."""
+    return _read_frames(path, _box_columns, _boxes_one_by_one)
 
 
 def _reject_constant(name: str):
@@ -309,7 +429,7 @@ def _rows(table: np.ndarray, codes: np.ndarray) -> list[str]:
     return rows
 
 
-def write_grid(path: Path, grid: DenseGrid2D) -> None:
+def write_grid(path: Path, grid: DenseGrid2D) -> str:
     spec = grid.grid
     header = f"{spec.nx} {spec.ny} {spec.dx!r} {spec.dy!r} {spec.x_min!r} {spec.y_min!r}"
     # repr each distinct value once. The table is keyed on the bit pattern, not
@@ -321,7 +441,7 @@ def write_grid(path: Path, grid: DenseGrid2D) -> None:
     distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     table = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
     rows = _rows(table, np.searchsorted(distinct, bits))
-    atomic_write_text(path, "\n".join([header, *rows]) + "\n")
+    return atomic_write_text(path, "\n".join([header, *rows]) + "\n")
 
 
 def read_grid(path: Path) -> DenseGrid2D:
@@ -341,7 +461,7 @@ def read_grid(path: Path) -> DenseGrid2D:
 _PGM_LEVELS = np.array([str(level) for level in range(256)], dtype=object)
 
 
-def write_pgm(path: Path, grid: DenseGrid2D) -> None:
+def write_pgm(path: Path, grid: DenseGrid2D) -> str:
     """Grayscale dump: values scaled so the grid maximum maps to 255."""
     values = grid.values
     peak = float(values.max())
@@ -351,4 +471,4 @@ def write_pgm(path: Path, grid: DenseGrid2D) -> None:
     if peak > 0:
         levels = np.clip(np.round(image / peak * 255.0), 0, 255).astype(np.int64)
     header = f"P2\n{values.shape[0]} {values.shape[1]}\n255"
-    atomic_write_text(path, "\n".join([header, *_rows(_PGM_LEVELS, levels)]) + "\n")
+    return atomic_write_text(path, "\n".join([header, *_rows(_PGM_LEVELS, levels)]) + "\n")

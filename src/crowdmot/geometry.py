@@ -1,17 +1,21 @@
-"""BEV grid quantization, rotated-rectangle IoU and neighbour search.
+"""Per-frame box columns, BEV grid quantization, rotated-rectangle IoU and neighbour search.
 
 Everything here is a pure function on immutable values. The BEV plane is the
-ground plane seen from above; boxes live there as rotated rectangles.
+ground plane seen from above; boxes live there as rotated rectangles. A
+Frame holds one frame's objects as arrays; the tracker, the evaluator and
+the density statistic work on Frames, and to_frame/to_objects convert
+between a Frame and the per-object records.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from typing import Optional
 
 import numpy as np
 
-from .records import BoxBEV, normalize_yaw
+from .records import Box3D, BoxBEV, Detection, GtObject, MotionOffset, RelationshipOffset
 
 # Cells whose fractional index lands within this distance of an integer are
 # snapped up before flooring, so boundary coordinates quantize into the cell
@@ -117,21 +121,128 @@ def cell_center(j: int, k: int, grid: GridSpec, midpoint: bool = False) -> tuple
     return grid.x_min + (j + shift) * grid.dx, grid.y_min + (k + shift) * grid.dy
 
 
-def _box_arrays(boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-box (cx, cy, length, width, yaw) rows, corners and half-diagonals.
+# The columns of Frame.boxes: the box fields of a JSONL object, in file order.
+BOX_FIELDS = ("cx", "cy", "cz", "l", "w", "h", "yaw")
+
+
+def wrap_yaw(yaw: np.ndarray) -> np.ndarray:
+    """records.normalize_yaw of every entry, bit for bit: fmod is exact in both."""
+    wrapped = np.fmod(yaw + math.pi, 2.0 * math.pi)
+    wrapped = np.where(wrapped < 0.0, wrapped + 2.0 * math.pi, wrapped)
+    return wrapped - math.pi
+
+
+@dataclass(frozen=True, eq=False)
+class Frame:
+    """One frame's objects as columns, row k for object k.
+
+    ids (n,) int64 are unique; boxes (n, 7) float64 hold BOX_FIELDS, all
+    finite, with positive sides and the yaw wrapped as Box3D wraps it.
+    Detection frames also hold score (n,), offset (n, 3), newborn (n,) bool,
+    rel (n, 2), NaN where the relationship is null or absent, and has_rel
+    (n,) bool, true where the object carried a rel field. Tracker output
+    frames hold a score only.
+    """
+
+    ids: np.ndarray
+    boxes: np.ndarray
+    score: Optional[np.ndarray] = None
+    offset: Optional[np.ndarray] = None
+    newborn: Optional[np.ndarray] = None
+    rel: Optional[np.ndarray] = None
+    has_rel: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+def to_frame(objects) -> Frame:
+    """The Frame of one frame's GtObjects, (id, Box3D) pairs or Detections.
+
+    A detection's id is its index in the list, as in a detection file; an
+    empty list gives an empty frame with every detection column. Detections
+    of more than one frame raise ValueError.
+    """
+    objects = list(objects)
+    dets = not objects or isinstance(objects[0], Detection)
+    if dets:
+        frames = {d.frame for d in objects}
+        if len(frames) > 1:
+            raise ValueError(f"detections span multiple frames: {sorted(frames)}")
+        ids, boxes = range(len(objects)), [d.box for d in objects]
+    elif isinstance(objects[0], GtObject):
+        ids, boxes = [o.instance_id for o in objects], [o.box for o in objects]
+    else:
+        ids, boxes = [k for k, _ in objects], [b for _, b in objects]
+    columns = np.array(
+        [(b.cx, b.cy, b.cz, b.length, b.width, b.height, b.yaw) for b in boxes], dtype=float
+    ).reshape(-1, 7)
+    frame = Frame(np.array(ids, dtype=np.int64).reshape(-1), columns)
+    if not dets:
+        return frame
+    rels = [d.relationship for d in objects]
+    return replace(
+        frame,
+        score=np.array([d.score for d in objects], dtype=float),
+        offset=np.array([d.offset.as_tuple() for d in objects], dtype=float).reshape(-1, 3),
+        newborn=np.array([d.offset.newborn for d in objects], dtype=bool),
+        rel=np.array(
+            [(r.rx, r.ry) if r is not None and r.defined else (math.nan, math.nan) for r in rels],
+            dtype=float,
+        ).reshape(-1, 2),
+        has_rel=np.array([r is not None for r in rels], dtype=bool),
+    )
+
+
+def to_objects(frame: Frame, number: int = 0) -> list:
+    """The records of a Frame: Detections of frame `number` where it has offsets, else GtObjects.
+
+    Each Box3D wraps its yaw once more, which changes only a yaw of exactly
+    +pi, to -pi.
+    """
+    boxes = [
+        Box3D(cx, cy, cz, length, height, width, yaw)
+        for cx, cy, cz, length, width, height, yaw in frame.boxes.tolist()
+    ]
+    if frame.offset is None:
+        return [GtObject(key, box) for key, box in zip(frame.ids.tolist(), boxes)]
+    rels = [
+        None if not given
+        else RelationshipOffset.undefined() if math.isnan(rx)
+        else RelationshipOffset(rx, ry, True)
+        for (rx, ry), given in zip(frame.rel.tolist(), frame.has_rel.tolist())
+    ]
+    return [
+        Detection(box, score, MotionOffset(*offset, newborn=newborn), number, rel)
+        for box, score, offset, newborn, rel in zip(
+            boxes, frame.score.tolist(), frame.offset.tolist(), frame.newborn.tolist(), rels
+        )
+    ]
+
+
+def footprints(boxes: np.ndarray) -> np.ndarray:
+    """(n, 5) BEV rows (cx, cy, length, width, yaw) of (n, 7) Frame.boxes rows.
+
+    The yaw is wrapped once more, as Box3D.bev() wraps it, so a row equals
+    the fields of its Box3D's footprint.
+    """
+    rows = boxes[:, [0, 1, 3, 4, 6]]
+    rows[:, 4] = wrap_yaw(rows[:, 4])
+    return rows
+
+
+def bev_fields(boxes) -> np.ndarray:
+    """(n, 5) rows (cx, cy, length, width, yaw) of a sequence of BoxBEV."""
+    return np.array([(b.cx, b.cy, b.length, b.width, b.yaw) for b in boxes], dtype=float).reshape(-1, 5)
+
+
+def _corners(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Corners and half-diagonals of (cx, cy, length, width, yaw) rows.
 
     corners[0] and corners[1] hold each box's four corner xs and ys, made by
     the same math.cos/math.sin values and the same operations, in the same
-    order, as BoxBEV.corners, so their bits match. A Box3D stands for its
-    footprint: its yaw is wrapped once more, as Box3D.bev() wraps it.
+    order, as BoxBEV.corners, so their bits match.
     """
-    fields = np.array(
-        [
-            (b.cx, b.cy, b.length, b.width, b.yaw if isinstance(b, BoxBEV) else normalize_yaw(b.yaw))
-            for b in boxes
-        ],
-        dtype=float,
-    ).reshape(-1, 5)
     cx, cy, length, width, yaw = fields.T[:, :, None]
     c = np.array(list(map(math.cos, yaw.ravel().tolist()))).reshape(-1, 1)
     s = np.array(list(map(math.sin, yaw.ravel().tolist()))).reshape(-1, 1)
@@ -139,7 +250,7 @@ def _box_arrays(boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     dy = 0.5 * width * _CORNER_SIGNS[1]
     corners = np.stack((cx + c * dx - s * dy, cy + s * dx + c * dy))
     half_diagonal = 0.5 * np.array(list(map(math.hypot, length.ravel().tolist(), width.ravel().tolist())))
-    return fields, corners, half_diagonal.reshape(-1)
+    return corners, half_diagonal.reshape(-1)
 
 
 def _clip(polygon: np.ndarray, clip: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,21 +299,21 @@ def _shoelace(polygon: np.ndarray, count: np.ndarray) -> np.ndarray:
     return 0.5 * np.cumsum(np.column_stack((np.zeros(len(count)), terms)), axis=1)[:, -1]
 
 
-def bev_iou_pairs(boxes_a, boxes_b, i, j) -> np.ndarray:
-    """Rotated BEV IoU of boxes_a[i[k]] and boxes_b[j[k]] for every k.
+def bev_iou_pairs(fields_a: np.ndarray, fields_b: np.ndarray, i, j) -> np.ndarray:
+    """Rotated BEV IoU of rectangles fields_a[i[k]] and fields_b[j[k]] for every k.
 
-    boxes_a and boxes_b are sequences of BoxBEV, or of Box3D taken as their
-    footprints (Box3D.bev()); i and j index them. Exact convex polygon
-    clipping, run for all pairs at once. Equal boxes give exactly 1.0. Each
-    pair is ordered canonically (the box whose (cx, cy, length, width, yaw)
-    tuple is smaller is clipped against the other), so a swapped pair
-    returns identical bits. Pairs whose centres are at least the sum of the
-    half-diagonals apart, and overlaps below 1e-12 in area, give exactly 0.0.
+    fields_a and fields_b are (n, 5) rows (cx, cy, length, width, yaw), as
+    bev_fields and footprints make them; i and j index them. Exact convex
+    polygon clipping, run for all pairs at once. Equal boxes give exactly
+    1.0. Each pair is ordered canonically (the box whose row is the smaller
+    tuple is clipped against the other), so a swapped pair returns identical
+    bits. Pairs whose centres are at least the sum of the half-diagonals
+    apart, and overlaps below 1e-12 in area, give exactly 0.0.
     """
-    boxes = [*boxes_a, *boxes_b]
-    fields, corners, half = _box_arrays(boxes)
+    fields = np.concatenate([np.reshape(fields_a, (-1, 5)), np.reshape(fields_b, (-1, 5))])
+    corners, half = _corners(fields)
     i = np.asarray(i, dtype=np.intp)
-    j = np.asarray(j, dtype=np.intp) + len(boxes_a)
+    j = np.asarray(j, dtype=np.intp) + len(fields_a)
     a, b = fields[i], fields[j]
     iou = (a == b).all(axis=1).astype(float)
     dist = np.array(list(map(math.hypot, *(a[:, :2] - b[:, :2]).T.tolist())))
@@ -230,7 +341,7 @@ def bev_iou(a: BoxBEV, b: BoxBEV) -> float:
     One pair through bev_iou_pairs: symmetric in its arguments to the bit,
     1.0 for equal boxes, and 0.0 for overlaps below 1e-12 in area.
     """
-    return float(bev_iou_pairs([a], [b], [0], [0])[0])
+    return float(bev_iou_pairs(bev_fields([a]), bev_fields([b]), [0], [0])[0])
 
 
 def pairs_within(a_xy, b_xy, r: float) -> tuple[np.ndarray, np.ndarray]:

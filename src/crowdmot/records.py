@@ -1,5 +1,5 @@
 """Value types shared by the pipeline stages: boxes, GT objects, offsets,
-detections, trajectories and scenes.
+detections and scenes.
 
 Everything here is a plain dataclass built on the standard library alone, so
 every other module can import it without loading an algorithm.
@@ -131,23 +131,6 @@ class Detection:
     def __post_init__(self) -> None:
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score {self.score} outside [0, 1]")
-
-
-@dataclass
-class Trajectory:
-    """One tracked object: identity plus its per-frame boxes."""
-
-    track_id: int
-    entries: list[tuple[int, Box3D, float]]
-    last_matched_frame: int
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def last_center(self) -> tuple[float, float]:
-        box = self.entries[-1][1]
-        return (box.cx, box.cy)
 
 
 @dataclass(frozen=True, eq=False)

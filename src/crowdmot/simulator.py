@@ -145,14 +145,14 @@ def solve_cluster_params(cfg: SimConfig) -> tuple[list[int], float]:
     if n * (2.0 * MIN_SEPARATION) ** 2 > 0.5 * area_m2:
         raise InfeasibleSceneError(
             f"{n} pedestrians with {MIN_SEPARATION} m separation cannot fit "
-            f"a {area_m2:.0f} m^2 area"
+            f"a {area_m2:.6g} m^2 area"
         )
     csr = (n - 1) * math.pi * DENSITY_RADIUS**2 / area_m2 if n > 1 else 0.0
     target = cfg.target_density2
     if target < 0.9 * csr:
         raise InfeasibleSceneError(
             f"target_density2={target} is below the uniform-placement floor "
-            f"{csr:.3f} for {n} pedestrians in {area_m2:.0f} m^2; "
+            f"{csr:.6g} for {n} pedestrians in {area_m2:.6g} m^2; "
             "enlarge the area or reduce n_pedestrians"
         )
 
@@ -384,6 +384,13 @@ def gen_scene(cfg: SimConfig) -> SceneSequence:
     uniform_mode = sigma_c >= 0.5 * _SIGMA_HI
     if uniform_mode:
         margin = 2.0 * _WALL_INSET
+        for axis, low, high in (("x", x_min, x_max), ("y", y_min, y_max)):
+            if low + margin > high - margin:
+                raise InfeasibleSceneError(
+                    f"area {axis}_min..{axis}_max = {low!r}..{high!r} spans {high - low:.6g} m; "
+                    f"uniform placement keeps {margin} m margins inside both walls, "
+                    f"so the span must be at least {2.0 * margin} m"
+                )
     else:
         margin = min(min(2.0 * sigma_c + 0.5, 0.25 * (x_max - x_min)), 0.25 * (y_max - y_min))
     anchor_lo = np.array([x_min + margin, y_min + margin])

@@ -3,6 +3,7 @@
 Each detection predicts its own displacement back to the previous frame;
 association shifts the detection by that offset and matches it to the
 nearest live track center. No motion model is run on the tracks themselves.
+Detections come in, and tracks go out, as one geometry.Frame per frame.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .geometry import pairs_within
-from .records import Box3D, Detection, Trajectory
+import numpy as np
+
+from .geometry import Frame, pairs_within
 
 
 @dataclass(frozen=True)
@@ -31,20 +33,24 @@ class TrackerConfig:
 
 @dataclass
 class TrackerState:
-    """Mutable per-sequence tracking state. Single writer, one sequence."""
+    """Mutable per-sequence tracking state. Single writer, one sequence.
 
-    live: dict[int, Trajectory] = field(default_factory=dict)
-    dead: list[Trajectory] = field(default_factory=list)
+    live maps each live track id to its last matched (cx, cy) centre and
+    frame; dead lists the retired track ids in retirement order.
+    """
+
+    live: dict[int, tuple[tuple[float, float], int]] = field(default_factory=dict)
+    dead: list[int] = field(default_factory=list)
     next_id: int = 0
     frame: int = -1
 
 
 def associate(
-    dets: list[Detection],
+    dets: Frame,
     tracks: list[tuple[int, tuple[float, float]]],
     cfg: TrackerConfig,
 ) -> list[tuple[int, Optional[int]]]:
-    """Greedily match detections to track centers.
+    """Greedily match a frame's detections to track centers.
 
     Detections are processed in descending score order (ties: lower index
     first). Each detection is shifted by its predicted offset to where it
@@ -52,16 +58,15 @@ def associate(
     track within max_match_dist (distance ties: lower track id). Returns one
     (detection index, track id or None) pair per detection, in input order.
     """
-    frames = {d.frame for d in dets}
-    if len(frames) > 1:
-        raise ValueError(f"detections span multiple frames: {sorted(frames)}")
-    shifted = [(d.box.cx + d.offset.ox, d.box.cy + d.offset.oy) for d in dets]
-    near = [[] for _ in dets]
+    shifted = dets.boxes[:, :2] + dets.offset[:, :2]
+    near = [[] for _ in range(len(dets))]
     for i, j in zip(*pairs_within(shifted, [c for _, c in tracks], cfg.max_match_dist)):
         near[i].append(tracks[j])
+    shifted = shifted.tolist()
     assigned: list[Optional[int]] = [None] * len(dets)
     claimed: set[int] = set()
-    for i in sorted(range(len(dets)), key=lambda i: (-dets[i].score, i)):
+    # A stable sort of the negated scores: descending score, ties by index.
+    for i in np.argsort(-dets.score, kind="stable").tolist():
         px, py = shifted[i]
         free = [(math.hypot(cx - px, cy - py), t) for t, (cx, cy) in near[i] if t not in claimed]
         dist, tid = min(free, default=(math.inf, None))
@@ -73,61 +78,53 @@ def associate(
 
 def step(
     state: TrackerState,
-    dets: list[Detection],
+    dets: Frame,
     cfg: TrackerConfig,
     frame: Optional[int] = None,
-) -> list[tuple[int, Box3D]]:
-    """Advance the tracker by one frame.
+) -> Frame:
+    """Advance the tracker by one frame, by default the one after the last.
 
     Matched detections extend their trajectories; unmatched ones above the
     birth score spawn new tracks; tracks unmatched for more than max_age
-    frames are retired afterwards. Returns this frame's (track id, box)
-    outputs sorted by track id. Frames must arrive in increasing order.
+    frames are retired afterwards. Returns this frame's track outputs, the
+    ids and scores of each output box, sorted by track id. Frames must
+    arrive in increasing order.
     """
     if frame is None:
-        frame = dets[0].frame if dets else state.frame + 1
+        frame = state.frame + 1
     if frame <= state.frame:
         raise ValueError(f"frame {frame} not after last processed frame {state.frame}")
-    for det in dets:
-        if det.frame != frame:
-            raise ValueError(f"detection frame {det.frame} != step frame {frame}")
 
-    track_centers = [(tid, state.live[tid].last_center) for tid in sorted(state.live)]
+    track_centers = [(tid, state.live[tid][0]) for tid in sorted(state.live)]
+    centers = dets.boxes[:, :2].tolist()
+    scores = dets.score.tolist()
     outputs = []
     for i, tid in associate(dets, track_centers, cfg):
-        det = dets[i]
-        if tid is not None:
-            traj = state.live[tid]
-            traj.entries.append((frame, det.box, det.score))
-            traj.last_matched_frame = frame
-            outputs.append((tid, det.box))
-        elif det.score >= cfg.birth_score_min:
-            new_id = state.next_id
+        if tid is None:
+            if scores[i] < cfg.birth_score_min:
+                continue
+            tid = state.next_id
             state.next_id += 1
-            state.live[new_id] = Trajectory(
-                track_id=new_id,
-                entries=[(frame, det.box, det.score)],
-                last_matched_frame=frame,
-            )
-            outputs.append((new_id, det.box))
+        state.live[tid] = (tuple(centers[i]), frame)
+        outputs.append((tid, i))
 
-    for tid in [t for t in state.live if frame - state.live[t].last_matched_frame > cfg.max_age]:
-        state.dead.append(state.live.pop(tid))
+    for tid in [t for t, (_, last) in state.live.items() if frame - last > cfg.max_age]:
+        del state.live[tid]
+        state.dead.append(tid)
 
     state.frame = frame
-    return sorted(outputs, key=lambda out: out[0])
+    outputs.sort()
+    ids = np.array([tid for tid, _ in outputs], dtype=np.int64)
+    rows = np.array([i for _, i in outputs], dtype=np.intp)
+    return Frame(ids, dets.boxes[rows], score=dets.score[rows])
 
 
-def run_sequence(
-    frames: list[list[Detection]], cfg: TrackerConfig = TrackerConfig()
-) -> list[Trajectory]:
-    """Track a whole sequence of per-frame detection lists.
+def run_sequence(frames: list[Frame], cfg: TrackerConfig = TrackerConfig()) -> list[Frame]:
+    """Track a whole sequence of per-frame detections.
 
-    Frame i of the sequence is frame index i. Returns all trajectories,
-    live and retired, sorted by track id. Deterministic in its inputs.
+    Frame i of the sequence is frame index i. Returns each frame's track
+    outputs, as step returns them; a track id is never reused, so the ids
+    of one id across frames form its trajectory. Deterministic in its inputs.
     """
     state = TrackerState()
-    for i, dets in enumerate(frames):
-        step(state, dets, cfg, frame=i)
-    trajectories = list(state.live.values()) + state.dead
-    return sorted(trajectories, key=lambda t: t.track_id)
+    return [step(state, dets, cfg, frame=i) for i, dets in enumerate(frames)]

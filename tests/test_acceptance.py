@@ -15,7 +15,7 @@ from crowdmot.cli import main
 from crowdmot.evaluator import MatchConfig, density_stats, evaluate_sequence, match_frame, mota
 from crowdmot.evaluator import EvalCounts
 from crowdmot.formats import sha256_file
-from crowdmot.geometry import GridSpec
+from crowdmot.geometry import GridSpec, to_frame
 from crowdmot.records import Box3D, Detection, GtObject, MotionOffset
 from crowdmot.simulator import NoiseConfig, SimConfig, corrupt, gen_scene
 from crowdmot.sparsegrid import (
@@ -171,17 +171,13 @@ def test_criterion_4_perfect_input_bijection():
         )
         scene = gen_scene(cfg)
         dets = corrupt(scene, NoiseConfig(seed=seed))
-        trajectories = run_sequence(dets, TrackerConfig())
-        pred = [[] for _ in range(len(scene))]
-        for t in trajectories:
-            for frame, box, _ in t.entries:
-                pred[frame].append((t.track_id, box))
-        metrics = evaluate_sequence(scene.frames, pred, MatchConfig())
+        tracks = run_sequence([to_frame(f) for f in dets], TrackerConfig())
+        metrics = evaluate_sequence([to_frame(f) for f in scene.frames], tracks, MatchConfig())
         assert metrics.mota == 1.0
         assert metrics.counts.ids == 0
         assert metrics.counts.fp == 0
         assert metrics.counts.fn == 0
-        assert len(trajectories) == 30
+        assert len(set().union(*(f.ids.tolist() for f in tracks))) == 30
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"bijection check took {elapsed:.1f}s"
     report("4 tracker-perfect-input-bijection")
@@ -231,7 +227,7 @@ def test_criterion_5_greedy_association_matches_exhaustive():
                 )
             )
         greedy = {
-            (i, tid) for i, tid in associate(dets, tracks, cfg) if tid is not None
+            (i, tid) for i, tid in associate(to_frame(dets), tracks, cfg) if tid is not None
         }
         oracle, unique = exhaustive_assignment(dets, tracks, cfg.max_match_dist)
         if not unique:
@@ -262,7 +258,7 @@ def test_criterion_6_clear_mot_arithmetic_and_hungarian():
             for j in range(n_pr)
         ]
         iou = iou_matrix([g.box for g in gts], [b for _, b in preds])
-        result = match_frame(gts, preds, {}, MatchConfig())
+        result = match_frame(to_frame(gts), to_frame(preds), {}, MatchConfig())
         pairs, total, unique = exhaustive_iou_match(iou, 0.5)
         assert len(result.matches) == len(pairs)
         got_total = sum(iou[gid, tid] for gid, tid in result.matches)
@@ -288,7 +284,8 @@ def test_criterion_7_density_targets_hit_within_ten_percent():
                 target_density2=target,
                 seed=seed,
             )
-            measured.append(density_stats(gen_scene(cfg), radius=2.0))
+            frames = [to_frame(f) for f in gen_scene(cfg).frames]
+            measured.append(density_stats(frames, radius=2.0))
         mean = float(np.mean(measured))
         assert abs(mean - target) <= 0.1 * target, f"target {target}: measured {mean:.3f}"
     elapsed = time.perf_counter() - start
@@ -313,12 +310,8 @@ def test_criterion_8_crowding_degrades_tracking():
             )
             scene = gen_scene(cfg)
             dets = corrupt(scene, NoiseConfig(seed=seed + 1000, **noise_kw))
-            trajectories = run_sequence(dets, TrackerConfig())
-            pred = [[] for _ in range(len(scene))]
-            for t in trajectories:
-                for frame, box, _ in t.entries:
-                    pred[frame].append((t.track_id, box))
-            motas.append(evaluate_sequence(scene.frames, pred).mota)
+            tracks = run_sequence([to_frame(f) for f in dets], TrackerConfig())
+            motas.append(evaluate_sequence([to_frame(f) for f in scene.frames], tracks).mota)
         means.append(float(np.mean(motas)))
     assert all(a >= b for a, b in zip(means, means[1:])), f"means not monotone: {means}"
     report("8 crowding-degradation-trend")

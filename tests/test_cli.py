@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from crowdmot.cli import main
 from crowdmot.formats import read_grid, sha256_file
+from crowdmot.records import Box3D
 
 CONFIG = """\
 [sim]
@@ -269,6 +270,74 @@ class TestTrackAndEval:
         rc = main(["track", "--det", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o")])
         assert rc != 0
 
+    def test_trajectories_of_another_sequence_are_rejected(self, tmp_path, gen_dir, capsys):
+        # The same scene at 5 frames a second: as many frames, other timestamps.
+        config = tmp_path / "slow.ini"
+        config.write_text(CONFIG.replace("seed = 4", "seed = 4\nframe_rate = 5"))
+        other, trk = tmp_path / "other", tmp_path / "trk"
+        assert main(["gen", "--config", str(config), "--out", str(other)]) == 0
+        assert main(["track", "--det", str(other / "det.jsonl"), "--out", str(trk)]) == 0
+        capsys.readouterr()
+        gt, traj, out = gen_dir / "gt.jsonl", trk / "traj.jsonl", tmp_path / "eval"
+        assert main(["eval", "--gt", str(gt), "--traj", str(traj), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: trajectories {traj} are not of the sequence in {gt}: "
+            "they differ first at frame 1 (timestamp 0.2, GT 0.1)\n"
+        )
+        assert not out.exists()
+
+    def test_trajectories_with_fewer_frames_are_rejected(self, tmp_path, gen_dir, capsys):
+        traj = tmp_path / "traj.jsonl"
+        traj.write_text('{"frame":0,"timestamp":0.0,"objects":[]}\n')
+        gt, out = gen_dir / "gt.jsonl", tmp_path / "eval"
+        assert main(["eval", "--gt", str(gt), "--traj", str(traj), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: trajectories {traj} are not of the sequence in {gt}: "
+            "they differ first at frame 1 (1 frames, GT 6)\n"
+        )
+        assert not out.exists()
+
+    def test_track_eval_and_density_build_no_box_objects(self, tmp_path, gen_dir, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a Box3D was built")
+
+        monkeypatch.setattr(Box3D, "__post_init__", refuse)
+        trk = tmp_path / "trk"
+        assert main(["track", "--det", str(gen_dir / "det.jsonl"), "--out", str(trk)]) == 0
+        gt = str(gen_dir / "gt.jsonl")
+        assert main(["eval", "--gt", gt, "--traj", str(trk / "traj.jsonl"),
+                     "--out", str(tmp_path / "eval")]) == 0
+        assert main(["density", "--gt", gt, "--out", str(tmp_path / "density")]) == 0
+        with pytest.raises(AssertionError, match="a Box3D was built"):
+            Box3D(0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("command", ["gen", "targets", "track", "eval", "density", "voxelshapes"])
+def test_manifest_digests_match_the_files(tmp_path, config_path, gen_dir, command):
+    """Output digests come from the writers; each must equal a hash of the file on disk."""
+    points = tmp_path / "points.npy"
+    np.save(points, np.random.default_rng(0).uniform(-20.0, 20.0, (500, 3)))
+    trk = tmp_path / "trk"
+    assert main(["track", "--det", str(gen_dir / "det.jsonl"), "--out", str(trk)]) == 0
+    gt = str(gen_dir / "gt.jsonl")
+    argv = {
+        "gen": ["--config", str(config_path)],
+        "targets": ["--gt", gt, "--grid", "0.5,0.5", "--extent=-30,30,-20,20", "--dump-pgm"],
+        "track": ["--det", str(gen_dir / "det.jsonl")],
+        "eval": ["--gt", gt, "--traj", str(trk / "traj.jsonl")],
+        "density": ["--gt", gt],
+        "voxelshapes": ["--points", str(points)],
+    }[command]
+    out = tmp_path / "out"
+    assert main([command, *argv, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    files = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
+    assert set(manifest["outputs"]) == files - {"manifest.json"}
+    for name, digest in manifest["outputs"].items():
+        assert digest == sha256_file(out / name), name
+    for name, digest in manifest["inputs"].items():
+        assert digest == sha256_file(Path(name)), name
+
 
 def tree_state(root):
     """Every path under root, with the bytes of each file."""
@@ -471,6 +540,26 @@ class TestRejectedGenConfig:
     def test_negative_seed_flag_names_the_seed(self, tmp_path, capsys):
         err = self.run(tmp_path, capsys, CONFIG.encode(), "--seed", "-1")
         assert err == "error: seed must be non-negative, got -1\n"
+
+    def test_thin_uniform_area_names_the_span_and_margins(self, tmp_path, capsys):
+        text = CONFIG.replace("n_pedestrians = 10", "n_pedestrians = 5")
+        text = text.replace("x_min = -30\nx_max = 30", "x_min = -10\nx_max = 10")
+        text = text.replace("y_min = -20\ny_max = 20", "y_min = 0\ny_max = 1")
+        err = self.run(tmp_path, capsys, text.encode())
+        assert err == (
+            "error: area y_min..y_max = 0.0..1.0 spans 1 m; uniform placement keeps 0.6 m "
+            "margins inside both walls, so the span must be at least 1.2 m\n"
+        )
+
+    def test_huge_area_prints_short_numbers(self, tmp_path, capsys):
+        text = CONFIG.replace("x_min = -30\nx_max = 30", "x_min = -1e200\nx_max = 1e200")
+        text = text.replace("y_min = -20\ny_max = 20", "y_min = 0\ny_max = 10")
+        text = text.replace("target_density2 = 2.5", "target_density2 = 0")
+        err = self.run(tmp_path, capsys, text.encode())
+        assert err == (
+            "error: target_density2=0.0 is below the uniform-placement floor 5.65487e-200 "
+            "for 10 pedestrians in 2e+201 m^2; enlarge the area or reduce n_pedestrians\n"
+        )
 
     def test_non_utf8_config_names_the_file(self, tmp_path, capsys):
         err = self.run(tmp_path, capsys, CONFIG.encode().replace(b"seed = 4", b"seed = 4 ; \xff"))

@@ -23,8 +23,8 @@ from crowdmot.evaluator import (
     mota,
     mtr_mlr,
 )
-from crowdmot.geometry import bev_iou, bev_iou_pairs
-from crowdmot.records import Box3D, GtObject, SceneSequence
+from crowdmot.geometry import bev_iou, bev_iou_pairs, footprints, to_frame
+from crowdmot.records import Box3D, GtObject
 
 
 def box(x, y, l=0.6, w=0.6, yaw=0.0):
@@ -35,32 +35,42 @@ def gt(instance_id, x, y, **kw):
     return GtObject(instance_id=instance_id, box=box(x, y, **kw))
 
 
+def match(gts, preds, prev_map, cfg=MatchConfig()):
+    """match_frame on a frame of GtObjects and one of (track id, Box3D) pairs."""
+    return match_frame(to_frame(gts), to_frame(preds), prev_map, cfg)
+
+
+def evaluate(gt_frames, pred_frames):
+    """evaluate_sequence on per-frame GtObjects and (track id, Box3D) pairs."""
+    return evaluate_sequence([to_frame(f) for f in gt_frames], [to_frame(f) for f in pred_frames])
+
+
 class TestMatchFrame:
     def test_identical_predictions(self):
         gts = [gt(i, 2.0 * i, 0.0) for i in range(4)]
         preds = [(100 + i, box(2.0 * i, 0.0)) for i in range(4)]
-        result = match_frame(gts, preds, {})
+        result = match(gts, preds, {})
         assert result.fp == 0 and result.fn == 0 and result.ids == 0
         assert result.matches == [(i, 100 + i) for i in range(4)]
 
     def test_no_predictions(self):
-        result = match_frame([gt(0, 0, 0), gt(1, 3, 0)], [], {})
+        result = match([gt(0, 0, 0), gt(1, 3, 0)], [], {})
         assert result.fn == 2 and result.fp == 0
 
     def test_identity_switch_counted(self):
         gts = [gt(0, 0.0, 0.0)]
-        first = match_frame(gts, [(7, box(0.0, 0.0))], {})
+        first = match(gts, [(7, box(0.0, 0.0))], {})
         assert first.ids == 0
-        second = match_frame(gts, [(8, box(0.0, 0.0))], first.prev_map)
+        second = match(gts, [(8, box(0.0, 0.0))], first.prev_map)
         assert second.ids == 1
         assert second.prev_map[0] == 8
 
     def test_rematch_after_gap_is_not_a_switch(self):
         gts = [gt(0, 0.0, 0.0)]
-        first = match_frame(gts, [(7, box(0.0, 0.0))], {})
-        missed = match_frame(gts, [], first.prev_map)
+        first = match(gts, [(7, box(0.0, 0.0))], {})
+        missed = match(gts, [], first.prev_map)
         assert missed.fn == 1 and missed.prev_map[0] == 7
-        third = match_frame(gts, [(7, box(0.0, 0.0))], missed.prev_map)
+        third = match(gts, [(7, box(0.0, 0.0))], missed.prev_map)
         assert third.ids == 0
 
     def test_previous_pairing_retained_over_higher_iou(self):
@@ -69,19 +79,19 @@ class TestMatchFrame:
         gts = [gt(0, 0.0, 0.0)]
         prev = {0: 7}
         preds = [(9, box(0.0, 0.0)), (7, box(0.15, 0.0))]  # IoUs 1.0 and 0.6
-        result = match_frame(gts, preds, prev)
+        result = match(gts, preds, prev)
         assert result.matches == [(0, 7)]
         assert result.ids == 0 and result.fp == 1
 
     def test_below_threshold_pairs_never_match(self):
-        result = match_frame([gt(0, 0.0, 0.0)], [(1, box(0.5, 0.5))], {})
+        result = match([gt(0, 0.0, 0.0)], [(1, box(0.5, 0.5))], {})
         assert result.fn == 1 and result.fp == 1
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
-            match_frame([gt(0, 0, 0), gt(0, 1, 0)], [], {})
+            match([gt(0, 0, 0), gt(0, 1, 0)], [], {})
         with pytest.raises(ValueError):
-            match_frame([], [(1, box(0, 0)), (1, box(1, 1))], {})
+            match([], [(1, box(0, 0)), (1, box(1, 1))], {})
 
     def test_matches_brute_force_on_random_frames(self):
         rng = np.random.default_rng(0)
@@ -93,7 +103,7 @@ class TestMatchFrame:
                 (j, box(*(centers[j % len(centers)] + rng.normal(0, 0.12, 2))))
                 for j in range(n_pr)
             ]
-            result = match_frame(gts, preds, {})
+            result = match(gts, preds, {})
             iou = iou_matrix([g.box for g in gts], [b for _, b in preds])
             oracle_pairs, oracle_total, unique = exhaustive_iou_match(iou, 0.5)
             got = {(gts.index(next(g for g in gts if g.instance_id == gid)), tid) for gid, tid in result.matches}
@@ -111,9 +121,9 @@ class TestMatchFrame:
                 (j, box(*(centers[j] + rng.normal(0, 0.1, 2))))
                 for j in range(n)
             ]
-            base = match_frame(gts, preds, {})
+            base = match(gts, preds, {})
             perm = [preds[i] for i in rng.permutation(n)]
-            permuted = match_frame(gts, perm, {})
+            permuted = match(gts, perm, {})
             assert (base.fp, base.fn, base.ids) == (permuted.fp, permuted.fn, permuted.ids)
             assert base.matches == permuted.matches
 
@@ -174,7 +184,7 @@ class TestTieRule:
     def test_identical_boxes_pair_up_in_id_order(self):
         gts = [gt(1, 0.0, 0.0), gt(0, 0.0, 0.0)]
         preds = [(11, box(0.0, 0.0)), (10, box(0.0, 0.0))]
-        assert match_frame(gts, preds, {}).matches == [(0, 10), (1, 11)]
+        assert match(gts, preds, {}).matches == [(0, 10), (1, 11)]
 
     def test_a_pair_the_fsum_cannot_see_stays_unmatched(self):
         # GT 1 and track 11 are 1000 m squares overlapping on a sliver one ulp
@@ -186,7 +196,7 @@ class TestTieRule:
         preds = [(10, box(0.0, 0.0)), (11, box(1000.0 - width, 0.0, l=1000.0, w=1000.0))]
         sliver = bev_iou(gts[1].box.bev(), preds[1][1].bev())
         assert 0.0 < sliver and 1.0 + sliver == 1.0
-        result = match_frame(gts, preds, {}, MatchConfig(1e-20))
+        result = match(gts, preds, {}, MatchConfig(1e-20))
         assert result.matches == [(0, 10)] == tie_rule_match(gts, preds, 1e-20)
 
     @settings(max_examples=300, deadline=None)
@@ -203,7 +213,7 @@ class TestTieRule:
     def test_matches_exhaustive_oracle(self, pool, gt_picks, pred_picks, gt_ids, threshold):
         gts = [GtObject(gt_ids[k], pool[p % len(pool)]) for k, p in enumerate(gt_picks)]
         preds = [(10 + 7 * k % 5, pool[p % len(pool)]) for k, p in enumerate(pred_picks)]
-        result = match_frame(gts, preds, {}, MatchConfig(threshold))
+        result = match(gts, preds, {}, MatchConfig(threshold))
         assert result.matches == tie_rule_match(gts, preds, threshold)
 
 
@@ -268,7 +278,7 @@ class TestLinearSumAssignment:
 def dense_match(gts, preds, prev_map, threshold):
     """The whole-frame reference: kept pairings, then one dense assignment."""
     i, j = np.divmod(np.arange(len(gts) * len(preds)), max(len(preds), 1))
-    iou = bev_iou_pairs([g.box for g in gts], [b for _, b in preds], i, j)
+    iou = bev_iou_pairs(footprints(to_frame(gts).boxes), footprints(to_frame(preds).boxes), i, j)
     iou = iou.reshape(len(gts), len(preds))
     col = {tid: j for j, (tid, _) in enumerate(preds)}
     matched, used = {}, set()
@@ -315,7 +325,7 @@ class TestComponentSplit:
             if expected is None:
                 continue
             compared += 1
-            assert match_frame(gts, preds, prev_map, MatchConfig(threshold)).matches == expected
+            assert match(gts, preds, prev_map, MatchConfig(threshold)).matches == expected
         assert compared >= 30
 
 
@@ -371,7 +381,7 @@ class TestEvaluateSequence:
     def test_perfect_tracking(self):
         frames = [[gt(i, i * 2.0, 0.1 * f) for i in range(3)] for f in range(5)]
         preds = [[(i, g.box) for i, g in enumerate(fr)] for fr in frames]
-        metrics = evaluate_sequence(frames, preds)
+        metrics = evaluate(frames, preds)
         assert metrics.mota == 1.0
         assert (metrics.mtr, metrics.mlr) == (1.0, 0.0)
         assert metrics.counts.p == 15
@@ -384,19 +394,19 @@ class TestEvaluateSequence:
             if f == 0:
                 frame_preds.append((1, box(5.0, 0.0)))
             preds.append(frame_preds)
-        metrics = evaluate_sequence(frames, preds)
+        metrics = evaluate(frames, preds)
         assert metrics.coverages[0] == 1.0
         assert metrics.coverages[1] == pytest.approx(0.1)
         assert (metrics.mtr, metrics.mlr) == (0.5, 0.5)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_sequence([[]], [[], []])
+            evaluate([[]], [[], []])
 
     def test_aggregate_pools_counts(self):
         frames = [[gt(0, 0.0, 0.0)]]
-        good = evaluate_sequence(frames, [[(0, box(0.0, 0.0))]])
-        bad = evaluate_sequence(frames, [[]])
+        good = evaluate(frames, [[(0, box(0.0, 0.0))]])
+        bad = evaluate(frames, [[]])
         total = aggregate([good, bad])
         assert total.counts.p == 2 and total.counts.fn == 1
         assert total.mota == 0.5
@@ -404,7 +414,7 @@ class TestEvaluateSequence:
 
 class TestDensityStats:
     def scene(self, frames):
-        return SceneSequence(frames, [float(i) for i in range(len(frames))])
+        return [to_frame(f) for f in frames]
 
     def test_single_pedestrian(self):
         assert density_stats(self.scene([[gt(0, 0, 0)]])) == 0.0

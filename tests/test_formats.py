@@ -1,13 +1,19 @@
 """Round-trips and schema validation for the on-disk formats."""
 
+import dataclasses
+import json
+import math
+import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from crowdmot import formats
 from crowdmot.formats import (
     FormatError,
     read_detections_jsonl,
@@ -20,7 +26,7 @@ from crowdmot.formats import (
     write_scene_jsonl,
     write_trajectories_jsonl,
 )
-from crowdmot.geometry import GridSpec
+from crowdmot.geometry import Frame, GridSpec, to_frame, to_objects
 from crowdmot.simulator import NoiseConfig, SimConfig, corrupt, gen_scene
 from crowdmot.targets import DenseGrid2D
 from crowdmot.tracker import TrackerConfig, run_sequence
@@ -43,17 +49,20 @@ class TestSceneJsonl:
     def test_round_trip(self, scene, tmp_path):
         path = tmp_path / "gt.jsonl"
         write_scene_jsonl(path, scene)
-        loaded = read_scene_jsonl(path)
-        assert loaded.timestamps == scene.timestamps
-        for a, b in zip(scene.frames, loaded.frames):
-            assert sorted(a, key=lambda o: o.instance_id) == list(b)
+        frames, timestamps = read_scene_jsonl(path)
+        assert timestamps == scene.timestamps
+        for a, b in zip(scene.frames, frames, strict=True):
+            assert sorted(a, key=lambda o: o.instance_id) == to_objects(b)
 
     def test_crlf_line_endings_read_as_lf(self, scene, tmp_path):
         lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
         write_scene_jsonl(lf, scene)
         crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
-        a, b = read_scene_jsonl(lf), read_scene_jsonl(crlf)
-        assert (a.frames, a.timestamps) == (b.frames, b.timestamps)
+        (a, a_times), (b, b_times) = read_scene_jsonl(lf), read_scene_jsonl(crlf)
+        assert a_times == b_times
+        assert [(f.ids.tobytes(), f.boxes.tobytes()) for f in a] == [
+            (f.ids.tobytes(), f.boxes.tobytes()) for f in b
+        ]
         crlf.write_bytes(b'{"frame":0,"timestamp":0.0,"objects":[]}\r\n\r\n{nope}\r\n')
         with pytest.raises(FormatError, match="crlf.jsonl:3: invalid JSON"):
             read_scene_jsonl(crlf)
@@ -87,7 +96,7 @@ class TestDetectionsJsonl:
         write_detections_jsonl(path, dets, scene.timestamps)
         loaded, timestamps = read_detections_jsonl(path)
         assert timestamps == scene.timestamps
-        assert loaded == dets
+        assert [to_objects(f, k) for k, f in enumerate(loaded)] == dets
 
     def test_detection_requires_score_and_offset(self, tmp_path):
         path = tmp_path / "det.jsonl"
@@ -115,17 +124,15 @@ class TestDetectionsJsonl:
 class TestTrajectoriesJsonl:
     def test_round_trip_through_tracker(self, scene, tmp_path):
         dets = corrupt(scene, NoiseConfig(seed=1))
-        trajectories = run_sequence(dets, TrackerConfig())
+        tracks = run_sequence([to_frame(f) for f in dets], TrackerConfig())
         path = tmp_path / "traj.jsonl"
-        write_trajectories_jsonl(path, trajectories, scene.timestamps)
+        write_trajectories_jsonl(path, tracks, scene.timestamps)
         frames, timestamps = read_trajectories_jsonl(path)
         assert timestamps == scene.timestamps
-        total = sum(len(f) for f in frames)
-        assert total == sum(len(t.entries) for t in trajectories)
-        boxes = {(f, tid): box for f, fr in enumerate(frames) for tid, box in fr}
-        for t in trajectories:
-            for frame, box, _ in t.entries:
-                assert boxes[(frame, t.track_id)] == box
+        assert sum(len(f) for f in frames) > 0
+        for written, read in zip(tracks, frames, strict=True):
+            assert written.ids.tobytes() == read.ids.tobytes()
+            assert written.boxes.tobytes() == read.boxes.tobytes()
 
 
 class TestGridFiles:
@@ -276,3 +283,182 @@ class TestWritersOnSparseGrids:
             write_pgm(Path(tmp) / "x.pgm", dense)
             assert (Path(tmp) / "x.grid").read_text() == per_value_grid_text(dense)
             assert (Path(tmp) / "x.pgm").read_text() == per_value_pgm_text(dense)
+
+
+# The bulk reader against the per-object decoder. A frame goes through both:
+# the readers as they are, and the readers with the bulk check switched off,
+# so that every frame is decoded object by object. They must agree on every
+# bit of every column, or raise the same message.
+
+OVERFLOW = "overflow-marker"  # written as the JSON number 1e400, which reads as inf
+LARGEST_INT = int(sys.float_info.max)
+READERS = {
+    "gt": read_scene_jsonl,
+    "det": read_detections_jsonl,
+    "traj": read_trajectories_jsonl,
+}
+BOX_KEYS = ("cx", "cy", "cz", "l", "w", "h", "yaw")
+# Values that may take the place of any field: ints in and out of float
+# range, bools, non-numbers, lists of the wrong length or content.
+ODD_VALUES = [
+    0, 1, -1, LARGEST_INT, LARGEST_INT + 1, -LARGEST_INT - 1, 2**63, -2**63 - 1, True, False,
+    None, "1.5", OVERFLOW, -0.0, 0.0, 1.5, -1.0, 5e-324, math.pi, -math.pi,
+    [], [0.0], [0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1], [0.0, OVERFLOW], [True, 0.0, 0.0],
+    [0.0, 0.0, OVERFLOW],
+]
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_YAW = st.one_of(
+    _FINITE,
+    st.sampled_from([-0.0, math.pi, -math.pi, math.nextafter(-math.pi, -math.inf),
+                     math.nextafter(math.pi, math.inf), 3 * math.pi]),
+)
+_SIDE = st.floats(min_value=5e-324, allow_infinity=False)
+
+
+@st.composite
+def jsonl_objects(draw, kind):
+    """A frame's objects of one kind, valid or with a few fields made odd or dropped."""
+    objects = []
+    for k in range(draw(st.integers(0, 4))):
+        obj = {"id": draw(st.integers(0, 5)) if draw(st.integers(0, 9)) == 0 else k}
+        for key in BOX_KEYS:
+            obj[key] = draw(_SIDE if key in ("l", "w", "h") else _YAW if key == "yaw" else _FINITE)
+        if kind != "gt":
+            obj["score"] = draw(st.floats(0.0, 1.0))
+        if kind == "det":
+            obj["offset"] = draw(st.lists(_FINITE, min_size=3, max_size=3))
+            newborn = draw(st.sampled_from(["absent", True, False]))
+            if newborn != "absent":
+                obj["newborn"] = newborn
+            rel = draw(st.one_of(st.just("absent"), st.none(), st.lists(_FINITE, min_size=2, max_size=2)))
+            if rel != "absent":
+                obj["rel"] = rel
+        objects.append(obj)
+    for _ in range(draw(st.integers(0, 2)) if objects else 0):
+        obj = draw(st.sampled_from(objects))
+        key = draw(st.sampled_from(sorted(obj) + ["newborn", "rel"]))
+        if draw(st.booleans()):
+            obj.pop(key, None)
+        else:
+            obj[key] = draw(st.sampled_from(ODD_VALUES))
+    return objects
+
+
+def jsonl_line(objects):
+    line = json.dumps({"frame": 0, "timestamp": 0.0, "objects": objects})
+    return line.replace(f'"{OVERFLOW}"', "1e400")
+
+
+def read_frame(reader, path):
+    """The one frame the file holds, or the message the reader raised."""
+    try:
+        frames, _ = reader(path)
+    except FormatError as exc:
+        return str(exc)
+    return frames[0]
+
+
+def read_one_by_one(reader, path):
+    def never(objects):
+        return None
+
+    with mock.patch.object(formats, "_box_columns", never), \
+            mock.patch.object(formats, "_detection_columns", never):
+        return read_frame(reader, path)
+
+
+def assert_same(bulk, one_by_one):
+    if isinstance(bulk, str) or isinstance(one_by_one, str):
+        assert bulk == one_by_one
+        return
+    for field in dataclasses.fields(Frame):
+        a, b = getattr(bulk, field.name), getattr(one_by_one, field.name)
+        if a is None or b is None:
+            assert a is b, field.name
+        else:
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field.name
+
+
+def bulk_and_one_by_one(kind, objects):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.jsonl"
+        path.write_text(jsonl_line(objects) + "\n")
+        reader = READERS[kind]
+        return read_frame(reader, path), read_one_by_one(reader, path)
+
+
+DET = {"id": 0, "cx": 1.0, "cy": -2.0, "cz": 0.8, "l": 0.6, "w": 0.5, "h": 1.7, "yaw": 0.3,
+       "score": 0.9, "offset": [0.1, -0.2, 0.0], "newborn": False, "rel": [0.5, 0.5]}
+
+
+class TestBulkReader:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_per_object_decoder(self, data):
+        kind = data.draw(st.sampled_from(sorted(READERS)))
+        objects = data.draw(jsonl_objects(kind))
+        assert_same(*bulk_and_one_by_one(kind, objects))
+
+    @pytest.mark.parametrize(
+        "change, bulk_passes",
+        [
+            ({"cx": -0.0, "yaw": -0.0}, True),
+            ({"yaw": math.pi}, True),
+            ({"yaw": -math.pi}, True),
+            ({"yaw": math.nextafter(-math.pi, -math.inf)}, True),
+            ({"cx": OVERFLOW}, False),
+            ({"l": -1.0}, False),
+            ({"w": 0.0}, False),
+            ({"h": -0.0}, False),
+            ({"offset": [0.0, OVERFLOW, 0.0]}, False),
+            ({"rel": [OVERFLOW, 0.0]}, False),
+            ({"cy": LARGEST_INT}, False),
+            ({"cy": LARGEST_INT + 1}, False),
+            ({"l": True}, False),
+            ({"score": False}, False),
+            ({"h": None}, False),
+            ({"rel": None}, True),
+            ({"rel": [0.5]}, False),
+            ({"rel": [0.5, 0.5, 0.5]}, False),
+            ({"newborn": 1}, False),
+            ({"newborn": True}, True),
+            ({"score": 1.5}, False),
+            ({"score": -0.0}, True),
+            ({"score": 1}, False),
+            ({"offset": [0.0, 0.0]}, False),
+            ({"id": 2**63}, False),
+            ({"id": True}, False),
+        ],
+    )
+    def test_explicit_cases(self, change, bulk_passes):
+        objects = [dict(DET, **change), dict(DET, id=1)]
+        bulk, one_by_one = bulk_and_one_by_one("det", objects)
+        assert_same(bulk, one_by_one)
+        decoded = json.loads(jsonl_line(objects))["objects"]
+        assert (formats._detection_columns(decoded) is not None) == bulk_passes
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    @pytest.mark.parametrize("drop", ["id", "cx", "yaw", "score", "offset", "newborn", "rel"])
+    def test_missing_key(self, kind, drop):
+        objects = [DET, {k: v for k, v in dict(DET, id=1).items() if k != drop}]
+        assert_same(*bulk_and_one_by_one(kind, objects))
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_duplicate_id(self, kind):
+        bulk, one_by_one = bulk_and_one_by_one(kind, [DET, DET])
+        assert bulk == one_by_one and bulk.endswith(": duplicate id 0")
+
+    def test_rel_absent_null_and_given_in_one_frame(self):
+        objects = [DET, dict(DET, id=1, rel=None), {k: v for k, v in DET.items() if k != "rel"}]
+        objects[2]["id"] = 2
+        bulk, one_by_one = bulk_and_one_by_one("det", objects)
+        assert_same(bulk, one_by_one)
+        assert bulk.has_rel.tolist() == [True, True, False]
+        rels = [d.relationship for d in to_objects(bulk)]
+        assert rels[0].defined and not rels[1].defined and rels[2] is None
+
+    def test_int_fields_take_the_per_object_path_and_are_accepted(self):
+        objects = [dict(DET, cx=1, score=1, offset=[0, 0, 0])]
+        bulk, one_by_one = bulk_and_one_by_one("det", objects)
+        assert_same(bulk, one_by_one)
+        assert bulk.boxes[0, 0] == 1.0 and bulk.score.tolist() == [1.0]

@@ -11,11 +11,15 @@ from scipy.spatial import cKDTree
 from crowdmot.geometry import (
     GridSpec,
     OutOfBoundsError,
+    bev_fields,
     bev_iou,
     bev_iou_pairs,
     cell_center,
+    footprints,
     pairs_within,
     quantize_to_grid,
+    to_frame,
+    wrap_yaw,
 )
 from crowdmot.records import Box3D, BoxBEV, normalize_yaw
 
@@ -271,8 +275,9 @@ class TestBevIouPairs:
     def assert_bits(a_boxes, b_boxes):
         k = np.arange(len(a_boxes))
         expected = np.array([scalar_iou(a, b) for a, b in zip(a_boxes, b_boxes)])
-        assert bev_iou_pairs(a_boxes, b_boxes, k, k).tobytes() == expected.tobytes()
-        assert bev_iou_pairs(b_boxes, a_boxes, k, k).tobytes() == expected.tobytes()
+        a, b = bev_fields(a_boxes), bev_fields(b_boxes)
+        assert bev_iou_pairs(a, b, k, k).tobytes() == expected.tobytes()
+        assert bev_iou_pairs(b, a, k, k).tobytes() == expected.tobytes()
         return expected
 
     def test_random_pairs(self):
@@ -350,12 +355,32 @@ class TestBevIouPairs:
             for _ in range(200)
         ]
         i, j = np.divmod(np.arange(200 * 200), 200)
-        footprints = [b.bev() for b in boxes]
-        assert (bev_iou_pairs(boxes, boxes, i, j).tobytes()
-                == bev_iou_pairs(footprints, footprints, i, j).tobytes())
+        rows = footprints(to_frame(list(enumerate(boxes))).boxes)
+        bev = bev_fields([b.bev() for b in boxes])
+        assert rows.tobytes() == bev.tobytes()
+        assert bev_iou_pairs(rows, rows, i, j).tobytes() == bev_iou_pairs(bev, bev, i, j).tobytes()
 
     def test_empty(self):
-        assert bev_iou_pairs([], [], [], []).shape == (0,)
+        assert bev_iou_pairs(bev_fields([]), bev_fields([]), [], []).shape == (0,)
+
+
+# Around every multiple of pi the wrap has its rounding edges, and
+# nextafter(-pi, -inf) is the input that normalize_yaw sends to +pi.
+_YAW_EDGES = [
+    math.nextafter(k * math.pi, direction)
+    for k in range(-4, 5)
+    for direction in (-math.inf, 0.0, math.inf)
+] + [k * math.pi for k in range(-4, 5)] + [-0.0, 0.0, 1e300, -1e300, 5e-324]
+
+
+class TestWrapYaw:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
+    def test_is_normalize_yaw_bit_for_bit(self, yaws):
+        yaws = yaws + _YAW_EDGES
+        got = wrap_yaw(np.array(yaws))
+        expected = np.array([normalize_yaw(y) for y in yaws])
+        assert got.tobytes() == expected.tobytes()
 
 
 # Whole-metre coordinates make duplicates and exact distances common; the

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from crowdmot import simulator
 from crowdmot.evaluator import density_stats
+from crowdmot.geometry import to_frame
 from crowdmot.simulator import (
     InfeasibleSceneError,
     MIN_SEPARATION,
@@ -29,6 +30,10 @@ from crowdmot.targets import make_motion_offsets
 from oracles import reflect_scalar, repair_separation_by_pair_loop, too_close_to_any_placed
 
 AREA = (-60.0, 60.0, -40.0, 40.0)
+
+
+def frames_of(scene):
+    return [to_frame(f) for f in scene.frames]
 
 
 def small_cfg(**kw):
@@ -119,7 +124,7 @@ class TestGenScene:
 
     def test_density_near_target(self):
         measured = np.mean(
-            [density_stats(gen_scene(small_cfg(seed=s))) for s in range(8)]
+            [density_stats(frames_of(gen_scene(small_cfg(seed=s)))) for s in range(8)]
         )
         assert measured == pytest.approx(2.0, rel=0.15)
 
@@ -310,7 +315,7 @@ class TestDensitySweep:
 
     def test_measured_density_non_decreasing(self):
         scenes = density_sweep(small_cfg(n_pedestrians=40), [0.7, 2.0, 3.8])
-        measured = [density_stats(s) for s in scenes]
+        measured = [density_stats(frames_of(s)) for s in scenes]
         assert measured == sorted(measured)
 
     def test_deterministic(self):

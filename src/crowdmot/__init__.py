@@ -2,10 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .records import (
-    Box3D, BoxBEV, Detection, GtObject, MotionOffset, RelationshipOffset, SceneSequence,
-)
-from .geometry import Frame, GridSpec, bev_iou, cell_center, quantize_to_grid, to_frame, to_objects
+from .records import Box3D, BoxBEV
+from .geometry import Frame, GridSpec, bev_iou, cell_center, quantize_to_grid
 from .targets import (
     DenseGrid2D,
     LossParams,
@@ -47,26 +45,19 @@ __all__ = [
     "bev_iou",
     "cell_center",
     "quantize_to_grid",
-    "to_frame",
-    "to_objects",
     "DenseGrid2D",
-    "GtObject",
     "LossParams",
-    "MotionOffset",
-    "RelationshipOffset",
     "focal_daw_loss",
     "make_daw",
     "make_heatmap",
     "make_motion_offsets",
     "make_relationship_offsets",
-    "Detection",
     "TrackerConfig",
     "TrackerState",
     "associate",
     "run_sequence",
     "step",
     "NoiseConfig",
-    "SceneSequence",
     "SimConfig",
     "corrupt",
     "density_sweep",

@@ -14,6 +14,7 @@ import configparser
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from .formats import (
     write_scene_jsonl,
     write_trajectories_jsonl,
 )
-from .geometry import GridSpec, OutOfBoundsError, check_positive, quantize_to_grid, to_objects
+from .geometry import Frame, GridSpec, OutOfBoundsError, check_positive, quantize_to_grid
 from .simulator import NoiseConfig, SimConfig, corrupt, gen_scene
 from .sparsegrid import DEFAULT_WIDTHS, PointCloud, VoxelSpec, topology_report
 from .targets import make_daw, make_heatmap, make_motion_offsets, make_relationship_offsets
@@ -185,13 +186,13 @@ def _parse_extent(raw: str) -> tuple[float, float, float, float]:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     sim, noise, echo = load_gen_config(Path(args.config), args.seed)
-    scene = gen_scene(sim)
-    dets = corrupt(scene, noise)
+    frames, timestamps = gen_scene(sim)
+    dets = corrupt(frames, noise)
     out = Path(args.out)
     gt_path, det_path = out / "gt.jsonl", out / "det.jsonl"
     outputs = {
-        gt_path: write_scene_jsonl(gt_path, scene),
-        det_path: write_detections_jsonl(det_path, dets, scene.timestamps),
+        gt_path: write_scene_jsonl(gt_path, frames, timestamps),
+        det_path: write_detections_jsonl(det_path, dets, timestamps),
     }
     _write_manifest(out, "gen", echo, [Path(args.config)], outputs)
     _say(f"wrote {gt_path} and {det_path}")
@@ -208,35 +209,38 @@ def cmd_targets(args: argparse.Namespace) -> int:
         grid = GridSpec(x_min, x_max, y_min, y_max, dx, dy)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    columns, timestamps = read_scene_jsonl(Path(args.gt))
-    frames = [to_objects(f) for f in columns]
-    # Validate every object against the grid before writing anything, so a
-    # bad late frame cannot leave partial outputs behind.
-    for frame, objs in enumerate(frames):
-        for obj in objs:
+    frames, timestamps = read_scene_jsonl(Path(args.gt))
+    # Validate every object against the grid and build every offset target
+    # before writing anything, so a bad late frame cannot leave partial
+    # outputs behind.
+    for number, frame in enumerate(frames):
+        for key, (x, y) in zip(frame.ids.tolist(), frame.boxes[:, :2].tolist()):
             try:
-                quantize_to_grid(obj.box.cx, obj.box.cy, grid)
+                quantize_to_grid(x, y, grid)
             except OutOfBoundsError as exc:
-                raise OutOfBoundsError(f"frame {frame}, object {obj.instance_id}: {exc}") from None
+                raise OutOfBoundsError(f"frame {number}, object {key}: {exc}") from None
+    offsets = []
+    for frame, prev in zip(frames, [Frame.empty(), *frames]):
+        offset, newborn = make_motion_offsets(frame, prev)
+        rel = make_relationship_offsets(frame, radius=args.rel_radius)
+        offsets.append(replace(
+            frame, offset=offset, newborn=newborn, rel=rel, has_rel=np.ones(len(frame), dtype=bool)
+        ))
     out = Path(args.out)
     outputs = {}
-    for frame, objs in enumerate(frames):
-        heat = make_heatmap(objs, grid, sigma=args.sigma)
-        daw = make_daw(objs, grid, th=args.th)
-        heat_path = out / f"heatmap_{frame:04d}.grid"
-        daw_path = out / f"weights_{frame:04d}.grid"
+    for number, frame in enumerate(frames):
+        heat = make_heatmap(frame, grid, sigma=args.sigma)
+        daw = make_daw(frame, grid, th=args.th)
+        heat_path = out / f"heatmap_{number:04d}.grid"
+        daw_path = out / f"weights_{number:04d}.grid"
         outputs[heat_path] = write_grid(heat_path, heat)
         outputs[daw_path] = write_grid(daw_path, daw)
         if args.dump_pgm:
             for src, dst in ((heat, heat_path), (daw, daw_path)):
                 pgm = dst.with_suffix(".pgm")
                 outputs[pgm] = write_pgm(pgm, src)
-    offsets = (
-        (make_motion_offsets(objs, prev), make_relationship_offsets(objs, radius=args.rel_radius))
-        for objs, prev in zip(frames, [[], *frames])
-    )
     offsets_path = out / "offsets.jsonl"
-    outputs[offsets_path] = write_offsets_jsonl(offsets_path, timestamps, offsets)
+    outputs[offsets_path] = write_offsets_jsonl(offsets_path, offsets, timestamps)
     config = {
         "grid": {"dx": dx, "dy": dy, "x_min": x_min, "x_max": x_max, "y_min": y_min, "y_max": y_max},
         "sigma": args.sigma,
@@ -350,6 +354,8 @@ def cmd_density(args: argparse.Namespace) -> int:
 
 
 def cmd_voxelshapes(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     try:
         raw = np.load(args.points)
     except (OSError, ValueError, EOFError) as exc:

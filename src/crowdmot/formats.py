@@ -5,7 +5,7 @@ One JSON object per line holds one frame:
 GT objects carry {id, cx, cy, cz, l, w, h, yaw}; detections additionally
 carry score, offset [ox, oy, oz], optionally newborn and rel ([rx, ry] or
 null when no neighbor is in range); trajectory objects carry score and use
-the track id as id. For detection records the id is the within-frame index.
+the track id as id. For detections the id is the within-frame index.
 Offset-target objects carry {id, offset [ox, oy, oz], newborn, rel}.
 
 Frames are numbered 0, 1, ... with strictly increasing timestamps; every
@@ -35,18 +35,19 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .geometry import BOX_FIELDS, Frame, GridSpec, to_frame, wrap_yaw
-from .records import Box3D, Detection, MotionOffset, RelationshipOffset, SceneSequence
+from .geometry import BOX_FIELDS, Frame, GridSpec, wrap_yaw
+from .records import Box3D
 from .targets import DenseGrid2D
 
 
@@ -78,20 +79,8 @@ def sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _box_fields(box: Box3D) -> dict:
-    return {
-        "cx": box.cx,
-        "cy": box.cy,
-        "cz": box.cz,
-        "l": box.length,
-        "w": box.width,
-        "h": box.height,
-        "yaw": box.yaw,
-    }
-
-
-def _rel_field(rel: RelationshipOffset) -> list[float] | None:
-    return [rel.rx, rel.ry] if rel.defined else None
+# Stands for a field an object does not have.
+_ABSENT = object()
 
 
 def _frame_line(frame: int, timestamp: float, objects: list[dict]) -> str:
@@ -102,70 +91,72 @@ def _frame_line(frame: int, timestamp: float, objects: list[dict]) -> str:
     )
 
 
-def _write_frames(path: Path, timestamps: list[float], frames: Iterable[list[dict]]) -> str:
-    """One line per frame, each frame's objects in ascending id order."""
-    lines = [
-        _frame_line(frame, ts, sorted(objects, key=itemgetter("id")))
-        for frame, (ts, objects) in enumerate(zip(timestamps, frames, strict=True))
-    ]
+def _write_frames(
+    path: Path,
+    frames: Iterable[Frame],
+    timestamps: list[float],
+    fields: Callable[[Frame], list[tuple[str, list]]],
+) -> str:
+    """One line per frame: per object, in ascending id order, its id and its fields.
+
+    fields(frame) returns (key, values) pairs in the order the keys are
+    written, with one value per object in row order; a value _ABSENT leaves
+    its key out of that object.
+    """
+    lines = []
+    for number, (timestamp, frame) in enumerate(zip(timestamps, frames, strict=True)):
+        keys, columns = zip(("id", frame.ids.tolist()), *fields(frame))
+        rows = list(zip(*columns))
+        objects = [
+            {key: value for key, value in zip(keys, rows[k]) if value is not _ABSENT}
+            for k in np.argsort(frame.ids, kind="stable").tolist()
+        ]
+        lines.append(_frame_line(number, timestamp, objects))
     return atomic_write_text(path, "".join(line + "\n" for line in lines))
 
 
-def write_scene_jsonl(path: Path, scene: SceneSequence) -> str:
-    frames = (
-        [{"id": int(o.instance_id), **_box_fields(o.box)} for o in objs] for objs in scene.frames
-    )
-    return _write_frames(path, scene.timestamps, frames)
+def _box_values(frame: Frame) -> list[tuple[str, list]]:
+    return list(zip(BOX_FIELDS, frame.boxes.T.tolist()))
 
 
-def _detection_record(index: int, det: Detection) -> dict:
-    obj = {
-        "id": index,
-        **_box_fields(det.box),
-        "score": det.score,
-        "offset": list(det.offset.as_tuple()),
-    }
-    if det.offset.newborn:
-        obj["newborn"] = True
-    if det.relationship is not None:
-        obj["rel"] = _rel_field(det.relationship)
-    return obj
+def _rel_values(frame: Frame) -> list:
+    """Per object [rx, ry], None where the relationship is undefined, _ABSENT where not given."""
+    return [
+        _ABSENT if not given else None if math.isnan(rx) else [rx, ry]
+        for (rx, ry), given in zip(frame.rel.tolist(), frame.has_rel.tolist())
+    ]
 
 
-def write_detections_jsonl(
-    path: Path, det_frames: list[list[Detection]], timestamps: list[float]
-) -> str:
-    frames = ([_detection_record(i, det) for i, det in enumerate(dets)] for dets in det_frames)
-    return _write_frames(path, timestamps, frames)
+def write_scene_jsonl(path: Path, frames: list[Frame], timestamps: list[float]) -> str:
+    """GT frames: per object its id and box."""
+    return _write_frames(path, frames, timestamps, _box_values)
+
+
+def write_detections_jsonl(path: Path, frames: list[Frame], timestamps: list[float]) -> str:
+    """Detection frames: per object its id, box, score, offset, newborn if true, and rel if given."""
+    return _write_frames(path, frames, timestamps, lambda f: [
+        *_box_values(f),
+        ("score", f.score.tolist()),
+        ("offset", f.offset.tolist()),
+        ("newborn", [True if born else _ABSENT for born in f.newborn.tolist()]),
+        ("rel", _rel_values(f)),
+    ])
 
 
 def write_trajectories_jsonl(path: Path, frames: list[Frame], timestamps: list[float]) -> str:
     """The tracker's output frames: per object its track id, box and score."""
-    records = (
-        [
-            {"id": key, **dict(zip(BOX_FIELDS, row)), "score": score}
-            for key, row, score in zip(f.ids.tolist(), f.boxes.tolist(), f.score.tolist())
-        ]
-        for f in frames
+    return _write_frames(
+        path, frames, timestamps, lambda f: [*_box_values(f), ("score", f.score.tolist())]
     )
-    return _write_frames(path, timestamps, records)
 
 
-def write_offsets_jsonl(
-    path: Path,
-    timestamps: list[float],
-    offsets: Iterable[tuple[dict[Hashable, MotionOffset], dict[Hashable, RelationshipOffset]]],
-) -> str:
-    """Offset targets: per frame, the motion and relationship offsets by instance id."""
-    frames = (
-        [
-            {"id": int(key), "offset": list(off.as_tuple()), "newborn": off.newborn,
-             "rel": _rel_field(rels[key])}
-            for key, off in motion.items()
-        ]
-        for motion, rels in offsets
-    )
-    return _write_frames(path, timestamps, frames)
+def write_offsets_jsonl(path: Path, frames: list[Frame], timestamps: list[float]) -> str:
+    """Offset-target frames: per object its id, offset, newborn flag and rel."""
+    return _write_frames(path, frames, timestamps, lambda f: [
+        ("offset", f.offset.tolist()),
+        ("newborn", f.newborn.tolist()),
+        ("rel", _rel_values(f)),
+    ])
 
 
 _LARGEST = sys.float_info.max
@@ -198,8 +189,9 @@ def _numbers(obj: dict, key: str, n: int) -> list[float]:
     raise FormatError(f"{key!r} must be a list of {n} finite numbers, got {value!r}")
 
 
-def _box(obj: dict) -> Box3D:
-    return Box3D(
+def _box(obj: dict) -> list[float]:
+    """obj's box fields in BOX_FIELDS order, checked and yaw-wrapped as Box3D does it."""
+    box = Box3D(
         cx=_number(obj, "cx"),
         cy=_number(obj, "cy"),
         cz=_number(obj, "cz"),
@@ -208,6 +200,7 @@ def _box(obj: dict) -> Box3D:
         width=_number(obj, "w"),
         yaw=_number(obj, "yaw"),
     )
+    return [box.cx, box.cy, box.cz, box.length, box.width, box.height, box.yaw]
 
 
 _INT64 = 2**63
@@ -215,8 +208,6 @@ _IDS = itemgetter("id")
 _BOXES = itemgetter(*BOX_FIELDS)
 _SCORES = itemgetter("score")
 _OFFSETS = itemgetter("offset")
-# Stands for a rel field an object does not have.
-_ABSENT = object()
 
 
 def _only(values: Iterable, kind: type) -> bool:
@@ -290,8 +281,8 @@ def _detection_columns(objects: list) -> Optional[Frame]:
     )
 
 
-def _decode(objects: list, decode: Callable[[int, dict], object]) -> tuple[np.ndarray, Frame]:
-    """The ids and to_frame of objects decoded one by one: the first bad field raises."""
+def _decode(objects: list, decode: Callable[[dict], object]) -> tuple[np.ndarray, list]:
+    """The ids and decode(object) of each object, one by one: the first bad field raises."""
     values, ids = [], {}
     for obj in objects:
         if type(obj) is not dict:
@@ -300,34 +291,43 @@ def _decode(objects: list, decode: Callable[[int, dict], object]) -> tuple[np.nd
         if key in ids:
             raise FormatError(f"duplicate id {key}")
         ids[key] = None
-        values.append(decode(key, obj))
+        values.append(decode(obj))
     for key in ids:
         if not -_INT64 <= key < _INT64:
             raise FormatError(f"id {key} does not fit in 64 bits")
-    return np.array(list(ids), dtype=np.int64), to_frame(values)
+    return np.array(list(ids), dtype=np.int64), values
 
 
-def _boxes_one_by_one(objects: list, frame: int) -> Frame:
-    ids, decoded = _decode(objects, lambda key, obj: (key, _box(obj)))
-    return Frame(ids, decoded.boxes)
+def _boxes_one_by_one(objects: list) -> Frame:
+    ids, boxes = _decode(objects, _box)
+    return Frame(ids, np.array(boxes, dtype=float).reshape(-1, 7))
 
 
-def _detections_one_by_one(objects: list, frame: int) -> Frame:
-    ids, decoded = _decode(objects, lambda key, obj: _detection(obj, frame))
-    return dataclasses.replace(decoded, ids=ids)
+def _detections_one_by_one(objects: list) -> Frame:
+    ids, rows = _decode(objects, _detection)
+    boxes, score, offset, newborn, rel, has_rel = list(zip(*rows)) or [()] * 6
+    return Frame(
+        ids,
+        np.array(boxes, dtype=float).reshape(-1, 7),
+        np.array(score, dtype=float),
+        np.array(offset, dtype=float).reshape(-1, 3),
+        np.array(newborn, dtype=bool),
+        np.array(rel, dtype=float).reshape(-1, 2),
+        np.array(has_rel, dtype=bool),
+    )
 
 
 def _read_frames(
     path: Path,
     columns: Callable[[list], Optional[Frame]],
-    one_by_one: Callable[[list, int], Frame],
+    one_by_one: Callable[[list], Frame],
 ) -> tuple[list[Frame], list[float]]:
     """One Frame per line and the frame timestamps.
 
     Frames must be numbered 0, 1, ... in order with strictly increasing
     timestamps, and each object needs an integer id unique within its frame.
     columns(objects) checks and gathers a frame in bulk; where it returns
-    None, one_by_one(objects, frame) decodes the frame object by object.
+    None, one_by_one(objects) decodes the frame object by object.
     """
     frames: list[Frame] = []
     timestamps: list[float] = []
@@ -344,7 +344,7 @@ def _read_frames(
                 raise FormatError("'objects' is not a list")
             values = columns(objects)
             if values is None:
-                values = one_by_one(objects, frame)
+                values = one_by_one(objects)
         except KeyError as exc:
             raise FormatError(f"{path}:{line_no}: missing field {exc.args[0]!r}") from None
         except ValueError as exc:
@@ -359,24 +359,20 @@ def read_scene_jsonl(path: Path) -> tuple[list[Frame], list[float]]:
     return _read_frames(path, _box_columns, _boxes_one_by_one)
 
 
-def _detection(obj: dict, frame: int) -> Detection:
+def _detection(obj: dict) -> tuple:
+    """(box, score, offset, newborn, rel, has_rel) of a detection; rel is NaN where null or absent."""
     newborn = obj.get("newborn", False)
     if type(newborn) is not bool:
         raise FormatError(f"'newborn' must be true or false, got {newborn!r}")
-    relationship = None
-    if "rel" in obj:
-        relationship = (
-            RelationshipOffset.undefined()
-            if obj["rel"] is None
-            else RelationshipOffset(*_numbers(obj, "rel", 2), True)
-        )
-    return Detection(
-        box=_box(obj),
-        score=_number(obj, "score"),
-        offset=MotionOffset(*_numbers(obj, "offset", 3), newborn=newborn),
-        frame=frame,
-        relationship=relationship,
-    )
+    rel = [math.nan, math.nan]
+    if obj.get("rel") is not None:
+        rel = _numbers(obj, "rel", 2)
+    box = _box(obj)
+    score = _number(obj, "score")
+    offset = _numbers(obj, "offset", 3)
+    if not 0.0 <= score <= 1.0:
+        raise ValueError(f"score {score} outside [0, 1]")
+    return box, score, offset, newborn, rel, "rel" in obj
 
 
 def read_detections_jsonl(path: Path) -> tuple[list[Frame], list[float]]:

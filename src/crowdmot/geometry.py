@@ -2,20 +2,19 @@
 
 Everything here is a pure function on immutable values. The BEV plane is the
 ground plane seen from above; boxes live there as rotated rectangles. A
-Frame holds one frame's objects as arrays; the tracker, the evaluator and
-the density statistic work on Frames, and to_frame/to_objects convert
-between a Frame and the per-object records.
+Frame holds one frame's objects as arrays; every stage from the simulator
+to the JSONL writers works on Frames.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
-from .records import Box3D, BoxBEV, Detection, GtObject, MotionOffset, RelationshipOffset
+from .records import BoxBEV
 
 # Cells whose fractional index lands within this distance of an integer are
 # snapped up before flooring, so boundary coordinates quantize into the cell
@@ -141,7 +140,8 @@ class Frame:
     Detection frames also hold score (n,), offset (n, 3), newborn (n,) bool,
     rel (n, 2), NaN where the relationship is null or absent, and has_rel
     (n,) bool, true where the object carried a rel field. Tracker output
-    frames hold a score only.
+    frames hold a score only; offset-target frames hold every column but the
+    score.
     """
 
     ids: np.ndarray
@@ -155,69 +155,10 @@ class Frame:
     def __len__(self) -> int:
         return len(self.ids)
 
-
-def to_frame(objects) -> Frame:
-    """The Frame of one frame's GtObjects, (id, Box3D) pairs or Detections.
-
-    A detection's id is its index in the list, as in a detection file; an
-    empty list gives an empty frame with every detection column. Detections
-    of more than one frame raise ValueError.
-    """
-    objects = list(objects)
-    dets = not objects or isinstance(objects[0], Detection)
-    if dets:
-        frames = {d.frame for d in objects}
-        if len(frames) > 1:
-            raise ValueError(f"detections span multiple frames: {sorted(frames)}")
-        ids, boxes = range(len(objects)), [d.box for d in objects]
-    elif isinstance(objects[0], GtObject):
-        ids, boxes = [o.instance_id for o in objects], [o.box for o in objects]
-    else:
-        ids, boxes = [k for k, _ in objects], [b for _, b in objects]
-    columns = np.array(
-        [(b.cx, b.cy, b.cz, b.length, b.width, b.height, b.yaw) for b in boxes], dtype=float
-    ).reshape(-1, 7)
-    frame = Frame(np.array(ids, dtype=np.int64).reshape(-1), columns)
-    if not dets:
-        return frame
-    rels = [d.relationship for d in objects]
-    return replace(
-        frame,
-        score=np.array([d.score for d in objects], dtype=float),
-        offset=np.array([d.offset.as_tuple() for d in objects], dtype=float).reshape(-1, 3),
-        newborn=np.array([d.offset.newborn for d in objects], dtype=bool),
-        rel=np.array(
-            [(r.rx, r.ry) if r is not None and r.defined else (math.nan, math.nan) for r in rels],
-            dtype=float,
-        ).reshape(-1, 2),
-        has_rel=np.array([r is not None for r in rels], dtype=bool),
-    )
-
-
-def to_objects(frame: Frame, number: int = 0) -> list:
-    """The records of a Frame: Detections of frame `number` where it has offsets, else GtObjects.
-
-    Each Box3D wraps its yaw once more, which changes only a yaw of exactly
-    +pi, to -pi.
-    """
-    boxes = [
-        Box3D(cx, cy, cz, length, height, width, yaw)
-        for cx, cy, cz, length, width, height, yaw in frame.boxes.tolist()
-    ]
-    if frame.offset is None:
-        return [GtObject(key, box) for key, box in zip(frame.ids.tolist(), boxes)]
-    rels = [
-        None if not given
-        else RelationshipOffset.undefined() if math.isnan(rx)
-        else RelationshipOffset(rx, ry, True)
-        for (rx, ry), given in zip(frame.rel.tolist(), frame.has_rel.tolist())
-    ]
-    return [
-        Detection(box, score, MotionOffset(*offset, newborn=newborn), number, rel)
-        for box, score, offset, newborn, rel in zip(
-            boxes, frame.score.tolist(), frame.offset.tolist(), frame.newborn.tolist(), rels
-        )
-    ]
+    @classmethod
+    def empty(cls) -> "Frame":
+        """A frame of no objects: ids and boxes only."""
+        return cls(np.zeros(0, dtype=np.int64), np.zeros((0, 7)))
 
 
 def footprints(boxes: np.ndarray) -> np.ndarray:

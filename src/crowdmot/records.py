@@ -1,15 +1,15 @@
-"""Value types shared by the pipeline stages: boxes, GT objects, offsets,
-detections and scenes.
+"""Value types shared by the pipeline stages: one-object boxes and the yaw wrap.
 
 Everything here is a plain dataclass built on the standard library alone, so
-every other module can import it without loading an algorithm.
+every other module can import it without loading an algorithm. Frames of
+many objects are geometry.Frame columns; Box3D is the one-object view, whose
+checks give the JSONL reader's per-object error messages.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Optional
 
 # Radius (meters) at which the crowding target is defined.
 DENSITY_RADIUS = 2.0
@@ -78,74 +78,3 @@ class Box3D:
     def bev(self) -> BoxBEV:
         """Footprint of the box on the ground plane."""
         return BoxBEV(self.cx, self.cy, self.length, self.width, self.yaw)
-
-
-@dataclass(frozen=True)
-class GtObject:
-    """One annotated object in one frame."""
-
-    instance_id: Hashable
-    box: Box3D
-
-
-@dataclass(frozen=True)
-class MotionOffset:
-    """Displacement from an object's current position to its previous one."""
-
-    ox: float
-    oy: float
-    oz: float
-    newborn: bool = False
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.ox) and math.isfinite(self.oy) and math.isfinite(self.oz)):
-            raise ValueError(f"motion offset must be finite: {self}")
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.ox, self.oy, self.oz)
-
-
-@dataclass(frozen=True)
-class RelationshipOffset:
-    """BEV vector from an object to its nearest neighbor, if one is in range."""
-
-    rx: float
-    ry: float
-    defined: bool
-
-    @classmethod
-    def undefined(cls) -> "RelationshipOffset":
-        return cls(0.0, 0.0, False)
-
-
-@dataclass(frozen=True)
-class Detection:
-    """One detector output: box, confidence, predicted offsets."""
-
-    box: Box3D
-    score: float
-    offset: MotionOffset
-    frame: int
-    relationship: Optional[RelationshipOffset] = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score {self.score} outside [0, 1]")
-
-
-@dataclass(frozen=True, eq=False)
-class SceneSequence:
-    """Ground-truth frames with persistent instance ids and timestamps."""
-
-    frames: list[list[GtObject]]
-    timestamps: list[float]
-
-    def __post_init__(self) -> None:
-        if len(self.frames) != len(self.timestamps):
-            raise ValueError("frames and timestamps length mismatch")
-        for t0, t1 in zip(self.timestamps, self.timestamps[1:]):
-            if t1 <= t0:
-                raise ValueError("timestamps must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.frames)

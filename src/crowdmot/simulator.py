@@ -16,11 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import check_finite_fields, pairs_within
-from .records import (
-    DENSITY_RADIUS, Box3D, Detection, GtObject, MotionOffset, RelationshipOffset, SceneSequence,
-    normalize_yaw,
-)
+from .geometry import Frame, check_finite_fields, pairs_within, wrap_yaw
+from .records import DENSITY_RADIUS, normalize_yaw
 from .targets import make_motion_offsets, make_relationship_offsets
 
 # Hard floor on pedestrian center separation, held in every frame.
@@ -81,6 +78,13 @@ class SimConfig:
             raise ValueError("need 0 < speed_min <= speed_max")
         if self.frame_rate <= 0:
             raise ValueError("frame_rate must be positive")
+        # Frame i is at i * (1 / frame_rate) seconds: the last time must be
+        # finite, and so must 1 / frame_rate, since 0 * inf is NaN.
+        if not math.isfinite((self.n_frames - 1) * (1.0 / self.frame_rate)):
+            raise ValueError(
+                f"frame_rate {self.frame_rate!r} is too small for {self.n_frames} frames: "
+                "every frame time must be finite"
+            )
 
 
 @dataclass(frozen=True)
@@ -368,13 +372,18 @@ class _CellIndex:
         return bool(near) and np.hypot(*(self.points[near] - cand).T).min() < MIN_SEPARATION
 
 
-def gen_scene(cfg: SimConfig) -> SceneSequence:
-    """Generate a ground-truth pedestrian sequence for the given config."""
+def gen_scene(cfg: SimConfig) -> tuple[list[Frame], list[float]]:
+    """Generate a ground-truth pedestrian sequence: per frame, the Frame of
+    pedestrians 0, 1, ... in id order, and the frame timestamps.
+
+    A box's yaw is its heading, math.atan2 of its velocity, wrapped by
+    wrap_yaw.
+    """
     x_min, x_max, y_min, y_max = cfg.area
     dt = 1.0 / cfg.frame_rate
     timestamps = [i * dt for i in range(cfg.n_frames)]
     if cfg.n_pedestrians == 0:
-        return SceneSequence([[] for _ in range(cfg.n_frames)], timestamps)
+        return [Frame.empty() for _ in range(cfg.n_frames)], timestamps
 
     sizes, sigma_c = solve_cluster_params(cfg)
     rng = np.random.default_rng([cfg.seed, 0xC0FFEE])
@@ -443,8 +452,9 @@ def gen_scene(cfg: SimConfig) -> SceneSequence:
         ],
         axis=1,
     )
-    # Per pedestrian (length, height, width, cz): fixed over the sequence.
-    dims = [(length, height, width, height / 2.0) for length, width, height in sizes_lwh.tolist()]
+    # Per pedestrian the box columns cz, l, w, h: fixed over the sequence.
+    shape = np.column_stack([sizes_lwh[:, 2] / 2.0, sizes_lwh])
+    ids = np.arange(cfg.n_pedestrians, dtype=np.int64)
 
     # Motion state: per-cluster anchor velocity, per-member relative velocity,
     # each piecewise constant with its own resample clock (2-5 s segments).
@@ -456,7 +466,7 @@ def gen_scene(cfg: SimConfig) -> SceneSequence:
     rel_vel = np.zeros((cfg.n_pedestrians, 2))
     member_clock = np.zeros(cfg.n_pedestrians)
 
-    frames: list[list[GtObject]] = []
+    frames: list[Frame] = []
     for fi in range(cfg.n_frames):
         for ci in np.flatnonzero(anchor_clock <= 0.0).tolist():
             anchor_clock[ci] = rng.uniform(2.0, 5.0)
@@ -492,103 +502,108 @@ def gen_scene(cfg: SimConfig) -> SceneSequence:
         member_clock -= dt
 
         vel = anchor_vel[cluster_of] + rel_vel
-        frames.append([
-            GtObject(pi, Box3D(x, y, cz, length, height, width, math.atan2(vy, vx)))
-            for pi, ((x, y), (vx, vy), (length, height, width, cz)) in enumerate(
-                zip(positions.tolist(), vel.tolist(), dims)
-            )
-        ])
+        heading = np.array(list(map(math.atan2, vel[:, 1].tolist(), vel[:, 0].tolist())))
+        frames.append(Frame(ids, np.column_stack([positions, shape, wrap_yaw(heading)])))
 
-    return SceneSequence(frames, timestamps)
+    return frames, timestamps
 
 
-def corrupt(scene: SceneSequence, noise: NoiseConfig) -> list[list[Detection]]:
-    """Turn a GT scene into noisy per-frame detections.
+def _clip_score(score: np.ndarray) -> np.ndarray:
+    """min(1.0, max(0.0, s)) of every entry s: unlike np.clip, -0.0 gives 0.0."""
+    score = np.where(score > 0.0, score, 0.0)
+    return np.where(score < 1.0, score, 1.0)
+
+
+def corrupt(frames: list[Frame], noise: NoiseConfig) -> list[Frame]:
+    """Turn GT frames into noisy detection frames.
 
     Boxes are jittered, dropped, and mixed with uniform clutter; each kept
     detection carries its true inter-frame displacement plus offset noise
-    as the predicted motion offset. With all-zero noise the detections are
-    bitwise equal to the GT boxes with exact offsets.
+    as the predicted motion offset. A detection's id is its index in its
+    frame: the kept objects in GT id order, then the clutter. With all-zero
+    noise the detections are the GT boxes with exact offsets. Noise that
+    carries a box centre or an offset beyond the float range raises
+    ValueError naming pos_sigma or offset_sigma.
     """
     rng = np.random.default_rng([noise.seed, 0xD1CE])
     # Clutter is spawned over the bounding extent of the scene, padded a little.
-    all_x = [o.box.cx for f in scene.frames for o in f]
-    all_y = [o.box.cy for f in scene.frames for o in f]
-    if all_x:
-        cl_lo = (min(all_x) - 2.0, min(all_y) - 2.0)
-        cl_hi = (max(all_x) + 2.0, max(all_y) + 2.0)
+    xy = np.vstack([np.zeros((0, 2)), *(f.boxes[:, :2] for f in frames)])
+    if len(xy):
+        cl_lo, cl_hi = (xy.min(axis=0) - 2.0).tolist(), (xy.max(axis=0) + 2.0).tolist()
     else:
         cl_lo, cl_hi = (-10.0, -10.0), (10.0, 10.0)
 
-    out: list[list[Detection]] = []
-    prev_objs: list[GtObject] = []
-    for fi, objs in enumerate(scene.frames):
-        ordered = sorted(objs, key=lambda o: o.instance_id)
-        true_offsets = make_motion_offsets(ordered, prev_objs)
-        rel_map = make_relationship_offsets(ordered) if noise.emit_rel else {}
-        dets: list[Detection] = []
-        for obj in ordered:
-            # Per object, whether or not it is missed: one uniform, then three
-            # normals of jitter, three of offset noise and one of score. One
-            # call of seven draws the same variates as calls of 3, 3 and 1.
-            miss_u = rng.uniform()
-            jx, jy, jz, nx, ny, nz, ns = rng.standard_normal(7).tolist()
-            # min/max in this order is np.clip's rule, signed zeros included.
-            score = min(1.0, max(0.0, noise.score_true_mean + ns * noise.score_true_sigma))
-            if miss_u < noise.p_miss:
-                continue
-            true_off = true_offsets[obj.instance_id]
-            box = obj.box
-            dets.append(
-                Detection(
-                    box=Box3D(
-                        box.cx + jx * noise.pos_sigma,
-                        box.cy + jy * noise.pos_sigma,
-                        box.cz + jz * noise.pos_sigma,
-                        box.length,
-                        box.height,
-                        box.width,
-                        box.yaw,
-                    ),
-                    score=score,
-                    offset=MotionOffset(
-                        true_off.ox + nx * noise.offset_sigma,
-                        true_off.oy + ny * noise.offset_sigma,
-                        true_off.oz + nz * noise.offset_sigma,
-                        newborn=true_off.newborn,
-                    ),
-                    frame=fi,
-                    relationship=rel_map.get(obj.instance_id),
-                )
-            )
+    out: list[Frame] = []
+    prev = Frame.empty()
+    for fi, frame in enumerate(frames):
+        order = np.argsort(frame.ids, kind="stable")
+        gt = Frame(frame.ids[order], frame.boxes[order])
+        true_offset, newborn = make_motion_offsets(gt, prev)
+        # Per object, whether or not it is missed: one uniform, then three
+        # normals of jitter, three of offset noise and one of score. One
+        # call of seven draws the same variates as calls of 3, 3 and 1.
+        miss_u = np.empty(len(gt))
+        normals = np.empty((len(gt), 7))
+        for k in range(len(gt)):
+            miss_u[k] = rng.uniform()
+            normals[k] = rng.standard_normal(7)
+        kept = miss_u >= noise.p_miss
+        n_kept = int(kept.sum())
         n_clutter = int(rng.poisson(noise.clutter_rate))
+        rows = []
         for _ in range(n_clutter):
             cx = rng.uniform(cl_lo[0], cl_hi[0])
             cy = rng.uniform(cl_lo[1], cl_hi[1])
-            dims = [p * rng.uniform(1.0 - BOX_JITTER, 1.0 + BOX_JITTER) for p in BOX_PRIOR]
+            length, width, height = [
+                p * rng.uniform(1.0 - BOX_JITTER, 1.0 + BOX_JITTER) for p in BOX_PRIOR
+            ]
             yaw = rng.uniform(-math.pi, math.pi)
             # Three normals of offset noise and one of score, as for objects.
-            nx, ny, nz, ns = rng.standard_normal(4).tolist()
-            score = min(1.0, max(0.0, noise.score_clutter_mean + ns * noise.score_clutter_sigma))
-            dets.append(
-                Detection(
-                    box=Box3D(cx, cy, dims[2] / 2.0, dims[0], dims[2], dims[1], yaw),
-                    score=score,
-                    offset=MotionOffset(
-                        nx * noise.offset_sigma, ny * noise.offset_sigma, nz * noise.offset_sigma,
-                        newborn=True,
-                    ),
-                    frame=fi,
-                    relationship=RelationshipOffset.undefined() if noise.emit_rel else None,
-                )
+            rows.append((cx, cy, height / 2.0, length, width, height, yaw,
+                         *rng.standard_normal(4).tolist()))
+        # Per clutter box: its seven box columns, three offset normals, one score normal.
+        clutter = np.array(rows).reshape(-1, 11)
+
+        with np.errstate(over="ignore"):
+            boxes = np.concatenate([gt.boxes[kept], clutter[:, :7]])
+            boxes[:n_kept, :3] += normals[kept, :3] * noise.pos_sigma
+            offset = np.concatenate([
+                true_offset[kept] + normals[kept, 3:6] * noise.offset_sigma,
+                clutter[:, 7:10] * noise.offset_sigma,
+            ])
+            score = np.concatenate([
+                noise.score_true_mean + normals[kept, 6] * noise.score_true_sigma,
+                noise.score_clutter_mean + clutter[:, 10] * noise.score_clutter_sigma,
+            ])
+        if not np.isfinite(boxes).all():
+            raise ValueError(
+                f"pos_sigma {noise.pos_sigma!r} makes a detection centre overflow in frame {fi}"
             )
-        out.append(dets)
-        prev_objs = ordered
+        if not np.isfinite(offset).all():
+            raise ValueError(
+                f"offset_sigma {noise.offset_sigma!r} makes a motion offset overflow in frame {fi}"
+            )
+        boxes[:, 6] = wrap_yaw(boxes[:, 6])
+        rel = np.full((len(boxes), 2), np.nan)
+        if noise.emit_rel:
+            rel[:n_kept] = make_relationship_offsets(gt)[kept]
+        out.append(Frame(
+            ids=np.arange(len(boxes), dtype=np.int64),
+            boxes=boxes,
+            score=_clip_score(score),
+            offset=offset,
+            newborn=np.concatenate([newborn[kept], np.ones(n_clutter, dtype=bool)]),
+            rel=rel,
+            has_rel=np.full(len(boxes), noise.emit_rel),
+        ))
+        prev = gt
     return out
 
 
-def density_sweep(base: SimConfig, densities: list[float]) -> list[SceneSequence]:
-    """One scene per density target, with per-target seeds derived from base."""
+def density_sweep(
+    base: SimConfig, densities: list[float]
+) -> list[tuple[list[Frame], list[float]]]:
+    """One gen_scene result per density target, with per-target seeds derived from base."""
     scenes = []
     for i, density in enumerate(densities):
         seed = int(np.random.SeedSequence([base.seed, i]).generate_state(1)[0])

@@ -1,20 +1,19 @@
 """Ground-truth training targets for BEV pedestrian detection.
 
 Builds center heatmaps, density-aware loss weights, inter-frame motion
-offsets and nearest-neighbor relationship offsets from annotated objects,
-and evaluates the density-weighted focal loss with its analytic gradient.
+offsets and nearest-neighbor relationship offsets from the geometry.Frame of
+one frame's annotated objects, and evaluates the density-weighted focal loss
+with its analytic gradient.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable
 
 import numpy as np
 
-from .geometry import GridSpec, check_positive, pairs_within, quantize_to_grid
-from .records import GtObject, MotionOffset, RelationshipOffset
+from .geometry import Frame, GridSpec, check_positive, pairs_within, quantize_to_grid
 
 # Predicted probabilities are clamped into [EPS, 1-EPS] before the loss.
 PROB_EPS = 1e-7
@@ -73,16 +72,14 @@ class LossParams:
         check_positive("th", self.th)
 
 
-def _check_unique_ids(objects: Iterable[GtObject]) -> None:
-    seen = set()
-    for obj in objects:
-        if obj.instance_id in seen:
-            raise ValueError(f"duplicate instance_id {obj.instance_id!r} in frame")
-        seen.add(obj.instance_id)
+def _check_unique_ids(frame: Frame) -> None:
+    ids, counts = np.unique(frame.ids, return_counts=True)
+    if (counts > 1).any():
+        raise ValueError(f"duplicate instance_id {ids[counts > 1][0].item()!r} in frame")
 
 
 def make_heatmap(
-    objects: list[GtObject],
+    frame: Frame,
     grid: GridSpec,
     sigma: float = 1.0,
     combine: str = "max",
@@ -112,7 +109,7 @@ def make_heatmap(
             f"sigma must be above about 7.46e-155 (1/sigma^2 finite), got {sigma!r}"
         )
     heat = np.zeros((grid.nx, grid.ny))
-    if not objects:
+    if not len(frame):
         return DenseGrid2D(grid, heat)
     # The stamp holds the kernel at every offset an object can reach on this
     # grid; the reach is capped at the grid size first, so a huge sigma cannot
@@ -122,8 +119,8 @@ def make_heatmap(
     dj = np.arange(-rj, rj + 1, dtype=np.float64)[:, None]
     dk = np.arange(-rk, rk + 1, dtype=np.float64)[None, :]
     stamp = np.exp(-(dj**2 + dk**2) * (1.0 / (sigma * sigma)))
-    for obj in objects:
-        j_star, k_star = quantize_to_grid(obj.box.cx, obj.box.cy, grid)
+    for x, y in frame.boxes[:, :2].tolist():
+        j_star, k_star = quantize_to_grid(x, y, grid)
         j0, j1 = max(j_star - rj, 0), min(j_star + rj + 1, grid.nx)
         k0, k1 = max(k_star - rk, 0), min(k_star + rk + 1, grid.ny)
         window = heat[j0:j1, k0:k1]
@@ -136,7 +133,7 @@ def make_heatmap(
 
 
 def make_daw(
-    objects: list[GtObject],
+    frame: Frame,
     grid: GridSpec,
     th: float = 2.0,
     midpoint: bool = False,
@@ -153,7 +150,7 @@ def make_daw(
     """
     check_positive("th", th)
     weights = np.zeros((grid.nx, grid.ny))
-    if not objects:
+    if not len(frame):
         return DenseGrid2D(grid, weights)
     shift = 0.5 if midpoint else 0.0
     gx = grid.x_min + (np.arange(grid.nx) + shift) * grid.dx
@@ -162,11 +159,11 @@ def make_daw(
     # Capped at the grid size, so a huge th cannot overflow the ceil.
     rj = math.ceil(min(th / grid.dx, grid.nx)) + 1
     rk = math.ceil(min(th / grid.dy, grid.ny)) + 1
-    for obj in objects:
+    for x, y in frame.boxes[:, :2].tolist():
         # Also validates the object is on the grid, like the heatmap path.
-        j, k = quantize_to_grid(obj.box.cx, obj.box.cy, grid)
+        j, k = quantize_to_grid(x, y, grid)
         sj, sk = slice(max(j - rj, 0), j + rj + 1), slice(max(k - rk, 0), k + rk + 1)
-        d2 = (gx[sj, None] - obj.box.cx) ** 2 + (gy[None, sk] - obj.box.cy) ** 2
+        d2 = (gx[sj, None] - x) ** 2 + (gy[None, sk] - y) ** 2
         weights[sj, sk] += d2 < th2
     return DenseGrid2D(grid, weights)
 
@@ -214,52 +211,47 @@ def focal_daw_loss(
     return loss, DenseGrid2D(pred.grid, grad / norm)
 
 
-def make_motion_offsets(
-    curr: list[GtObject], prev: list[GtObject]
-) -> dict[Hashable, MotionOffset]:
+def make_motion_offsets(curr: Frame, prev: Frame) -> tuple[np.ndarray, np.ndarray]:
     """Per-object displacement from the current frame back to the previous one.
 
-    Objects absent from the previous frame get a zero offset flagged newborn,
-    so downstream arrays stay aligned with the current frame.
+    Returns the (n, 3) offsets (previous centre minus current centre) and
+    the (n,) newborn flags, row k for curr's object k. Objects absent from
+    the previous frame get a zero offset flagged newborn, so downstream
+    arrays stay aligned with the current frame. An offset that overflows
+    raises ValueError.
     """
     _check_unique_ids(curr)
     _check_unique_ids(prev)
-    prev_pos = {o.instance_id: o.box for o in prev}
-    offsets: dict[Hashable, MotionOffset] = {}
-    for obj in curr:
-        before = prev_pos.get(obj.instance_id)
-        if before is None:
-            offsets[obj.instance_id] = MotionOffset(0.0, 0.0, 0.0, newborn=True)
-        else:
-            offsets[obj.instance_id] = MotionOffset(
-                before.cx - obj.box.cx,
-                before.cy - obj.box.cy,
-                before.cz - obj.box.cz,
-            )
-    return offsets
+    row = dict(zip(prev.ids.tolist(), range(len(prev))))
+    rows = np.array([row.get(key, -1) for key in curr.ids.tolist()], dtype=np.intp)
+    newborn = rows < 0
+    offset = np.zeros((len(curr), 3))
+    with np.errstate(over="ignore"):
+        offset[~newborn] = prev.boxes[rows[~newborn], :3] - curr.boxes[~newborn, :3]
+    if not np.isfinite(offset).all():
+        raise ValueError("motion offset must be finite: a centre moved beyond the float range")
+    return offset, newborn
 
 
-def make_relationship_offsets(
-    objects: list[GtObject], radius: float = DEFAULT_NEIGHBOR_RADIUS
-) -> dict[Hashable, RelationshipOffset]:
+def make_relationship_offsets(frame: Frame, radius: float = DEFAULT_NEIGHBOR_RADIUS) -> np.ndarray:
     """BEV vector from each object to its nearest neighbor within `radius`.
 
-    The neighbor minimizes squared BEV distance; exact ties go to the
-    smallest instance_id. Objects with no neighbor in range get an undefined
-    offset (masked, not regressed to zero).
+    Returns (n, 2) rows (rx, ry), row k for the frame's object k. The
+    neighbor minimizes squared BEV distance; exact ties go to the smallest
+    instance id. Objects with no neighbor in range get a NaN row (masked,
+    not regressed to zero).
     """
-    _check_unique_ids(objects)
+    _check_unique_ids(frame)
     check_positive("radius", radius)
-    xy = [(o.box.cx, o.box.cy) for o in objects]
-    near = [[] for _ in objects]
-    for i, j in zip(*pairs_within(xy, xy, radius)):
-        rx, ry = xy[j][0] - xy[i][0], xy[j][1] - xy[i][1]
-        d2 = rx * rx + ry * ry
-        if i != j and d2 <= radius * radius:
-            near[i].append((d2, objects[j].instance_id, rx, ry))
-    result = {o.instance_id: RelationshipOffset.undefined() for o in objects}
-    for obj, found in zip(objects, near):
-        if found:
-            _, _, rx, ry = min(found)
-            result[obj.instance_id] = RelationshipOffset(rx, ry, True)
-    return result
+    xy = frame.boxes[:, :2]
+    i, j = pairs_within(xy, xy, radius)
+    d = xy[j] - xy[i]
+    d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    near = (i != j) & (d2 <= radius * radius)
+    i, j, d, d2 = i[near], j[near], d[near], d2[near]
+    # Sorted by object, then by (d2, neighbour id): each object's first pair wins.
+    order = np.lexsort((frame.ids[j], d2, i))
+    first = order[np.unique(i[order], return_index=True)[1]]
+    rel = np.full((len(frame), 2), np.nan)
+    rel[i[first]] = d[first]
+    return rel

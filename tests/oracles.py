@@ -2,20 +2,79 @@
 
 The matching oracles, shared by the tracker, evaluator and acceptance tests,
 enumerate every injective pairing of rows to columns, so they are meant for
-frames of a handful of objects. The simulator oracles are the plain loops the
-simulator's array code must reproduce bit for bit.
+frames of a handful of objects. They read one object at a time, as a
+GtObject or a Detection record; frame_of turns a list of records into the
+Frame the code under test takes. The simulator oracles are the plain loops
+the simulator's array code must reproduce bit for bit.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from crowdmot.geometry import bev_iou, pairs_within
+from crowdmot.geometry import Frame, bev_iou, pairs_within
+from crowdmot.records import Box3D
 from crowdmot.simulator import MIN_SEPARATION
 
 # Totals this close to the best one count as ties.
 TIE = 1e-12
+
+
+@dataclass(frozen=True)
+class GtObject:
+    """One annotated object: its id and its box."""
+
+    instance_id: int
+    box: Box3D
+
+
+@dataclass(frozen=True)
+class Detection:
+    """One detection: box, score, predicted motion offset (ox, oy, oz) and frame number."""
+
+    box: Box3D
+    score: float
+    offset: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    frame: int = 0
+
+
+def frame_of(objects) -> Frame:
+    """The Frame of one frame's GtObjects, (id, Box3D) pairs or Detections.
+
+    A detection's id is its index in the list, as in a detection file; its
+    frame has no newborn flag and no rel. An empty list gives an empty frame
+    with every detection column. Detections of more than one frame raise
+    ValueError: a Frame holds one frame.
+    """
+    objects = list(objects)
+    dets = not objects or isinstance(objects[0], Detection)
+    if dets:
+        frames = {d.frame for d in objects}
+        if len(frames) > 1:
+            raise ValueError(f"detections span multiple frames: {sorted(frames)}")
+        ids, boxes = range(len(objects)), [d.box for d in objects]
+    elif isinstance(objects[0], GtObject):
+        ids, boxes = [o.instance_id for o in objects], [o.box for o in objects]
+    else:
+        ids, boxes = [k for k, _ in objects], [b for _, b in objects]
+    columns = np.array(
+        [(b.cx, b.cy, b.cz, b.length, b.width, b.height, b.yaw) for b in boxes], dtype=float
+    ).reshape(-1, 7)
+    frame = Frame(np.array(ids, dtype=np.int64).reshape(-1), columns)
+    if not dets:
+        return frame
+    n = len(objects)
+    return Frame(
+        frame.ids,
+        frame.boxes,
+        score=np.array([d.score for d in objects], dtype=float),
+        offset=np.array([d.offset for d in objects], dtype=float).reshape(-1, 3),
+        newborn=np.zeros(n, dtype=bool),
+        rel=np.full((n, 2), np.nan),
+        has_rel=np.zeros(n, dtype=bool),
+    )
 
 
 def _pairings(rows, cols):
@@ -36,7 +95,7 @@ def exhaustive_assignment(dets, tracks, max_dist):
     """
     dists = {}
     for i, d in enumerate(dets):
-        px, py = d.box.cx + d.offset.ox, d.box.cy + d.offset.oy
+        px, py = d.box.cx + d.offset[0], d.box.cy + d.offset[1]
         for tid, (cx, cy) in tracks:
             dist = math.hypot(cx - px, cy - py)
             if dist <= max_dist:

@@ -8,15 +8,15 @@ here (brute force, enumeration, finite differences) or is exact arithmetic.
 import time
 
 import numpy as np
-from oracles import exhaustive_assignment, exhaustive_iou_match, iou_matrix
+from oracles import Detection, GtObject, exhaustive_assignment, exhaustive_iou_match, frame_of, iou_matrix
 import pytest
 
 from crowdmot.cli import main
 from crowdmot.evaluator import MatchConfig, density_stats, evaluate_sequence, match_frame, mota
 from crowdmot.evaluator import EvalCounts
 from crowdmot.formats import sha256_file
-from crowdmot.geometry import GridSpec, to_frame
-from crowdmot.records import Box3D, Detection, GtObject, MotionOffset
+from crowdmot.geometry import GridSpec
+from crowdmot.records import Box3D
 from crowdmot.simulator import NoiseConfig, SimConfig, corrupt, gen_scene
 from crowdmot.sparsegrid import (
     ChannelMap,
@@ -54,8 +54,8 @@ def random_loss_grids(rng, nx=64, ny=64, n_objects=8):
         GtObject(i, Box3D(rng.uniform(2, nx - 2), rng.uniform(2, ny - 2), 0.85, 0.6, 1.7, 0.6))
         for i in range(n_objects)
     ]
-    gt = make_heatmap(objs, grid, sigma=1.0)
-    weights = make_daw(objs, grid, th=2.0)
+    gt = make_heatmap(frame_of(objs), grid, sigma=1.0)
+    weights = make_daw(frame_of(objs), grid, th=2.0)
     pred = DenseGrid2D(grid, rng.uniform(0.05, 0.95, (nx, ny)))
     return pred, gt, weights
 
@@ -137,7 +137,7 @@ def test_criterion_3_relationship_offsets_match_brute_force():
         if case % 5 == 0:
             xs, ys = np.round(xs), np.round(ys)  # provoke exact distance ties
         objs = [GtObject(i, ped_box(xs[i], ys[i])) for i in range(n)]
-        rel = make_relationship_offsets(objs)
+        rel = make_relationship_offsets(frame_of(objs))
 
         nearest = {}
         for i in range(n):
@@ -147,15 +147,14 @@ def test_criterion_3_relationship_offsets_match_brute_force():
             j = int(order[0]) if n > 1 else -1
             if n > 1 and d2[j] <= 9.0:
                 nearest[i] = j
-                assert rel[i].defined
-                assert (rel[i].rx, rel[i].ry) == (xs[j] - xs[i], ys[j] - ys[i])
+                assert tuple(rel[i]) == (xs[j] - xs[i], ys[j] - ys[i])
             else:
                 nearest[i] = None
-                assert not rel[i].defined
+                assert np.isnan(rel[i]).all()
 
         for i, j in nearest.items():
             if j is not None and nearest.get(j) == i:
-                assert (rel[j].rx, rel[j].ry) == (-rel[i].rx, -rel[i].ry)
+                assert tuple(rel[j]) == tuple(-rel[i])
                 mutual_checked += 1
     assert mutual_checked > 1000
     report("3 relationship-offset-oracle")
@@ -169,10 +168,9 @@ def test_criterion_4_perfect_input_bijection():
         cfg = SimConfig(
             n_pedestrians=30, n_frames=100, area=AREA, target_density2=3.8, seed=seed
         )
-        scene = gen_scene(cfg)
-        dets = corrupt(scene, NoiseConfig(seed=seed))
-        tracks = run_sequence([to_frame(f) for f in dets], TrackerConfig())
-        metrics = evaluate_sequence([to_frame(f) for f in scene.frames], tracks, MatchConfig())
+        frames, _ = gen_scene(cfg)
+        tracks = run_sequence(corrupt(frames, NoiseConfig(seed=seed)), TrackerConfig())
+        metrics = evaluate_sequence(frames, tracks, MatchConfig())
         assert metrics.mota == 1.0
         assert metrics.counts.ids == 0
         assert metrics.counts.fp == 0
@@ -209,7 +207,7 @@ def test_criterion_5_greedy_association_matches_exhaustive():
                 Detection(
                     box=ped_box(float(pos[0]), float(pos[1])),
                     score=float(rng.uniform(0.5, 1.0)),
-                    offset=MotionOffset(float(target[0] - pos[0]), float(target[1] - pos[1]), 0.0),
+                    offset=(float(target[0] - pos[0]), float(target[1] - pos[1]), 0.0),
                     frame=0,
                 )
             )
@@ -222,12 +220,12 @@ def test_criterion_5_greedy_association_matches_exhaustive():
                 Detection(
                     box=ped_box(float(pos[0]), float(pos[1])),
                     score=float(rng.uniform(0.5, 1.0)),
-                    offset=MotionOffset(0.0, 0.0, 0.0),
+                    offset=(0.0, 0.0, 0.0),
                     frame=0,
                 )
             )
         greedy = {
-            (i, tid) for i, tid in associate(to_frame(dets), tracks, cfg) if tid is not None
+            (i, tid) for i, tid in associate(frame_of(dets), tracks, cfg) if tid is not None
         }
         oracle, unique = exhaustive_assignment(dets, tracks, cfg.max_match_dist)
         if not unique:
@@ -258,7 +256,7 @@ def test_criterion_6_clear_mot_arithmetic_and_hungarian():
             for j in range(n_pr)
         ]
         iou = iou_matrix([g.box for g in gts], [b for _, b in preds])
-        result = match_frame(to_frame(gts), to_frame(preds), {}, MatchConfig())
+        result = match_frame(frame_of(gts), frame_of(preds), {}, MatchConfig())
         pairs, total, unique = exhaustive_iou_match(iou, 0.5)
         assert len(result.matches) == len(pairs)
         got_total = sum(iou[gid, tid] for gid, tid in result.matches)
@@ -284,7 +282,7 @@ def test_criterion_7_density_targets_hit_within_ten_percent():
                 target_density2=target,
                 seed=seed,
             )
-            frames = [to_frame(f) for f in gen_scene(cfg).frames]
+            frames, _ = gen_scene(cfg)
             measured.append(density_stats(frames, radius=2.0))
         mean = float(np.mean(measured))
         assert abs(mean - target) <= 0.1 * target, f"target {target}: measured {mean:.3f}"
@@ -308,10 +306,10 @@ def test_criterion_8_crowding_degrades_tracking():
                 target_density2=density,
                 seed=seed,
             )
-            scene = gen_scene(cfg)
-            dets = corrupt(scene, NoiseConfig(seed=seed + 1000, **noise_kw))
-            tracks = run_sequence([to_frame(f) for f in dets], TrackerConfig())
-            motas.append(evaluate_sequence([to_frame(f) for f in scene.frames], tracks).mota)
+            frames, _ = gen_scene(cfg)
+            dets = corrupt(frames, NoiseConfig(seed=seed + 1000, **noise_kw))
+            tracks = run_sequence(dets, TrackerConfig())
+            motas.append(evaluate_sequence(frames, tracks).mota)
         means.append(float(np.mean(motas)))
     assert all(a >= b for a, b in zip(means, means[1:])), f"means not monotone: {means}"
     report("8 crowding-degradation-trend")

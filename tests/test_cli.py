@@ -297,11 +297,18 @@ class TestTrackAndEval:
         )
         assert not out.exists()
 
-    def test_track_eval_and_density_build_no_box_objects(self, tmp_path, gen_dir, monkeypatch):
+    def test_track_eval_and_density_build_no_box_objects(
+        self, tmp_path, config_path, gen_dir, monkeypatch
+    ):
         def refuse(self):
             raise AssertionError("a Box3D was built")
 
         monkeypatch.setattr(Box3D, "__post_init__", refuse)
+        again = tmp_path / "again"
+        assert main(["gen", "--config", str(config_path), "--out", str(again)]) == 0
+        assert digest_dir(again) == digest_dir(gen_dir)
+        assert main(["targets", "--gt", str(again / "gt.jsonl"), "--out", str(tmp_path / "tg"),
+                     "--grid", "0.5,0.5", "--extent=-30,30,-20,20"]) == 0
         trk = tmp_path / "trk"
         assert main(["track", "--det", str(gen_dir / "det.jsonl"), "--out", str(trk)]) == 0
         gt = str(gen_dir / "gt.jsonl")
@@ -520,11 +527,18 @@ class TestRejectedGenConfig:
              "score_true_sigma must be non-negative, got -0.1\n"),
             ("noise", {"score_clutter_sigma": "-0.1"},
              "score_clutter_sigma must be non-negative, got -0.1\n"),
-            ("noise", {"offset_sigma": "1e308"}, "motion offset must be finite: MotionOffset("),
-            ("noise", {"pos_sigma": "1e308"}, "box centre and yaw must be finite: Box3D("),
+            ("noise", {"offset_sigma": "1e308"},
+             "error: offset_sigma 1e+308 makes a motion offset overflow in frame 0\n"),
+            ("noise", {"pos_sigma": "1e308"},
+             "error: pos_sigma 1e+308 makes a detection centre overflow in frame 1\n"),
+            ("sim", {"frame_rate": "1e-308", "n_frames": "3"},
+             "error: frame_rate 1e-308 is too small for 3 frames: every frame time must be finite\n"),
+            ("sim", {"frame_rate": "5e-324", "n_frames": "2"},
+             "error: frame_rate 5e-324 is too small for 2 frames: every frame time must be finite\n"),
         ],
         ids=["area-overflow", "sim-seed", "noise-seed", "score-true-sigma", "score-clutter-sigma",
-             "offset-sigma-overflow", "pos-sigma-overflow"],
+             "offset-sigma-overflow", "pos-sigma-overflow", "frame-times-overflow",
+             "frame-interval-overflow"],
     )
     def test_fails_with_one_line_and_no_outputs(self, tmp_path, capsys, section, values, message):
         # The section's own lines for these fields are replaced.
@@ -751,6 +765,13 @@ class TestVoxelshapes:
         for out in (out1, out2):
             assert main(["voxelshapes", "--points", str(points_file), "--out", str(out), "--topology", "c"]) == 0
         assert digest_dir(out1) == digest_dir(out2)
+
+    def test_negative_seed_rejected(self, points_file, tmp_path, capsys):
+        out = tmp_path / "vox"
+        assert main(["voxelshapes", "--points", str(points_file), "--out", str(out),
+                     "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be non-negative, got -1\n"
+        assert not out.exists()
 
     def test_bad_shape_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.npy"

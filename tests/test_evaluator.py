@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
-from oracles import exhaustive_iou_match, iou_matrix
+from oracles import GtObject, exhaustive_iou_match, frame_of, iou_matrix
 from scipy.optimize import linear_sum_assignment as scipy_assignment
 
 from crowdmot.evaluator import (
@@ -23,8 +23,8 @@ from crowdmot.evaluator import (
     mota,
     mtr_mlr,
 )
-from crowdmot.geometry import bev_iou, bev_iou_pairs, footprints, to_frame
-from crowdmot.records import Box3D, GtObject
+from crowdmot.geometry import bev_iou, bev_iou_pairs, footprints
+from crowdmot.records import Box3D
 
 
 def box(x, y, l=0.6, w=0.6, yaw=0.0):
@@ -37,12 +37,12 @@ def gt(instance_id, x, y, **kw):
 
 def match(gts, preds, prev_map, cfg=MatchConfig()):
     """match_frame on a frame of GtObjects and one of (track id, Box3D) pairs."""
-    return match_frame(to_frame(gts), to_frame(preds), prev_map, cfg)
+    return match_frame(frame_of(gts), frame_of(preds), prev_map, cfg)
 
 
 def evaluate(gt_frames, pred_frames):
     """evaluate_sequence on per-frame GtObjects and (track id, Box3D) pairs."""
-    return evaluate_sequence([to_frame(f) for f in gt_frames], [to_frame(f) for f in pred_frames])
+    return evaluate_sequence([frame_of(f) for f in gt_frames], [frame_of(f) for f in pred_frames])
 
 
 class TestMatchFrame:
@@ -278,7 +278,7 @@ class TestLinearSumAssignment:
 def dense_match(gts, preds, prev_map, threshold):
     """The whole-frame reference: kept pairings, then one dense assignment."""
     i, j = np.divmod(np.arange(len(gts) * len(preds)), max(len(preds), 1))
-    iou = bev_iou_pairs(footprints(to_frame(gts).boxes), footprints(to_frame(preds).boxes), i, j)
+    iou = bev_iou_pairs(footprints(frame_of(gts).boxes), footprints(frame_of(preds).boxes), i, j)
     iou = iou.reshape(len(gts), len(preds))
     col = {tid: j for j, (tid, _) in enumerate(preds)}
     matched, used = {}, set()
@@ -414,7 +414,7 @@ class TestEvaluateSequence:
 
 class TestDensityStats:
     def scene(self, frames):
-        return [to_frame(f) for f in frames]
+        return [frame_of(f) for f in frames]
 
     def test_single_pedestrian(self):
         assert density_stats(self.scene([[gt(0, 0, 0)]])) == 0.0

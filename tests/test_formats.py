@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import frame_of
 
 from crowdmot import formats
 from crowdmot.formats import (
@@ -26,7 +27,7 @@ from crowdmot.formats import (
     write_scene_jsonl,
     write_trajectories_jsonl,
 )
-from crowdmot.geometry import Frame, GridSpec, to_frame, to_objects
+from crowdmot.geometry import Frame, GridSpec
 from crowdmot.simulator import NoiseConfig, SimConfig, corrupt, gen_scene
 from crowdmot.targets import DenseGrid2D
 from crowdmot.tracker import TrackerConfig, run_sequence
@@ -48,25 +49,23 @@ def scene():
 class TestSceneJsonl:
     def test_round_trip(self, scene, tmp_path):
         path = tmp_path / "gt.jsonl"
-        write_scene_jsonl(path, scene)
+        write_scene_jsonl(path, *scene)
         frames, timestamps = read_scene_jsonl(path)
-        assert timestamps == scene.timestamps
-        for a, b in zip(scene.frames, frames, strict=True):
-            assert sorted(a, key=lambda o: o.instance_id) == to_objects(b)
+        assert timestamps == scene[1]
+        for a, b in zip(scene[0], frames, strict=True):
+            assert_same(a, b)
+
+    def test_objects_are_written_in_id_order(self, tmp_path):
+        path = tmp_path / "gt.jsonl"
+        boxes = np.array([[float(k), 0.0, 0.8, 0.6, 0.5, 1.7, 0.1] for k in range(3)])
+        write_scene_jsonl(path, [Frame(np.array([7, -2, 3]), boxes)], [0.0])
+        line = json.loads(path.read_text())
+        assert [(o["id"], o["cx"]) for o in line["objects"]] == [(-2, 1.0), (3, 2.0), (7, 0.0)]
+        assert list(line["objects"][0]) == ["id", "cx", "cy", "cz", "l", "w", "h", "yaw"]
 
     def test_crlf_line_endings_read_as_lf(self, scene, tmp_path):
         lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
-        write_scene_jsonl(lf, scene)
-        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
-        (a, a_times), (b, b_times) = read_scene_jsonl(lf), read_scene_jsonl(crlf)
-        assert a_times == b_times
-        assert [(f.ids.tobytes(), f.boxes.tobytes()) for f in a] == [
-            (f.ids.tobytes(), f.boxes.tobytes()) for f in b
-        ]
-        crlf.write_bytes(b'{"frame":0,"timestamp":0.0,"objects":[]}\r\n\r\n{nope}\r\n')
-        with pytest.raises(FormatError, match="crlf.jsonl:3: invalid JSON"):
-            read_scene_jsonl(crlf)
-
+        write_scene_jsonl(lf, *scene)
     def test_out_of_order_frames_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(
@@ -91,12 +90,36 @@ class TestSceneJsonl:
 
 class TestDetectionsJsonl:
     def test_round_trip_with_relationships(self, scene, tmp_path):
-        dets = corrupt(scene, NoiseConfig(pos_sigma=0.05, clutter_rate=0.5, emit_rel=True, seed=2))
+        frames, times = scene
+        dets = corrupt(frames, NoiseConfig(pos_sigma=0.05, clutter_rate=0.5, emit_rel=True, seed=2))
         path = tmp_path / "det.jsonl"
-        write_detections_jsonl(path, dets, scene.timestamps)
+        write_detections_jsonl(path, dets, times)
         loaded, timestamps = read_detections_jsonl(path)
-        assert timestamps == scene.timestamps
-        assert [to_objects(f, k) for k, f in enumerate(loaded)] == dets
+        assert timestamps == times
+        for a, b in zip(dets, loaded, strict=True):
+            assert_same(a, b)
+
+    def test_newborn_and_rel_are_written_only_where_given(self, tmp_path):
+        path = tmp_path / "det.jsonl"
+        frame = Frame(
+            np.array([2, 0, 1]),
+            np.tile([1.0, 0.0, 0.8, 0.6, 0.5, 1.7, 0.1], (3, 1)),
+            score=np.array([0.5, 0.25, 1.0]),
+            offset=np.array([[0.0, -0.0, 1.0], [0.5, 0.5, 0.5], [0.0, 0.0, 0.0]]),
+            newborn=np.array([True, False, False]),
+            rel=np.array([[np.nan, np.nan], [0.5, -1.0], [np.nan, np.nan]]),
+            has_rel=np.array([True, True, False]),
+        )
+        write_detections_jsonl(path, [frame], [0.0])
+        objects = json.loads(path.read_text())["objects"]
+        tails = [{k: v for k, v in o.items() if k not in ("cx", "cy", "cz", "l", "w", "h", "yaw")}
+                 for o in objects]
+        assert tails == [
+            {"id": 0, "score": 0.25, "offset": [0.5, 0.5, 0.5], "rel": [0.5, -1.0]},
+            {"id": 1, "score": 1.0, "offset": [0.0, 0.0, 0.0]},
+            {"id": 2, "score": 0.5, "offset": [0.0, -0.0, 1.0], "newborn": True, "rel": None},
+        ]
+        assert '"offset":[0.0,-0.0,1.0]' in path.read_text()
 
     def test_detection_requires_score_and_offset(self, tmp_path):
         path = tmp_path / "det.jsonl"
@@ -111,24 +134,24 @@ class TestDetectionsJsonl:
     def test_frame_count_must_match_timestamps(self, tmp_path, n_frames):
         path = tmp_path / "det.jsonl"
         with pytest.raises(ValueError, match="zip"):
-            write_detections_jsonl(path, [[]] * n_frames, [0.0, 0.1])
+            write_detections_jsonl(path, [frame_of([])] * n_frames, [0.0, 0.1])
         assert not path.exists()
 
     def test_non_finite_number_is_not_written(self, tmp_path):
         path = tmp_path / "det.jsonl"
         with pytest.raises(ValueError, match="JSON compliant"):
-            write_detections_jsonl(path, [[]], [float("nan")])
+            write_detections_jsonl(path, [frame_of([])], [float("nan")])
         assert not path.exists()
 
 
 class TestTrajectoriesJsonl:
     def test_round_trip_through_tracker(self, scene, tmp_path):
-        dets = corrupt(scene, NoiseConfig(seed=1))
-        tracks = run_sequence([to_frame(f) for f in dets], TrackerConfig())
+        gt, times = scene
+        tracks = run_sequence(corrupt(gt, NoiseConfig(seed=1)), TrackerConfig())
         path = tmp_path / "traj.jsonl"
-        write_trajectories_jsonl(path, tracks, scene.timestamps)
+        write_trajectories_jsonl(path, tracks, times)
         frames, timestamps = read_trajectories_jsonl(path)
-        assert timestamps == scene.timestamps
+        assert timestamps == times
         assert sum(len(f) for f in frames) > 0
         for written, read in zip(tracks, frames, strict=True):
             assert written.ids.tobytes() == read.ids.tobytes()
@@ -454,8 +477,7 @@ class TestBulkReader:
         bulk, one_by_one = bulk_and_one_by_one("det", objects)
         assert_same(bulk, one_by_one)
         assert bulk.has_rel.tolist() == [True, True, False]
-        rels = [d.relationship for d in to_objects(bulk)]
-        assert rels[0].defined and not rels[1].defined and rels[2] is None
+        assert not np.isnan(bulk.rel[0]).any() and np.isnan(bulk.rel[1:]).all()
 
     def test_int_fields_take_the_per_object_path_and_are_accepted(self):
         objects = [dict(DET, cx=1, score=1, offset=[0, 0, 0])]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import frame_of
 from scipy.spatial import cKDTree
 
 from crowdmot.geometry import (
@@ -18,7 +19,6 @@ from crowdmot.geometry import (
     footprints,
     pairs_within,
     quantize_to_grid,
-    to_frame,
     wrap_yaw,
 )
 from crowdmot.records import Box3D, BoxBEV, normalize_yaw
@@ -355,7 +355,7 @@ class TestBevIouPairs:
             for _ in range(200)
         ]
         i, j = np.divmod(np.arange(200 * 200), 200)
-        rows = footprints(to_frame(list(enumerate(boxes))).boxes)
+        rows = footprints(frame_of(list(enumerate(boxes))).boxes)
         bev = bev_fields([b.bev() for b in boxes])
         assert rows.tobytes() == bev.tobytes()
         assert bev_iou_pairs(rows, rows, i, j).tobytes() == bev_iou_pairs(bev, bev, i, j).tobytes()

@@ -111,3 +111,10 @@ def test_records_uses_only_the_standard_library():
         if isinstance(node, ast.ImportFrom)
     ]
     assert roots and all(root.split(".")[0] in sys.stdlib_module_names for root in roots)
+
+
+def test_every_public_name_resolves():
+    import crowdmot
+
+    assert [name for name in crowdmot.__all__ if not hasattr(crowdmot, name)] == []
+    assert len(set(crowdmot.__all__)) == len(crowdmot.__all__)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from crowdmot import simulator
 from crowdmot.evaluator import density_stats
-from crowdmot.geometry import to_frame
+from crowdmot.formats import write_scene_jsonl
+from crowdmot.geometry import Frame, wrap_yaw
 from crowdmot.simulator import (
     InfeasibleSceneError,
     MIN_SEPARATION,
@@ -25,15 +26,18 @@ from crowdmot.simulator import (
     gen_scene,
     solve_cluster_params,
 )
-from crowdmot.records import SceneSequence
-from crowdmot.targets import make_motion_offsets
+from crowdmot.targets import make_motion_offsets, make_relationship_offsets
 from oracles import reflect_scalar, repair_separation_by_pair_loop, too_close_to_any_placed
 
 AREA = (-60.0, 60.0, -40.0, 40.0)
 
 
-def frames_of(scene):
-    return [to_frame(f) for f in scene.frames]
+def same_frames(a, b):
+    """Whether two lists of Frames hold the same bits in every column."""
+    def bits(frame):
+        return [None if column is None else column.tobytes() for column in vars(frame).values()]
+
+    return [bits(f) for f in a] == [bits(f) for f in b]
 
 
 def small_cfg(**kw):
@@ -80,51 +84,56 @@ class TestClusterSolver:
 
 class TestGenScene:
     def test_zero_pedestrians(self):
-        scene = gen_scene(small_cfg(n_pedestrians=0, target_density2=0.0))
-        assert len(scene) == 40 and all(not f for f in scene.frames)
+        frames, timestamps = gen_scene(small_cfg(n_pedestrians=0, target_density2=0.0))
+        assert len(frames) == len(timestamps) == 40 and all(not len(f) for f in frames)
 
     def test_deterministic_per_seed(self):
         a = gen_scene(small_cfg(seed=5))
         b = gen_scene(small_cfg(seed=5))
-        assert a.timestamps == b.timestamps
-        for fa, fb in zip(a.frames, b.frames):
-            assert fa == fb
+        assert a[1] == b[1]
+        assert same_frames(a[0], b[0])
 
     def test_different_seeds_differ(self):
-        a = gen_scene(small_cfg(seed=5))
-        b = gen_scene(small_cfg(seed=6))
-        assert any(fa != fb for fa, fb in zip(a.frames, b.frames))
+        a, _ = gen_scene(small_cfg(seed=5))
+        b, _ = gen_scene(small_cfg(seed=6))
+        assert any(fa.boxes.tobytes() != fb.boxes.tobytes() for fa, fb in zip(a, b))
 
     def test_ids_persistent_and_unique(self):
-        scene = gen_scene(small_cfg())
-        first = {o.instance_id for o in scene.frames[0]}
-        for frame in scene.frames:
-            ids = [o.instance_id for o in frame]
-            assert len(ids) == len(set(ids))
-            assert set(ids) == first
+        frames, _ = gen_scene(small_cfg())
+        for frame in frames:
+            # Ids 0, 1, ... in order: unique, and the same in every frame.
+            assert frame.ids.tolist() == list(range(25))
 
     def test_minimum_separation_every_frame(self):
-        scene = gen_scene(small_cfg(target_density2=4.0, n_pedestrians=40))
-        for frame in scene.frames:
-            for a, b in itertools.combinations(frame, 2):
-                d = math.hypot(a.box.cx - b.box.cx, a.box.cy - b.box.cy)
+        frames, _ = gen_scene(small_cfg(target_density2=4.0, n_pedestrians=40))
+        for frame in frames:
+            for a, b in itertools.combinations(frame.boxes.tolist(), 2):
+                d = math.hypot(a[0] - b[0], a[1] - b[1])
                 assert d >= MIN_SEPARATION
 
     def test_pedestrians_stay_inside_area(self):
-        scene = gen_scene(small_cfg(n_frames=80))
+        frames, _ = gen_scene(small_cfg(n_frames=80))
         x_min, x_max, y_min, y_max = AREA
-        for frame in scene.frames:
-            for o in frame:
-                assert x_min < o.box.cx < x_max
-                assert y_min < o.box.cy < y_max
+        for frame in frames:
+            for cx, cy, *_ in frame.boxes.tolist():
+                assert x_min < cx < x_max
+                assert y_min < cy < y_max
 
     def test_timestamps_follow_frame_rate(self):
-        scene = gen_scene(small_cfg(frame_rate=5.0))
-        assert scene.timestamps[1] - scene.timestamps[0] == pytest.approx(0.2)
+        _, timestamps = gen_scene(small_cfg(frame_rate=5.0))
+        assert timestamps[1] - timestamps[0] == pytest.approx(0.2)
+
+    def test_boxes_are_valid_and_yaws_are_wrapped_headings(self):
+        frames, _ = gen_scene(small_cfg(n_frames=5))
+        for frame in frames:
+            boxes = frame.boxes
+            assert np.isfinite(boxes).all() and (boxes[:, 3:6] > 0.0).all()
+            assert (boxes[:, 2] == boxes[:, 5] / 2.0).all()
+            assert ((-math.pi <= boxes[:, 6]) & (boxes[:, 6] <= math.pi)).all()
 
     def test_density_near_target(self):
         measured = np.mean(
-            [density_stats(frames_of(gen_scene(small_cfg(seed=s)))) for s in range(8)]
+            [density_stats(gen_scene(small_cfg(seed=s))[0]) for s in range(8)]
         )
         assert measured == pytest.approx(2.0, rel=0.15)
 
@@ -250,86 +259,116 @@ class TestReflect:
 
 class TestCorrupt:
     def test_zero_noise_is_identity_with_exact_offsets(self):
-        scene = gen_scene(small_cfg())
-        dets = corrupt(scene, NoiseConfig(seed=1))
-        prev = []
-        for objs, frame_dets in zip(scene.frames, dets):
-            objs = sorted(objs, key=lambda o: o.instance_id)
-            offsets = make_motion_offsets(objs, prev)
-            assert len(frame_dets) == len(objs)
-            for o, d in zip(objs, frame_dets):
-                assert d.box == o.box
-                truth = offsets[o.instance_id]
-                assert (d.offset.ox, d.offset.oy, d.offset.oz) == (
-                    truth.ox,
-                    truth.oy,
-                    truth.oz,
-                )
-                assert d.offset.newborn == truth.newborn
-            prev = objs
+        frames, _ = gen_scene(small_cfg())
+        dets = corrupt(frames, NoiseConfig(seed=1))
+        prev = Frame.empty()
+        for gt, det in zip(frames, dets, strict=True):
+            offset, newborn = make_motion_offsets(gt, prev)
+            assert det.ids.tolist() == list(range(len(gt)))
+            # The GT boxes, their yaws wrapped once more.
+            assert det.boxes[:, :6].tobytes() == gt.boxes[:, :6].tobytes()
+            assert det.boxes[:, 6].tobytes() == wrap_yaw(gt.boxes[:, 6]).tobytes()
+            assert det.offset.tobytes() == offset.tobytes()
+            assert det.newborn.tolist() == newborn.tolist()
+            prev = gt
 
     def test_all_missed(self):
-        scene = gen_scene(small_cfg())
-        dets = corrupt(scene, NoiseConfig(p_miss=1.0, seed=1))
-        assert all(not d for d in dets)
+        frames, _ = gen_scene(small_cfg())
+        dets = corrupt(frames, NoiseConfig(p_miss=1.0, seed=1))
+        assert all(not len(d) for d in dets)
 
     def test_position_jitter_statistics(self):
-        scene = gen_scene(small_cfg(n_pedestrians=40, n_frames=30))
-        dets = corrupt(scene, NoiseConfig(pos_sigma=0.1, seed=2))
-        errors = []
-        for objs, frame_dets in zip(scene.frames, dets):
-            for o, d in zip(sorted(objs, key=lambda o: o.instance_id), frame_dets):
-                errors.append((d.box.cx - o.box.cx, d.box.cy - o.box.cy))
-        errors = np.array(errors)
+        frames, _ = gen_scene(small_cfg(n_pedestrians=40, n_frames=30))
+        dets = corrupt(frames, NoiseConfig(pos_sigma=0.1, seed=2))
+        errors = np.concatenate([d.boxes[:, :2] - f.boxes[:, :2] for f, d in zip(frames, dets)])
         assert errors.shape[0] >= 1000
         assert np.abs(errors.mean(axis=0)).max() < 0.02
         assert np.std(errors[:, 0]) == pytest.approx(0.1, rel=0.15)
 
     def test_clutter_rate(self):
-        scene = gen_scene(small_cfg(n_frames=120))
-        dets = corrupt(scene, NoiseConfig(clutter_rate=3.0, seed=3))
+        frames, _ = gen_scene(small_cfg(n_frames=120))
+        dets = corrupt(frames, NoiseConfig(clutter_rate=3.0, seed=3))
         clutter_per_frame = np.mean([len(d) for d in dets]) - 25
         assert clutter_per_frame == pytest.approx(3.0, rel=0.25)
+        assert all(d.newborn[25:].all() for d in dets)
 
     def test_deterministic(self):
-        scene = gen_scene(small_cfg())
+        frames, _ = gen_scene(small_cfg())
         noise = NoiseConfig(pos_sigma=0.2, p_miss=0.1, clutter_rate=1.0, seed=9)
-        a = corrupt(scene, noise)
-        b = corrupt(scene, noise)
-        assert a == b
+        a = corrupt(frames, noise)
+        b = corrupt(frames, noise)
+        assert same_frames(a, b)
 
     def test_emit_rel_attaches_relationships(self):
-        scene = gen_scene(small_cfg(target_density2=3.5, n_pedestrians=30))
-        dets = corrupt(scene, NoiseConfig(emit_rel=True, seed=4))
-        flat = [d for frame in dets for d in frame]
-        assert all(d.relationship is not None for d in flat)
-        assert any(d.relationship.defined for d in flat)
-        plain = corrupt(scene, NoiseConfig(seed=4))
-        assert all(d.relationship is None for f in plain for d in f)
+        frames, _ = gen_scene(small_cfg(target_density2=3.5, n_pedestrians=30))
+        dets = corrupt(frames, NoiseConfig(emit_rel=True, seed=4))
+        assert all(d.has_rel.all() for d in dets)
+        assert any((~np.isnan(d.rel[:, 0])).any() for d in dets)
+        for gt, det in zip(frames, dets):
+            want = make_relationship_offsets(gt)
+            assert det.rel.tobytes() == want.tobytes()
+        plain = corrupt(frames, NoiseConfig(seed=4))
+        assert not any(d.has_rel.any() for d in plain)
+
+    def test_ids_follow_gt_id_order(self):
+        frames, _ = gen_scene(small_cfg(n_frames=3))
+        reversed_frames = [Frame(f.ids[::-1], f.boxes[::-1]) for f in frames]
+        noise = NoiseConfig(pos_sigma=0.1, p_miss=0.2, clutter_rate=1.0, emit_rel=True, seed=6)
+        assert same_frames(corrupt(reversed_frames, noise), corrupt(frames, noise))
+
+    def test_detection_yaws_are_wrapped(self):
+        # A GT yaw of exactly +pi, which wrap_yaw leaves alone only in [-pi, pi), becomes -pi.
+        gt = Frame(np.array([0, 1]), np.array([[0.0, 0.0, 0.8, 0.6, 0.6, 1.7, math.pi],
+                                               [5.0, 0.0, 0.8, 0.6, 0.6, 1.7, 0.5]]))
+        (det,) = corrupt([gt], NoiseConfig(seed=1))
+        assert det.boxes[:, 6].tolist() == [-math.pi, 0.5]
+
+    def test_scores_clip_as_python_min_max(self):
+        # mean -0.0 and sigma 0.0 make every raw score -0.0 or 0.0: max(0.0, x)
+        # keeps 0.0 for both, where np.clip would keep -0.0. Huge sigmas clip to 0 or 1.
+        frames, _ = gen_scene(small_cfg(n_frames=2))
+        dets = corrupt(frames, NoiseConfig(score_true_mean=-0.0, score_true_sigma=0.0, seed=1))
+        assert {s.hex() for d in dets for s in d.score.tolist()} == {(0.0).hex()}
+        dets = corrupt(frames, NoiseConfig(score_true_sigma=1e308, seed=1))
+        assert {s for d in dets for s in d.score.tolist()} == {0.0, 1.0}
+
+    @pytest.mark.parametrize("field", ["pos_sigma", "offset_sigma"])
+    def test_overflowing_noise_names_its_field(self, field):
+        frames, _ = gen_scene(small_cfg(n_frames=2))
+        with pytest.raises(ValueError, match=f"^{field} 1e\\+308 "):
+            corrupt(frames, NoiseConfig(**{field: 1e308}, seed=1))
 
 
 class TestDensitySweep:
     def test_single_density(self):
         scenes = density_sweep(small_cfg(), [1.5])
-        assert len(scenes) == 1 and len(scenes[0]) == 40
+        assert len(scenes) == 1 and len(scenes[0][0]) == 40
 
     def test_measured_density_non_decreasing(self):
         scenes = density_sweep(small_cfg(n_pedestrians=40), [0.7, 2.0, 3.8])
-        measured = [density_stats(frames_of(s)) for s in scenes]
+        measured = [density_stats(frames) for frames, _ in scenes]
         assert measured == sorted(measured)
 
     def test_deterministic(self):
         a = density_sweep(small_cfg(), [1.0, 2.0])
         b = density_sweep(small_cfg(), [1.0, 2.0])
-        for sa, sb in zip(a, b):
-            assert sa.frames == sb.frames
+        for (fa, _), (fb, _) in zip(a, b):
+            assert same_frames(fa, fb)
 
 
 class TestSceneSequence:
-    def test_rejects_noninc_timestamps(self):
-        with pytest.raises(ValueError):
-            SceneSequence([[], []], [0.0, 0.0])
+    """A scene's frames and timestamps pair up, and its frame times increase."""
 
-    def test_rejects_length_mismatch(self):
+    def test_rejects_noninc_timestamps(self):
+        # Times i * (1 / frame_rate) that overflow to inf, or 0 * inf = NaN, do not increase.
+        for frame_rate, n_frames in [(1e-308, 3), (5e-324, 2), (5e-324, 1)]:
+            with pytest.raises(ValueError, match="frame_rate"):
+                small_cfg(frame_rate=frame_rate, n_frames=n_frames)
+        # The last time just below the float limit is accepted.
+        assert small_cfg(frame_rate=1e-308, n_frames=2).frame_rate == 1e-308
+
+    def test_rejects_length_mismatch(self, tmp_path):
+        path = tmp_path / "gt.jsonl"
         with pytest.raises(ValueError):
-            SceneSequence([[]], [0.0, 0.1])
+            write_scene_jsonl(path, [Frame.empty()], [0.0, 0.1])
+        assert not path.exists()

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import GtObject, frame_of
+
 from crowdmot.geometry import GridSpec, OutOfBoundsError, quantize_to_grid
-from crowdmot.records import Box3D, GtObject, MotionOffset
+from crowdmot.records import Box3D
 from crowdmot.targets import (
     DenseGrid2D,
     GridMismatchError,
@@ -40,12 +42,12 @@ def plain_focal_loss(pred, gt, alpha=2.0, gamma=4.0):
 
 class TestHeatmap:
     def test_empty_scene_is_zero(self):
-        heat = make_heatmap([], GRID)
+        heat = make_heatmap(frame_of([]), GRID)
         assert not heat.values.any()
 
     def test_single_object_center_and_neighbors(self):
         sigma = 1.3
-        heat = make_heatmap([ped(0, 1.2, -0.7)], GRID, sigma=sigma)
+        heat = make_heatmap(frame_of([ped(0, 1.2, -0.7)]), GRID, sigma=sigma)
         j, k = 18, 14  # floor((1.2+8)/0.5), floor((-0.7+8)/0.5)
         assert heat.values[j, k] == 1.0
         for dj, dk in ((1, 0), (-1, 0), (0, 1), (0, -1)):
@@ -54,14 +56,14 @@ class TestHeatmap:
             )
 
     def test_two_objects_same_cell_equals_one_object(self):
-        one = make_heatmap([ped(0, 1.2, -0.7)], GRID)
-        two = make_heatmap([ped(0, 1.2, -0.7), ped(1, 1.21, -0.69)], GRID)
+        one = make_heatmap(frame_of([ped(0, 1.2, -0.7)]), GRID)
+        two = make_heatmap(frame_of([ped(0, 1.2, -0.7), ped(1, 1.21, -0.69)]), GRID)
         np.testing.assert_array_equal(one.values, two.values)
 
     def test_sum_mode_exceeds_max_mode_for_adjacent_objects(self):
         objs = [ped(0, 0.0, 0.0), ped(1, 0.5, 0.0)]
-        mx = make_heatmap(objs, GRID, combine="max")
-        sm = make_heatmap(objs, GRID, combine="sum")
+        mx = make_heatmap(frame_of(objs), GRID, combine="max")
+        sm = make_heatmap(frame_of(objs), GRID, combine="sum")
         assert sm.values.max() > 1.0
         assert mx.values.max() == 1.0
         assert (sm.values >= mx.values - 1e-15).all()
@@ -69,7 +71,7 @@ class TestHeatmap:
     def test_values_bounded_with_exact_peaks(self):
         rng = np.random.default_rng(0)
         objs = [ped(i, rng.uniform(-7, 7), rng.uniform(-7, 7)) for i in range(25)]
-        heat = make_heatmap(objs, GRID, sigma=2.0)
+        heat = make_heatmap(frame_of(objs), GRID, sigma=2.0)
         assert heat.values.min() >= 0.0 and heat.values.max() == 1.0
         peak_cells = {
             (int((o.box.cx + 8) / 0.5), int((o.box.cy + 8) / 0.5)) for o in objs
@@ -81,25 +83,25 @@ class TestHeatmap:
         # 1/sigma^2 would be inf (a NaN centre) or a division by zero.
         for objects in ([], [ped(0, 1.2, -0.7)]):
             with pytest.raises(ValueError, match="sigma"):
-                make_heatmap(objects, GRID, sigma=sigma)
+                make_heatmap(frame_of(objects), GRID, sigma=sigma)
 
     def test_object_outside_grid_raises(self):
         with pytest.raises(OutOfBoundsError):
-            make_heatmap([ped(0, 100.0, 0.0)], GRID)
+            make_heatmap(frame_of([ped(0, 100.0, 0.0)]), GRID)
 
 
 class TestDaw:
     def test_no_objects(self):
-        assert not make_daw([], GRID).values.any()
+        assert not make_daw(frame_of([]), GRID).values.any()
 
     def test_two_coincident_objects_double_weight(self):
-        daw = make_daw([ped(0, 0.25, 0.25), ped(1, 0.25, 0.25)], GRID, th=2.0)
+        daw = make_daw(frame_of([ped(0, 0.25, 0.25), ped(1, 0.25, 0.25)]), GRID, th=2.0)
         assert set(np.unique(daw.values)) == {0.0, 2.0}
 
     def test_distance_measured_from_cell_origin(self):
         # Object at a cell origin: that cell is at distance 0, and a cell
         # exactly th away along x must be excluded by the strict comparison.
-        daw = make_daw([ped(0, 0.0, 0.0)], GRID, th=1.0)
+        daw = make_daw(frame_of([ped(0, 0.0, 0.0)]), GRID, th=1.0)
         assert daw.values[16, 16] == 1.0  # origin (0.0, 0.0)
         assert daw.values[18, 16] == 0.0  # origin (1.0, 0.0), dist == th
         assert daw.values[17, 16] == 1.0  # origin (0.5, 0.0)
@@ -107,20 +109,20 @@ class TestDaw:
     def test_integer_valued(self):
         rng = np.random.default_rng(1)
         objs = [ped(i, rng.uniform(-7, 7), rng.uniform(-7, 7)) for i in range(12)]
-        daw = make_daw(objs, GRID)
+        daw = make_daw(frame_of(objs), GRID)
         assert (daw.values == np.round(daw.values)).all()
 
     def test_monotone_in_objects(self):
         rng = np.random.default_rng(2)
         objs = [ped(i, rng.uniform(-7, 7), rng.uniform(-7, 7)) for i in range(10)]
-        prev = make_daw(objs[:5], GRID).values
-        full = make_daw(objs, GRID).values
+        prev = make_daw(frame_of(objs[:5]), GRID).values
+        full = make_daw(frame_of(objs), GRID).values
         assert (full >= prev).all()
 
     def test_weights_peak_where_objects_crowd(self):
         crowd = [ped(i, -4.0 + 0.4 * i, -4.0) for i in range(5)]
         loner = [ped(9, 5.0, 5.0)]
-        daw = make_daw(crowd + loner, GRID, th=2.0)
+        daw = make_daw(frame_of(crowd + loner), GRID, th=2.0)
         crowd_peak = daw.values[: GRID.nx // 2, : GRID.ny // 2].max()
         loner_peak = daw.values[GRID.nx // 2 :, GRID.ny // 2 :].max()
         assert crowd_peak >= 4.0 > loner_peak == 1.0
@@ -180,7 +182,7 @@ class TestWindowedStencils:
     def test_heatmap_matches_full_grid(self, sigma, combine):
         grid = self.HEAT_GRID
         objs = _edge_objects(grid, np.random.default_rng(7))
-        got = make_heatmap(objs, grid, sigma=sigma, combine=combine).values
+        got = make_heatmap(frame_of(objs), grid, sigma=sigma, combine=combine).values
         want = self.full_grid_heatmap(objs, grid, sigma, combine)
         assert got.tobytes() == want.tobytes()
 
@@ -188,7 +190,7 @@ class TestWindowedStencils:
         grid = GridSpec(0.0, 0.5, -4.0, 4.0, 0.5, 0.5)  # a 1 x 16 grid
         objs = _edge_objects(grid, np.random.default_rng(8), n_random=2)
         for sigma in (0.3, 1.7, 40.0, 1e308):
-            got = make_heatmap(objs, grid, sigma=sigma, combine="sum").values
+            got = make_heatmap(frame_of(objs), grid, sigma=sigma, combine="sum").values
             want = self.full_grid_heatmap(objs, grid, sigma, "sum")
             assert got.tobytes() == want.tobytes()
 
@@ -197,7 +199,7 @@ class TestWindowedStencils:
     def test_daw_matches_full_grid(self, th, midpoint):
         grid = self.DAW_GRID
         objs = _edge_objects(grid, np.random.default_rng(9), n_random=20)
-        got = make_daw(objs, grid, th=th, midpoint=midpoint).values
+        got = make_daw(frame_of(objs), grid, th=th, midpoint=midpoint).values
         want = self.full_grid_daw(objs, grid, th, midpoint)
         assert got.tobytes() == want.tobytes()
 
@@ -213,16 +215,16 @@ class TestFocalDawLoss:
 
     def test_perfect_prediction_is_nearly_zero(self):
         objs = [ped(0, 0.0, 0.0)]
-        gt = make_heatmap(objs, GRID)
+        gt = make_heatmap(frame_of(objs), GRID)
         pred = DenseGrid2D(GRID, np.where(gt.values == 1.0, 1.0, 0.0))
-        w = make_daw(objs, GRID)
+        w = make_daw(frame_of(objs), GRID)
         loss, _ = focal_daw_loss(pred, gt, w)
         assert 0.0 <= loss < 1e-10
 
     def test_reduces_to_plain_focal_loss_with_unit_weights(self):
         rng = np.random.default_rng(3)
         objs = [ped(i, rng.uniform(-7, 7), rng.uniform(-7, 7)) for i in range(8)]
-        gt = make_heatmap(objs, GRID)
+        gt = make_heatmap(frame_of(objs), GRID)
         pred = DenseGrid2D(GRID, rng.uniform(0.02, 0.98, gt.values.shape))
         ones = DenseGrid2D(GRID, np.ones_like(gt.values))
         loss, _ = focal_daw_loss(pred, gt, ones, LossParams(weight_floor=1.0))
@@ -231,9 +233,9 @@ class TestFocalDawLoss:
     def test_loss_linear_in_weights(self):
         rng = np.random.default_rng(4)
         objs = [ped(i, rng.uniform(-7, 7), rng.uniform(-7, 7)) for i in range(6)]
-        gt = make_heatmap(objs, GRID)
+        gt = make_heatmap(frame_of(objs), GRID)
         pred = DenseGrid2D(GRID, rng.uniform(0.05, 0.95, gt.values.shape))
-        w = make_daw(objs, GRID)
+        w = make_daw(frame_of(objs), GRID)
         params = LossParams(weight_floor=0.0)
         loss1, grad1 = focal_daw_loss(pred, gt, w, params)
         loss2, grad2 = focal_daw_loss(pred, gt, DenseGrid2D(GRID, 2 * w.values), params)
@@ -244,17 +246,17 @@ class TestFocalDawLoss:
         rng = np.random.default_rng(5)
         for _ in range(20):
             objs = [ped(i, rng.uniform(-7, 7), rng.uniform(-7, 7)) for i in range(5)]
-            gt = make_heatmap(objs, GRID)
+            gt = make_heatmap(frame_of(objs), GRID)
             pred = DenseGrid2D(GRID, rng.uniform(0.01, 0.99, gt.values.shape))
-            loss, _ = focal_daw_loss(pred, gt, make_daw(objs, GRID))
+            loss, _ = focal_daw_loss(pred, gt, make_daw(frame_of(objs), GRID))
             assert loss >= 0.0
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         h = 1e-5
         objs = [ped(i, rng.uniform(-7, 7), rng.uniform(-7, 7)) for i in range(6)]
-        gt = make_heatmap(objs, GRID)
-        w = make_daw(objs, GRID)
+        gt = make_heatmap(frame_of(objs), GRID)
+        w = make_daw(frame_of(objs), GRID)
         pred_values = rng.uniform(0.05, 0.95, gt.values.shape)
         _, grad = focal_daw_loss(DenseGrid2D(GRID, pred_values), gt, w)
         cells = [tuple(c) for c in rng.integers(0, GRID.nx, size=(30, 2))]
@@ -279,24 +281,46 @@ class TestFocalDawLoss:
 
 class TestMotionOffsets:
     def test_stationary(self):
-        curr = [ped(0, 1.0, 2.0)]
-        prev = [ped(0, 1.0, 2.0)]
-        assert make_motion_offsets(curr, prev)[0] == MotionOffset(0.0, 0.0, 0.0)
+        curr = frame_of([ped(0, 1.0, 2.0)])
+        prev = frame_of([ped(0, 1.0, 2.0)])
+        offset, newborn = make_motion_offsets(curr, prev)
+        assert offset.tolist() == [[0.0, 0.0, 0.0]] and newborn.tolist() == [False]
 
     def test_sign_convention(self):
-        curr = [ped(0, 2.0, 0.0)]
-        prev = [ped(0, 1.0, 0.0)]
-        off = make_motion_offsets(curr, prev)[0]
-        assert (off.ox, off.oy, off.oz) == (-1.0, 0.0, 0.0)
-        assert not off.newborn
+        curr = frame_of([ped(0, 2.0, 0.0)])
+        prev = frame_of([ped(0, 1.0, 0.0)])
+        offset, newborn = make_motion_offsets(curr, prev)
+        assert offset.tolist() == [[-1.0, 0.0, 0.0]]
+        assert newborn.tolist() == [False]
 
     def test_newborn(self):
-        off = make_motion_offsets([ped(7, 0.0, 0.0)], [])[7]
-        assert off == MotionOffset(0.0, 0.0, 0.0, newborn=True)
+        offset, newborn = make_motion_offsets(frame_of([ped(7, 0.0, 0.0)]), frame_of([]))
+        assert offset.tolist() == [[0.0, 0.0, 0.0]] and newborn.tolist() == [True]
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
-            make_motion_offsets([ped(0, 0, 0), ped(0, 1, 1)], [])
+            make_motion_offsets(frame_of([ped(0, 0, 0), ped(0, 1, 1)]), frame_of([]))
+
+    def test_rows_follow_the_current_frame(self):
+        curr = frame_of([ped(5, 1.0, 0.0), ped(2, 0.0, 3.0), ped(9, 0.0, 0.0)])
+        prev = frame_of([ped(2, 0.5, 3.0), ped(5, 0.0, 0.0)])
+        offset, newborn = make_motion_offsets(curr, prev)
+        assert offset.tolist() == [[-1.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        assert newborn.tolist() == [False, False, True]
+
+    def test_overflowing_offset_raises(self):
+        curr, prev = frame_of([ped(0, 1e308, 0.0)]), frame_of([ped(0, -1e308, 0.0)])
+        with pytest.raises(ValueError, match="motion offset must be finite"):
+            make_motion_offsets(curr, prev)
+
+
+def relationships(objects, radius=3.0):
+    """make_relationship_offsets of GtObjects by id: (rx, ry), or None where undefined."""
+    rel = make_relationship_offsets(frame_of(objects), radius)
+    return {
+        o.instance_id: None if math.isnan(rx) else (rx, ry)
+        for o, (rx, ry) in zip(objects, rel.tolist())
+    }
 
 
 def brute_force_relationships(objects, radius=3.0):
@@ -329,51 +353,49 @@ def brute_force_relationships(objects, radius=3.0):
 class TestRelationshipOffsets:
     def test_three_on_a_line(self):
         objs = [ped(0, 0.0, 0.0), ped(1, 1.0, 0.0), ped(2, 3.0, 0.0)]
-        rel = make_relationship_offsets(objs)
-        assert (rel[0].rx, rel[0].ry) == (1.0, 0.0)
-        assert (rel[1].rx, rel[1].ry) == (-1.0, 0.0)
-        assert (rel[2].rx, rel[2].ry) == (-2.0, 0.0)
-        assert all(r.defined for r in rel.values())
+        rel = relationships(objs)
+        assert rel == {0: (1.0, 0.0), 1: (-1.0, 0.0), 2: (-2.0, 0.0)}
 
     def test_isolated_pedestrian_undefined(self):
-        rel = make_relationship_offsets([ped(0, 0.0, 0.0), ped(1, 10.0, 0.0)])
-        assert not rel[0].defined and not rel[1].defined
-        assert (rel[0].rx, rel[0].ry) == (0.0, 0.0)
+        rel = relationships([ped(0, 0.0, 0.0), ped(1, 10.0, 0.0)])
+        assert rel == {0: None, 1: None}
+        rows = make_relationship_offsets(frame_of([ped(0, 0.0, 0.0), ped(1, 10.0, 0.0)]))
+        assert np.isnan(rows).all()
 
     def test_gate_is_inclusive_at_radius(self):
-        rel = make_relationship_offsets([ped(0, 0.0, 0.0), ped(1, 3.0, 0.0)])
-        assert rel[0].defined and rel[0].rx == 3.0
+        rel = relationships([ped(0, 0.0, 0.0), ped(1, 3.0, 0.0)])
+        assert rel[0] == (3.0, 0.0)
 
     def test_tie_breaks_to_smallest_id(self):
         objs = [ped(5, 0.0, 0.0), ped(2, 1.0, 0.0), ped(9, -1.0, 0.0)]
-        rel = make_relationship_offsets(objs)
+        rel = relationships(objs)
         # ids 2 and 9 are equidistant from id 5; 2 wins.
-        assert (rel[5].rx, rel[5].ry) == (1.0, 0.0)
+        assert rel[5] == (1.0, 0.0)
 
     def test_matches_brute_force_on_random_scene(self):
         rng = np.random.default_rng(7)
         objs = [ped(i, rng.uniform(-10, 10), rng.uniform(-10, 10)) for i in range(20)]
-        rel = make_relationship_offsets(objs)
+        rel = relationships(objs)
         expect = brute_force_relationships(objs)
         for oid, truth in expect.items():
             if truth is None:
-                assert not rel[oid].defined
+                assert rel[oid] is None
             else:
-                assert (rel[oid].rx, rel[oid].ry) == truth[1:]
+                assert rel[oid] == truth[1:]
 
     def test_mutual_nearest_antisymmetry(self):
         rng = np.random.default_rng(8)
         checked = 0
         for _ in range(50):
             objs = [ped(i, rng.uniform(-6, 6), rng.uniform(-6, 6)) for i in range(12)]
-            rel = make_relationship_offsets(objs)
+            rel = relationships(objs)
             expect = brute_force_relationships(objs)
             for oid, truth in expect.items():
                 if truth is None:
                     continue
                 partner = expect[truth[0]]
                 if partner is not None and partner[0] == oid:
-                    ra, rb = rel[oid], rel[truth[0]]
-                    assert (rb.rx, rb.ry) == (-ra.rx, -ra.ry)
+                    (ax, ay), (bx, by) = rel[oid], rel[truth[0]]
+                    assert (bx, by) == (-ax, -ay)
                     checked += 1
         assert checked > 100

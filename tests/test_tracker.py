@@ -4,10 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from oracles import exhaustive_assignment
+from oracles import Detection, exhaustive_assignment, frame_of
 
-from crowdmot.geometry import to_frame
-from crowdmot.records import Box3D, Detection, MotionOffset
+from crowdmot.records import Box3D
 from crowdmot.tracker import (
     TrackerConfig,
     TrackerState,
@@ -23,23 +22,23 @@ def det(x, y, score=0.9, ox=0.0, oy=0.0, frame=0):
     return Detection(
         box=Box3D(cx=x, cy=y, cz=0.85, length=0.6, height=1.7, width=0.6),
         score=score,
-        offset=MotionOffset(ox, oy, 0.0),
+        offset=(ox, oy, 0.0),
         frame=frame,
     )
 
 
 class TestAssociate:
     def test_no_tracks(self):
-        result = associate(to_frame([det(0, 0), det(1, 1)]), [], CFG)
+        result = associate(frame_of([det(0, 0), det(1, 1)]), [], CFG)
         assert result == [(0, None), (1, None)]
 
     def test_exact_offset_match(self):
         d = det(2.0, 0.0, ox=-1.0)  # was at (1, 0) in the previous frame
-        assert associate(to_frame([d]), [(7, (1.0, 0.0))], CFG) == [(0, 7)]
+        assert associate(frame_of([d]), [(7, (1.0, 0.0))], CFG) == [(0, 7)]
 
     def test_gate_excludes_far_tracks(self):
         d = det(0.0, 0.0)
-        assert associate(to_frame([d]), [(3, (0.0, 1.5))], CFG) == [(0, None)]
+        assert associate(frame_of([d]), [(3, (0.0, 1.5))], CFG) == [(0, None)]
 
     def test_crossing_objects_keep_identities(self):
         # Two pedestrians swap positions between frames; exact offsets
@@ -47,7 +46,7 @@ class TestAssociate:
         d1 = det(1.0, 0.0, score=0.9, ox=-1.0)
         d2 = det(0.0, 0.0, score=0.8, ox=1.0)
         tracks = [(0, (0.0, 0.0)), (1, (1.0, 0.0))]
-        result = dict(associate(to_frame([d1, d2]), tracks, CFG))
+        result = dict(associate(frame_of([d1, d2]), tracks, CFG))
         assert result == {0: 0, 1: 1}
         oracle, unique = exhaustive_assignment([d1, d2], tracks, CFG.max_match_dist)
         assert unique and {(i, t) for i, t in result.items()} == oracle
@@ -57,18 +56,18 @@ class TestAssociate:
         # even when it comes later in the list.
         d_low = det(0.3, 0.0, score=0.5)
         d_high = det(0.2, 0.0, score=0.9)
-        result = dict(associate(to_frame([d_low, d_high]), [(0, (0.0, 0.0))], CFG))
+        result = dict(associate(frame_of([d_low, d_high]), [(0, (0.0, 0.0))], CFG))
         assert result == {0: None, 1: 0}
 
     def test_equal_scores_tie_break_by_index(self):
         d1 = det(0.3, 0.0, score=0.8)
         d2 = det(0.2, 0.0, score=0.8)
-        result = dict(associate(to_frame([d1, d2]), [(0, (0.0, 0.0))], CFG))
+        result = dict(associate(frame_of([d1, d2]), [(0, (0.0, 0.0))], CFG))
         assert result == {0: 0, 1: None}
 
     def test_distance_tie_break_by_track_id(self):
         d = det(0.0, 0.0)
-        result = dict(associate(to_frame([d]), [(5, (0.5, 0.0)), (2, (-0.5, 0.0))], CFG))
+        result = dict(associate(frame_of([d]), [(5, (0.5, 0.0)), (2, (-0.5, 0.0))], CFG))
         assert result == {0: 2}
 
     def test_never_matches_beyond_gate(self):
@@ -82,61 +81,61 @@ class TestAssociate:
                 (tid, (rng.uniform(-3, 3), rng.uniform(-3, 3)))
                 for tid in range(rng.integers(0, 5))
             ]
-            for i, tid in associate(to_frame(dets), tracks, CFG):
+            for i, tid in associate(frame_of(dets), tracks, CFG):
                 if tid is not None:
-                    px = dets[i].box.cx + dets[i].offset.ox
-                    py = dets[i].box.cy + dets[i].offset.oy
+                    px = dets[i].box.cx + dets[i].offset[0]
+                    py = dets[i].box.cy + dets[i].offset[1]
                     cx, cy = dict(tracks)[tid]
                     assert math.hypot(cx - px, cy - py) <= CFG.max_match_dist
 
     def test_mixed_frames_rejected(self):
         # A Frame holds one frame: detections of two frames do not make one.
         with pytest.raises(ValueError, match="multiple frames"):
-            associate(to_frame([det(0, 0, frame=0), det(1, 1, frame=1)]), [], CFG)
+            associate(frame_of([det(0, 0, frame=0), det(1, 1, frame=1)]), [], CFG)
 
 
 class TestStep:
     def test_births_require_min_score(self):
         state = TrackerState()
-        out = step(state, to_frame([det(0, 0, score=0.29), det(2, 2, score=0.31)]), CFG, frame=0)
+        out = step(state, frame_of([det(0, 0, score=0.29), det(2, 2, score=0.31)]), CFG, frame=0)
         assert len(out) == 1 and len(state.live) == 1
 
     def test_all_tracks_retire_after_silence(self):
         state = TrackerState()
-        step(state, to_frame([det(0, 0)]), CFG, frame=0)
+        step(state, frame_of([det(0, 0)]), CFG, frame=0)
         for frame in range(1, CFG.max_age + 2):
-            step(state, to_frame([]), CFG, frame=frame)
+            step(state, frame_of([]), CFG, frame=frame)
         assert not state.live and len(state.dead) == 1
 
     def test_constant_detection_builds_one_track(self):
         state = TrackerState()
         for frame in range(10):
-            out = step(state, to_frame([det(0, 0, frame=frame)]), CFG, frame=frame)
+            out = step(state, frame_of([det(0, 0, frame=frame)]), CFG, frame=frame)
             assert out.ids.tolist() == [0]
         assert len(state.live) == 1 and not state.dead
 
     def test_gap_of_max_age_keeps_identity(self):
         state = TrackerState()
-        step(state, to_frame([det(0, 0)]), CFG, frame=0)
+        step(state, frame_of([det(0, 0)]), CFG, frame=0)
         for frame in range(1, 1 + CFG.max_age):
-            step(state, to_frame([]), CFG, frame=frame)
-        out = step(state, to_frame([det(0.1, 0.0, frame=CFG.max_age + 1)]), CFG, frame=CFG.max_age + 1)
+            step(state, frame_of([]), CFG, frame=frame)
+        out = step(state, frame_of([det(0.1, 0.0, frame=CFG.max_age + 1)]), CFG, frame=CFG.max_age + 1)
         assert out.ids.tolist() == [0] and len(state.live) == 1 and not state.dead
 
     def test_gap_beyond_max_age_assigns_new_identity(self):
         state = TrackerState()
-        step(state, to_frame([det(0, 0)]), CFG, frame=0)
+        step(state, frame_of([det(0, 0)]), CFG, frame=0)
         for frame in range(1, 2 + CFG.max_age):
-            step(state, to_frame([]), CFG, frame=frame)
+            step(state, frame_of([]), CFG, frame=frame)
         assert not state.live
-        out = step(state, to_frame([det(0.1, 0.0, frame=CFG.max_age + 2)]), CFG, frame=CFG.max_age + 2)
+        out = step(state, frame_of([det(0.1, 0.0, frame=CFG.max_age + 2)]), CFG, frame=CFG.max_age + 2)
         assert out.ids.tolist() == [1]
 
     def test_out_of_order_frame_rejected(self):
         state = TrackerState()
-        step(state, to_frame([det(0, 0)]), CFG, frame=0)
+        step(state, frame_of([det(0, 0)]), CFG, frame=0)
         with pytest.raises(ValueError):
-            step(state, to_frame([det(0, 0)]), CFG, frame=0)
+            step(state, frame_of([det(0, 0)]), CFG, frame=0)
 
 
 class TestRunSequence:
@@ -152,8 +151,8 @@ class TestRunSequence:
             ]
             for f in range(15)
         ]
-        a = run_sequence([to_frame(f) for f in frames], CFG)
-        b = run_sequence([to_frame(f) for f in frames], CFG)
+        a = run_sequence([frame_of(f) for f in frames], CFG)
+        b = run_sequence([frame_of(f) for f in frames], CFG)
         assert len(a) == len(b) == 15
         for x, y in zip(a, b):
             assert x.ids.tobytes() == y.ids.tobytes()
@@ -169,7 +168,7 @@ class TestRunSequence:
             ]
             for f in range(30)
         ]
-        outputs = run_sequence([to_frame(f) for f in frames], CFG)
+        outputs = run_sequence([frame_of(f) for f in frames], CFG)
         last_seen = {}
         for frame, out in enumerate(outputs):
             ids = out.ids.tolist()
@@ -195,14 +194,14 @@ class TestRunSequence:
             ]
             base = {
                 (dets[i].box.cx, tid)
-                for i, tid in associate(to_frame(dets), tracks, CFG)
+                for i, tid in associate(frame_of(dets), tracks, CFG)
                 if tid is not None
             }
             perm = rng.permutation(n)
             shuffled = [dets[i] for i in perm]
             permuted = {
                 (shuffled[i].box.cx, tid)
-                for i, tid in associate(to_frame(shuffled), tracks, CFG)
+                for i, tid in associate(frame_of(shuffled), tracks, CFG)
                 if tid is not None
             }
             assert base == permuted

@@ -223,9 +223,7 @@ def cmd_targets(args: argparse.Namespace) -> int:
     for frame, prev in zip(frames, [Frame.empty(), *frames]):
         offset, newborn = make_motion_offsets(frame, prev)
         rel = make_relationship_offsets(frame, radius=args.rel_radius)
-        offsets.append(replace(
-            frame, offset=offset, newborn=newborn, rel=rel, has_rel=np.ones(len(frame), dtype=bool)
-        ))
+        offsets.append(replace(frame, offset=offset, newborn=newborn, rel=rel))
     out = Path(args.out)
     outputs = {}
     for number, frame in enumerate(frames):

@@ -120,11 +120,8 @@ def _box_values(frame: Frame) -> list[tuple[str, list]]:
 
 
 def _rel_values(frame: Frame) -> list:
-    """Per object [rx, ry], None where the relationship is undefined, _ABSENT where not given."""
-    return [
-        _ABSENT if not given else None if math.isnan(rx) else [rx, ry]
-        for (rx, ry), given in zip(frame.rel.tolist(), frame.has_rel.tolist())
-    ]
+    """Per object [rx, ry], or None where the relationship is undefined (NaN)."""
+    return [None if math.isnan(rx) else [rx, ry] for rx, ry in frame.rel.tolist()]
 
 
 def write_scene_jsonl(path: Path, frames: list[Frame], timestamps: list[float]) -> str:
@@ -139,7 +136,7 @@ def write_detections_jsonl(path: Path, frames: list[Frame], timestamps: list[flo
         ("score", f.score.tolist()),
         ("offset", f.offset.tolist()),
         ("newborn", [True if born else _ABSENT for born in f.newborn.tolist()]),
-        ("rel", _rel_values(f)),
+        ("rel", [rel if given else _ABSENT for rel, given in zip(_rel_values(f), f.has_rel.tolist())]),
     ])
 
 
@@ -151,7 +148,7 @@ def write_trajectories_jsonl(path: Path, frames: list[Frame], timestamps: list[f
 
 
 def write_offsets_jsonl(path: Path, frames: list[Frame], timestamps: list[float]) -> str:
-    """Offset-target frames: per object its id, offset, newborn flag and rel."""
+    """Offset-target frames: per object its id, offset, newborn flag and rel, null where undefined."""
     return _write_frames(path, frames, timestamps, lambda f: [
         ("offset", f.offset.tolist()),
         ("newborn", f.newborn.tolist()),

@@ -140,8 +140,8 @@ class Frame:
     Detection frames also hold score (n,), offset (n, 3), newborn (n,) bool,
     rel (n, 2), NaN where the relationship is null or absent, and has_rel
     (n,) bool, true where the object carried a rel field. Tracker output
-    frames hold a score only; offset-target frames hold every column but the
-    score.
+    frames hold a score only; offset-target frames hold offset, newborn and
+    rel.
     """
 
     ids: np.ndarray

@@ -23,6 +23,7 @@ from crowdmot.formats import (
     read_trajectories_jsonl,
     write_detections_jsonl,
     write_grid,
+    write_offsets_jsonl,
     write_pgm,
     write_scene_jsonl,
     write_trajectories_jsonl,
@@ -66,6 +67,16 @@ class TestSceneJsonl:
     def test_crlf_line_endings_read_as_lf(self, scene, tmp_path):
         lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
         write_scene_jsonl(lf, *scene)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        (a, a_times), (b, b_times) = read_scene_jsonl(lf), read_scene_jsonl(crlf)
+        assert a_times == b_times
+        assert [(f.ids.tobytes(), f.boxes.tobytes()) for f in a] == [
+            (f.ids.tobytes(), f.boxes.tobytes()) for f in b
+        ]
+        crlf.write_bytes(b'{"frame":0,"timestamp":0.0,"objects":[]}\r\n\r\n{nope}\r\n')
+        with pytest.raises(FormatError, match="crlf.jsonl:3: invalid JSON"):
+            read_scene_jsonl(crlf)
+
     def test_out_of_order_frames_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(
@@ -142,6 +153,23 @@ class TestDetectionsJsonl:
         with pytest.raises(ValueError, match="JSON compliant"):
             write_detections_jsonl(path, [frame_of([])], [float("nan")])
         assert not path.exists()
+
+
+class TestOffsetsJsonl:
+    def test_every_object_has_rel_null_where_undefined(self, tmp_path):
+        path = tmp_path / "offsets.jsonl"
+        frame = Frame(
+            np.array([1, 0]),
+            np.tile([1.0, 0.0, 0.8, 0.6, 0.5, 1.7, 0.1], (2, 1)),
+            offset=np.array([[0.5, -0.0, 0.0], [0.0, 0.0, 0.0]]),
+            newborn=np.array([False, True]),
+            rel=np.array([[0.25, -1.0], [np.nan, np.nan]]),
+        )
+        write_offsets_jsonl(path, [frame], [0.0])
+        assert json.loads(path.read_text())["objects"] == [
+            {"id": 0, "offset": [0.0, 0.0, 0.0], "newborn": True, "rel": None},
+            {"id": 1, "offset": [0.5, -0.0, 0.0], "newborn": False, "rel": [0.25, -1.0]},
+        ]
 
 
 class TestTrajectoriesJsonl:

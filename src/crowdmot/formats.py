@@ -14,6 +14,17 @@ bits, and objects are written in ascending id order. Every JSONL file is
 written through _write_frames, and every JSONL reader goes through
 _read_frames, which returns one geometry.Frame of columns per line.
 
+A writer builds no per-object dicts and calls no json.dumps. It gathers
+every float the file writes (timestamps, box columns, scores, offsets and
+each defined rel), checks them all finite, and makes one table of their
+distinct bit patterns and reprs (_repr_table, which write_grid shares):
+about half the floats of a file repeat, as a pedestrian's l, w and h do in
+every frame. Each object's row is a % template filled in with table texts,
+and its tail string holds newborn and rel where the object writes them.
+The bytes are those json.dumps(..., separators=(",", ":"),
+allow_nan=False) writes, and a float it would reject raises the same
+ValueError before anything is written.
+
 A reader checks each frame in bulk: the fields are gathered with
 itemgetter, every number must be a JSON float (an int anywhere sends the
 frame down the slow path), and the finiteness, side, score and id checks
@@ -39,10 +50,10 @@ import math
 import os
 import sys
 import tempfile
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -79,81 +90,102 @@ def sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-# Stands for a field an object does not have.
-_ABSENT = object()
+def _repr_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The repr of each distinct value in values, and each value's index into that table.
 
-
-def _frame_line(frame: int, timestamp: float, objects: list[dict]) -> str:
-    return json.dumps(
-        {"frame": frame, "timestamp": timestamp, "objects": objects},
-        separators=(",", ":"),
-        allow_nan=False,
-    )
-
-
-def _write_frames(
-    path: Path,
-    frames: Iterable[Frame],
-    timestamps: list[float],
-    fields: Callable[[Frame], list[tuple[str, list]]],
-) -> str:
-    """One line per frame: per object, in ascending id order, its id and its fields.
-
-    fields(frame) returns (key, values) pairs in the order the keys are
-    written, with one value per object in row order; a value _ABSENT leaves
-    its key out of that object.
+    values must not be empty. The table is keyed on the bit pattern, not on
+    float equality, which would merge -0.0 with 0.0; sorted, so index 0 is
+    the smallest pattern, whatever value it stands for. One sort and a
+    neighbour mask build it several times faster than np.unique does.
     """
-    lines = []
-    for number, (timestamp, frame) in enumerate(zip(timestamps, frames, strict=True)):
-        keys, columns = zip(("id", frame.ids.tolist()), *fields(frame))
-        rows = list(zip(*columns))
-        objects = [
-            {key: value for key, value in zip(keys, rows[k]) if value is not _ABSENT}
-            for k in np.argsort(frame.ids, kind="stable").tolist()
-        ]
-        lines.append(_frame_line(number, timestamp, objects))
-    return atomic_write_text(path, "".join(line + "\n" for line in lines))
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    ordered = np.sort(bits, axis=None)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    table = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    return table, np.searchsorted(distinct, bits)
 
 
-def _box_values(frame: Frame) -> list[tuple[str, list]]:
-    return list(zip(BOX_FIELDS, frame.boxes.T.tolist()))
+# The text of each float column in an object's row, a %s for each float.
+_COLUMN_TEXT = {"boxes": "".join(',"%s":%%s' % key for key in BOX_FIELDS), "score": ',"score":%s',
+                "offset": ',"offset":[%s,%s,%s]'}
 
 
-def _rel_values(frame: Frame) -> list:
-    """Per object [rx, ry], or None where the relationship is undefined (NaN)."""
-    return [None if math.isnan(rx) else [rx, ry] for rx, ry in frame.rel.tolist()]
+def _write_frames(path: Path, frames: Iterable[Frame], timestamps: list[float], columns: tuple,
+                  newborn: tuple[str, str] = ("", ""), rel: str = "never") -> str:
+    """One line per frame: per object, in ascending id order, its id, columns, newborn and rel.
+
+    columns name Frame float columns (keys of _COLUMN_TEXT). newborn is the
+    text of a false and of a true flag. rel says which objects write their
+    rel: "never", "given" (where has_rel is set) or "always"; a rel is
+    written [rx, ry], or null where rx is NaN.
+    """
+    pairs = list(zip(timestamps, frames, strict=True))
+    return atomic_write_text(path, "".join(_frame_lines(pairs, columns, newborn, rel)))
+
+
+def _frame_lines(pairs: list, columns: tuple, newborn: tuple[str, str], rel: str) -> Iterator[str]:
+    """The lines of _write_frames, each object's row filled in from a template.
+
+    A generator, so that the row texts are freed before the lines are joined.
+    """
+    if not pairs:
+        return
+    stamps, rows = _row_fields(pairs, columns, newborn, rel)
+    row = '{"id":%d' + "".join(_COLUMN_TEXT[name] for name in columns) + "%s}"
+    for number, (stamp, (_, frame)) in enumerate(zip(stamps, pairs)):
+        text = ",".join(map(row.__mod__, islice(rows, len(frame))))
+        yield '{"frame":%d,"timestamp":%s,"objects":[%s]}\n' % (number, stamp, text)
+
+
+def _row_fields(pairs: list, columns: tuple, newborn: tuple[str, str], rel: str) -> tuple:
+    """The timestamp texts, and per object in write order what fills its row.
+
+    The row fields are the id, the texts of the floats of columns, and a
+    tail: the newborn and rel text. Every float to be written is checked
+    finite, and then its text is looked up in one _repr_table of them all.
+    """
+    orders = [np.argsort(frame.ids, kind="stable") for _, frame in pairs]
+    objects = Frame(**{name: np.concatenate([getattr(f, name)[k] for (_, f), k in zip(pairs, orders)])
+                       for name in vars(Frame.empty())
+                       if all(getattr(f, name) is not None for _, f in pairs)})
+    values = np.column_stack([getattr(objects, name) for name in columns])
+    has_rel = objects.has_rel if rel == "given" else np.full(len(objects), rel == "always")
+    rels = objects.rel[has_rel] if has_rel.any() else np.zeros((0, 2))
+    defined = ~np.isnan(rels[:, 0])
+    floats = np.concatenate([[t for t, _ in pairs], values.ravel(), rels[defined].ravel()])
+    if not np.isfinite(floats).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    text = np.take(*_repr_table(floats))
+    stamps, cells, rx_ry = np.split(text, [len(pairs), len(pairs) + values.size])
+    flags = objects.newborn if newborn[1] else np.zeros(len(objects), dtype=bool)
+    tails = np.array(newborn, dtype=object)[flags.astype(np.intp)]
+    written = np.full(len(rels), ',"rel":null', dtype=object)
+    written[defined] = ',"rel":[' + rx_ry[0::2] + "," + rx_ry[1::2] + "]"
+    tails[has_rel] += written
+    cells = cells.reshape(values.shape).T.tolist()
+    return stamps.tolist(), zip(objects.ids.tolist(), *cells, tails.tolist())
 
 
 def write_scene_jsonl(path: Path, frames: list[Frame], timestamps: list[float]) -> str:
     """GT frames: per object its id and box."""
-    return _write_frames(path, frames, timestamps, _box_values)
+    return _write_frames(path, frames, timestamps, ("boxes",))
 
 
 def write_detections_jsonl(path: Path, frames: list[Frame], timestamps: list[float]) -> str:
     """Detection frames: per object its id, box, score, offset, newborn if true, and rel if given."""
-    return _write_frames(path, frames, timestamps, lambda f: [
-        *_box_values(f),
-        ("score", f.score.tolist()),
-        ("offset", f.offset.tolist()),
-        ("newborn", [True if born else _ABSENT for born in f.newborn.tolist()]),
-        ("rel", [rel if given else _ABSENT for rel, given in zip(_rel_values(f), f.has_rel.tolist())]),
-    ])
+    newborn = ("", ',"newborn":true')
+    return _write_frames(path, frames, timestamps, ("boxes", "score", "offset"), newborn, "given")
 
 
 def write_trajectories_jsonl(path: Path, frames: list[Frame], timestamps: list[float]) -> str:
     """The tracker's output frames: per object its track id, box and score."""
-    return _write_frames(
-        path, frames, timestamps, lambda f: [*_box_values(f), ("score", f.score.tolist())]
-    )
+    return _write_frames(path, frames, timestamps, ("boxes", "score"))
 
 
 def write_offsets_jsonl(path: Path, frames: list[Frame], timestamps: list[float]) -> str:
     """Offset-target frames: per object its id, offset, newborn flag and rel, null where undefined."""
-    return _write_frames(path, frames, timestamps, lambda f: [
-        ("offset", f.offset.tolist()),
-        ("newborn", f.newborn.tolist()),
-        ("rel", _rel_values(f)),
-    ])
+    newborn = (',"newborn":false', ',"newborn":true')
+    return _write_frames(path, frames, timestamps, ("offset",), newborn, "always")
 
 
 _LARGEST = sys.float_info.max
@@ -200,6 +232,8 @@ def _box(obj: dict) -> list[float]:
     return [box.cx, box.cy, box.cz, box.length, box.width, box.height, box.yaw]
 
 
+# Stands for a rel field a detection does not have: absent is not null.
+_ABSENT = object()
 _INT64 = 2**63
 _IDS = itemgetter("id")
 _BOXES = itemgetter(*BOX_FIELDS)
@@ -425,16 +459,7 @@ def _rows(table: np.ndarray, codes: np.ndarray) -> list[str]:
 def write_grid(path: Path, grid: DenseGrid2D) -> str:
     spec = grid.grid
     header = f"{spec.nx} {spec.ny} {spec.dx!r} {spec.dy!r} {spec.x_min!r} {spec.y_min!r}"
-    # repr each distinct value once. The table is keyed on the bit pattern, not
-    # on float equality, which would merge -0.0 with 0.0; sorted, so code 0 is
-    # the smallest pattern, whatever value it stands for. One sort and a
-    # neighbour mask build it several times faster than np.unique does.
-    bits = np.ascontiguousarray(grid.values).view(np.uint64)
-    ordered = np.sort(bits, axis=None)
-    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    table = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
-    rows = _rows(table, np.searchsorted(distinct, bits))
-    return atomic_write_text(path, "\n".join([header, *rows]) + "\n")
+    return atomic_write_text(path, "\n".join([header, *_rows(*_repr_table(grid.values))]) + "\n")
 
 
 def read_grid(path: Path) -> DenseGrid2D:
@@ -460,8 +485,9 @@ def write_pgm(path: Path, grid: DenseGrid2D) -> str:
     peak = float(values.max())
     # PGM rows scan y from top; emit k-major so the image is ny rows of nx.
     image = np.ascontiguousarray(values[:, ::-1].T)
-    levels = np.zeros(image.shape, dtype=np.int64)
-    if peak > 0:
-        levels = np.clip(np.round(image / peak * 255.0), 0, 255).astype(np.int64)
+    # A subnormal peak can overflow a negative cell's ratio to -inf, level 0.
+    with np.errstate(over="ignore"):
+        scaled = np.round(image / peak * 255.0) if peak > 0 else np.zeros(image.shape)
+    levels = np.clip(scaled, 0, 255).astype(np.int64)
     header = f"P2\n{values.shape[0]} {values.shape[1]}\n255"
     return atomic_write_text(path, "\n".join([header, *_rows(_PGM_LEVELS, levels)]) + "\n")

@@ -74,6 +74,8 @@ class GridSpec:
             (self.y_max - self.y_min, self.dy, "y"),
         ):
             cells = extent / step
+            if not math.isfinite(cells):
+                raise ValueError(f"{name} extent {extent} holds no finite number of {step} m cells")
             if abs(cells - round(cells)) > 1e-6 or round(cells) < 1:
                 raise ValueError(
                     f"{name} extent {extent} is not a whole number of {step} m cells"

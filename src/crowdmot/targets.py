@@ -118,7 +118,10 @@ def make_heatmap(
     rj, rk = min(reach, grid.nx - 1), min(reach, grid.ny - 1)
     dj = np.arange(-rj, rj + 1, dtype=np.float64)[:, None]
     dk = np.arange(-rk, rk + 1, dtype=np.float64)[None, :]
-    stamp = np.exp(-(dj**2 + dk**2) * (1.0 / (sigma * sigma)))
+    # Near the sigma floor the exponents of far cells overflow to -inf, and
+    # exp takes them to 0.0, the kernel's value there.
+    with np.errstate(over="ignore"):
+        stamp = np.exp(-(dj**2 + dk**2) * (1.0 / (sigma * sigma)))
     for x, y in frame.boxes[:, :2].tolist():
         j_star, k_star = quantize_to_grid(x, y, grid)
         j0, j1 = max(j_star - rj, 0), min(j_star + rj + 1, grid.nx)

@@ -1,5 +1,9 @@
 """Reference implementations the fast code is checked against.
 
+The JSONL text oracle builds one dict per object and one json.dumps per
+frame; the writers in crowdmot.formats must give its bytes, and raise where
+it does.
+
 The matching oracles, shared by the tracker, evaluator and acceptance tests,
 enumerate every injective pairing of rows to columns, so they are meant for
 frames of a handful of objects. They read one object at a time, as a
@@ -9,12 +13,13 @@ the simulator's array code must reproduce bit for bit.
 """
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from crowdmot.geometry import Frame, bev_iou, pairs_within
+from crowdmot.geometry import BOX_FIELDS, Frame, bev_iou, pairs_within
 from crowdmot.records import Box3D
 from crowdmot.simulator import MIN_SEPARATION
 
@@ -186,3 +191,55 @@ def repair_separation_by_pair_loop(pos, lo, hi):
     i, j = pairs_within(pos, pos, MIN_SEPARATION)
     d = pos[i[i < j]] - pos[j[i < j]]
     return None if (np.sqrt((d**2).sum(axis=1)) < MIN_SEPARATION).any() else pos
+
+
+# Stands for a field an object does not have.
+_ABSENT = object()
+
+
+def _box_values(frame):
+    return list(zip(BOX_FIELDS, frame.boxes.T.tolist()))
+
+
+def _rel_values(frame):
+    """Per object [rx, ry], or None where the relationship is undefined (rx is NaN)."""
+    return [None if math.isnan(rx) else [rx, ry] for rx, ry in frame.rel.tolist()]
+
+
+# Per JSONL writer, the (key, values) pairs of a frame's objects after the id,
+# in key order, one value per object in row order; _ABSENT leaves a key out.
+JSONL_FIELDS = {
+    "scene": _box_values,
+    "detections": lambda f: [
+        *_box_values(f),
+        ("score", f.score.tolist()),
+        ("offset", f.offset.tolist()),
+        ("newborn", [True if born else _ABSENT for born in f.newborn.tolist()]),
+        ("rel", [rel if given else _ABSENT for rel, given in zip(_rel_values(f), f.has_rel.tolist())]),
+    ],
+    "trajectories": lambda f: [*_box_values(f), ("score", f.score.tolist())],
+    "offsets": lambda f: [
+        ("offset", f.offset.tolist()),
+        ("newborn", f.newborn.tolist()),
+        ("rel", _rel_values(f)),
+    ],
+}
+
+
+def jsonl_text_by_dicts(kind, frames, timestamps):
+    """The text the JSONL writer of kind writes: per frame one json.dumps of its objects' dicts.
+
+    Objects go in ascending id order. A non-finite float raises json's
+    ValueError, and a frame count unlike the timestamp count zip's.
+    """
+    lines = []
+    for number, (timestamp, frame) in enumerate(zip(timestamps, frames, strict=True)):
+        keys, columns = zip(("id", frame.ids.tolist()), *JSONL_FIELDS[kind](frame))
+        rows = list(zip(*columns))
+        objects = [
+            {key: value for key, value in zip(keys, rows[k]) if value is not _ABSENT}
+            for k in np.argsort(frame.ids, kind="stable").tolist()
+        ]
+        record = {"frame": number, "timestamp": timestamp, "objects": objects}
+        lines.append(json.dumps(record, separators=(",", ":"), allow_nan=False))
+    return "".join(line + "\n" for line in lines)

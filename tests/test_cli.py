@@ -496,6 +496,22 @@ class TestNonFiniteSettings:
         assert capsys.readouterr().err == "error: x_min must be finite, got -inf\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extent, grid, message",
+        [
+            ("-1e308,1e308,-2,2", "0.5,0.5", "x extent inf holds no finite number of 0.5 m cells"),
+            ("-2,2,-1e308,1e308", "0.5,0.5", "y extent inf holds no finite number of 0.5 m cells"),
+            ("0,1e308,-2,2", "1e-300,0.5", "x extent 1e+308 holds no finite number of 1e-300 m cells"),
+        ],
+    )
+    def test_targets_extent_of_no_finite_cell_count(self, tmp_path, capsys, gen_dir, extent, grid,
+                                                    message):
+        out = tmp_path / "out"
+        argv = ["targets", "--gt", str(gen_dir / "gt.jsonl"), "--out", str(out), "--grid", grid]
+        assert main([*argv, f"--extent={extent}"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestRejectedGenConfig:
     """A gen config the simulator cannot honour: one line naming the cause, exit 2, no outputs.

@@ -1,6 +1,7 @@
 """Round-trips and schema validation for the on-disk formats."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import sys
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import frame_of
+from oracles import frame_of, jsonl_text_by_dicts
 
 from crowdmot import formats
 from crowdmot.formats import (
@@ -227,7 +228,9 @@ def per_value_pgm_text(dense):
     peak = float(values.max())
     scaled = np.zeros_like(values, dtype=np.int64)
     if peak > 0:
-        scaled = np.clip(np.round(values / peak * 255.0), 0, 255).astype(np.int64)
+        # A subnormal peak overflows a negative cell's ratio to -inf, which clips to 0.
+        with np.errstate(over="ignore"):
+            scaled = np.clip(np.round(values / peak * 255.0), 0, 255).astype(np.int64)
     nx, ny = scaled.shape
     rows = [" ".join(str(v) for v in scaled[:, k]) for k in range(ny - 1, -1, -1)]
     return f"P2\n{nx} {ny}\n255\n" + "\n".join(rows) + "\n"
@@ -512,3 +515,130 @@ class TestBulkReader:
         bulk, one_by_one = bulk_and_one_by_one("det", objects)
         assert_same(bulk, one_by_one)
         assert bulk.boxes[0, 0] == 1.0 and bulk.score.tolist() == [1.0]
+
+
+# The JSONL writers against the dict + json.dumps oracle, byte for byte.
+
+WRITERS = {
+    "scene": write_scene_jsonl,
+    "detections": write_detections_jsonl,
+    "trajectories": write_trajectories_jsonl,
+    "offsets": write_offsets_jsonl,
+}
+# The columns, besides ids and boxes, that each writer's frames carry in the pipeline.
+CARRIED = {
+    "scene": (),
+    "detections": ("score", "offset", "newborn", "rel", "has_rel"),
+    "trajectories": ("score",),
+    "offsets": ("offset", "newborn", "rel"),
+}
+EDGE_FLOATS = [
+    -0.0, 0.0, TINY, -TINY, 2.2250738585072009e-308, 1e308, -1e308, sys.float_info.max,
+    0.1 + 0.2, 1.0, -1.5, 1e16, 1e-7, 123456789.0,
+]
+
+
+def carried(frame, kind):
+    """frame with only the columns a frame of kind carries."""
+    dropped = set(CARRIED["detections"]) - set(CARRIED[kind])
+    return dataclasses.replace(frame, **{name: None for name in dropped})
+
+
+@st.composite
+def writer_frames(draw):
+    """Detection-column frames and their timestamps, the floats drawn from a few values.
+
+    Every float comes from a small pool of edge and random values, so values
+    repeat within and across frames and columns. Ids are unique, unsorted
+    and span int64. Each rel row is undefined (NaN), defined, null with an
+    infinite ry, or, where has_rel is not set, infinite: the detection
+    writer leaves it out and the offsets writer rejects it.
+    """
+    pool = draw(st.lists(st.sampled_from(EDGE_FLOATS) | _FINITE, min_size=1, max_size=6))
+    value = st.sampled_from(pool) | st.sampled_from(EDGE_FLOATS) | _FINITE
+
+    def floats(*shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(value, min_size=size, max_size=size)), dtype=float).reshape(shape)
+
+    frames = []
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(0, 5))
+        ids = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n, unique=True))
+        has_rel = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        rel = floats(n, 2)
+        for k in range(n):
+            kinds = ["undefined", "defined", "null"] + ([] if has_rel[k] else ["infinite"])
+            rel[k] = {"undefined": [math.nan, math.nan], "defined": rel[k],
+                      "null": [math.nan, math.inf], "infinite": [math.inf, -math.inf]}[
+                draw(st.sampled_from(kinds))]
+        frames.append(Frame(
+            np.array(ids, dtype=np.int64).reshape(-1), floats(n, 7), score=floats(n),
+            offset=floats(n, 3),
+            newborn=np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool),
+            rel=rel, has_rel=has_rel,
+        ))
+    return frames, draw(st.lists(value, min_size=len(frames), max_size=len(frames)))
+
+
+class TestJsonlWritersMatchDictText:
+    """Each JSONL writer writes the bytes of one json.dumps per frame of per-object dicts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=writer_frames())
+    @example(data=([], []))
+    @example(data=([frame_of([]), frame_of([])], [0.0, -0.0]))
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_match_the_dict_oracle(self, kind, data):
+        frames, timestamps = data
+        frames = [carried(frame, kind) for frame in frames]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out.jsonl"
+            try:
+                expected = jsonl_text_by_dicts(kind, frames, timestamps)
+            except ValueError:
+                with pytest.raises(ValueError, match="JSON compliant"):
+                    WRITERS[kind](path, frames, timestamps)
+                assert not any(Path(tmp).iterdir())
+                return
+            digest = WRITERS[kind](path, frames, timestamps)
+            assert path.read_text() == expected
+            assert digest == hashlib.sha256(expected.encode()).hexdigest()
+
+    WRITTEN = {
+        "scene": ["boxes", "timestamp"],
+        "trajectories": ["boxes", "score", "timestamp"],
+        "detections": ["boxes", "score", "offset", "rx", "ry", "timestamp"],
+        "offsets": ["offset", "rx", "ry", "timestamp"],
+    }
+
+    @pytest.mark.parametrize(
+        "kind, column, bad",
+        [
+            (kind, column, bad)
+            for kind, columns in WRITTEN.items()
+            for column in columns
+            for bad in (math.nan, math.inf, -math.inf)
+            if not (column == "rx" and math.isnan(bad))  # a NaN rx writes rel as null
+        ],
+    )
+    def test_non_finite_written_float_raises_and_writes_nothing(self, tmp_path, kind, column, bad):
+        n = 3
+        frame = Frame(
+            np.array([2, 0, 1]), np.tile([1.0, 0.0, 0.8, 0.6, 0.5, 1.7, 0.1], (n, 1)),
+            score=np.full(n, 0.5), offset=np.zeros((n, 3)), newborn=np.zeros(n, dtype=bool),
+            rel=np.full((n, 2), 0.25), has_rel=np.ones(n, dtype=bool),
+        )
+        timestamps = [0.0, 0.1]
+        if column == "timestamp":
+            timestamps[1] = bad
+        elif column in ("rx", "ry"):
+            frame.rel[1, ["rx", "ry"].index(column)] = bad
+        else:
+            getattr(frame, column).reshape(n, -1)[1, -1] = bad
+        frames = [carried(frame_of([]), kind), carried(frame, kind)]
+        with pytest.raises(ValueError, match="JSON compliant"):
+            jsonl_text_by_dicts(kind, frames, timestamps)
+        with pytest.raises(ValueError, match="JSON compliant"):
+            WRITERS[kind](tmp_path / "out.jsonl", frames, timestamps)
+        assert list(tmp_path.iterdir()) == []

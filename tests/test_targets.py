@@ -162,7 +162,9 @@ class TestWindowedStencils:
         inv_s2 = 1.0 / (sigma * sigma)
         for obj in objects:
             j, k = quantize_to_grid(obj.box.cx, obj.box.cy, grid)
-            kernel = np.exp(-((jj - j) ** 2 + (kk - k) ** 2) * inv_s2)
+            # Near the sigma floor the exponent overflows to -inf, which exp takes to 0.0.
+            with np.errstate(over="ignore"):
+                kernel = np.exp(-((jj - j) ** 2 + (kk - k) ** 2) * inv_s2)
             heat = np.maximum(heat, kernel) if combine == "max" else heat + kernel
         return heat
 

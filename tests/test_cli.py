@@ -1,12 +1,16 @@
 """Command-line pipelines: outputs, manifests, determinism, diagnostics."""
 
 import contextlib
+import hashlib
 import io
 import json
+import multiprocessing
+import os
 import re
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -15,9 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crowdmot.cli
 from crowdmot.cli import main
 from crowdmot.formats import read_grid, sha256_file
 from crowdmot.records import Box3D
+from test_golden import CONFIG as GOLDEN_CONFIG
+from test_golden import GOLDEN, GOLDEN_GRIDS
 
 CONFIG = """\
 [sim]
@@ -196,6 +203,135 @@ class TestTargets:
         assert main(["density", "--gt", str(gen_dir / "gt.jsonl"), "--out", str(out)]) == 0
         assert capsys.readouterr().out == ""
         assert (out / "density.txt").exists()
+
+
+TWELVE_FRAMES = CONFIG.replace("n_pedestrians = 10", "n_pedestrians = 40").replace(
+    "n_frames = 6", "n_frames = 12"
+)
+
+
+class TestTargetsWorkers:
+    """`targets` on forked workers: same bytes as in one process, clean failures, no leftovers."""
+
+    @staticmethod
+    def cpus(monkeypatch, n, pool):
+        """n usable CPUs; with pool, a work size any frame reaches. Returns the fork count."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        if pool:
+            monkeypatch.setattr(crowdmot.cli, "_PARALLEL_MIN_CELLS", 0)
+        forks = []
+        real_fork = os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return forks
+
+    @staticmethod
+    def forbid_fork(monkeypatch):
+        def refuse():
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(os, "fork", refuse)
+
+    @staticmethod
+    def run(gt, out, *flags):
+        return main(["targets", "--gt", str(gt), "--out", str(out), *flags])
+
+    @pytest.mark.parametrize("config", [GOLDEN_CONFIG, TWELVE_FRAMES], ids=["golden", "twelve-frames"])
+    def test_pool_writes_the_bytes_of_one_process(self, tmp_path, monkeypatch, config):
+        # The targets flags of tests/test_golden.py.
+        flags = ["--extent=-30,30,-20,20", "--grid", "0.5,0.5", "--dump-pgm"]
+        (tmp_path / "scene.ini").write_text(config)
+        assert main(["gen", "--config", str(tmp_path / "scene.ini"), "--out", str(tmp_path / "gen")]) == 0
+        gt = tmp_path / "gen" / "gt.jsonl"
+        with monkeypatch.context() as patch:
+            forks = self.cpus(patch, 2, pool=True)
+            assert self.run(gt, tmp_path / "pool", *flags) == 0
+            assert len(forks) == 2
+            assert multiprocessing.active_children() == []
+        with monkeypatch.context() as patch:
+            self.cpus(patch, 1, pool=True)
+            self.forbid_fork(patch)
+            assert self.run(gt, tmp_path / "serial", *flags) == 0
+        pool, serial = tmp_path / "pool", tmp_path / "serial"
+        names = sorted(p.name for p in serial.iterdir())
+        assert sorted(p.name for p in pool.iterdir()) == names
+        assert "manifest.json" in names
+        for name in names:
+            assert (pool / name).read_bytes() == (serial / name).read_bytes(), name
+        if config is GOLDEN_CONFIG:
+            grids = sorted([*pool.glob("heatmap_*"), *pool.glob("weights_*")])
+            listing = "".join(f"{path.name} {sha256_file(path)}\n" for path in grids)
+            assert hashlib.sha256(listing.encode()).hexdigest() == GOLDEN_GRIDS
+            assert sha256_file(pool / "offsets.jsonl") == GOLDEN["targets/offsets.jsonl"]
+
+    def test_zero_frames_start_no_pool(self, tmp_path, monkeypatch):
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text("")
+        self.cpus(monkeypatch, 2, pool=True)
+        self.forbid_fork(monkeypatch)
+        assert self.run(gt, tmp_path / "out") == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert list(manifest["outputs"]) == ["offsets.jsonl"]
+
+    @pytest.mark.parametrize("case", ["one-cpu", "below-work-size", "other-thread"])
+    def test_no_process_is_started(self, gen_dir, tmp_path, monkeypatch, case):
+        self.cpus(monkeypatch, 1 if case == "one-cpu" else 2, pool=case != "below-work-size")
+        self.forbid_fork(monkeypatch)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait, args=(30,))
+        if case == "other-thread":
+            thread.start()
+        try:
+            assert self.run(gen_dir / "gt.jsonl", tmp_path / "out", "--dump-pgm") == 0
+        finally:
+            stop.set()
+            if case == "other-thread":
+                thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert len(list((tmp_path / "out").glob("*.pgm"))) == 12
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_os_error_in_a_frame_is_one_line_and_no_manifest(
+        self, gen_dir, tmp_path, capsys, monkeypatch, n_cpus
+    ):
+        flags = ["--grid", "0.5,0.5", "--extent=-30,30,-20,20"]
+        clean = tmp_path / "clean"
+        assert self.run(gen_dir / "gt.jsonl", clean, *flags) == 0
+        out = tmp_path / "out"
+        (out / "heatmap_0002.grid").mkdir(parents=True)
+        forks = self.cpus(monkeypatch, n_cpus, pool=True)
+        assert self.run(gen_dir / "gt.jsonl", out, *flags) == 2
+        assert len(forks) == (0 if n_cpus == 1 else 2)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "heatmap_0002.grid" in err
+        assert multiprocessing.active_children() == []
+        assert not (out / "manifest.json").exists()
+        # Every file left behind is whole: a clean run's bytes, and no temporary file.
+        left = [p for p in out.iterdir() if p.is_file()]
+        assert left
+        for path in left:
+            assert path.read_bytes() == (clean / path.name).read_bytes(), path.name
+
+    def test_dead_worker_is_one_line_and_no_manifest(self, gen_dir, tmp_path, capsys, monkeypatch):
+        parent = os.getpid()
+
+        def die_in_a_worker(frame, grid, sigma):
+            if os.getpid() == parent:
+                raise AssertionError("frames ran in the parent process")
+            os._exit(3)
+
+        monkeypatch.setattr(crowdmot.cli, "make_heatmap", die_in_a_worker)
+        self.cpus(monkeypatch, 2, pool=True)
+        out = tmp_path / "out"
+        assert self.run(gen_dir / "gt.jsonl", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: targets worker died: ") and err.count("\n") == 1
+        assert multiprocessing.active_children() == []
+        assert not (out / "manifest.json").exists()
 
 
 class TestTrackAndEval:
@@ -859,6 +995,19 @@ class TestConsoleEntrypoint:
             "except SystemExit:\n"
             "    pass\n"
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
+
+    def test_import_loads_no_process_pool(self):
+        # The targets pool imports its modules when it starts, so no other
+        # CLI call pays their import time.
+        code = (
+            "import sys\n"
+            "import crowdmot.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'\n"
+            "             or m.startswith('concurrent.futures')))\n"
         )
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr

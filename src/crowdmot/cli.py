@@ -40,7 +40,7 @@ from .formats import (
 from .geometry import Frame, GridSpec, OutOfBoundsError, check_positive, quantize_to_grid
 from .simulator import NoiseConfig, SimConfig, corrupt, gen_scene
 from .sparsegrid import DEFAULT_WIDTHS, PointCloud, VoxelSpec, topology_report
-from .targets import make_daw, make_heatmap, make_motion_offsets, make_relationship_offsets
+from .targets import make_daw, make_heatmap, motion_offsets, relationship_offsets
 from .tracker import TrackerConfig, run_sequence
 
 
@@ -213,18 +213,35 @@ def cmd_gen(args: argparse.Namespace) -> int:
 _PARALLEL_MIN_CELLS = 400_000
 
 
+def _check_on_grid(frames: list[Frame], grid: GridSpec) -> None:
+    """Raise OutOfBoundsError naming the first frame and object off the grid's extents."""
+    xy = np.concatenate([np.zeros((0, 2)), *(frame.boxes[:, :2] for frame in frames)])
+    x, y = xy[:, 0], xy[:, 1]
+    if ((grid.x_min <= x) & (x < grid.x_max) & (grid.y_min <= y) & (y < grid.y_max)).all():
+        return
+    # Only a bad input gets here: find the object to name, as quantize_to_grid words it.
+    for number, frame in enumerate(frames):
+        for key, (x, y) in zip(frame.ids.tolist(), frame.boxes[:, :2].tolist()):
+            try:
+                quantize_to_grid(x, y, grid)
+            except OutOfBoundsError as exc:
+                raise OutOfBoundsError(f"frame {number}, object {key}: {exc}") from None
+
+
 def _frame_targets(
-    number: int, frame: Frame, out: Path, grid: GridSpec, sigma: float, th: float, dump_pgm: bool
+    number: int, frame: Frame, out: Path, grid: GridSpec, sigma: float, th: float, dump_pgm: bool,
+    reprs: dict[int, str],
 ) -> dict[Path, str]:
     """Write frame `number`'s heatmap and weight grids, and their PGMs with dump_pgm.
 
-    Returns {path: digest} of the files written.
+    reprs is the write_grid memo of float texts the frames share. Returns
+    {path: digest} of the files written.
     """
     heat = make_heatmap(frame, grid, sigma=sigma)
     daw = make_daw(frame, grid, th=th)
     heat_path = out / f"heatmap_{number:04d}.grid"
     daw_path = out / f"weights_{number:04d}.grid"
-    outputs = {heat_path: write_grid(heat_path, heat), daw_path: write_grid(daw_path, daw)}
+    outputs = {heat_path: write_grid(heat_path, heat, reprs), daw_path: write_grid(daw_path, daw, reprs)}
     if dump_pgm:
         for src, dst in ((heat, heat_path), (daw, daw_path)):
             pgm = dst.with_suffix(".pgm")
@@ -280,20 +297,19 @@ def cmd_targets(args: argparse.Namespace) -> int:
     # Validate every object against the grid and build every offset target
     # before writing anything, so a bad late frame cannot leave partial
     # outputs behind.
-    for number, frame in enumerate(frames):
-        for key, (x, y) in zip(frame.ids.tolist(), frame.boxes[:, :2].tolist()):
-            try:
-                quantize_to_grid(x, y, grid)
-            except OutOfBoundsError as exc:
-                raise OutOfBoundsError(f"frame {number}, object {key}: {exc}") from None
-    offsets = []
-    for frame, prev in zip(frames, [Frame.empty(), *frames]):
-        offset, newborn = make_motion_offsets(frame, prev)
-        rel = make_relationship_offsets(frame, radius=args.rel_radius)
-        offsets.append(replace(frame, offset=offset, newborn=newborn, rel=rel))
+    _check_on_grid(frames, grid)
+    motion = motion_offsets(frames)
+    rels = relationship_offsets(frames, radius=args.rel_radius)
+    offsets = [
+        replace(frame, offset=offset, newborn=newborn, rel=rel)
+        for frame, (offset, newborn), rel in zip(frames, motion, rels)
+    ]
     out = Path(args.out)
+    # One table of float texts for the whole command: the heatmaps repeat
+    # the same stencil values in every frame.
     job = partial(
-        _frame_targets, out=out, grid=grid, sigma=args.sigma, th=args.th, dump_pgm=args.dump_pgm
+        _frame_targets, out=out, grid=grid, sigma=args.sigma, th=args.th, dump_pgm=args.dump_pgm,
+        reprs={},
     )
     outputs = {}
     for written in _map_frames(job, frames, grid.nx * grid.ny):

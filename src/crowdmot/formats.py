@@ -90,19 +90,29 @@ def sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _repr_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _repr_table(
+    values: np.ndarray, memo: Optional[dict[int, str]] = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The repr of each distinct value in values, and each value's index into that table.
 
     values must not be empty. The table is keyed on the bit pattern, not on
     float equality, which would merge -0.0 with 0.0; sorted, so index 0 is
     the smallest pattern, whatever value it stands for. One sort and a
     neighbour mask build it several times faster than np.unique does.
+    memo, when given, maps bit patterns to their reprs: patterns it holds
+    are not formatted again, and the ones formatted here are added to it.
     """
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
     ordered = np.sort(bits, axis=None)
     distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    table = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
-    return table, np.searchsorted(distinct, bits)
+    if memo is None:
+        texts = list(map(repr, distinct.view(np.float64).tolist()))
+    else:
+        patterns = distinct.tolist()
+        new = np.array([p for p in patterns if p not in memo], dtype=np.uint64)
+        memo.update(zip(new.tolist(), map(repr, new.view(np.float64).tolist())))
+        texts = list(map(memo.__getitem__, patterns))
+    return np.array(texts, dtype=object), np.searchsorted(distinct, bits)
 
 
 # The text of each float column in an object's row, a %s for each float.
@@ -456,10 +466,11 @@ def _rows(table: np.ndarray, codes: np.ndarray) -> list[str]:
     return rows
 
 
-def write_grid(path: Path, grid: DenseGrid2D) -> str:
+def write_grid(path: Path, grid: DenseGrid2D, memo: Optional[dict[int, str]] = None) -> str:
+    """Write a grid file; memo, a dict of bit pattern -> repr, is read and filled as _repr_table's."""
     spec = grid.grid
     header = f"{spec.nx} {spec.ny} {spec.dx!r} {spec.dy!r} {spec.x_min!r} {spec.y_min!r}"
-    return atomic_write_text(path, "\n".join([header, *_rows(*_repr_table(grid.values))]) + "\n")
+    return atomic_write_text(path, "\n".join([header, *_rows(*_repr_table(grid.values, memo))]) + "\n")
 
 
 def read_grid(path: Path) -> DenseGrid2D:

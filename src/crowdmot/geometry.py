@@ -251,12 +251,16 @@ def bev_iou_pairs(fields_a: np.ndarray, fields_b: np.ndarray, i, j) -> np.ndarra
     1.0. Each pair is ordered canonically (the box whose row is the smaller
     tuple is clipped against the other), so a swapped pair returns identical
     bits. Pairs whose centres are at least the sum of the half-diagonals
-    apart, and overlaps below 1e-12 in area, give exactly 0.0.
+    apart, and overlaps below 1e-12 in area, give exactly 0.0. Corners are
+    made only for the rows some pair names, so a few pairs of a long field
+    array cost no more than those of a short one.
     """
-    fields = np.concatenate([np.reshape(fields_a, (-1, 5)), np.reshape(fields_b, (-1, 5))])
+    rows_a, i = np.unique(np.asarray(i, dtype=np.intp), return_inverse=True)
+    rows_b, j = np.unique(np.asarray(j, dtype=np.intp), return_inverse=True)
+    fields_a, fields_b = np.reshape(fields_a, (-1, 5)), np.reshape(fields_b, (-1, 5))
+    fields = np.concatenate([fields_a[rows_a], fields_b[rows_b]])
     corners, half = _corners(fields)
-    i = np.asarray(i, dtype=np.intp)
-    j = np.asarray(j, dtype=np.intp) + len(fields_a)
+    j = j + len(rows_a)
     a, b = fields[i], fields[j]
     iou = (a == b).all(axis=1).astype(float)
     dist = np.array(list(map(math.hypot, *(a[:, :2] - b[:, :2]).T.tolist())))
@@ -287,7 +291,7 @@ def bev_iou(a: BoxBEV, b: BoxBEV) -> float:
     return float(bev_iou_pairs(bev_fields([a]), bev_fields([b]), [0], [0])[0])
 
 
-def pairs_within(a_xy, b_xy, r: float) -> tuple[np.ndarray, np.ndarray]:
+def pairs_within(a_xy, b_xy, r: float, groups=None) -> tuple[np.ndarray, np.ndarray]:
     """Candidate index pairs (i, j) with points a_xy[i] and b_xy[j] near each other.
 
     a_xy and b_xy are sequences of finite (x, y) points. Returned are exactly
@@ -295,55 +299,110 @@ def pairs_within(a_xy, b_xy, r: float) -> tuple[np.ndarray, np.ndarray]:
     most r apart and possibly a few up to that slack beyond, so callers
     re-test the candidates with their own rule. Pairs come sorted by (i, j).
     Passing one point set twice returns its self-pairs (i, i) too; passing
-    the same object twice bins its points only once.
+    the same object twice (and the same labels object twice) bins its
+    points only once.
+
+    groups, when given, is a pair (group_a, group_b) of integer labels, one
+    per point of a_xy and of b_xy, such as frame numbers; only pairs whose
+    points carry the same label are returned. One call so answers the
+    queries of many frames whose points are stacked into one array.
     """
     if not 0.0 <= r < math.inf:
         raise ValueError(f"neighbour radius must be finite and >= 0, got {r}")
     a = np.reshape(np.asarray(a_xy, dtype=float), (-1, 2))
-    b = a if b_xy is a_xy else np.reshape(np.asarray(b_xy, dtype=float), (-1, 2))
+    same = b_xy is a_xy and (groups is None or groups[1] is groups[0])
+    b = a if same else np.reshape(np.asarray(b_xy, dtype=float), (-1, 2))
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("neighbour search needs finite coordinates")
+    label_a = label_b = None
+    if groups is not None:
+        label_a = np.reshape(np.asarray(groups[0], dtype=np.int64), -1)
+        label_b = label_a if same else np.reshape(np.asarray(groups[1], dtype=np.int64), -1)
+        if (len(label_a), len(label_b)) != (len(a), len(b)):
+            raise ValueError("neighbour search needs one group label per point")
     bound = r * (1.0 + 1e-9)
+    # A distance beyond the float range is inf, which is not near.
     if len(a) * len(b) <= _DENSE_PAIRS:
-        d = a[:, None, :] - b[None, :, :]
-        return np.nonzero(np.hypot(d[..., 0], d[..., 1]) <= bound)
-    i, j = _cell_candidates(a, b, bound)
-    d = a[i] - b[j]
-    keep = np.hypot(d[:, 0], d[:, 1]) <= bound
+        with np.errstate(over="ignore"):
+            d = a[:, None, :] - b[None, :, :]
+            near = np.hypot(d[..., 0], d[..., 1]) <= bound
+        if groups is not None:
+            near &= label_a[:, None] == label_b[None, :]
+        return np.nonzero(near)
+    i, j = _cell_candidates(a, b, bound, label_a, label_b)
+    with np.errstate(over="ignore"):
+        d = a[i] - b[j]
+        keep = np.hypot(d[:, 0], d[:, 1]) <= bound
     i, j = i[keep], j[keep]
     order = np.argsort(i * len(b) + j)
     return i[order], j[order]
 
 
-def _cell_candidates(a: np.ndarray, b: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
-    """A superset of the pairs of a and b at most bound apart, unsorted.
+def _cell_candidates(
+    a: np.ndarray,
+    b: np.ndarray,
+    bound: float,
+    label_a: Optional[np.ndarray],
+    label_b: Optional[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """A superset of the same-label pairs of a and b at most bound apart, unsorted.
 
     Points are binned into square cells of side at least bound, so a pair
     within bound lies in the same or adjacent cells. The side carries a
     relative 1e-6 margin, far above the rounding of x / side, and grows with
     the coordinates' magnitude so that cell indices stay below 2**28; it is
     never below 2**-1000, where the margin would vanish in subnormal
-    rounding. A larger cell only adds candidates. b's points are sorted by
-    packed cell key x·width + y, so cells (x+dx, y-1..y+1) form one
-    contiguous key range: three searchsorted ranges per point of a, asked in
-    key order, which keeps the searches local.
+    rounding. A larger cell only adds candidates.
+
+    A column is one x index of one label: labels are ranked, and each rank
+    owns a band of x indices with a spare one on either side, so x - 1 and
+    x + 1 stay inside their own label's band. b's points are sorted by the
+    packed key column·width + y, so cells (x+dx, y-1..y+1) of one label form
+    one contiguous key range: three searchsorted ranges per point of a,
+    asked in key order, which keeps the searches local. Where that key
+    could pass 2**62 (huge spans with many labels), b's distinct columns
+    are ranked and the rank stands for the column; a column that holds no
+    point of b then has no rank and gives no candidates.
     """
     scale = max(float(np.abs(a).max()), float(np.abs(b).max()))
     side = max(bound * (1.0 + 1e-6), scale * 2.0**-28, 2.0**-1000)
     cell_a = np.floor(a / side).astype(np.int64)
     cell_b = cell_a if b is a else np.floor(b / side).astype(np.int64)
-    # Shifting the lowest index to 1, with one spare column above the
-    # highest, keeps y - 1 and y + 1 inside their own x column.
+    # Shifting the lowest index to 1, with one spare index above the
+    # highest, keeps x ± 1 and y ± 1 inside their own band and column.
     low = np.minimum(cell_a.min(axis=0), cell_b.min(axis=0)) - 1
-    width = int(max(cell_a[:, 1].max(), cell_b[:, 1].max()) - low[1]) + 2
-    key_a = (cell_a[:, 0] - low[0]) * width + (cell_a[:, 1] - low[1])
-    key_b = key_a if b is a else (cell_b[:, 0] - low[0]) * width + (cell_b[:, 1] - low[1])
+    band, width = (np.maximum(cell_a.max(axis=0), cell_b.max(axis=0)) - low + 2).tolist()
+    column_a, row_a = cell_a[:, 0] - low[0], cell_a[:, 1] - low[1]
+    column_b, row_b = (column_a, row_a) if b is a else (cell_b[:, 0] - low[0], cell_b[:, 1] - low[1])
+    if label_a is not None:
+        labels, rank = np.unique(np.concatenate([label_a, label_b]), return_inverse=True)
+        column_a = column_a + rank[: len(a)] * band
+        column_b = column_a if b is a else column_b + rank[len(a):] * band
+        band *= len(labels)
+    ranked = band * width >= 2**62
+    if ranked:
+        columns, slot_b = np.unique(column_b, return_inverse=True)
+    else:
+        slot_b = column_b
+    key_b = slot_b * width + row_b
     by_key = np.argsort(key_b)
     sorted_keys = key_b[by_key]
-    query = by_key if b is a else np.argsort(key_a)
-    centre = key_a[query] + width * np.arange(-1, 2)[:, None]
-    start = np.searchsorted(sorted_keys, centre - 1, side="left").ravel()
-    count = np.searchsorted(sorted_keys, centre + 1, side="right").ravel() - start
+    if b is a:
+        query = by_key
+    else:
+        # Asked in key order; a column that b lacks sorts at its insertion rank.
+        slot_a = np.searchsorted(columns, column_a) if ranked else column_a
+        query = np.argsort(slot_a * width + row_a)
+    # Each point of a asks for the column to its left, its own and the one
+    # to its right.
+    wanted = column_a[query] + np.arange(-1, 2)[:, None]
+    slot = np.searchsorted(columns, wanted) if ranked else wanted
+    centre = slot * width + row_a[query]
+    start = np.searchsorted(sorted_keys, centre - 1, side="left")
+    count = np.searchsorted(sorted_keys, centre + 1, side="right") - start
+    if ranked:
+        count[columns[np.minimum(slot, len(columns) - 1)] != wanted] = 0
+    start, count = start.ravel(), count.ravel()
     # Position k of the concatenated ranges is start[range] + (k - range offset).
     offset = np.repeat(start - (np.cumsum(count) - count), count)
     j = by_key[offset + np.arange(int(count.sum()))]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .geometry import Frame, check_finite_fields, pairs_within, wrap_yaw
 from .records import DENSITY_RADIUS, normalize_yaw
-from .targets import make_motion_offsets, make_relationship_offsets
+from .targets import FrameError, motion_offsets, relationship_offsets
 
 # Hard floor on pedestrian center separation, held in every frame.
 MIN_SEPARATION = 0.3
@@ -533,12 +533,20 @@ def corrupt(frames: list[Frame], noise: NoiseConfig) -> list[Frame]:
     else:
         cl_lo, cl_hi = (-10.0, -10.0), (10.0, 10.0)
 
+    orders = [np.argsort(f.ids, kind="stable") for f in frames]
+    gts = [Frame(f.ids[order], f.boxes[order]) for f, order in zip(frames, orders)]
+    try:
+        motion, failure = motion_offsets(gts), None
+    except FrameError as exc:
+        # Raised at the bad frame's turn, after the frames before it have
+        # drawn and passed their own checks, as a frame-by-frame loop would.
+        motion, failure = motion_offsets(gts[: exc.frame]), exc
+    rels = relationship_offsets(gts[: len(motion)]) if noise.emit_rel else None
     out: list[Frame] = []
-    prev = Frame.empty()
-    for fi, frame in enumerate(frames):
-        order = np.argsort(frame.ids, kind="stable")
-        gt = Frame(frame.ids[order], frame.boxes[order])
-        true_offset, newborn = make_motion_offsets(gt, prev)
+    for fi, gt in enumerate(gts):
+        if fi == len(motion):
+            raise failure
+        true_offset, newborn = motion[fi]
         # Per object, whether or not it is missed: one uniform, then three
         # normals of jitter, three of offset noise and one of score. One
         # call of seven draws the same variates as calls of 3, 3 and 1.
@@ -586,7 +594,7 @@ def corrupt(frames: list[Frame], noise: NoiseConfig) -> list[Frame]:
         boxes[:, 6] = wrap_yaw(boxes[:, 6])
         rel = np.full((len(boxes), 2), np.nan)
         if noise.emit_rel:
-            rel[:n_kept] = make_relationship_offsets(gt)[kept]
+            rel[:n_kept] = rels[fi][kept]
         out.append(Frame(
             ids=np.arange(len(boxes), dtype=np.int64),
             boxes=boxes,
@@ -596,7 +604,6 @@ def corrupt(frames: list[Frame], noise: NoiseConfig) -> list[Frame]:
             rel=rel,
             has_rel=np.full(len(boxes), noise.emit_rel),
         ))
-        prev = gt
     return out
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +28,14 @@ _EXP_UNDERFLOW = math.sqrt(746.0)
 
 class GridMismatchError(ValueError):
     """Dense grids passed to one operation do not share a GridSpec."""
+
+
+class FrameError(ValueError):
+    """One frame of a sequence cannot give its targets; `frame` is its position in the sequence."""
+
+    def __init__(self, message: str, frame: int):
+        super().__init__(message)
+        self.frame = frame
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,10 +81,31 @@ class LossParams:
         check_positive("th", self.th)
 
 
-def _check_unique_ids(frame: Frame) -> None:
-    ids, counts = np.unique(frame.ids, return_counts=True)
-    if (counts > 1).any():
-        raise ValueError(f"duplicate instance_id {ids[counts > 1][0].item()!r} in frame")
+def _stack(frames: Sequence[Frame]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every frame's ids, box rows and frame numbers, stacked in frame order."""
+    ids = np.concatenate([np.zeros(0, dtype=np.int64), *(f.ids for f in frames)])
+    boxes = np.concatenate([np.zeros((0, 7)), *(f.boxes for f in frames)])
+    return ids, boxes, np.repeat(np.arange(len(frames)), [len(f) for f in frames])
+
+
+def _per_frame(rows: np.ndarray, frames: Sequence[Frame]) -> list[np.ndarray]:
+    """Rows stacked frame after frame, cut back into one array per frame."""
+    bounds = np.cumsum([0, *map(len, frames)]).tolist()
+    return [rows[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _first_repeat(ids: np.ndarray, number: np.ndarray, order: np.ndarray) -> Optional[FrameError]:
+    """The error naming the smallest repeated id of the first frame that repeats an instance id.
+
+    ids and number hold each row's id and frame number, and order sorts the
+    rows by (id, frame number). None when no frame repeats an id.
+    """
+    ids, number = ids[order], number[order]
+    at = np.flatnonzero((ids[1:] == ids[:-1]) & (number[1:] == number[:-1]))
+    if not len(at):
+        return None
+    first = at[np.lexsort((ids[at], number[at]))[0]]
+    return FrameError(f"duplicate instance_id {ids[first].item()!r} in frame", int(number[first]))
 
 
 def make_heatmap(
@@ -214,6 +244,37 @@ def focal_daw_loss(
     return loss, DenseGrid2D(pred.grid, grad / norm)
 
 
+def motion_offsets(frames: Sequence[Frame]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """make_motion_offsets of every frame against the one before it, from one join.
+
+    The first frame is taken against an empty frame, so all its objects are
+    newborn. Every frame's rows are sorted together by (id, frame number),
+    so an object's previous row, if any, sorts just before it. Raises the
+    error of the first frame that repeats an id or whose offset overflows,
+    as a frame-by-frame loop would, as a FrameError that holds its number.
+    """
+    ids, boxes, number = _stack(frames)
+    order = np.lexsort((number, ids))
+    repeat = _first_repeat(ids, number, order)
+    follows = (ids[order[1:]] == ids[order[:-1]]) & (number[order[1:]] == number[order[:-1]] + 1)
+    prev = np.full(len(ids), -1)
+    prev[order[1:][follows]] = order[:-1][follows]
+    newborn = prev < 0
+    offset = np.zeros((len(ids), 3))
+    with np.errstate(over="ignore"):
+        offset[~newborn] = boxes[prev[~newborn], :3] - boxes[~newborn, :3]
+    # Rows of frames after a repeat may be joined wrongly, but those frames
+    # are never reached: the repeat is raised first.
+    overflow = number[~np.isfinite(offset).all(axis=1)]
+    if repeat is not None and repeat.frame <= overflow.min(initial=repeat.frame):
+        raise repeat
+    if len(overflow):
+        raise FrameError(
+            "motion offset must be finite: a centre moved beyond the float range", int(overflow.min())
+        )
+    return list(zip(_per_frame(offset, frames), _per_frame(newborn, frames)))
+
+
 def make_motion_offsets(curr: Frame, prev: Frame) -> tuple[np.ndarray, np.ndarray]:
     """Per-object displacement from the current frame back to the previous one.
 
@@ -221,19 +282,37 @@ def make_motion_offsets(curr: Frame, prev: Frame) -> tuple[np.ndarray, np.ndarra
     the (n,) newborn flags, row k for curr's object k. Objects absent from
     the previous frame get a zero offset flagged newborn, so downstream
     arrays stay aligned with the current frame. An offset that overflows
-    raises ValueError.
+    raises ValueError. One frame of motion_offsets.
     """
-    _check_unique_ids(curr)
-    _check_unique_ids(prev)
-    row = dict(zip(prev.ids.tolist(), range(len(prev))))
-    rows = np.array([row.get(key, -1) for key in curr.ids.tolist()], dtype=np.intp)
-    newborn = rows < 0
-    offset = np.zeros((len(curr), 3))
-    with np.errstate(over="ignore"):
-        offset[~newborn] = prev.boxes[rows[~newborn], :3] - curr.boxes[~newborn, :3]
-    if not np.isfinite(offset).all():
-        raise ValueError("motion offset must be finite: a centre moved beyond the float range")
-    return offset, newborn
+    # A frame-by-frame loop has checked prev as the current frame already;
+    # here curr's repeats are named before prev's.
+    repeat = _first_repeat(curr.ids, np.zeros(len(curr), dtype=np.int64), np.argsort(curr.ids))
+    if repeat is not None:
+        raise repeat
+    return motion_offsets([prev, curr])[1]
+
+
+def relationship_offsets(
+    frames: Sequence[Frame], radius: float = DEFAULT_NEIGHBOR_RADIUS
+) -> list[np.ndarray]:
+    """make_relationship_offsets of every frame, from one neighbour query over them all."""
+    ids, boxes, number = _stack(frames)
+    repeat = _first_repeat(ids, number, np.lexsort((number, ids)))
+    if repeat is not None:
+        raise repeat
+    check_positive("radius", radius)
+    xy = boxes[:, :2]
+    i, j = pairs_within(xy, xy, radius, (number, number))
+    d = xy[j] - xy[i]
+    d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    near = (i != j) & (d2 <= radius * radius)
+    i, j, d, d2 = i[near], j[near], d[near], d2[near]
+    # Sorted by object, then by (d2, neighbour id): each object's first pair wins.
+    order = np.lexsort((ids[j], d2, i))
+    first = order[np.unique(i[order], return_index=True)[1]]
+    rel = np.full((len(ids), 2), np.nan)
+    rel[i[first]] = d[first]
+    return _per_frame(rel, frames)
 
 
 def make_relationship_offsets(frame: Frame, radius: float = DEFAULT_NEIGHBOR_RADIUS) -> np.ndarray:
@@ -242,19 +321,6 @@ def make_relationship_offsets(frame: Frame, radius: float = DEFAULT_NEIGHBOR_RAD
     Returns (n, 2) rows (rx, ry), row k for the frame's object k. The
     neighbor minimizes squared BEV distance; exact ties go to the smallest
     instance id. Objects with no neighbor in range get a NaN row (masked,
-    not regressed to zero).
+    not regressed to zero). One frame of relationship_offsets.
     """
-    _check_unique_ids(frame)
-    check_positive("radius", radius)
-    xy = frame.boxes[:, :2]
-    i, j = pairs_within(xy, xy, radius)
-    d = xy[j] - xy[i]
-    d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
-    near = (i != j) & (d2 <= radius * radius)
-    i, j, d, d2 = i[near], j[near], d[near], d2[near]
-    # Sorted by object, then by (d2, neighbour id): each object's first pair wins.
-    order = np.lexsort((frame.ids[j], d2, i))
-    first = order[np.unique(i[order], return_index=True)[1]]
-    rel = np.full((len(frame), 2), np.nan)
-    rel[i[first]] = d[first]
-    return rel
+    return relationship_offsets([frame], radius)[0]

@@ -10,6 +10,12 @@ frames of a handful of objects. They read one object at a time, as a
 GtObject or a Detection record; frame_of turns a list of records into the
 Frame the code under test takes. The simulator oracles are the plain loops
 the simulator's array code must reproduce bit for bit.
+
+The per-frame oracles are the loops that evaluation and the offset targets
+ran before they became one pass over a sequence: one neighbour query, one
+IoU kernel call, one id join per frame. Each offset oracle returns the
+results of the frames before the first frame that fails, and that frame's
+error.
 """
 
 import itertools
@@ -19,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from crowdmot.geometry import BOX_FIELDS, Frame, bev_iou, pairs_within
+from crowdmot.evaluator import EvalCounts, SequenceMetrics, match_frame, mota, mtr_mlr
+from crowdmot.geometry import BOX_FIELDS, Frame, bev_iou, bev_iou_pairs, footprints, pairs_within
 from crowdmot.records import Box3D
 from crowdmot.simulator import MIN_SEPARATION
 
@@ -243,3 +250,98 @@ def jsonl_text_by_dicts(kind, frames, timestamps):
         record = {"frame": number, "timestamp": timestamp, "objects": objects}
         lines.append(json.dumps(record, separators=(",", ":"), allow_nan=False))
     return "".join(line + "\n" for line in lines)
+
+
+def evaluate_by_frames(gt_frames, pred_frames, cfg):
+    """evaluate_sequence with each frame's IoUs found on their own.
+
+    Per frame: one pairs_within call at the reach of that frame's boxes
+    and one bev_iou_pairs call over its candidates, then match_frame on
+    them; counts and coverages are summed as evaluate_sequence sums them.
+    """
+    counts = EvalCounts()
+    prev_map, present, covered = {}, {}, {}
+    for gts, preds in zip(gt_frames, pred_frames, strict=True):
+        gt, pred = footprints(gts.boxes), footprints(preds.boxes)
+        sides = np.concatenate([gt[:, 2:4], pred[:, 2:4]]).T.tolist()
+        reach = max(map(math.hypot, *sides), default=0.0)
+        i, j = pairs_within(gt[:, :2], pred[:, :2], reach)
+        result = match_frame(gts, preds, prev_map, cfg, (i, j, bev_iou_pairs(gt, pred, i, j)))
+        prev_map = result.prev_map
+        counts += EvalCounts(ids=result.ids, fp=result.fp, fn=result.fn, p=len(gts))
+        matched = {gid for gid, _ in result.matches}
+        for gid in gts.ids.tolist():
+            present[gid] = present.get(gid, 0) + 1
+            covered[gid] = covered.get(gid, 0) + (gid in matched)
+    coverages = {gid: covered[gid] / n for gid, n in present.items()}
+    mtr, mlr = mtr_mlr(list(coverages.values()))
+    return SequenceMetrics(counts=counts, mota=mota(counts), mtr=mtr, mlr=mlr, coverages=coverages)
+
+
+def density_by_frames(frames, radius):
+    """density_stats as a loop of frames, each with its own pairs_within call."""
+    total = samples = 0
+    for frame in frames:
+        xy = frame.boxes[:, :2]
+        i, j = pairs_within(xy, xy, radius)
+        d = xy[i] - xy[j]
+        total += int(np.count_nonzero((i != j) & (d[:, 0] ** 2 + d[:, 1] ** 2 < radius * radius)))
+        samples += len(frame)
+    return total / samples
+
+
+def _repeated_id_error(frame):
+    ids, counts = np.unique(frame.ids, return_counts=True)
+    if (counts > 1).any():
+        return ValueError(f"duplicate instance_id {ids[counts > 1][0].item()!r} in frame")
+    return None
+
+
+def motion_offsets_by_frames(frames):
+    """Each frame's (offset, newborn) against the frame before it, by a dict of its ids.
+
+    Returns the results of the frames before the first one that repeats an
+    id or whose offset overflows, and that frame's ValueError (or None).
+    """
+    out, prev = [], Frame.empty()
+    for frame in frames:
+        error = _repeated_id_error(frame)
+        if error is not None:
+            return out, error
+        row = dict(zip(prev.ids.tolist(), range(len(prev))))
+        rows = np.array([row.get(key, -1) for key in frame.ids.tolist()], dtype=np.intp)
+        newborn = rows < 0
+        offset = np.zeros((len(frame), 3))
+        with np.errstate(over="ignore"):
+            offset[~newborn] = prev.boxes[rows[~newborn], :3] - frame.boxes[~newborn, :3]
+        if not np.isfinite(offset).all():
+            return out, ValueError("motion offset must be finite: a centre moved beyond the float range")
+        out.append((offset, newborn))
+        prev = frame
+    return out, None
+
+
+def relationship_offsets_by_frames(frames, radius):
+    """Each frame's (n, 2) nearest-neighbour vectors from its own pairs_within call.
+
+    Ties go to the smaller neighbour id, and an object with no neighbour
+    within radius gets NaN. Returns the results of the frames before the
+    first one that repeats an id, and that frame's ValueError (or None).
+    """
+    out = []
+    for frame in frames:
+        error = _repeated_id_error(frame)
+        if error is not None:
+            return out, error
+        xy = frame.boxes[:, :2]
+        i, j = pairs_within(xy, xy, radius)
+        d = xy[j] - xy[i]
+        d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+        near = (i != j) & (d2 <= radius * radius)
+        i, j, d, d2 = i[near], j[near], d[near], d2[near]
+        order = np.lexsort((frame.ids[j], d2, i))
+        first = order[np.unique(i[order], return_index=True)[1]]
+        rel = np.full((len(frame), 2), np.nan)
+        rel[i[first]] = d[first]
+        out.append(rel)
+    return out, None

@@ -197,6 +197,22 @@ class TestTargets:
         else:
             assert (read_grid(out / "weights_0000.grid").values == n_objects).all()
 
+    def test_calls_in_one_process_write_the_bytes_of_fresh_processes(self, gen_dir, tmp_path):
+        # Each call formats its grid values through its own memo, so a second
+        # call with another --sigma writes what a fresh interpreter writes.
+        flags = ["--gt", str(gen_dir / "gt.jsonl"), "--grid", "0.5,0.5", "--extent=-30,30,-20,20"]
+        for sigma in ("1.0", "0.7"):
+            assert main(["targets", *flags, "--sigma", sigma, "--out", str(tmp_path / f"in-{sigma}")]) == 0
+        for sigma in ("1.0", "0.7"):
+            fresh = tmp_path / f"fresh-{sigma}"
+            result = subprocess.run(
+                [sys.executable, "-m", "crowdmot.cli", "targets", *flags, "--sigma", sigma, "--out", str(fresh)],
+                capture_output=True, text=True,
+            )
+            assert result.returncode == 0, result.stderr
+            assert digest_dir(tmp_path / f"in-{sigma}") == digest_dir(fresh)
+        assert digest_dir(tmp_path / "in-1.0") != digest_dir(tmp_path / "in-0.7")
+
     def test_quiet_env_silences_stdout(self, gen_dir, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CROWDMOT_LOG", "quiet")
         out = tmp_path / "density"

@@ -83,6 +83,21 @@ class TestMatchFrame:
         assert result.matches == [(0, 7)]
         assert result.ids == 0 and result.fp == 1
 
+    def test_carried_pairing_at_exactly_the_threshold_is_kept(self):
+        # Track 7's IoU with its GT is the threshold itself, so the pairing
+        # carries over: no switch to track 9, whose IoU is 1.0.
+        threshold = bev_iou(box(0.0, 0.0).bev(), box(0.3, 0.0).bev())
+        cfg = MatchConfig(iou_threshold=threshold)
+        result = match([gt(0, 0.0, 0.0)], [(9, box(0.0, 0.0)), (7, box(0.3, 0.0))], {0: 7}, cfg)
+        assert result.matches == [(0, 7)]
+        assert result.ids == 0 and result.fp == 1
+        metrics = evaluate_sequence(
+            [frame_of([gt(0, 0.0, 0.0)])] * 2,
+            [frame_of([(7, box(0.0, 0.0))]), frame_of([(9, box(0.0, 0.0)), (7, box(0.3, 0.0))])],
+            cfg,
+        )
+        assert (metrics.counts.ids, metrics.counts.fp, metrics.counts.fn) == (0, 1, 0)
+
     def test_below_threshold_pairs_never_match(self):
         result = match([gt(0, 0.0, 0.0)], [(1, box(0.5, 0.5))], {})
         assert result.fn == 1 and result.fp == 1

@@ -293,6 +293,33 @@ class TestWritersMatchPerValueText:
         assert (tmp_path / "x.grid").read_text() == per_value_grid_text(dense)
 
 
+class TestGridReprMemo:
+    """write_grid's memo of float texts changes no byte, cold, warm or absent."""
+
+    VALUES = [[0.0, -0.0, TINY, 1e-317], [-1e-317, 2.2250738585072009e-308, -TINY, 1.0], [0.0] * 4]
+
+    def test_same_bytes_with_cold_warm_and_no_memo(self, tmp_path):
+        dense = DenseGrid2D(GridSpec(0.0, 1.5, 0.0, 2.0, 0.5, 0.5), np.array(self.VALUES))
+        memo = {}
+        digests = [
+            write_grid(tmp_path / "none.grid", dense),
+            write_grid(tmp_path / "cold.grid", dense, memo),
+            write_grid(tmp_path / "warm.grid", dense, memo),
+        ]
+        texts = {name: (tmp_path / f"{name}.grid").read_bytes() for name in ("none", "cold", "warm")}
+        assert len(set(digests)) == 1 and len(set(texts.values())) == 1
+        assert texts["none"].decode() == per_value_grid_text(dense)
+        # Keyed on bit patterns: 0.0 and -0.0 are two entries.
+        assert memo[0] == "0.0" and memo[1 << 63] == "-0.0"
+
+    def test_a_memo_holding_zero_still_writes_minus_zero(self, tmp_path):
+        memo = {}
+        spec = GridSpec(0.0, 0.5, 0.0, 1.0, 0.5, 0.5)
+        write_grid(tmp_path / "zero.grid", DenseGrid2D(spec, np.array([[0.0, 1e-317]])), memo)
+        write_grid(tmp_path / "minus.grid", DenseGrid2D(spec, np.array([[-0.0, 1e-317]])), memo)
+        assert (tmp_path / "minus.grid").read_text().splitlines()[1] == "-0.0 1e-317"
+
+
 SUBNORMALS = st.sampled_from([TINY, 3 * TINY, 2.2250738585072009e-308])
 
 
@@ -321,7 +348,12 @@ def sparse_grids(draw):
 
 
 class TestWritersOnSparseGrids:
-    """Both writers against the per-value oracles, on grids with shared rows."""
+    """Both writers against the per-value oracles, on grids with shared rows.
+
+    The grid writer also runs with one memo kept warm across all examples.
+    """
+
+    MEMO: dict = {}
 
     @settings(max_examples=300, deadline=None)
     @given(values=sparse_grids())
@@ -334,8 +366,10 @@ class TestWritersOnSparseGrids:
         dense = DenseGrid2D(GridSpec(0.0, 0.5 * nx, 0.0, 0.5 * ny, 0.5, 0.5), values)
         with tempfile.TemporaryDirectory() as tmp:
             write_grid(Path(tmp) / "x.grid", dense)
+            write_grid(Path(tmp) / "memo.grid", dense, self.MEMO)
             write_pgm(Path(tmp) / "x.pgm", dense)
             assert (Path(tmp) / "x.grid").read_text() == per_value_grid_text(dense)
+            assert (Path(tmp) / "memo.grid").read_text() == per_value_grid_text(dense)
             assert (Path(tmp) / "x.pgm").read_text() == per_value_pgm_text(dense)
 
 

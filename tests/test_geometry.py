@@ -456,6 +456,85 @@ class TestPairsWithin:
             pairs_within([(0.0, 0.0)], [(0.0, 0.0)], r)
 
 
+def brute_pairs(a, b, r, label_a, label_b):
+    """Sorted (i, j) with equal labels and np.hypot(a[i] - b[j]) <= r·(1 + 1e-9), point by point."""
+    a, b = np.reshape(np.asarray(a, dtype=float), (-1, 2)), np.reshape(np.asarray(b, dtype=float), (-1, 2))
+    pairs = []
+    for p in range(len(a)):
+        same = np.flatnonzero(label_b == label_a[p])
+        with np.errstate(over="ignore"):
+            d = a[p] - b[same]
+            pairs += [(p, q) for q in same[np.hypot(d[:, 0], d[:, 1]) <= r * (1.0 + 1e-9)].tolist()]
+    return pairs
+
+
+# Small labels repeat often; huge ones are sparse, and in no order.
+_LABEL = st.one_of(st.integers(0, 3), st.integers(-(2**62), 2**62))
+# Differences of coordinates near the float limit overflow to inf.
+_LABELLED_COORD = _COORD | st.sampled_from([1.7e308, -1.7e308])
+_LABELLED = st.lists(st.tuples(_LABELLED_COORD, _LABELLED_COORD, _LABEL), max_size=60)
+
+
+class TestPairsWithinGroups:
+    @settings(max_examples=200, deadline=None)
+    @given(a=_LABELLED, b=_LABELLED, r=_RADIUS, same=st.booleans())
+    @example(a=[(0.0, 0.0, 5), (0.0, 0.0, 5), (0.0, 0.0, 9)], b=[(0.0, 0.0, 9)], r=0.0, same=False)
+    @example(a=[(float(k % 7), float(k // 7), k % 3) for k in range(50)], b=[], r=1.0, same=True)
+    @example(a=[(1e300, -1e300, k) for k in range(30)] + [(-1e300, 1e300, k) for k in range(30)],
+             b=[(1e300, -1e300, k) for k in range(0, 60, 2)] * 2, r=0.0, same=False)
+    def test_against_brute_force(self, a, b, r, same):
+        if same:
+            b = a
+        a_xy, label_a = [p[:2] for p in a], np.array([p[2] for p in a], dtype=np.int64)
+        b_xy, label_b = ([p[:2] for p in b], np.array([p[2] for p in b], dtype=np.int64))
+        if same:
+            b_xy, label_b = a_xy, label_a
+        i, j = pairs_within(a_xy, b_xy, r, (label_a, label_b))
+        assert list(zip(i.tolist(), j.tolist())) == brute_pairs(a_xy, b_xy, r, label_a, label_b)
+        # Without labels: exactly the pairs within r·(1 + 1e-9), as one label gives them.
+        i, j = pairs_within(a_xy, b_xy, r)
+        one = np.zeros(len(a_xy), dtype=np.int64), np.zeros(len(b_xy), dtype=np.int64)
+        assert list(zip(i.tolist(), j.tolist())) == brute_pairs(a_xy, b_xy, r, *one)
+
+    @pytest.mark.parametrize("same", [False, True])
+    def test_thousands_of_labels_at_the_cell_scale_cap(self, same):
+        # Coordinates up to 1e300 set the cell side to 1e300 * 2**-28, so a
+        # label's band of x cells is 2**29 wide; 2,000 labels times the y
+        # span would pass int64 if packed directly into one key.
+        rng = np.random.default_rng(11)
+        labels = rng.integers(-(2**40), 2**40, 2000)
+        a = rng.uniform(-1e300, 1e300, (3000, 2))
+        a[:500] = a[500:1000]  # coincident points
+        label_a = rng.choice(labels, 3000)
+        pick = rng.integers(0, 3000, 3000)
+        b = a[pick] + rng.normal(0.0, 4e291, (3000, 2)) * (rng.uniform(size=(3000, 1)) < 0.5)
+        # Most of b shares its source point's label; the rest sit at the same
+        # place under another label and must not pair.
+        label_b = np.where(rng.uniform(size=3000) < 0.8, label_a[pick], rng.choice(labels, 3000))
+        if same:
+            b, label_b = a, label_a
+        r = 1e292
+        i, j = pairs_within(a, b, r, (label_a, label_b))
+        got = list(zip(i.tolist(), j.tolist()))
+        assert got == brute_pairs(a, b, r, label_a, label_b)
+        assert len(got) > 2000
+
+    def test_packed_keys_do_not_wrap(self):
+        # Cells of side 2**972: x spans 2**28 cells and y 2**29 with the
+        # spares, so label rank 128 would start 2**64 keys past rank 0, and a
+        # key that wrapped would pair the two coincident points below.
+        side = 2.0**972
+        corner = [((2**28 - 3) * side, (2**28 - 3) * side)]
+        points = [(0.0, -(2.0**1000))] * 2 + corner * 198
+        labels = np.arange(200)
+        i, j = pairs_within(points, points, 0.0, (labels, labels))
+        assert i.tolist() == j.tolist() == list(range(200))
+
+    def test_rejects_a_label_count_unlike_the_point_count(self):
+        with pytest.raises(ValueError, match="label"):
+            pairs_within([(0.0, 0.0)], [(0.0, 0.0)], 1.0, ([0, 1], [0]))
+
+
 def _random_box(rng: np.random.Generator, yaw: float | None = None) -> BoxBEV:
     return BoxBEV(
         cx=rng.uniform(-5, 5),

@@ -363,6 +363,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         gt_frames, gt_times = read_scene_jsonl(Path(gt_path))
         pred_frames, pred_times = read_trajectories_jsonl(Path(traj_path))
         _check_same_sequence(gt_path, gt_times, traj_path, pred_times)
+        _check_tracked_from_scene(gt_path, traj_path)
         metrics = evaluate_sequence(gt_frames, pred_frames, cfg)
         density = density_stats(gt_frames, radius=args.radius)
         samples = sum(len(f) for f in gt_frames)
@@ -399,6 +400,41 @@ def _check_same_sequence(gt_path: str, gt_times: list, traj_path: str, traj_time
         f"trajectories {traj_path} are not of the sequence in {gt_path}: "
         f"they differ first at frame {k} ({detail})"
     )
+
+
+def _manifest_beside(path: str, command: str) -> dict | None:
+    """The manifest.json in path's directory, if `command` wrote it with path's file among its outputs."""
+    try:
+        manifest = json.loads((Path(path).parent / "manifest.json").read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return None
+    if not isinstance(manifest, dict) or manifest.get("command") != command:
+        return None
+    outputs = manifest.get("outputs")
+    return manifest if isinstance(outputs, dict) and Path(path).name in outputs else None
+
+
+def _check_tracked_from_scene(gt_path: str, traj_path: str) -> None:
+    """Raise ConfigError if the manifests show the trajectories tracked from another scene's detections.
+
+    Two gen runs with as many frames at one frame rate write the same
+    timestamps, so _check_same_sequence cannot tell their outputs apart.
+    When a gen manifest sits beside the GT and a track manifest beside the
+    trajectories, the track input's digest must be that of gen's det.jsonl.
+    """
+    gen, track = _manifest_beside(gt_path, "gen"), _manifest_beside(traj_path, "track")
+    if gen is None or track is None:
+        return
+    detections = gen["outputs"].get("det.jsonl")
+    tracked = track.get("inputs")
+    if not isinstance(tracked, dict) or len(tracked) != 1 or detections is None:
+        return
+    [(det_path, digest)] = tracked.items()
+    if digest != detections:
+        raise ConfigError(
+            f"trajectories {traj_path} were tracked from {det_path}, whose digest is not that of "
+            f"the det.jsonl written with {gt_path} (manifests: sha256 {digest}, gen {detections})"
+        )
 
 
 def _metric_lines(metrics, density: float, radius: float) -> list[str]:
@@ -518,7 +554,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", required=True, help=".npy array of shape (n, 3|4|5)")
     p.add_argument("--out", required=True)
     p.add_argument("--topology", choices=("a", "b", "c"), default="a")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed", type=int, default=0,
+        help="seed of the feature transforms; recorded in the manifest, it changes no byte of the table",
+    )
     p.set_defaults(func=cmd_voxelshapes)
     return parser
 

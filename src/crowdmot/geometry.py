@@ -282,6 +282,45 @@ def bev_iou_pairs(fields_a: np.ndarray, fields_b: np.ndarray, i, j) -> np.ndarra
     return iou
 
 
+def bev_iou_bounds(fields_a: np.ndarray, fields_b: np.ndarray, i, j) -> np.ndarray:
+    """An upper bound on bev_iou_pairs(fields_a, fields_b, i, j), pair by pair, without clipping.
+
+    In the frame of either rectangle, the intersection lies inside the box
+    spanned by the overlaps of the two rectangles' extents along that
+    frame's axes, so its area I is at most U, the smaller of those two
+    boxes' areas, and IoU = I / (A + B - I) rises with I. U is raised by
+    2**-32 times the square of the pair's largest coordinate plus
+    half-diagonal, far above the rounding of bev_iou_pairs' corners and
+    shoelace sum, which grows with the coordinates' magnitude; the bound is
+    raised by a relative 2**-20 for its own rounding, and is inf where U
+    reaches A + B - U.
+    """
+    fields_a, fields_b = np.reshape(fields_a, (-1, 5)), np.reshape(fields_b, (-1, 5))
+    a, b = fields_a[i], fields_b[j]
+    half_a, half_b = 0.5 * a[:, 2:4], 0.5 * b[:, 2:4]
+    cos_a, sin_a, cos_b, sin_b = np.cos(a[:, 4]), np.sin(a[:, 4]), np.cos(b[:, 4]), np.sin(b[:, 4])
+    # |cos| and |sin| of the angle between the rectangles' length axes.
+    turn = np.abs(np.stack([cos_a * cos_b + sin_a * sin_b, sin_a * cos_b - cos_a * sin_b]))
+    dx, dy = b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        boxes = []
+        for half, other, cos, sin, sign in ((half_a, half_b, cos_a, sin_a, 1.0),
+                                            (half_b, half_a, cos_b, sin_b, -1.0)):
+            # The other rectangle's centre and half-extents along this one's axes.
+            centre = sign * np.stack([dx * cos + dy * sin, dy * cos - dx * sin])
+            extent = np.stack([other[:, 0] * turn[0] + other[:, 1] * turn[1],
+                               other[:, 0] * turn[1] + other[:, 1] * turn[0]])
+            high = np.minimum(half.T, centre + extent)
+            low = np.maximum(-half.T, centre - extent)
+            boxes.append(np.prod(np.maximum(high - low, 0.0), axis=0))
+        radius = np.maximum(np.hypot(*half_a.T), np.hypot(*half_b.T))
+        scale = np.maximum(np.abs(a[:, :2]).max(axis=1), np.abs(b[:, :2]).max(axis=1)) + radius
+        overlap = np.minimum(*boxes) + 2.0**-32 * scale * scale
+        union = a[:, 2] * a[:, 3] + b[:, 2] * b[:, 3] - overlap
+        bound = np.where(union > 0.0, overlap / union, math.inf)
+    return bound * (1.0 + 2.0**-20)
+
+
 def bev_iou(a: BoxBEV, b: BoxBEV) -> float:
     """Intersection-over-union of two rotated rectangles on the BEV plane.
 
@@ -305,7 +344,8 @@ def pairs_within(a_xy, b_xy, r: float, groups=None) -> tuple[np.ndarray, np.ndar
     groups, when given, is a pair (group_a, group_b) of integer labels, one
     per point of a_xy and of b_xy, such as frame numbers; only pairs whose
     points carry the same label are returned. One call so answers the
-    queries of many frames whose points are stacked into one array.
+    queries of many frames whose points are stacked into one array; when
+    every point carries one label, the call runs as one without groups.
     """
     if not 0.0 <= r < math.inf:
         raise ValueError(f"neighbour radius must be finite and >= 0, got {r}")
@@ -320,13 +360,17 @@ def pairs_within(a_xy, b_xy, r: float, groups=None) -> tuple[np.ndarray, np.ndar
         label_b = label_a if same else np.reshape(np.asarray(groups[1], dtype=np.int64), -1)
         if (len(label_a), len(label_b)) != (len(a), len(b)):
             raise ValueError("neighbour search needs one group label per point")
+        # One label in all, as in a one-frame call: the labels cut no pair.
+        labels = np.concatenate([label_a[:1], label_b[:1]])
+        if len(labels) and (label_a == labels[0]).all() and (label_b == labels[0]).all():
+            label_a = label_b = None
     bound = r * (1.0 + 1e-9)
     # A distance beyond the float range is inf, which is not near.
     if len(a) * len(b) <= _DENSE_PAIRS:
         with np.errstate(over="ignore"):
             d = a[:, None, :] - b[None, :, :]
             near = np.hypot(d[..., 0], d[..., 1]) <= bound
-        if groups is not None:
+        if label_a is not None:
             near &= label_a[:, None] == label_b[None, :]
         return np.nonzero(near)
     i, j = _cell_candidates(a, b, bound, label_a, label_b)

@@ -438,6 +438,27 @@ class TestTrackAndEval:
         )
         assert not out.exists()
 
+    def test_trajectories_of_another_seed_at_the_same_frame_rate_are_rejected(
+        self, tmp_path, gen_dir, capsys
+    ):
+        # Another seed: as many frames at the same frame rate, so the same
+        # timestamps; only the manifests tell the two scenes apart.
+        config = tmp_path / "other.ini"
+        config.write_text(CONFIG.replace("seed = 4", "seed = 7"))
+        other, trk = tmp_path / "other", tmp_path / "trk"
+        assert main(["gen", "--config", str(config), "--out", str(other)]) == 0
+        assert main(["track", "--det", str(other / "det.jsonl"), "--out", str(trk)]) == 0
+        capsys.readouterr()
+        gt, traj, out = gen_dir / "gt.jsonl", trk / "traj.jsonl", tmp_path / "eval"
+        assert main(["eval", "--gt", str(gt), "--traj", str(traj), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: trajectories {traj} were tracked from {other / 'det.jsonl'}, ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+        # Tracked again from the scene's own detections, they are scored.
+        assert main(["track", "--det", str(gen_dir / "det.jsonl"), "--out", str(trk)]) == 0
+        assert main(["eval", "--gt", str(gt), "--traj", str(traj), "--out", str(out)]) == 0
+
     def test_trajectories_with_fewer_frames_are_rejected(self, tmp_path, gen_dir, capsys):
         traj = tmp_path / "traj.jsonl"
         traj.write_text('{"frame":0,"timestamp":0.0,"objects":[]}\n')
@@ -933,6 +954,19 @@ class TestVoxelshapes:
         for out in (out1, out2):
             assert main(["voxelshapes", "--points", str(points_file), "--out", str(out), "--topology", "c"]) == 0
         assert digest_dir(out1) == digest_dir(out2)
+
+    def test_seed_changes_no_byte_of_the_table(self, points_file, tmp_path):
+        manifests = {}
+        for seed in ("1", "7"):
+            out = tmp_path / f"seed{seed}"
+            assert main(["voxelshapes", "--points", str(points_file), "--out", str(out),
+                         "--topology", "c", "--seed", seed]) == 0
+            manifests[seed] = json.loads((out / "manifest.json").read_text())
+        table = (tmp_path / "seed1" / "voxelshapes.txt").read_bytes()
+        assert (tmp_path / "seed7" / "voxelshapes.txt").read_bytes() == table
+        assert (manifests["1"]["config"]["seed"], manifests["7"]["config"]["seed"]) == (1, 7)
+        manifests["7"]["config"]["seed"] = 1
+        assert manifests["7"] == manifests["1"]
 
     def test_negative_seed_rejected(self, points_file, tmp_path, capsys):
         out = tmp_path / "vox"

@@ -15,6 +15,8 @@ from crowdmot.evaluator import (
     EvalCounts,
     MatchConfig,
     MetricUndefinedError,
+    _iou_matrix,
+    _sequence_ious,
     aggregate,
     density_stats,
     evaluate_sequence,
@@ -23,7 +25,7 @@ from crowdmot.evaluator import (
     mota,
     mtr_mlr,
 )
-from crowdmot.geometry import bev_iou, bev_iou_pairs, footprints
+from crowdmot.geometry import bev_iou, bev_iou_bounds, bev_iou_pairs, footprints
 from crowdmot.records import Box3D
 
 
@@ -425,6 +427,86 @@ class TestEvaluateSequence:
         total = aggregate([good, bad])
         assert total.counts.p == 2 and total.counts.fn == 1
         assert total.mota == 0.5
+
+
+_SIDE = st.sampled_from([0.6, 0.9, 2.0]) | st.floats(0.01, 4.0)
+_YAW = st.sampled_from([0.0, math.pi / 4, math.pi / 2, -3.0]) | st.floats(-math.pi, math.pi)
+# How far short of touching a shifted prediction stops.
+_SHORT = st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.05, -1e-9])
+
+
+@st.composite
+def _gate_pair(draw):
+    """A GT box and a prediction near it, as (x, y, l, w, yaw) each.
+
+    The prediction has the GT's centre, or is shifted along the GT's length
+    axis until their edges nearly touch, or along its diagonal until their
+    circumscribed discs nearly touch, or by up to 1.5 m either way; its
+    sides and yaw are the GT's or drawn anew.
+    """
+    l, w, yaw = draw(_SIDE), draw(_SIDE), draw(_YAW)
+    same = draw(st.booleans())
+    l2, w2 = (l, w) if same else (draw(_SIDE), draw(_SIDE))
+    yaw2 = yaw if same or draw(st.booleans()) else draw(_YAW)
+    mode = draw(st.sampled_from(["centre", "edge", "disc", "free"]))
+    if mode == "centre":
+        dx = dy = 0.0
+    elif mode == "free":
+        dx, dy = draw(st.floats(-1.5, 1.5)), draw(st.floats(-1.5, 1.5))
+    else:
+        short = draw(_SHORT)
+        if mode == "edge":
+            reach, angle = 0.5 * (l + l2) - short, yaw
+        else:
+            reach = 0.5 * (math.hypot(l, w) + math.hypot(l2, w2)) - short
+            angle = yaw + math.atan2(w, l)
+        dx, dy = reach * math.cos(angle), reach * math.sin(angle)
+    return (0.0, 0.0, l, w, yaw), (dx, dy, l2, w2, yaw2)
+
+
+class TestThresholdGate:
+    """Dropping candidates by bev_iou_bounds keeps every pair at or above the threshold, to the bit."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(
+        frames=st.lists(st.lists(_gate_pair(), min_size=1, max_size=4), min_size=1, max_size=3),
+        spacing=st.sampled_from([0.0, 0.7, 20.0]),
+        base=st.sampled_from([0.0, 95.3, -4.1e6, 2.0**40]),
+        threshold=st.sampled_from([5e-324, 1e-300, 1e-12, 1e-6, 0.5, 1.0 - 2**-52, 1.0])
+        | st.floats(1e-12, 1.0),
+    )
+    def test_gated_and_ungated_agree(self, frames, spacing, base, threshold):
+        gt_frames, pred_frames = [], []
+        for pairs in frames:
+            # Pair k sits spacing * k from base: apart, or crowding each other.
+            rows = [
+                [box(base + spacing * k + x, base + y, l=l, w=w, yaw=yaw) for x, y, l, w, yaw in pair]
+                for k, pair in enumerate(pairs)
+            ]
+            gt_frames.append(frame_of([GtObject(k, g) for k, (g, _) in enumerate(rows)]))
+            pred_frames.append(frame_of([(50 - k, p) for k, (_, p) in enumerate(rows)]))
+        gt_boxes, pred_boxes = [f.boxes for f in gt_frames], [f.boxes for f in pred_frames]
+        ungated = _sequence_ious(gt_boxes, pred_boxes)
+        gated = _sequence_ious(gt_boxes, pred_boxes, threshold)
+        cfg = MatchConfig(threshold)
+        for gts, preds, (i, j, iou), kept in zip(gt_frames, pred_frames, ungated, gated):
+            bound = bev_iou_bounds(footprints(gts.boxes), footprints(preds.boxes), i, j)
+            assert (bound >= iou).all()
+            above = iou >= threshold
+            kept_above = kept[2] >= threshold
+            for full, part in zip((i, j, iou), kept):
+                assert full[above].tobytes() == part[kept_above].tobytes()
+            expected = match_frame(gts, preds, {}, cfg, (i, j, iou))
+            assert match_frame(gts, preds, {}, cfg, kept) == expected
+            assert match_frame(gts, preds, {}, cfg) == expected
+
+    def test_crowded_frame_drops_candidates(self):
+        # A 0.6 m box shifted 0.3 m along its length keeps an IoU of 1/3.
+        gts = frame_of([gt(0, 0.0, 0.0), gt(1, 5.0, 0.0)])
+        preds = frame_of([(0, box(0.3, 0.0)), (1, box(5.0, 0.0))])
+        assert [len(part) for part in _iou_matrix(gts.boxes, preds.boxes)] == [2, 2, 2]
+        i, j, iou = _iou_matrix(gts.boxes, preds.boxes, 0.5)
+        assert (i.tolist(), j.tolist(), iou.tolist()) == ([1], [1], [1.0])
 
 
 class TestDensityStats:

@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import stat
 import sys
 import tempfile
 from pathlib import Path
@@ -18,6 +20,7 @@ from oracles import frame_of, jsonl_text_by_dicts
 from crowdmot import formats
 from crowdmot.formats import (
     FormatError,
+    atomic_write_text,
     read_detections_jsonl,
     read_grid,
     read_scene_jsonl,
@@ -321,6 +324,37 @@ class TestGridReprMemo:
 
 
 SUBNORMALS = st.sampled_from([TINY, 3 * TINY, 2.2250738585072009e-308])
+_TABLE_VALUES = st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0]) | SUBNORMALS | SUBNORMALS.map(
+    lambda v: -v
+)
+
+
+class TestReprTable:
+    """_repr_table's argsort path (mostly distinct values) and searchsorted path agree."""
+
+    @staticmethod
+    def check(values):
+        """The table and codes of values, checked against np.unique of the bit patterns."""
+        table, codes = formats._repr_table(values)
+        patterns, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+        assert table.tolist() == list(map(repr, patterns.view(np.float64).tolist()))
+        assert codes.tolist() == inverse.reshape(values.shape).tolist()
+        return table, codes
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(_TABLE_VALUES, min_size=1, max_size=40))
+    @example(values=[0.0, -0.0, TINY, -TINY])
+    @example(values=[-0.0] * 9)
+    @example(values=[float(k) for k in range(30)])
+    def test_both_paths_give_the_same_table_and_codes(self, values):
+        values = np.array(values)
+        table, codes = self.check(values)
+        # Five copies hold at most a fifth of their values distinct, so they
+        # take the searchsorted path; values over a quarter distinct take the
+        # argsort path.
+        tiled_table, tiled_codes = self.check(np.tile(values, 5).reshape(5, -1))
+        assert tiled_table.tolist() == table.tolist()
+        assert tiled_codes.tolist() == [codes.tolist()] * 5
 
 
 @st.composite
@@ -675,4 +709,22 @@ class TestJsonlWritersMatchDictText:
             jsonl_text_by_dicts(kind, frames, timestamps)
         with pytest.raises(ValueError, match="JSON compliant"):
             WRITERS[kind](tmp_path / "out.jsonl", frames, timestamps)
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_output_mode_follows_the_umask(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            atomic_write_text(tmp_path / "out.txt", "text\n")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "out.txt").stat().st_mode) == mode
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_a_failed_rename_leaves_no_temporary_file(self, tmp_path):
+        with mock.patch.object(formats.os, "replace", side_effect=OSError("disk gone")):
+            with pytest.raises(OSError, match="disk gone"):
+                atomic_write_text(tmp_path / "out.txt", "text\n")
         assert list(tmp_path.iterdir()) == []

@@ -1,6 +1,7 @@
 """Grid quantization and rotated-IoU behavior, including a raster oracle."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import frame_of
 from scipy.spatial import cKDTree
 
+from crowdmot import geometry
 from crowdmot.geometry import (
     GridSpec,
     OutOfBoundsError,
@@ -482,6 +484,10 @@ class TestPairsWithinGroups:
     @example(a=[(float(k % 7), float(k // 7), k % 3) for k in range(50)], b=[], r=1.0, same=True)
     @example(a=[(1e300, -1e300, k) for k in range(30)] + [(-1e300, 1e300, k) for k in range(30)],
              b=[(1e300, -1e300, k) for k in range(0, 60, 2)] * 2, r=0.0, same=False)
+    # One label in all, on the dense path and on the cell path.
+    @example(a=[(0.0, 0.0, -3), (0.1, 0.0, -3)], b=[(0.0, 0.05, -3)], r=0.2, same=False)
+    @example(a=[(0.5 * (k % 9), 0.5 * (k // 9), 2**40) for k in range(60)],
+             b=[(float(k % 6), -0.25 * k, 2**40) for k in range(60)], r=0.75, same=False)
     def test_against_brute_force(self, a, b, r, same):
         if same:
             b = a
@@ -495,6 +501,23 @@ class TestPairsWithinGroups:
         i, j = pairs_within(a_xy, b_xy, r)
         one = np.zeros(len(a_xy), dtype=np.int64), np.zeros(len(b_xy), dtype=np.int64)
         assert list(zip(i.tolist(), j.tolist())) == brute_pairs(a_xy, b_xy, r, *one)
+
+    def test_one_label_skips_the_label_bands(self):
+        # 3,000 points take the cell path; with one label it bins no label bands.
+        points = np.random.default_rng(2).uniform(-50.0, 50.0, (3000, 2))
+        labels = np.full(3000, 7)
+        calls = []
+
+        def spy(a, b, bound, label_a, label_b):
+            calls.append((label_a, label_b))
+            return cell_candidates(a, b, bound, label_a, label_b)
+
+        cell_candidates = geometry._cell_candidates
+        with mock.patch.object(geometry, "_cell_candidates", spy):
+            i, j = pairs_within(points, points, 1.0, (labels, labels))
+        assert calls == [(None, None)]
+        expected = pairs_within(points, points, 1.0)
+        assert i.tolist() == expected[0].tolist() and j.tolist() == expected[1].tolist()
 
     @pytest.mark.parametrize("same", [False, True])
     def test_thousands_of_labels_at_the_cell_scale_cap(self, same):

@@ -2,16 +2,17 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crowdmot import simulator
 from crowdmot.evaluator import density_stats
 from crowdmot.formats import write_scene_jsonl
-from crowdmot.geometry import Frame, wrap_yaw
+from crowdmot.geometry import Frame, pairs_within, wrap_yaw
 from crowdmot.simulator import (
     InfeasibleSceneError,
     MIN_SEPARATION,
@@ -189,6 +190,36 @@ class TestRepairSeparation:
                 _repair_separation(pos, self.LO, self.HI)
         else:
             assert _repair_separation(pos, self.LO, self.HI).tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        points=st.lists(st.tuples(st.floats(-0.8, 0.8), st.floats(-0.8, 0.8)), min_size=1, max_size=25),
+        copies=st.lists(st.integers(0, 24), max_size=4),
+        wall=st.sampled_from([0.5, 1.0, 10.0]),
+        base=st.sampled_from([0.0, 1e300]),
+    )
+    # Near 1e300 a push along x rounds to nothing: a coincident pair stays
+    # coincident through all 32 rounds.
+    @example(points=[(0.0, 0.0)], copies=[0], wall=10.0, base=1e300)
+    def test_matches_the_pair_loop_on_drawn_scenes(self, points, copies, wall, base):
+        # Points may start outside the walls, and copies make coincident pairs.
+        pos = np.array(points + [points[k % len(points)] for k in copies])
+        pos[:, 0] += base
+        lo, hi = np.array([base - wall, -wall]), np.array([base + wall, wall])
+        expected = repair_separation_by_pair_loop(pos.copy(), lo, hi)
+        searches = []
+
+        def counting(a_xy, b_xy, r):
+            searches.append(r)
+            return pairs_within(a_xy, b_xy, r)
+
+        with mock.patch.object(simulator, "pairs_within", counting):
+            if expected is None:
+                with pytest.raises(InfeasibleSceneError):
+                    _repair_separation(pos, lo, hi)
+                assert len(searches) == 33
+            else:
+                assert _repair_separation(pos, lo, hi).tobytes() == expected.tobytes()
 
 
 # Coordinates around bases where x / MIN_SEPARATION loses the cell: near

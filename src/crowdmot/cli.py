@@ -482,9 +482,7 @@ def cmd_voxelshapes(args: argparse.Namespace) -> int:
         pad = np.zeros((raw.shape[0], 5 - raw.shape[1]))
         raw = np.hstack([raw, pad])
     pc = PointCloud(raw)
-    rows = topology_report(
-        pc, VoxelSpec(), topology=args.topology, widths=DEFAULT_WIDTHS, seed=args.seed
-    )
+    rows = topology_report(pc, VoxelSpec(), topology=args.topology, widths=DEFAULT_WIDTHS)
     lines = [f"{'stage':<8}{'stride':>7}{'bev_res_m':>11}{'shape':>18}{'occupied':>10}{'channels':>10}"]
     for row in rows:
         shape = "x".join(str(s) for s in row["shape"])
@@ -556,7 +554,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topology", choices=("a", "b", "c"), default="a")
     p.add_argument(
         "--seed", type=int, default=0,
-        help="seed of the feature transforms; recorded in the manifest, it changes no byte of the table",
+        help="recorded in the manifest; the table holds no feature, so it changes no byte of it",
     )
     p.set_defaults(func=cmd_voxelshapes)
     return parser

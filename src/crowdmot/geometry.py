@@ -52,6 +52,38 @@ def check_finite_fields(config) -> None:
                 raise ValueError(f"{field.name} must be finite, got {value}")
 
 
+def distinct(values, return_inverse: bool = False, return_counts: bool = False):
+    """The sorted distinct values of a 1-d array, as np.unique returns them.
+
+    One sort (an argsort where the inverse is asked) and a neighbour mask.
+    With a flag set, returns a tuple: the distinct values, then, in this
+    order, the inverse (the index of each input value among them) and each
+    one's count. Equal values must compare equal, as integers do. Unlike
+    np.unique, whose first call imports numpy.ma (about 14 ms and 1.2 MB),
+    it loads nothing.
+    """
+    values = np.asarray(values)
+    if return_inverse:
+        order = np.argsort(values)
+        ordered = values[order]
+    else:
+        ordered = np.sort(values)
+    first = np.empty(len(ordered), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    found = ordered[first]
+    if not (return_inverse or return_counts):
+        return found
+    result = (found,)
+    if return_inverse:
+        inverse = np.empty(len(order), dtype=np.intp)
+        inverse[order] = np.cumsum(first) - 1
+        result += (inverse,)
+    if return_counts:
+        result += (np.diff(np.append(np.flatnonzero(first), len(first))),)
+    return result
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Rectangular BEV grid: extents in meters, cell sizes dx/dy in meters."""
@@ -255,8 +287,8 @@ def bev_iou_pairs(fields_a: np.ndarray, fields_b: np.ndarray, i, j) -> np.ndarra
     made only for the rows some pair names, so a few pairs of a long field
     array cost no more than those of a short one.
     """
-    rows_a, i = np.unique(np.asarray(i, dtype=np.intp), return_inverse=True)
-    rows_b, j = np.unique(np.asarray(j, dtype=np.intp), return_inverse=True)
+    rows_a, i = distinct(np.asarray(i, dtype=np.intp), return_inverse=True)
+    rows_b, j = distinct(np.asarray(j, dtype=np.intp), return_inverse=True)
     fields_a, fields_b = np.reshape(fields_a, (-1, 5)), np.reshape(fields_b, (-1, 5))
     fields = np.concatenate([fields_a[rows_a], fields_b[rows_b]])
     corners, half = _corners(fields)
@@ -419,13 +451,13 @@ def _cell_candidates(
     column_a, row_a = cell_a[:, 0] - low[0], cell_a[:, 1] - low[1]
     column_b, row_b = (column_a, row_a) if b is a else (cell_b[:, 0] - low[0], cell_b[:, 1] - low[1])
     if label_a is not None:
-        labels, rank = np.unique(np.concatenate([label_a, label_b]), return_inverse=True)
+        labels, rank = distinct(np.concatenate([label_a, label_b]), return_inverse=True)
         column_a = column_a + rank[: len(a)] * band
         column_b = column_a if b is a else column_b + rank[len(a):] * band
         band *= len(labels)
     ranked = band * width >= 2**62
     if ranked:
-        columns, slot_b = np.unique(column_b, return_inverse=True)
+        columns, slot_b = distinct(column_b, return_inverse=True)
     else:
         slot_b = column_b
     key_b = slot_b * width + row_b

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Frame, check_finite_fields, pairs_within, wrap_yaw
+from .geometry import Frame, check_finite_fields, distinct, pairs_within, wrap_yaw
 from .records import DENSITY_RADIUS, normalize_yaw
 from .targets import FrameError, motion_offsets, relationship_offsets
 
@@ -237,10 +237,9 @@ def _repair_separation(pos: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.nd
             query = np.flatnonzero(moved)
             k, b = pairs_within(pos[query], pos, MIN_SEPARATION)
             a = query[k]
-            # Pair keys a * n + b, sorted, without repeats. Not np.unique: its
-            # first call imports numpy.ma, about 1 MB more at gen's peak RSS.
-            key = np.sort(np.concatenate([np.minimum(a, b) * n + np.maximum(a, b), close]))
-            i, j = np.divmod(key[np.concatenate(([True], key[1:] != key[:-1]))], n)
+            # Pair keys a * n + b, sorted, without repeats.
+            key = np.concatenate([np.minimum(a, b) * n + np.maximum(a, b), close])
+            i, j = np.divmod(distinct(key), n)
         i, j = i[i < j], j[i < j]
         diff = pos[i] - pos[j]
         dist = np.sqrt((diff**2).sum(axis=1))

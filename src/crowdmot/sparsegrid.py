@@ -9,10 +9,17 @@ a deterministic function of its inputs.
 A grid stores only its occupied cells, as an (n, 3) int64 coordinate array
 sorted by packed key (x*ny + y)*nz + z and an (n, C) float64 feature array
 (the coordinate-list layout of Minkowski Engine). Every operation is one of
-two array steps: pooling rows onto coarser cells (`np.unique` and a segment
-mean, summed in input order) or joining rows by packed key
+two array steps: pooling rows onto coarser cells (`geometry.distinct` and a
+segment mean, summed in input order) or joining rows by packed key
 (`np.searchsorted`). Both are planned from coordinates alone, so one plan
 serves every feature array of the same cells. No dense volume is ever built.
+
+A stage's occupied cells depend on no feature, and its channel count only on
+the widths. So `topology_report`, the table `voxelshapes` prints, is planned
+from the points' cells alone: it coarsens their packed keys and builds no
+feature array. The feature path (`voxelize`, `encoder_chain`, `downsample`,
+`fuse_hr`, `fuse_ms`) is library API, its values pinned by
+tests/test_sparsegrid_values.py.
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .geometry import distinct
 
 _SNAP = 1e-9
 
@@ -213,7 +222,7 @@ class _Pooling:
     """
 
     def __init__(self, coords: np.ndarray, factor: int, bound: tuple[int, int, int]):
-        self.keys, inverse, self.counts = np.unique(
+        self.keys, inverse, self.counts = distinct(
             _pack(coords // factor, bound), return_inverse=True, return_counts=True
         )
         # Rank cells deepest first, so the cells that have a d-th row form a
@@ -305,6 +314,25 @@ class _Join:
         return rows
 
 
+def _quantize(pc: PointCloud, spec: VoxelSpec) -> tuple[np.ndarray, np.ndarray, int]:
+    """The points inside the extents, their (n, 3) stride-1 cells, and how many were dropped.
+
+    A point is kept when min <= coordinate < max on every axis; kept points
+    stay in input order. Boundary coordinates quantize with exact floor
+    semantics despite float division, and a point an ulp below an upper
+    extent, whose snapped index reaches the bound, lands in the last cell.
+    """
+    pts = pc.points
+    mins = np.array([spec.x_min, spec.y_min, spec.z_min])
+    maxs = np.array([spec.x_max, spec.y_max, spec.z_max])
+    deltas = np.array([spec.dx, spec.dy, spec.dz])
+    inside = ((pts[:, :3] >= mins) & (pts[:, :3] < maxs)).all(axis=1)
+    kept = pts[inside]
+    cells = np.floor((kept[:, :3] - mins) / deltas + _SNAP).astype(np.int64)
+    np.minimum(cells, np.array(spec.shape) - 1, out=cells)
+    return kept, cells, int(len(pts) - len(kept))
+
+
 def voxelize(pc: PointCloud, spec: VoxelSpec = VoxelSpec()) -> SparseGrid:
     """Bucket points into stride-1 voxels.
 
@@ -313,21 +341,14 @@ def voxelize(pc: PointCloud, spec: VoxelSpec = VoxelSpec()) -> SparseGrid:
     returned grid's n_dropped. Boundary coordinates quantize with exact
     floor semantics despite float division.
     """
-    pts = pc.points
-    mins = np.array([spec.x_min, spec.y_min, spec.z_min])
-    maxs = np.array([spec.x_max, spec.y_max, spec.z_max])
-    deltas = np.array([spec.dx, spec.dy, spec.dz])
-    inside = ((pts[:, :3] >= mins) & (pts[:, :3] < maxs)).all(axis=1)
-    kept = pts[inside]
-    idx = np.floor((kept[:, :3] - mins) / deltas + _SNAP).astype(np.int64)
-    np.minimum(idx, np.array(spec.shape) - 1, out=idx)
-    coords, means, counts = _pool(idx, kept[:, 3:], 1, spec.shape)
+    kept, cells, n_dropped = _quantize(pc, spec)
+    coords, means, counts = _pool(cells, kept[:, 3:], 1, spec.shape)
     return SparseGrid(
         spec=spec,
         stride=1,
         coords=coords,
         features=np.column_stack([counts, means]),
-        n_dropped=int(len(pts) - len(kept)),
+        n_dropped=n_dropped,
     )
 
 
@@ -428,7 +449,7 @@ def fuse_ms(
 
     bound = spec.strided_shape(4)
     keys = [_pack(g.coords // (4 // g.stride), bound) for g in grids[:3]]
-    coords = np.column_stack(np.unravel_index(np.unique(np.concatenate(keys)), bound))
+    coords = np.column_stack(np.unravel_index(distinct(np.concatenate(keys)), bound))
     out_map = ChannelMap.seeded(4 * width, width, seed=seed * 101 + 97)
     stacked = np.hstack([
         _Join(g, 4, coords, pools.get((level, 2)))(f)
@@ -475,38 +496,55 @@ def topology_report(
     topology: str = "a",
     widths: tuple[int, int, int, int] = DEFAULT_WIDTHS,
     width_ms: int = 64,
-    seed: int = 0,
 ) -> list[dict]:
     """Stride/resolution/occupancy table for one encoder topology.
 
     Topology 'a' is the plain downsampling chain ending at 0.6 m, 'b' fuses
     the stride-2 and stride-8 stages to 0.3 m, and 'c' is the multi-scale
-    variant, also at 0.3 m. Returns one row per stage plus the output row.
+    variant, also at 0.3 m. Returns one row per stage plus the output row,
+    the rows that voxelize, encoder_chain and the fusion's grids give. They
+    are planned from the points' cells alone: each stage's cells are the
+    distinct cells of the previous stage's cells // 2, and its channels come
+    from `widths` and `width_ms`, so no feature is computed.
     """
     if topology not in ("a", "b", "c"):
         raise ValueError(f"topology must be 'a', 'b' or 'c', got {topology!r}")
-    base = voxelize(pc, spec)
-    sf1, sf2, sf3, sf4 = encoder_chain(base, widths, seed)
-    rows = []
-    for name, g in (("input", base), ("SF1", sf1), ("SF2", sf2), ("SF3", sf3), ("SF4", sf4)):
-        rows.append(_row(name, g))
+    if len(widths) != 4:
+        raise ValueError(f"widths must hold 4 stage widths, got {len(widths)}")
+    named = [(f"widths[{k}]", width) for k, width in enumerate(widths)] + [("width_ms", width_ms)]
+    for name, width in named:
+        if not isinstance(width, (int, np.integer)) or width < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {width!r}")
+    _, cells, n_dropped = _quantize(pc, spec)
+    occupied = []
+    for stride in VALID_STRIDES:
+        bound = spec.strided_shape(stride)
+        keys = distinct(_pack(cells, bound))
+        occupied.append(len(keys))
+        # The next stage's cells: these halved.
+        cells = np.column_stack(np.unravel_index(keys, bound)) // 2
+    rows = [_row(spec, "input", 1, occupied[0], 3)] + [
+        _row(spec, f"SF{level + 1}", stride, count, int(width))
+        for level, (stride, count, width) in enumerate(zip(VALID_STRIDES, occupied, widths))
+    ]
+    # Topology a outputs SF4 itself. fuse_hr pools SF2 by 2, which gives
+    # SF3's cells; fuse_ms's footprint is SF1/4 | SF2/2 | SF3, and each of
+    # those is SF3's cells too. So b and c both output SF3's cells.
     if topology == "a":
-        rows.append(_row("output", sf4))
-    elif topology == "b":
-        rows.append(_row("output", fuse_hr(sf2, sf4)))
+        rows.append(_row(spec, "output", 8, occupied[3], int(widths[3])))
     else:
-        rows.append(_row("output", fuse_ms(sf1, sf2, sf3, sf4, width=width_ms, seed=seed)))
-    rows[-1]["dropped_points"] = base.n_dropped
+        channels = widths[1] + widths[3] if topology == "b" else width_ms
+        rows.append(_row(spec, "output", 4, occupied[2], int(channels)))
+    rows[-1]["dropped_points"] = n_dropped
     return rows
 
 
-def _row(name: str, g: SparseGrid) -> dict:
-    nx, ny, nz = g.spec.strided_shape(g.stride)
+def _row(spec: VoxelSpec, name: str, stride: int, occupied: int, channels: int) -> dict:
     return {
         "name": name,
-        "stride": g.stride,
-        "bev_resolution_m": g.spec.dx * g.stride,
-        "shape": (nx, ny, nz),
-        "occupied": len(g),
-        "channels": g.channels,
+        "stride": stride,
+        "bev_resolution_m": spec.dx * stride,
+        "shape": spec.strided_shape(stride),
+        "occupied": occupied,
+        "channels": channels,
     }

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import Frame, GridSpec, check_positive, pairs_within, quantize_to_grid
+from .geometry import Frame, GridSpec, check_positive, distinct, pairs_within, quantize_to_grid
 
 # Predicted probabilities are clamped into [EPS, 1-EPS] before the loss.
 PROB_EPS = 1e-7
@@ -309,7 +309,8 @@ def relationship_offsets(
     i, j, d, d2 = i[near], j[near], d[near], d2[near]
     # Sorted by object, then by (d2, neighbour id): each object's first pair wins.
     order = np.lexsort((ids[j], d2, i))
-    first = order[np.unique(i[order], return_index=True)[1]]
+    counts = distinct(i[order], return_counts=True)[1]
+    first = order[np.cumsum(counts) - counts]
     rel = np.full((len(ids), 2), np.nan)
     rel[i[first]] = d[first]
     return _per_frame(rel, frames)

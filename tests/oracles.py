@@ -16,6 +16,10 @@ ran before they became one pass over a sequence: one neighbour query, one
 IoU kernel call, one id join per frame. Each offset oracle returns the
 results of the frames before the first frame that fails, and that frame's
 error.
+
+topology_report_by_features is the voxelshapes table as it was first
+built: from the grids of the whole feature algebra, voxelize through the
+encoder chain and the fusion, reading each row off a grid.
 """
 
 import itertools
@@ -29,6 +33,7 @@ from crowdmot.evaluator import EvalCounts, SequenceMetrics, match_frame, mota, m
 from crowdmot.geometry import BOX_FIELDS, Frame, bev_iou, bev_iou_pairs, footprints, pairs_within
 from crowdmot.records import Box3D
 from crowdmot.simulator import MIN_SEPARATION
+from crowdmot.sparsegrid import DEFAULT_WIDTHS, VoxelSpec, encoder_chain, fuse_hr, fuse_ms, voxelize
 
 # Totals this close to the best one count as ties.
 TIE = 1e-12
@@ -345,3 +350,32 @@ def relationship_offsets_by_frames(frames, radius):
         rel[i[first]] = d[first]
         out.append(rel)
     return out, None
+
+
+def topology_report_by_features(pc, spec=VoxelSpec(), topology="a", widths=DEFAULT_WIDTHS,
+                                width_ms=64, seed=0):
+    """sparsegrid.topology_report's rows, read off the grids the feature algebra builds."""
+    if topology not in ("a", "b", "c"):
+        raise ValueError(f"topology must be 'a', 'b' or 'c', got {topology!r}")
+    base = voxelize(pc, spec)
+    sf1, sf2, sf3, sf4 = encoder_chain(base, widths, seed)
+    stages = [("input", base), ("SF1", sf1), ("SF2", sf2), ("SF3", sf3), ("SF4", sf4)]
+    if topology == "a":
+        stages.append(("output", sf4))
+    elif topology == "b":
+        stages.append(("output", fuse_hr(sf2, sf4)))
+    else:
+        stages.append(("output", fuse_ms(sf1, sf2, sf3, sf4, width=width_ms, seed=seed)))
+    rows = [
+        {
+            "name": name,
+            "stride": g.stride,
+            "bev_resolution_m": g.spec.dx * g.stride,
+            "shape": g.spec.strided_shape(g.stride),
+            "occupied": len(g),
+            "channels": g.channels,
+        }
+        for name, g in stages
+    ]
+    rows[-1]["dropped_points"] = base.n_dropped
+    return rows

@@ -1023,6 +1023,22 @@ class TestVoxelshapes:
         table = (out / "voxelshapes.txt").read_text()
         assert "input         1      0.075      2560x1280x40         0" in table
 
+    @pytest.mark.parametrize("topology", ["a", "b", "c"])
+    def test_huge_intensities_print_no_warning(self, tmp_path, topology):
+        # Two points of intensity 1.7e308 in one voxel: their sum overflows,
+        # but the table is planned from coordinates and reads no feature.
+        path = tmp_path / "hot.npy"
+        np.save(path, np.array([[0.01, 0.01, 0.01, 1.7e308], [0.02, 0.02, 0.02, 1.7e308]]))
+        out = tmp_path / "vox"
+        result = subprocess.run(
+            [sys.executable, "-m", "crowdmot.cli", "voxelshapes", "--points", str(path),
+             "--out", str(out), "--topology", topology],
+            capture_output=True, text=True,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        lines = (out / "voxelshapes.txt").read_text().splitlines()
+        assert [int(line.split()[4]) for line in lines[1:7]] == [1] * 6
+
     def test_single_point(self, tmp_path):
         path = tmp_path / "one.npy"
         np.save(path, np.array([[0.0, 0.0, 0.0]]))
@@ -1062,6 +1078,37 @@ class TestConsoleEntrypoint:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "[]"
+
+    def test_commands_load_no_masked_arrays(self, tmp_path, config_path):
+        # np.unique's first call without flags imports numpy.ma, about 14 ms
+        # and 1.2 MB; the commands find distinct values with geometry.distinct.
+        np.save(tmp_path / "cloud.npy", np.random.default_rng(0).uniform(-20.0, 20.0, (500, 3)))
+        gen, run = tmp_path / "gen", tmp_path / "run"
+        calls = [
+            ["gen", "--config", str(config_path), "--out", str(gen)],
+            ["targets", "--gt", str(gen / "gt.jsonl"), "--out", str(run / "targets"),
+             "--grid", "0.5,0.5", "--extent=-30,30,-20,20"],
+            ["track", "--det", str(gen / "det.jsonl"), "--out", str(run / "track")],
+            ["eval", "--gt", str(gen / "gt.jsonl"), "--traj", str(run / "track" / "traj.jsonl"),
+             "--out", str(run / "eval")],
+            ["density", "--gt", str(gen / "gt.jsonl"), "--out", str(run / "density")],
+        ] + [
+            ["voxelshapes", "--points", str(tmp_path / "cloud.npy"), "--out", str(run / t),
+             "--topology", t]
+            for t in "abc"
+        ]
+        code = (
+            "import json, sys\n"
+            "from crowdmot.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(codes, 'numpy.ma' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(calls)], capture_output=True, text=True,
+            env={**os.environ, "CROWDMOT_LOG": "quiet"},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == f"{[0] * len(calls)} False"
 
     def test_module_invocation(self, tmp_path, config_path):
         out = tmp_path / "sub"

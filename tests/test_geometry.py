@@ -18,6 +18,7 @@ from crowdmot.geometry import (
     bev_iou,
     bev_iou_pairs,
     cell_center,
+    distinct,
     footprints,
     pairs_within,
     quantize_to_grid,
@@ -556,6 +557,39 @@ class TestPairsWithinGroups:
     def test_rejects_a_label_count_unlike_the_point_count(self):
         with pytest.raises(ValueError, match="label"):
             pairs_within([(0.0, 0.0)], [(0.0, 0.0)], 1.0, ([0, 1], [0]))
+
+
+INT64 = np.iinfo(np.int64)
+
+
+class TestDistinct:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.integers(-3, 3),
+                st.integers(INT64.min, INT64.max),
+                st.sampled_from([INT64.min, INT64.min + 1, INT64.max]),
+            ),
+            max_size=40,
+        ),
+        inverse=st.booleans(),
+        counts=st.booleans(),
+    )
+    @example(values=[], inverse=True, counts=True)
+    @example(values=[7], inverse=True, counts=True)
+    @example(values=[-2] * 9, inverse=True, counts=True)
+    @example(values=[INT64.max, INT64.min, INT64.max], inverse=True, counts=True)
+    def test_matches_np_unique(self, values, inverse, counts):
+        values = np.array(values, dtype=np.int64)
+        expected = np.unique(values, return_inverse=inverse, return_counts=counts)
+        got = distinct(values, return_inverse=inverse, return_counts=counts)
+        if not (inverse or counts):
+            expected, got = (expected,), (got,)
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype
+            assert a.tolist() == b.tolist()
 
 
 def _random_box(rng: np.random.Generator, yaw: float | None = None) -> BoxBEV:

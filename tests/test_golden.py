@@ -21,6 +21,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from crowdmot import sparsegrid
 from crowdmot.cli import main
 from crowdmot.formats import sha256_file
 
@@ -157,3 +158,16 @@ def test_voxelshapes_table_matches_golden_digest(tmp_path, topology):
     assert main(["voxelshapes", "--points", str(tmp_path / "cloud.npy"), "--out", str(out),
                  "--topology", topology]) == 0
     assert sha256_file(out / "voxelshapes.txt") == VOXELSHAPES[topology]
+
+
+@pytest.mark.parametrize("topology", sorted(VOXELSHAPES))
+def test_voxelshapes_table_computes_no_feature(tmp_path, monkeypatch, topology):
+    # The table is planned from coordinates alone: with every feature step
+    # made to raise, it still has the golden bytes.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the voxelshapes table computed a feature")
+
+    for name in ("voxelize", "downsample", "encoder_chain", "fuse_hr", "fuse_ms"):
+        monkeypatch.setattr(sparsegrid, name, refuse)
+    monkeypatch.setattr(sparsegrid.ChannelMap, "apply", refuse)
+    test_voxelshapes_table_matches_golden_digest(tmp_path, topology)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import topology_report_by_features
 from scipy.sparse import csr_array
 
 from crowdmot.sparsegrid import (
+    DEFAULT_WIDTHS,
     ChannelMap,
     PointCloud,
     SparseGrid,
@@ -377,7 +379,63 @@ class TestOccupancyPurity:
         assert outputs[0] == outputs[1]
 
 
+LOWER = np.array([SPEC.x_min, SPEC.y_min, SPEC.z_min])
+UPPER = np.array([SPEC.x_max, SPEC.y_max, SPEC.z_max])
+# Per axis: the lower extent (kept), an ulp below the upper one (kept, its
+# snapped index clamped into the last cell), the upper one (dropped), the middle.
+EDGES = np.stack([LOWER, np.nextafter(UPPER, -np.inf), UPPER, (LOWER + UPPER) / 2])
+
+
+@st.composite
+def report_clouds(draw):
+    """A cluster whose parents pool many children, points in and past the extents, edge points."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_cluster, n_spread = draw(st.integers(0, 60)), draw(st.integers(0, 20))
+    spread = draw(st.sampled_from([0.05, 0.3, 1.0]))
+    cluster = rng.uniform(LOWER, UPPER) + rng.uniform(0.0, spread, (n_cluster, 3))
+    scattered = rng.uniform(LOWER - 10.0, UPPER + 10.0, (n_spread, 3))
+    picks = draw(st.lists(st.tuples(*[st.integers(0, len(EDGES) - 1)] * 3), max_size=6))
+    edge = EDGES[np.array(picks, dtype=np.intp).reshape(-1, 3), np.arange(3)]
+    xyz = np.vstack([cluster, scattered, edge])
+    return PointCloud(np.column_stack([
+        xyz, rng.uniform(0.0, 1.0, len(xyz)), rng.integers(0, 2, len(xyz)).astype(float),
+    ]))
+
+
 class TestTopologyReport:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pc=report_clouds(),
+        topology=st.sampled_from("abc"),
+        widths=st.tuples(*[st.integers(0, 8)] * 4),
+        width_ms=st.integers(0, 8),
+        seed=st.integers(0, 2**16),
+    )
+    @example(pc=cloud(np.zeros((0, 5))), topology="c", widths=(1, 2, 3, 4), width_ms=5, seed=0)
+    @example(pc=cloud([[500.0, 0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 3.0, 0.5, 1.0]]),
+             topology="b", widths=(1, 2, 3, 4), width_ms=5, seed=0)
+    def test_rows_are_those_of_the_feature_grids(self, pc, topology, widths, width_ms, seed):
+        # The report builds no feature; the oracle reads each row off the
+        # grids of the whole feature algebra, under any seed.
+        assert topology_report(pc, SPEC, topology, widths, width_ms) == topology_report_by_features(
+            pc, SPEC, topology, widths, width_ms, seed
+        )
+
+    @pytest.mark.parametrize("topology", ["a", "b", "c"])
+    @pytest.mark.parametrize(
+        "widths, width_ms, message",
+        [
+            ((-16, 32, 64, 128), 64, r"widths\[0\] must be a non-negative integer, got -16"),
+            ((16, 32, 64, 2.0), 64, r"widths\[3\] must be a non-negative integer, got 2.0"),
+            (DEFAULT_WIDTHS, -1, "width_ms must be a non-negative integer, got -1"),
+            (DEFAULT_WIDTHS, 64.0, "width_ms must be a non-negative integer, got 64.0"),
+            ((16, 32, 64), 64, "widths must hold 4 stage widths, got 3"),
+        ],
+    )
+    def test_negative_or_non_integer_widths_rejected(self, topology, widths, width_ms, message):
+        with pytest.raises(ValueError, match=message):
+            topology_report(cloud([[0.0, 0.0, 0.0, 0.5, 0.0]]), SPEC, topology, widths, width_ms)
+
     def test_rows_for_each_topology(self):
         rng = np.random.default_rng(7)
         pc = random_cloud(rng)

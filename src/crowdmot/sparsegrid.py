@@ -15,9 +15,9 @@ segment mean, summed in input order) or joining rows by packed key
 serves every feature array of the same cells. No dense volume is ever built.
 
 A stage's occupied cells depend on no feature, and its channel count only on
-the widths. So `topology_report`, the table `voxelshapes` prints, is planned
-from the points' cells alone: it coarsens their packed keys and builds no
-feature array. The feature path (`voxelize`, `encoder_chain`, `downsample`,
+the widths. So `topology_report`, the table `voxelshapes` prints, voxelizes
+the points once and then coarsens the cells' packed keys: no later stage
+builds a feature array. The feature path (`voxelize`, `encoder_chain`, `downsample`,
 `fuse_hr`, `fuse_ms`) is library API, its values pinned by
 tests/test_sparsegrid_values.py.
 """
@@ -502,10 +502,10 @@ def topology_report(
     Topology 'a' is the plain downsampling chain ending at 0.6 m, 'b' fuses
     the stride-2 and stride-8 stages to 0.3 m, and 'c' is the multi-scale
     variant, also at 0.3 m. Returns one row per stage plus the output row,
-    the rows that voxelize, encoder_chain and the fusion's grids give. They
-    are planned from the points' cells alone: each stage's cells are the
-    distinct cells of the previous stage's cells // 2, and its channels come
-    from `widths` and `width_ms`, so no feature is computed.
+    the rows that voxelize, encoder_chain and the fusion's grids give. Only
+    voxelize runs: each later stage's cells are the distinct cells of the
+    previous stage's cells // 2, and its channels come from `widths` and
+    `width_ms`, so no stage past the input computes a feature.
     """
     if topology not in ("a", "b", "c"):
         raise ValueError(f"topology must be 'a', 'b' or 'c', got {topology!r}")
@@ -515,14 +515,17 @@ def topology_report(
     for name, width in named:
         if not isinstance(width, (int, np.integer)) or width < 0:
             raise ValueError(f"{name} must be a non-negative integer, got {width!r}")
-    _, cells, n_dropped = _quantize(pc, spec)
-    occupied = []
-    for stride in VALID_STRIDES:
+    # The table reads the input grid's cells and dropped count, never its
+    # features, so a feature sum that overflows is no concern of it.
+    with np.errstate(over="ignore"):
+        base = voxelize(pc, spec)
+    cells = base.coords
+    occupied = [len(base)]
+    for stride in VALID_STRIDES[1:]:
         bound = spec.strided_shape(stride)
-        keys = distinct(_pack(cells, bound))
+        keys = distinct(_pack(cells // 2, bound))
         occupied.append(len(keys))
-        # The next stage's cells: these halved.
-        cells = np.column_stack(np.unravel_index(keys, bound)) // 2
+        cells = np.column_stack(np.unravel_index(keys, bound))
     rows = [_row(spec, "input", 1, occupied[0], 3)] + [
         _row(spec, f"SF{level + 1}", stride, count, int(width))
         for level, (stride, count, width) in enumerate(zip(VALID_STRIDES, occupied, widths))
@@ -535,7 +538,7 @@ def topology_report(
     else:
         channels = widths[1] + widths[3] if topology == "b" else width_ms
         rows.append(_row(spec, "output", 4, occupied[2], int(channels)))
-    rows[-1]["dropped_points"] = n_dropped
+    rows[-1]["dropped_points"] = base.n_dropped
     return rows
 
 

@@ -1026,7 +1026,7 @@ class TestVoxelshapes:
     @pytest.mark.parametrize("topology", ["a", "b", "c"])
     def test_huge_intensities_print_no_warning(self, tmp_path, topology):
         # Two points of intensity 1.7e308 in one voxel: their sum overflows,
-        # but the table is planned from coordinates and reads no feature.
+        # but the table reads no feature, so it warns of nothing.
         path = tmp_path / "hot.npy"
         np.save(path, np.array([[0.01, 0.01, 0.01, 1.7e308], [0.02, 0.02, 0.02, 1.7e308]]))
         out = tmp_path / "vox"

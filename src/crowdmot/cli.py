@@ -305,8 +305,9 @@ def cmd_targets(args: argparse.Namespace) -> int:
         for frame, (offset, newborn), rel in zip(frames, motion, rels)
     ]
     out = Path(args.out)
-    # One table of float texts for the whole command: the heatmaps repeat
-    # the same stencil values in every frame.
+    # One table of float texts for all the frames one process runs: the
+    # heatmaps repeat the same stencil values in every frame. On the pool,
+    # each chunk of frames unpickles its own empty copy and fills that.
     job = partial(
         _frame_targets, out=out, grid=grid, sigma=args.sigma, th=args.th, dump_pgm=args.dump_pgm,
         reprs={},

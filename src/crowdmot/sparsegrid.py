@@ -8,18 +8,18 @@ a deterministic function of its inputs.
 
 A grid stores only its occupied cells, as an (n, 3) int64 coordinate array
 sorted by packed key (x*ny + y)*nz + z and an (n, C) float64 feature array
-(the coordinate-list layout of Minkowski Engine). Every operation is one of
-two array steps: pooling rows onto coarser cells (`geometry.distinct` and a
-segment mean, summed in input order) or joining rows by packed key
-(`np.searchsorted`). Both are planned from coordinates alone, so one plan
-serves every feature array of the same cells. No dense volume is ever built.
+(the coordinate-list layout of Minkowski Engine). `voxelize` sums the
+points' two channels into their voxels with `np.add.at` in input order. The
+grid stages pool rows onto coarser cells by a per-depth plan (`_Pooling`: on
+120k rows x 64 channels it took 24 ms, `np.add.at` 95 ms) or join rows by
+packed key (`np.searchsorted`), each planned from coordinates alone, so one
+plan serves every feature array of the same cells. No dense volume is built.
 
-A stage's occupied cells depend on no feature, and its channel count only on
-the widths. So `topology_report`, the table `voxelshapes` prints, voxelizes
-the points once and then coarsens the cells' packed keys: no later stage
-builds a feature array. The feature path (`voxelize`, `encoder_chain`, `downsample`,
-`fuse_hr`, `fuse_ms`) is library API, its values pinned by
-tests/test_sparsegrid_values.py.
+`topology_report`, the table `voxelshapes` prints, voxelizes once and then
+coarsens the cells' packed keys: a stage's cells depend on no feature, and
+its channels only on the widths. The feature path (`voxelize`,
+`encoder_chain`, `downsample`, `fuse_hr`, `fuse_ms`) is library API, its
+values pinned by tests/test_sparsegrid_values.py.
 """
 
 from __future__ import annotations
@@ -93,11 +93,10 @@ class PointCloud:
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 5:
             raise ValueError(f"points must be (n, 5), got {pts.shape}")
-        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
-        if len(bad):
-            raise ValueError(f"point {bad[0]} has a non-finite value: {pts[bad[0]].tolist()}")
-        flags = pts[:, 4]
-        if not np.isin(flags, (0.0, 1.0)).all():
+        if not np.isfinite(pts).all():
+            bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))[0]
+            raise ValueError(f"point {bad} has a non-finite value: {pts[bad].tolist()}")
+        if not np.isin(pts[:, 4], (0.0, 1.0)).all():
             raise ValueError("time_flag channel must be 0 or 1")
         object.__setattr__(self, "points", pts)
 
@@ -146,9 +145,9 @@ class SparseGrid:
         if features.ndim != 2 or features.shape[0] != len(coords):
             raise ValueError(f"features have shape {features.shape}, expected ({len(coords)}, C)")
         bound = self.spec.strided_shape(self.stride)
-        outside = ((coords < 0) | (coords >= bound)).any(axis=1)
+        outside = (coords < 0) | (coords >= bound)
         if outside.any():
-            coord = tuple(coords[outside][0].tolist())
+            coord = tuple(coords[outside.any(axis=1)][0].tolist())
             raise ValueError(f"coordinate {coord} outside {'x'.join(map(str, bound))} bound")
         keys = _pack(coords, bound)
         if (np.diff(keys) <= 0).any():
@@ -258,16 +257,15 @@ class _Pooling:
 
 def _pool(
     coords: np.ndarray, features: np.ndarray, factor: int, bound: tuple[int, int, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Mean-pool feature rows onto the cells of `coords // factor`.
 
     `bound` is the strided bound of the coarse cells. Returns the occupied
-    coarse coordinates in key order, each cell's mean feature row and its row
-    count.
+    coarse coordinates in key order and each cell's mean feature row.
     """
     pooling = _Pooling(coords, factor, bound)
     coarse = np.column_stack(np.unravel_index(pooling.keys, bound))
-    return coarse, pooling.ranked_means(features)[pooling.rank], pooling.counts
+    return coarse, pooling.ranked_means(features)[pooling.rank]
 
 
 class _Join:
@@ -326,8 +324,10 @@ def _quantize(pc: PointCloud, spec: VoxelSpec) -> tuple[np.ndarray, np.ndarray, 
     mins = np.array([spec.x_min, spec.y_min, spec.z_min])
     maxs = np.array([spec.x_max, spec.y_max, spec.z_max])
     deltas = np.array([spec.dx, spec.dy, spec.dz])
-    inside = ((pts[:, :3] >= mins) & (pts[:, :3] < maxs)).all(axis=1)
-    kept = pts[inside]
+    inside = np.ones(len(pts), dtype=bool)
+    for axis in range(3):
+        inside &= (pts[:, axis] >= mins[axis]) & (pts[:, axis] < maxs[axis])
+    kept = pts if inside.all() else pts[inside]
     cells = np.floor((kept[:, :3] - mins) / deltas + _SNAP).astype(np.int64)
     np.minimum(cells, np.array(spec.shape) - 1, out=cells)
     return kept, cells, int(len(pts) - len(kept))
@@ -337,19 +337,20 @@ def voxelize(pc: PointCloud, spec: VoxelSpec = VoxelSpec()) -> SparseGrid:
     """Bucket points into stride-1 voxels.
 
     Each occupied voxel's feature is (point count, mean intensity, mean
-    time_flag). Points outside the extents are dropped and counted in the
-    returned grid's n_dropped. Boundary coordinates quantize with exact
-    floor semantics despite float division.
+    time_flag): its points summed with np.add.at in input order from 0.0,
+    the bits of the (voxels x points) indicator product, over the count. A
+    voxel whose intensities sum past the float range gets an inf mean, and
+    numpy warns of the overflow unless called under np.errstate. Points
+    outside the extents are dropped and counted in the grid's n_dropped.
     """
     kept, cells, n_dropped = _quantize(pc, spec)
-    coords, means, counts = _pool(cells, kept[:, 3:], 1, spec.shape)
-    return SparseGrid(
-        spec=spec,
-        stride=1,
-        coords=coords,
-        features=np.column_stack([counts, means]),
-        n_dropped=n_dropped,
-    )
+    keys, inverse, counts = distinct(_pack(cells, spec.shape), return_inverse=True, return_counts=True)
+    sums = np.zeros((2, len(keys)))
+    np.add.at(sums[0], inverse, kept[:, 3])
+    np.add.at(sums[1], inverse, kept[:, 4])
+    coords = np.column_stack(np.unravel_index(keys, spec.shape))
+    features = np.column_stack([counts, (sums / counts).T])
+    return SparseGrid(spec=spec, stride=1, coords=coords, features=features, n_dropped=n_dropped)
 
 
 def downsample(grid: SparseGrid, mix: ChannelMap) -> SparseGrid:
@@ -363,7 +364,7 @@ def downsample(grid: SparseGrid, mix: ChannelMap) -> SparseGrid:
     if mix.n_in != grid.channels:
         raise ValueError(f"channel map expects {mix.n_in} channels, grid has {grid.channels}")
     stride = grid.stride * 2
-    coords, means, _ = _pool(grid.coords, grid.features, 2, grid.spec.strided_shape(stride))
+    coords, means = _pool(grid.coords, grid.features, 2, grid.spec.strided_shape(stride))
     return SparseGrid(
         spec=grid.spec,
         stride=stride,
@@ -386,7 +387,7 @@ def fuse_hr(sf2: SparseGrid, sf4: SparseGrid) -> SparseGrid:
         )
     if sf2.spec != sf4.spec:
         raise ValueError("inputs use different voxel specs")
-    coords, pooled, _ = _pool(sf2.coords, sf2.features, 2, sf2.spec.strided_shape(4))
+    coords, pooled = _pool(sf2.coords, sf2.features, 2, sf2.spec.strided_shape(4))
     return SparseGrid(
         spec=sf2.spec,
         stride=4,
@@ -502,10 +503,8 @@ def topology_report(
     Topology 'a' is the plain downsampling chain ending at 0.6 m, 'b' fuses
     the stride-2 and stride-8 stages to 0.3 m, and 'c' is the multi-scale
     variant, also at 0.3 m. Returns one row per stage plus the output row,
-    the rows that voxelize, encoder_chain and the fusion's grids give. Only
-    voxelize runs: each later stage's cells are the distinct cells of the
-    previous stage's cells // 2, and its channels come from `widths` and
-    `width_ms`, so no stage past the input computes a feature.
+    the rows that voxelize, encoder_chain and the fusion's grids give; only
+    voxelize runs, and each later stage's cells are the previous ones // 2.
     """
     if topology not in ("a", "b", "c"):
         raise ValueError(f"topology must be 'a', 'b' or 'c', got {topology!r}")

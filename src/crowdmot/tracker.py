@@ -26,9 +26,12 @@ class TrackerConfig:
     birth_score_min: float = 0.3
 
     def __post_init__(self) -> None:
-        ok = 0 < self.max_match_dist < math.inf and self.max_age > 0 and self.birth_score_min > 0
+        # Scores lie in [0, 1], so a birth score above 1 would birth no track.
+        ok = 0 < self.max_match_dist < math.inf and self.max_age > 0 and 0 < self.birth_score_min <= 1
         if not ok:
-            raise ValueError(f"tracker values must be positive, max_match_dist finite: {self}")
+            raise ValueError(
+                f"tracker values must be positive, max_match_dist finite, birth_score_min at most 1: {self}"
+            )
 
 
 @dataclass

@@ -613,6 +613,8 @@ class TestRejectedRadii:
             ("track", "--max-match-dist", "nan"),
             ("track", "--max-match-dist", "inf"),
             ("track", "--birth-score-min", "nan"),
+            ("track", "--birth-score-min", "inf"),
+            ("track", "--birth-score-min", "1.5"),
             ("targets", "--rel-radius", "-1"),
             ("targets", "--rel-radius", "nan"),
             ("targets", "--sigma", "nan"),

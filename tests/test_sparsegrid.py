@@ -148,13 +148,13 @@ class TestPool:
         features[rng.random(features.shape) < 0.1] = -0.0
         features[rng.random(features.shape) < 0.02] = np.nan
         bound = SPEC.strided_shape(factor)
-        pooled, means, counts = _pool(coords, features, factor, bound)
+        pooled, means = _pool(coords, features, factor, bound)
         keys, inverse = np.unique(
             np.ravel_multi_index((coords // factor).T, bound), return_inverse=True
         )
         indicator = csr_array((np.ones(n), (inverse, np.arange(n))), shape=(len(keys), n))
+        counts = np.bincount(inverse, minlength=len(keys))
         assert pooled.tolist() == np.column_stack(np.unravel_index(keys, bound)).tolist()
-        assert counts.tolist() == np.bincount(inverse, minlength=len(keys)).tolist()
         assert means.tobytes() == ((indicator @ features) / counts[:, None]).tobytes()
 
 
@@ -218,6 +218,58 @@ class TestVoxelize:
         a, b = voxelize(pc, SPEC), voxelize(pc, SPEC)
         np.testing.assert_array_equal(a.coords, b.coords)
         np.testing.assert_array_equal(a.features, b.features)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(0, 300),
+        side=st.integers(1, 12),
+        outside_share=st.sampled_from([0.0, 0.2, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=0, side=1, outside_share=0.0, seed=0)  # the empty cloud
+    @example(n=300, side=1, outside_share=0.2, seed=0)  # about 240 points in one voxel
+    def test_means_match_the_sparse_indicator_product(self, n, side, outside_share, seed):
+        # Each voxel's points are added in input order from 0.0, the bits of
+        # a (voxels x kept points) indicator matrix times the two channels;
+        # a pairwise sum over more than 8 points, -0.0 intensities and mixed
+        # magnitudes would each expose another order.
+        rng = np.random.default_rng(seed)
+        mins = np.array([SPEC.x_min, SPEC.y_min, SPEC.z_min])
+        maxs = np.array([SPEC.x_max, SPEC.y_max, SPEC.z_max])
+        cells = np.array(SPEC.shape) // 2 + rng.integers(0, side, (n, 3))
+        xyz = mins + (cells + 0.5) * np.array([SPEC.dx, SPEC.dy, SPEC.dz])
+        # An outside point sits below the lower extent or on the upper one
+        # of one axis; the upper extent itself is outside.
+        outside = rng.random(n) < outside_share
+        axis = rng.integers(0, 3, n)
+        xyz[outside, axis[outside]] = np.where(
+            rng.random(n) < 0.5, mins[axis] - 0.01, maxs[axis]
+        )[outside]
+        intensity = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+        intensity[rng.random(n) < 0.2] = -0.0
+        points = np.column_stack([xyz, intensity, rng.integers(0, 2, n)])
+        grid = voxelize(PointCloud(points), SPEC)
+        kept = points[~outside]
+        keys, inverse = np.unique(
+            np.ravel_multi_index(cells[~outside].T, SPEC.shape), return_inverse=True
+        )
+        counts = np.bincount(inverse, minlength=len(keys))
+        indicator = csr_array(
+            (np.ones(len(kept)), (inverse, np.arange(len(kept)))), shape=(len(keys), len(kept))
+        )
+        expected = np.column_stack([counts, (indicator @ kept[:, 3:]) / counts[:, None]])
+        assert grid.n_dropped == outside.sum()
+        assert grid.coords.tolist() == np.column_stack(np.unravel_index(keys, SPEC.shape)).tolist()
+        assert grid.features.tobytes() == expected.tobytes()
+
+    def test_intensity_sum_past_the_float_range_gives_an_inf_mean(self):
+        pc = cloud([[0.01, 0.01, 0.01, 1.7e308, 0.0], [0.02, 0.02, 0.02, 1.7e308, 1.0]])
+        # Match the word, not numpy's name of the ufunc that overflowed.
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            grid = voxelize(pc, SPEC)
+        assert grid.features.tolist() == [[2.0, np.inf, 0.5]]
+        with np.errstate(over="ignore"):
+            assert voxelize(pc, SPEC).features.tolist() == [[2.0, np.inf, 0.5]]
 
 
 class TestDownsample:

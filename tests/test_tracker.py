@@ -138,6 +138,16 @@ class TestStep:
             step(state, frame_of([det(0, 0)]), CFG, frame=0)
 
 
+class TestConfig:
+    @pytest.mark.parametrize("value", [0.0, -0.1, 1.5, math.inf, math.nan])
+    def test_birth_score_outside_unit_interval_rejected(self, value):
+        with pytest.raises(ValueError, match="birth_score_min at most 1"):
+            TrackerConfig(birth_score_min=value)
+
+    def test_birth_score_of_one_accepted(self):
+        assert TrackerConfig(birth_score_min=1.0).birth_score_min == 1.0
+
+
 class TestRunSequence:
     def test_empty_sequence(self):
         assert run_sequence([], CFG) == []

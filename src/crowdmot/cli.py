@@ -10,38 +10,48 @@ Reruns with the same inputs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import os
 import sys
-import threading
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
+# Each of these stays unexecuted until a command reads one of its attributes,
+# so a call loads only the modules its subcommand uses (see the package).
+from . import __version__, evaluator, formats, geometry, simulator, sparsegrid, targets, tracker
 
-from . import __version__
-from .evaluator import MatchConfig, aggregate, density_stats, evaluate_sequence
-from .formats import (
-    atomic_write_text,
-    read_detections_jsonl,
-    read_scene_jsonl,
-    read_trajectories_jsonl,
-    sha256_file,
-    write_detections_jsonl,
-    write_grid,
-    write_offsets_jsonl,
-    write_pgm,
-    write_scene_jsonl,
-    write_trajectories_jsonl,
-)
-from .geometry import Frame, GridSpec, OutOfBoundsError, check_positive, quantize_to_grid
-from .simulator import NoiseConfig, SimConfig, corrupt, gen_scene
-from .sparsegrid import DEFAULT_WIDTHS, PointCloud, VoxelSpec, topology_report
-from .targets import make_daw, make_heatmap, motion_offsets, relationship_offsets
-from .tracker import TrackerConfig, run_sequence
+# Names this module once imported from those modules, still readable as
+# crowdmot.cli.<name>. Each read looks the name up on its module again and
+# caches nothing, so a wrapper later set on the module is what it returns.
+_REEXPORTS = {
+    "evaluator": ("MatchConfig", "aggregate", "density_stats", "evaluate_sequence"),
+    "formats": (
+        "atomic_write_text",
+        "read_detections_jsonl",
+        "read_scene_jsonl",
+        "read_trajectories_jsonl",
+        "sha256_file",
+        "write_detections_jsonl",
+        "write_grid",
+        "write_offsets_jsonl",
+        "write_pgm",
+        "write_scene_jsonl",
+        "write_trajectories_jsonl",
+    ),
+    "geometry": ("Frame", "GridSpec", "OutOfBoundsError", "check_positive", "quantize_to_grid"),
+    "simulator": ("NoiseConfig", "SimConfig", "corrupt", "gen_scene"),
+    "sparsegrid": ("DEFAULT_WIDTHS", "PointCloud", "VoxelSpec", "topology_report"),
+    "targets": ("make_daw", "make_heatmap", "motion_offsets", "relationship_offsets"),
+    "tracker": ("TrackerConfig", "run_sequence"),
+}
+_OWNER = {name: module for module, names in _REEXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _OWNER:
+        return getattr(globals()[_OWNER[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ConfigError(ValueError):
@@ -82,7 +92,7 @@ _NOISE_FIELDS = {
 }
 
 
-def _parse_section(parser: configparser.ConfigParser, section: str, fields: dict) -> dict:
+def _parse_section(parser: "configparser.ConfigParser", section: str, fields: dict) -> dict:
     values = {}
     present = parser[section] if parser.has_section(section) else {}
     for key in present:
@@ -109,8 +119,12 @@ def _parse_section(parser: configparser.ConfigParser, section: str, fields: dict
     return values
 
 
-def load_gen_config(path: Path, seed_override: int | None) -> tuple[SimConfig, NoiseConfig, dict]:
+def load_gen_config(
+    path: Path, seed_override: int | None
+) -> tuple[simulator.SimConfig, simulator.NoiseConfig, dict]:
     """Parse a gen config file into sim/noise configs plus a full echo dict."""
+    import configparser
+
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         read = parser.read(str(path))
@@ -129,7 +143,7 @@ def load_gen_config(path: Path, seed_override: int | None) -> tuple[SimConfig, N
         sim_values["seed"] = seed_override
         noise_values["seed"] = seed_override + 1
     try:
-        sim = SimConfig(
+        sim = simulator.SimConfig(
             n_pedestrians=sim_values["n_pedestrians"],
             n_frames=sim_values["n_frames"],
             area=(
@@ -144,7 +158,7 @@ def load_gen_config(path: Path, seed_override: int | None) -> tuple[SimConfig, N
             frame_rate=sim_values["frame_rate"],
             seed=sim_values["seed"],
         )
-        noise = NoiseConfig(**noise_values)
+        noise = simulator.NoiseConfig(**noise_values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return sim, noise, {"sim": sim_values, "noise": noise_values}
@@ -161,10 +175,11 @@ def _write_manifest(
         "version": __version__,
         "command": command,
         "config": config,
-        "inputs": {str(p): sha256_file(p) for p in inputs},
+        "inputs": {str(p): formats.sha256_file(p) for p in inputs},
         "outputs": {str(p.relative_to(out_dir)): digest for p, digest in outputs.items()},
     }
-    atomic_write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    formats.atomic_write_text(out_dir / "manifest.json", text)
 
 
 def _parse_pair(raw: str, flag: str) -> tuple[float, float]:
@@ -189,13 +204,13 @@ def _parse_extent(raw: str) -> tuple[float, float, float, float]:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     sim, noise, echo = load_gen_config(Path(args.config), args.seed)
-    frames, timestamps = gen_scene(sim)
-    dets = corrupt(frames, noise)
+    frames, timestamps = simulator.gen_scene(sim)
+    dets = simulator.corrupt(frames, noise)
     out = Path(args.out)
     gt_path, det_path = out / "gt.jsonl", out / "det.jsonl"
     outputs = {
-        gt_path: write_scene_jsonl(gt_path, frames, timestamps),
-        det_path: write_detections_jsonl(det_path, dets, timestamps),
+        gt_path: formats.write_scene_jsonl(gt_path, frames, timestamps),
+        det_path: formats.write_detections_jsonl(det_path, dets, timestamps),
     }
     _write_manifest(out, "gen", echo, [Path(args.config)], outputs)
     _say(f"wrote {gt_path} and {det_path}")
@@ -203,7 +218,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 # Grid cells (frames x nx x ny) below which `targets` builds every frame in
-# this process. Starting and stopping two forked workers costs about 30 ms.
+# this process. Starting and stopping two forked workers costs about 10 ms:
+# median of 15 calls with a trivial job on the quick start's 100 frames, 2-CPU
+# VM, 8-12 ms over three processes (the first call in a process 19-27 ms).
+# The break-even sizes below were measured with the process pool used before,
+# which cost 20-26 ms a call there; the threshold was kept as it was.
 # Measured on a 2-CPU VM, median of 11 alternating in-process calls on the
 # quick-start scene at 240 x 160 cells a frame: 8 frames (307,200 cells) took
 # 72 ms serial against 85 ms on the pool, 10 frames (384,000) 85 ms on both,
@@ -213,8 +232,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 _PARALLEL_MIN_CELLS = 400_000
 
 
-def _check_on_grid(frames: list[Frame], grid: GridSpec) -> None:
+def _check_on_grid(frames: list[geometry.Frame], grid: geometry.GridSpec) -> None:
     """Raise OutOfBoundsError naming the first frame and object off the grid's extents."""
+    import numpy as np
+
     xy = np.concatenate([np.zeros((0, 2)), *(frame.boxes[:, :2] for frame in frames)])
     x, y = xy[:, 0], xy[:, 1]
     if ((grid.x_min <= x) & (x < grid.x_max) & (grid.y_min <= y) & (y < grid.y_max)).all():
@@ -223,91 +244,210 @@ def _check_on_grid(frames: list[Frame], grid: GridSpec) -> None:
     for number, frame in enumerate(frames):
         for key, (x, y) in zip(frame.ids.tolist(), frame.boxes[:, :2].tolist()):
             try:
-                quantize_to_grid(x, y, grid)
-            except OutOfBoundsError as exc:
-                raise OutOfBoundsError(f"frame {number}, object {key}: {exc}") from None
+                geometry.quantize_to_grid(x, y, grid)
+            except geometry.OutOfBoundsError as exc:
+                raise geometry.OutOfBoundsError(f"frame {number}, object {key}: {exc}") from None
 
 
 def _frame_targets(
-    number: int, frame: Frame, out: Path, grid: GridSpec, sigma: float, th: float, dump_pgm: bool,
-    reprs: dict[int, str],
+    number: int, frame: geometry.Frame, out: Path, grid: geometry.GridSpec, sigma: float, th: float,
+    dump_pgm: bool, reprs: dict[int, str],
 ) -> dict[Path, str]:
     """Write frame `number`'s heatmap and weight grids, and their PGMs with dump_pgm.
 
     reprs is the write_grid memo of float texts the frames share. Returns
     {path: digest} of the files written.
     """
-    heat = make_heatmap(frame, grid, sigma=sigma)
-    daw = make_daw(frame, grid, th=th)
+    heat = targets.make_heatmap(frame, grid, sigma=sigma)
+    daw = targets.make_daw(frame, grid, th=th)
     heat_path = out / f"heatmap_{number:04d}.grid"
     daw_path = out / f"weights_{number:04d}.grid"
-    outputs = {heat_path: write_grid(heat_path, heat, reprs), daw_path: write_grid(daw_path, daw, reprs)}
+    outputs = {
+        heat_path: formats.write_grid(heat_path, heat, reprs),
+        daw_path: formats.write_grid(daw_path, daw, reprs),
+    }
     if dump_pgm:
         for src, dst in ((heat, heat_path), (daw, daw_path)):
             pgm = dst.with_suffix(".pgm")
-            outputs[pgm] = write_pgm(pgm, src)
+            outputs[pgm] = formats.write_pgm(pgm, src)
     return outputs
 
 
-def _map_frames(
-    job: Callable[[int, Frame], dict[Path, str]], frames: list[Frame], cells: int
-) -> list[dict[Path, str]]:
+_Job = Callable[[int, "geometry.Frame"], dict[Path, str]]
+
+
+def _map_frames(job: _Job, frames: list[geometry.Frame], cells: int) -> list[dict[Path, str]]:
     """[job(number, frame) for each frame], in frame order.
 
     The frames run in this process when it may use one CPU, when they hold
     fewer than _PARALLEL_MIN_CELLS grid cells in all (`cells` a frame), or
     when the process runs other threads, whose locks a forked child would
-    inherit held. Otherwise they run on min(CPUs, frames) forked workers,
-    which inherit the loaded modules and pay no import. The jobs write the
-    same files either way. A job's exception is raised here once the running
-    jobs have ended, and the queued ones are dropped; a worker that dies is
-    an OSError.
+    inherit held. Otherwise they run on min(CPUs, frames) forked children
+    (_fork_map), which inherit the loaded modules and the job itself, so
+    nothing is imported or pickled to start them. The jobs write the same
+    files either way.
     """
+    import threading
+
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(frames))
     if workers < 2 or len(frames) * cells < _PARALLEL_MIN_CELLS or threading.active_count() > 1:
         return list(map(job, range(len(frames)), frames))
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    # Four chunks a worker: 1 to 50 frames a chunk took the same time on
+    # the quick start's 100 frames.
+    return _fork_map(job, frames, max(1, len(frames) // (4 * workers)), workers)
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+
+def _fork_map(job: _Job, frames: list[geometry.Frame], size: int, workers: int) -> list[dict[Path, str]]:
+    """[job(number, frame) for each frame] on `workers` forked children, in frame order.
+
+    Chunk k holds frames k * size to (k + 1) * size - 1. Before the first
+    fork every chunk's number goes into one pipe as 4 bytes and its write
+    end is closed, so each 4-byte read a child makes gets one whole number
+    or end of file. There are fewer than 8 chunks a worker, under 32 bytes, well
+    inside a pipe's buffer. A child takes chunks until end of file, so a
+    slow child takes fewer, and answers once on its own pipe (_serve).
+
+    This process reads each answer to end of file and reaps each child. Once
+    every child has ended it raises the exception of the lowest failed
+    frame; a child that ended without an answer is an OSError. No child
+    outlives this call: any still running on the way out is killed and reaped.
+    """
+    import pickle
+    import signal
+
+    tasks, feed = os.pipe()
+    children: dict[int, int | None] = {}  # pid -> read end of its answer pipe, None once closed
     try:
-        # Four chunks a worker: 1 to 50 frames a chunk took the same time on
-        # the quick start's 100 frames.
-        chunksize = max(1, len(frames) // (4 * workers))
-        return list(pool.map(job, range(len(frames)), frames, chunksize=chunksize))
-    except BrokenProcessPool as exc:
-        raise OSError(f"targets worker died: {exc}") from None
+        with open(feed, "wb") as writer:
+            writer.write(b"".join(k.to_bytes(4, "little") for k in range(-(-len(frames) // size))))
+        for _ in range(workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(job, frames, size, tasks, write)
+            except BaseException:
+                os.close(read)
+                raise
+            finally:
+                os.close(write)
+            children[pid] = read
+        outputs: list = [None] * len(frames)
+        failures = []  # (frame number, exception); a dead child sorts after every frame
+        for pid in list(children):
+            answer = _read_to_end(children[pid])
+            os.close(children[pid])
+            children[pid] = None
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if status != 0:
+                how = f"exited with code {status}" if status > 0 else f"was killed by signal {-status}"
+                failures.append((len(frames), OSError(f"targets worker died: process {pid} {how}")))
+                continue
+            done, failed = pickle.loads(answer)
+            for number, written in done:
+                outputs[number] = written
+            if failed is not None:
+                failures.append(failed)
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
+        return outputs
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        os.close(tasks)
+        for pid, read in children.items():
+            if read is not None:
+                os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _serve(job: _Job, frames: list[geometry.Frame], size: int, tasks: int, answer: int) -> None:
+    """A forked child's life: run chunks until end of file, answer once, and exit.
+
+    The answer is one pickle of (done, failed): done lists (number, outputs)
+    of the frames run, failed is None or (number, exception) of the first
+    frame that raised. After a failure the child empties the chunk pipe, so
+    the other children stop after their current chunk. An exception that
+    cannot cross in a pickle crosses as _portable's stand-in. The child ends
+    in os._exit, never returning into the caller's frames; its status is 0
+    only once the whole answer is written.
+    """
+    status = 1
+    try:
+        import pickle
+
+        done, failed = [], None
+        while failed is None and (word := os.read(tasks, 4)):
+            start = int.from_bytes(word, "little") * size
+            for number in range(start, min(start + size, len(frames))):
+                try:
+                    done.append((number, job(number, frames[number])))
+                except Exception as exc:
+                    failed = (number, _portable(exc))
+                    while os.read(tasks, 1 << 16):
+                        pass
+                    break
+        data = memoryview(pickle.dumps((done, failed)))
+        while data:
+            data = data[os.write(answer, data):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _portable(exc: Exception) -> Exception:
+    """exc if it survives a pickle round trip, else a stand-in holding its type name and message.
+
+    The stand-in is an OSError for an OSError, a ValueError for a ValueError
+    and a RuntimeError otherwise, so `main` reports it as it would exc.
+    """
+    import pickle
+
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        kind = (
+            OSError if isinstance(exc, OSError) else ValueError if isinstance(exc, ValueError) else RuntimeError
+        )
+        return kind(f"{type(exc).__name__}: {exc}")
+
+
+def _read_to_end(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
 
 
 def cmd_targets(args: argparse.Namespace) -> int:
-    check_positive("--sigma", args.sigma)
-    check_positive("--th", args.th)
-    check_positive("--rel-radius", args.rel_radius)
+    from dataclasses import replace
+
+    geometry.check_positive("--sigma", args.sigma)
+    geometry.check_positive("--th", args.th)
+    geometry.check_positive("--rel-radius", args.rel_radius)
     dx, dy = _parse_pair(args.grid, "--grid")
     x_min, x_max, y_min, y_max = _parse_extent(args.extent)
     try:
-        grid = GridSpec(x_min, x_max, y_min, y_max, dx, dy)
+        grid = geometry.GridSpec(x_min, x_max, y_min, y_max, dx, dy)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    frames, timestamps = read_scene_jsonl(Path(args.gt))
+    frames, timestamps = formats.read_scene_jsonl(Path(args.gt))
     # Validate every object against the grid and build every offset target
     # before writing anything, so a bad late frame cannot leave partial
     # outputs behind.
     _check_on_grid(frames, grid)
-    motion = motion_offsets(frames)
-    rels = relationship_offsets(frames, radius=args.rel_radius)
+    motion = targets.motion_offsets(frames)
+    rels = targets.relationship_offsets(frames, radius=args.rel_radius)
     offsets = [
         replace(frame, offset=offset, newborn=newborn, rel=rel)
         for frame, (offset, newborn), rel in zip(frames, motion, rels)
     ]
     out = Path(args.out)
     # One table of float texts for all the frames one process runs: the
-    # heatmaps repeat the same stencil values in every frame. On the pool,
-    # each chunk of frames unpickles its own empty copy and fills that.
+    # heatmaps repeat the same stencil values in every frame. Each forked
+    # worker fills its own copy over all the chunks it takes.
     job = partial(
         _frame_targets, out=out, grid=grid, sigma=args.sigma, th=args.th, dump_pgm=args.dump_pgm,
         reprs={},
@@ -316,7 +456,7 @@ def cmd_targets(args: argparse.Namespace) -> int:
     for written in _map_frames(job, frames, grid.nx * grid.ny):
         outputs.update(written)
     offsets_path = out / "offsets.jsonl"
-    outputs[offsets_path] = write_offsets_jsonl(offsets_path, offsets, timestamps)
+    outputs[offsets_path] = formats.write_offsets_jsonl(offsets_path, offsets, timestamps)
     config = {
         "grid": {"dx": dx, "dy": dy, "x_min": x_min, "x_max": x_max, "y_min": y_min, "y_max": y_max},
         "sigma": args.sigma,
@@ -330,16 +470,16 @@ def cmd_targets(args: argparse.Namespace) -> int:
 
 
 def cmd_track(args: argparse.Namespace) -> int:
-    cfg = TrackerConfig(
+    cfg = tracker.TrackerConfig(
         max_match_dist=args.max_match_dist,
         max_age=args.max_age,
         birth_score_min=args.birth_score_min,
     )
-    det_frames, timestamps = read_detections_jsonl(Path(args.det))
-    tracks = run_sequence(det_frames, cfg)
+    det_frames, timestamps = formats.read_detections_jsonl(Path(args.det))
+    tracks = tracker.run_sequence(det_frames, cfg)
     out = Path(args.out)
     traj_path = out / "traj.jsonl"
-    digest = write_trajectories_jsonl(traj_path, tracks, timestamps)
+    digest = formats.write_trajectories_jsonl(traj_path, tracks, timestamps)
     config = {
         "max_match_dist": cfg.max_match_dist,
         "max_age": cfg.max_age,
@@ -356,30 +496,30 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"need one --traj per --gt, got {len(args.gt)} vs {len(args.traj)}"
         )
-    cfg = MatchConfig(iou_threshold=args.iou_th)
+    cfg = evaluator.MatchConfig(iou_threshold=args.iou_th)
     per_seq = []
     densities = []
     lines = []
     for gt_path, traj_path in zip(args.gt, args.traj):
-        gt_frames, gt_times = read_scene_jsonl(Path(gt_path))
-        pred_frames, pred_times = read_trajectories_jsonl(Path(traj_path))
+        gt_frames, gt_times = formats.read_scene_jsonl(Path(gt_path))
+        pred_frames, pred_times = formats.read_trajectories_jsonl(Path(traj_path))
         _check_same_sequence(gt_path, gt_times, traj_path, pred_times)
         _check_tracked_from_scene(gt_path, traj_path)
-        metrics = evaluate_sequence(gt_frames, pred_frames, cfg)
-        density = density_stats(gt_frames, radius=args.radius)
+        metrics = evaluator.evaluate_sequence(gt_frames, pred_frames, cfg)
+        density = evaluator.density_stats(gt_frames, radius=args.radius)
         samples = sum(len(f) for f in gt_frames)
         per_seq.append(metrics)
         densities.append((density, samples))
         lines.append(f"sequence: gt={gt_path} traj={traj_path}")
         lines += _metric_lines(metrics, density, args.radius)
-    total = aggregate(per_seq)
+    total = evaluator.aggregate(per_seq)
     pooled_density = sum(d * s for d, s in densities) / sum(s for _, s in densities)
     lines.append("aggregate:")
     lines += _metric_lines(total, pooled_density, args.radius)
     report = "\n".join(lines) + "\n"
     out = Path(args.out)
     report_path = out / "report.txt"
-    digest = atomic_write_text(report_path, report)
+    digest = formats.atomic_write_text(report_path, report)
     config = {"iou_threshold": cfg.iou_threshold, "density_radius": args.radius}
     inputs = [Path(p) for p in args.gt] + [Path(p) for p in args.traj]
     _write_manifest(out, "eval", config, inputs, {report_path: digest})
@@ -454,18 +594,20 @@ def _metric_lines(metrics, density: float, radius: float) -> list[str]:
 
 
 def cmd_density(args: argparse.Namespace) -> int:
-    frames, _ = read_scene_jsonl(Path(args.gt))
-    density = density_stats(frames, radius=args.radius)
+    frames, _ = formats.read_scene_jsonl(Path(args.gt))
+    density = evaluator.density_stats(frames, radius=args.radius)
     text = f"density@{args.radius}m {density!r}\n"
     out = Path(args.out)
     density_path = out / "density.txt"
-    digest = atomic_write_text(density_path, text)
+    digest = formats.atomic_write_text(density_path, text)
     _write_manifest(out, "density", {"radius": args.radius}, [Path(args.gt)], {density_path: digest})
     _say(text.rstrip("\n"))
     return 0
 
 
 def cmd_voxelshapes(args: argparse.Namespace) -> int:
+    import numpy as np
+
     if args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     try:
@@ -482,8 +624,10 @@ def cmd_voxelshapes(args: argparse.Namespace) -> int:
     if raw.shape[1] < 5:
         pad = np.zeros((raw.shape[0], 5 - raw.shape[1]))
         raw = np.hstack([raw, pad])
-    pc = PointCloud(raw)
-    rows = topology_report(pc, VoxelSpec(), topology=args.topology, widths=DEFAULT_WIDTHS)
+    pc = sparsegrid.PointCloud(raw)
+    rows = sparsegrid.topology_report(
+        pc, sparsegrid.VoxelSpec(), topology=args.topology, widths=sparsegrid.DEFAULT_WIDTHS
+    )
     lines = [f"{'stage':<8}{'stride':>7}{'bev_res_m':>11}{'shape':>18}{'occupied':>10}{'channels':>10}"]
     for row in rows:
         shape = "x".join(str(s) for s in row["shape"])
@@ -495,8 +639,8 @@ def cmd_voxelshapes(args: argparse.Namespace) -> int:
     text = "\n".join(lines) + "\n"
     out = Path(args.out)
     table_path = out / "voxelshapes.txt"
-    digest = atomic_write_text(table_path, text)
-    config = {"topology": args.topology, "seed": args.seed, "widths": list(DEFAULT_WIDTHS)}
+    digest = formats.atomic_write_text(table_path, text)
+    config = {"topology": args.topology, "seed": args.seed, "widths": list(sparsegrid.DEFAULT_WIDTHS)}
     _write_manifest(out, "voxelshapes", config, [Path(args.points)], {table_path: digest})
     _say(text.rstrip("\n"))
     return 0

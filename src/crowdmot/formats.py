@@ -58,7 +58,10 @@ import numpy as np
 
 from .geometry import BOX_FIELDS, Frame, GridSpec, wrap_yaw
 from .records import Box3D
-from .targets import DenseGrid2D
+
+# Left unexecuted until read_grid builds a grid, so reading and writing JSONL
+# does not load the targets module (see the package).
+from . import targets
 
 
 class FormatError(ValueError):
@@ -491,14 +494,14 @@ def _rows(table: np.ndarray, codes: np.ndarray) -> list[str]:
     return rows
 
 
-def write_grid(path: Path, grid: DenseGrid2D, memo: Optional[dict[int, str]] = None) -> str:
+def write_grid(path: Path, grid: targets.DenseGrid2D, memo: Optional[dict[int, str]] = None) -> str:
     """Write a grid file; memo, a dict of bit pattern -> repr, is read and filled as _repr_table's."""
     spec = grid.grid
     header = f"{spec.nx} {spec.ny} {spec.dx!r} {spec.dy!r} {spec.x_min!r} {spec.y_min!r}"
     return atomic_write_text(path, "\n".join([header, *_rows(*_repr_table(grid.values, memo))]) + "\n")
 
 
-def read_grid(path: Path) -> DenseGrid2D:
+def read_grid(path: Path) -> targets.DenseGrid2D:
     with open(path) as handle:
         header = handle.readline().split()
         if len(header) != 6:
@@ -509,13 +512,13 @@ def read_grid(path: Path) -> DenseGrid2D:
     if values.shape != (nx, ny):
         raise FormatError(f"{path}: grid body {values.shape} does not match header")
     spec = GridSpec(x_min, x_min + nx * dx, y_min, y_min + ny * dy, dx, dy)
-    return DenseGrid2D(spec, values)
+    return targets.DenseGrid2D(spec, values)
 
 
 _PGM_LEVELS = np.array([str(level) for level in range(256)], dtype=object)
 
 
-def write_pgm(path: Path, grid: DenseGrid2D) -> str:
+def write_pgm(path: Path, grid: targets.DenseGrid2D) -> str:
     """Grayscale dump: values scaled so the grid maximum maps to 255."""
     values = grid.values
     peak = float(values.max())

@@ -37,6 +37,10 @@ class FrameError(ValueError):
         super().__init__(message)
         self.frame = frame
 
+    def __reduce__(self):
+        # ValueError's own reduce rebuilds from args alone, which lack `frame`.
+        return type(self), (self.args[0], self.frame)
+
 
 @dataclass(frozen=True, eq=False)
 class DenseGrid2D:

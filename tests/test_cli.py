@@ -340,7 +340,7 @@ class TestTargetsWorkers:
                 raise AssertionError("frames ran in the parent process")
             os._exit(3)
 
-        monkeypatch.setattr(crowdmot.cli, "make_heatmap", die_in_a_worker)
+        monkeypatch.setattr(crowdmot.targets, "make_heatmap", die_in_a_worker)
         self.cpus(monkeypatch, 2, pool=True)
         out = tmp_path / "out"
         assert self.run(gen_dir / "gt.jsonl", out) == 2
@@ -348,6 +348,88 @@ class TestTargetsWorkers:
         assert err.startswith("error: targets worker died: ") and err.count("\n") == 1
         assert multiprocessing.active_children() == []
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("case", ["success", "os-error", "dead-worker"])
+    def test_no_child_is_left(self, gen_dir, tmp_path, monkeypatch, case):
+        # multiprocessing.active_children() cannot see a child forked with
+        # os.fork; waitpid sees every child of this process.
+        parent = os.getpid()
+
+        def die_in_a_worker(frame, grid, sigma):
+            if os.getpid() == parent:
+                raise AssertionError("frames ran in the parent process")
+            os._exit(3)
+
+        out = tmp_path / "out"
+        if case == "os-error":
+            (out / "heatmap_0002.grid").mkdir(parents=True)
+        if case == "dead-worker":
+            monkeypatch.setattr(crowdmot.targets, "make_heatmap", die_in_a_worker)
+        forks = self.cpus(monkeypatch, 2, pool=True)
+        assert self.run(gen_dir / "gt.jsonl", out) == (0 if case == "success" else 2)
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_job_that_cannot_be_pickled_runs_on_the_workers(self):
+        # The workers inherit the job, so a closure works; a pool that pickled
+        # it hung here, so the pool runs in a subprocess with a timeout.
+        code = (
+            "import os\n"
+            "import crowdmot.cli as cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "tag = 'frame'\n"
+            "job = lambda number, frame: f'{tag} {number} {frame} {os.getpid() != parent}'\n"
+            "parent = os.getpid()\n"
+            "print(cli._map_frames(job, list('abcdefghij'), cli._PARALLEL_MIN_CELLS), len(forks))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        expected = [f"frame {n} {c} True" for n, c in enumerate("abcdefghij")]
+        assert result.stdout.splitlines()[-1] == f"{expected} 2"
+
+    def test_each_frame_runs_once_on_more_workers_than_cpus(self, tmp_path):
+        # The workers share one chunk pipe: a chunk taken twice or lost shows
+        # in the log each frame appends to.
+        code = (
+            "import os, sys\n"
+            "import crowdmot.cli as cli\n"
+            "def job(number, frame):\n"
+            "    fd = os.open(sys.argv[1], os.O_WRONLY | os.O_APPEND | os.O_CREAT)\n"
+            "    os.write(fd, b'%d\\n' % number)\n"
+            "    os.close(fd)\n"
+            "    return frame\n"
+            "frames = list(range(500))\n"
+            "print(cli._fork_map(job, frames, 1, len(os.sched_getaffinity(0)) + 2) == frames)\n"
+        )
+        log = tmp_path / "log"
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(log)], capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "True"
+        assert sorted(map(int, log.read_text().split())) == list(range(500))
+
+    def test_an_exception_that_cannot_be_pickled_keeps_its_kind_and_message(self):
+        class Unpicklable(OSError):
+            def __reduce__(self):
+                raise TypeError("not picklable")
+
+        def job(number, frame):
+            if frame == 7:
+                raise Unpicklable(f"frame {frame} failed")
+            if frame == 3:
+                raise ValueError("an earlier frame failed")
+            return frame
+
+        with pytest.raises(ValueError, match="^an earlier frame failed$"):
+            crowdmot.cli._fork_map(job, list(range(10)), 2, 2)
+        with pytest.raises(OSError, match="^Unpicklable: frame 7 failed$"):
+            crowdmot.cli._fork_map(job, [*range(3), *range(4, 10)], 2, 2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestTrackAndEval:

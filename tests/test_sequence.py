@@ -242,7 +242,7 @@ class TestOneCallPerSequence:
     def test_targets_makes_one_join_and_one_query(self, long_scene, tmp_path, monkeypatch):
         frames, _, timestamps = long_scene
         write_scene_jsonl(tmp_path / "gt.jsonl", frames, timestamps)
-        joins = counting(monkeypatch, crowdmot.cli, "motion_offsets")
+        joins = counting(monkeypatch, crowdmot.targets, "motion_offsets")
         queries = counting(monkeypatch, crowdmot.targets, "pairs_within")
         # 60 x 40 cells a frame: below the work size of the worker pool.
         rc = main(["targets", "--gt", str(tmp_path / "gt.jsonl"), "--out", str(tmp_path / "out"),

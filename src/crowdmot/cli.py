@@ -236,17 +236,15 @@ def _check_on_grid(frames: list[geometry.Frame], grid: geometry.GridSpec) -> Non
     """Raise OutOfBoundsError naming the first frame and object off the grid's extents."""
     import numpy as np
 
-    xy = np.concatenate([np.zeros((0, 2)), *(frame.boxes[:, :2] for frame in frames)])
-    x, y = xy[:, 0], xy[:, 1]
-    if ((grid.x_min <= x) & (x < grid.x_max) & (grid.y_min <= y) & (y < grid.y_max)).all():
-        return
-    # Only a bad input gets here: find the object to name, as quantize_to_grid words it.
-    for number, frame in enumerate(frames):
-        for key, (x, y) in zip(frame.ids.tolist(), frame.boxes[:, :2].tolist()):
-            try:
-                geometry.quantize_to_grid(x, y, grid)
-            except geometry.OutOfBoundsError as exc:
-                raise geometry.OutOfBoundsError(f"frame {number}, object {key}: {exc}") from None
+    xy = geometry.Stacked([frame.boxes[:, :2] for frame in frames], np.zeros((0, 2)))
+    try:
+        geometry.grid_cells(xy.rows, grid)
+    except geometry.OutOfBoundsError as exc:
+        # Only a bad input gets here: find the frame and object the error names.
+        row = int(geometry.to_cells(xy.rows, grid)[0].argmin())
+        number = int(xy.number[row])
+        key = frames[number].ids[row - xy.start[number]].item()
+        raise geometry.OutOfBoundsError(f"frame {number}, object {key}: {exc}") from None
 
 
 def _frame_targets(

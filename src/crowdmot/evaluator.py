@@ -15,7 +15,7 @@ from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Frame, bev_iou_bounds, bev_iou_pairs, check_positive, footprints, pairs_within
+from .geometry import Frame, Stacked, bev_iou_bounds, bev_iou_pairs, check_positive, footprints, pairs_within
 from .records import DENSITY_RADIUS
 
 # Coverage thresholds for mostly-tracked / mostly-lost trajectory counting.
@@ -99,16 +99,13 @@ def _sequence_ious(
     dropped before clipping, in batches of the same size; in a dense crowd
     that is over half of them.
     """
-    frames = range(len(gt_boxes))
-    gt = footprints(np.concatenate([np.zeros((0, 7)), *gt_boxes]))
-    pred = footprints(np.concatenate([np.zeros((0, 7)), *pred_boxes]))
-    gt_start = np.cumsum([0, *map(len, gt_boxes)])
-    pred_start = np.cumsum([0, *map(len, pred_boxes)])
+    gt_rows = Stacked(gt_boxes, np.zeros((0, 7)))
+    pred_rows = Stacked(pred_boxes, np.zeros((0, 7)))
+    gt, pred = footprints(gt_rows.rows), footprints(pred_rows.rows)
     # IoU is 0 beyond the sum of the half-diagonals, at most twice the largest.
     sides = np.concatenate([gt[:, 2:4], pred[:, 2:4]]).T.tolist()
     reach = max(map(math.hypot, *sides), default=0.0)
-    groups = (np.repeat(frames, np.diff(gt_start)), np.repeat(frames, np.diff(pred_start)))
-    i, j = pairs_within(gt[:, :2], pred[:, :2], reach, groups)
+    i, j = pairs_within(gt[:, :2], pred[:, :2], reach, (gt_rows.number, pred_rows.number))
     if threshold is not None:
         keep = np.concatenate([np.zeros(0, dtype=bool)] + [
             bev_iou_bounds(gt, pred, i[k:k + _IOU_BATCH], j[k:k + _IOU_BATCH]) >= threshold
@@ -120,10 +117,10 @@ def _sequence_ious(
         for k in range(0, len(i), _IOU_BATCH)
     ])
     # Pairs are sorted by i, and a frame's GT rows are contiguous.
-    cut = np.searchsorted(i, gt_start)
+    cut = np.searchsorted(i, gt_rows.start).tolist()
     return [
-        (i[lo:hi] - gt_start[f], j[lo:hi] - pred_start[f], iou[lo:hi])
-        for f, lo, hi in zip(frames, cut[:-1].tolist(), cut[1:].tolist())
+        (i[lo:hi] - gt_rows.start[f], j[lo:hi] - pred_rows.start[f], iou[lo:hi])
+        for f, (lo, hi) in enumerate(zip(cut, cut[1:]))
     ]
 
 
@@ -459,11 +456,11 @@ def density_stats(frames: Sequence[Frame], radius: float = DENSITY_RADIUS) -> fl
     excluding the pedestrian itself, then averaged over all pedestrian-frames.
     """
     check_positive("radius", radius)
-    xy = np.concatenate([np.zeros((0, 2)), *(frame.boxes[:, :2] for frame in frames)])
+    stacked = Stacked([frame.boxes[:, :2] for frame in frames], np.zeros((0, 2)))
+    xy, number = stacked.rows, stacked.number
     if len(xy) == 0:
         raise MetricUndefinedError("density undefined for an empty scene")
     # One query over all frames: a pair counts only within its own frame.
-    number = np.repeat(np.arange(len(frames)), [len(frame) for frame in frames])
     i, j = pairs_within(xy, xy, radius, (number, number))
     d = xy[i] - xy[j]
     total = int(np.count_nonzero((i != j) & (d[:, 0] ** 2 + d[:, 1] ** 2 < radius * radius)))

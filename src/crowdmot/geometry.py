@@ -9,16 +9,17 @@ to the JSONL writers works on Frames.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .records import BoxBEV
 
-# Cells whose fractional index lands within this distance of an integer are
-# snapped up before flooring, so boundary coordinates quantize into the cell
-# they start (exact-arithmetic floor semantics despite float division).
+# A cell index whose fraction lands within this distance of an integer is
+# snapped up before flooring, so a coordinate on a cell boundary lands in the
+# cell it starts (exact-arithmetic floor semantics despite float division).
+# The one cell rule of BEV grids and voxel grids alike: see to_cells.
 _SNAP = 1e-9
 
 # Intersections with polygon area below this are treated as empty.
@@ -37,6 +38,10 @@ class OutOfBoundsError(ValueError):
     """A coordinate or cell index fell outside its grid."""
 
 
+class GridMismatchError(ValueError):
+    """Dense grids passed to one operation do not share a GridSpec."""
+
+
 def check_positive(name: str, value: float) -> None:
     """Raise ValueError unless value is finite and above zero."""
     if not 0.0 < value < math.inf:
@@ -44,12 +49,12 @@ def check_positive(name: str, value: float) -> None:
 
 
 def check_finite_fields(config) -> None:
-    """Raise ValueError naming the first dataclass field that holds a non-finite float."""
-    for field in fields(config):
-        value = getattr(config, field.name)
+    """Raise ValueError naming the first dataclass init field that holds a non-finite float."""
+    for name in (f.name for f in fields(config) if f.init):
+        value = getattr(config, name)
         for item in value if isinstance(value, tuple) else (value,):
             if isinstance(item, float) and not math.isfinite(item):
-                raise ValueError(f"{field.name} must be finite, got {value}")
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 def distinct(values, return_inverse: bool = False, return_counts: bool = False):
@@ -84,9 +89,87 @@ def distinct(values, return_inverse: bool = False, return_counts: bool = False):
     return result
 
 
+class Stacked:
+    """Per-frame arrays of rows, stacked frame after frame.
+
+    rows holds every part's rows in part order, start the row each part
+    begins at and then the row count, and number each row's part number. A
+    sequence of no parts stacks to `empty`, an array of no rows with the
+    parts' row shape and dtype.
+    """
+
+    def __init__(self, parts: Sequence[np.ndarray], empty: np.ndarray):
+        self.rows = np.concatenate([empty, *parts])
+        self.start = np.cumsum([0, *map(len, parts)])
+        self.number = np.repeat(np.arange(len(parts)), np.diff(self.start))
+
+    def split(self, rows: np.ndarray) -> list[np.ndarray]:
+        """rows, one for each stacked row, cut back into one array per part."""
+        bounds = self.start.tolist()
+        return [rows[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _bounds(spec, axes: str) -> list[list[float]]:
+    """The lows, the highs and the cell sizes of the named axes of a grid spec."""
+    return [[getattr(spec, name.format(a)) for a in axes] for name in ("{}_min", "{}_max", "d{}")]
+
+
+def cell_counts(spec, axes: str) -> tuple[int, ...]:
+    """The cell count along each axis of a grid spec; ValueError unless the spec is valid.
+
+    spec has the fields {a}_min, {a}_max and d{a} for each letter a of axes.
+    Every field must be finite, every extent non-empty and every cell size
+    positive, and each extent must hold a whole number of cells, at least
+    one, within 1e-6. GridSpec ("xy") and sparsegrid.VoxelSpec ("xyz") both
+    check themselves here.
+    """
+    check_finite_fields(spec)
+    low, high, step = _bounds(spec, axes)
+    if not all(h > lo for lo, h in zip(low, high)):
+        raise ValueError(f"degenerate extents: {spec}")
+    if not all(d > 0.0 for d in step):
+        sizes = ", ".join(f"d{a}={d}" for a, d in zip(axes, step))
+        raise ValueError(f"cell sizes must be positive: {sizes}")
+    counts = []
+    for a, lo, h, d in zip(axes, low, high, step):
+        cells = (h - lo) / d
+        if not math.isfinite(cells):
+            raise ValueError(f"{a} extent {h - lo} holds no finite number of {d} m cells")
+        if abs(cells - round(cells)) > 1e-6 or round(cells) < 1:
+            raise ValueError(f"{a} extent {h - lo} is not a whole number of {d} m cells")
+        counts.append(round(cells))
+    return tuple(counts)
+
+
+def to_cells(points, spec) -> tuple[np.ndarray, np.ndarray]:
+    """Which rows of points lie inside a grid spec's extents, and the cells of those rows.
+
+    spec is a GridSpec or a sparsegrid.VoxelSpec of d axes (x, y, then z),
+    and the first d columns of the (n, >= d) points hold their coordinates.
+    A row is inside when low <= p < high on every axis. Its index on an
+    axis is floor((p - low) / step + _SNAP), at most the last cell: the snap
+    can carry a point an ulp below the upper extent onto the bound. Returns
+    the (n,) bool mask and the (inside rows, d) int64 cells, in input order.
+    """
+    low, high, step = np.array(_bounds(spec, "xyz"[: len(spec.shape)]))
+    coords = np.asarray(points, dtype=np.float64)[:, : len(low)]
+    inside = np.ones(len(coords), dtype=bool)
+    # Axis by axis: on 20k voxel points, 0.19 ms against 1.08 ms for one
+    # (n, 3) comparison reduced along its rows (2-vCPU VM, numpy 2.4).
+    for axis in range(len(low)):
+        inside &= (coords[:, axis] >= low[axis]) & (coords[:, axis] < high[axis])
+    kept = coords if inside.all() else coords[inside]
+    cells = np.floor((kept - low) / step + _SNAP).astype(np.int64)
+    np.minimum(cells, np.array(spec.shape) - 1, out=cells)
+    return inside, cells
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular BEV grid: extents in meters, cell sizes dx/dy in meters."""
+    """Rectangular BEV grid: extents in meters, cell sizes dx/dy in meters.
+
+    shape (nx, ny) holds the cell counts cell_counts found.
+    """
 
     x_min: float
     x_max: float
@@ -94,32 +177,53 @@ class GridSpec:
     y_max: float
     dx: float
     dy: float
+    shape: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        check_finite_fields(self)
-        if not (self.x_max > self.x_min and self.y_max > self.y_min):
-            raise ValueError(f"degenerate extents: {self}")
-        if not (self.dx > 0.0 and self.dy > 0.0):
-            raise ValueError(f"cell sizes must be positive: dx={self.dx}, dy={self.dy}")
-        for extent, step, name in (
-            (self.x_max - self.x_min, self.dx, "x"),
-            (self.y_max - self.y_min, self.dy, "y"),
-        ):
-            cells = extent / step
-            if not math.isfinite(cells):
-                raise ValueError(f"{name} extent {extent} holds no finite number of {step} m cells")
-            if abs(cells - round(cells)) > 1e-6 or round(cells) < 1:
-                raise ValueError(
-                    f"{name} extent {extent} is not a whole number of {step} m cells"
-                )
+        object.__setattr__(self, "shape", cell_counts(self, "xy"))
 
     @property
     def nx(self) -> int:
-        return round((self.x_max - self.x_min) / self.dx)
+        return self.shape[0]
 
     @property
     def ny(self) -> int:
-        return round((self.y_max - self.y_min) / self.dy)
+        return self.shape[1]
+
+
+@dataclass(frozen=True, eq=False)
+class DenseGrid2D:
+    """A dense nx-by-ny array of values laid over a BEV grid.
+
+    values[j, k] corresponds to cell (j, k) of the grid; j indexes x, k
+    indexes y.
+    """
+
+    grid: GridSpec
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        arr = np.asarray(self.values, dtype=np.float64)
+        if arr.shape != self.grid.shape:
+            raise GridMismatchError(f"values shape {arr.shape} does not match grid {self.grid.shape}")
+        object.__setattr__(self, "values", arr)
+
+
+def _off_grid(x, y, grid: GridSpec) -> OutOfBoundsError:
+    extents = f"[{grid.x_min}, {grid.x_max}) x [{grid.y_min}, {grid.y_max})"
+    return OutOfBoundsError(f"point ({x}, {y}) outside grid extents {extents}")
+
+
+def grid_cells(xy: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The (n, 2) cells (j, k) of (n, 2) BEV points, each as quantize_to_grid gives it.
+
+    A point outside the grid's half-open extents raises OutOfBoundsError,
+    naming the first such point as quantize_to_grid does.
+    """
+    inside, cells = to_cells(xy, grid)
+    if not inside.all():
+        raise _off_grid(*xy[inside.argmin()].tolist(), grid)
+    return cells
 
 
 def quantize_to_grid(x: float, y: float, grid: GridSpec) -> tuple[int, int]:
@@ -127,18 +231,12 @@ def quantize_to_grid(x: float, y: float, grid: GridSpec) -> tuple[int, int]:
 
     Floor semantics: j = floor((x - x_min) / dx), likewise for k. Points
     outside the half-open extents [x_min, x_max) x [y_min, y_max) raise
-    OutOfBoundsError; there is no clamping.
+    OutOfBoundsError; there is no clamping. The one-point case of to_cells.
     """
-    if not (grid.x_min <= x < grid.x_max and grid.y_min <= y < grid.y_max):
-        raise OutOfBoundsError(
-            f"point ({x}, {y}) outside grid extents "
-            f"[{grid.x_min}, {grid.x_max}) x [{grid.y_min}, {grid.y_max})"
-        )
-    j = int(math.floor((x - grid.x_min) / grid.dx + _SNAP))
-    k = int(math.floor((y - grid.y_min) / grid.dy + _SNAP))
-    # The snap can only overflow for in-range points sitting a float ulp
-    # below the upper extent; those belong to the last cell.
-    return min(j, grid.nx - 1), min(k, grid.ny - 1)
+    inside, cells = to_cells([[x, y]], grid)
+    if not inside[0]:
+        raise _off_grid(x, y, grid)
+    return tuple(cells[0].tolist())
 
 
 def cell_center(j: int, k: int, grid: GridSpec, midpoint: bool = False) -> tuple[float, float]:

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Frame, check_finite_fields, distinct, pairs_within, wrap_yaw
+from .geometry import Frame, Stacked, check_finite_fields, distinct, pairs_within, wrap_yaw
 from .records import DENSITY_RADIUS, normalize_yaw
 from .targets import FrameError, motion_offsets, relationship_offsets
 
@@ -550,7 +550,7 @@ def corrupt(frames: list[Frame], noise: NoiseConfig) -> list[Frame]:
     """
     rng = np.random.default_rng([noise.seed, 0xD1CE])
     # Clutter is spawned over the bounding extent of the scene, padded a little.
-    xy = np.vstack([np.zeros((0, 2)), *(f.boxes[:, :2] for f in frames)])
+    xy = Stacked([f.boxes[:, :2] for f in frames], np.zeros((0, 2))).rows
     if len(xy):
         cl_lo, cl_hi = (xy.min(axis=0) - 2.0).tolist(), (xy.max(axis=0) + 2.0).tolist()
     else:

@@ -14,7 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import Frame, GridSpec, check_positive, distinct, pairs_within, quantize_to_grid
+from .geometry import (DenseGrid2D, Frame, GridMismatchError, GridSpec, Stacked, check_positive, distinct,
+                       grid_cells, pairs_within)
 
 # Predicted probabilities are clamped into [EPS, 1-EPS] before the loss.
 PROB_EPS = 1e-7
@@ -24,10 +25,6 @@ DEFAULT_NEIGHBOR_RADIUS = 3.0
 # exp(-x) is exactly 0.0 in float64 for every x >= 746, so the heatmap kernel
 # vanishes beyond sqrt(746) * sigma cells.
 _EXP_UNDERFLOW = math.sqrt(746.0)
-
-
-class GridMismatchError(ValueError):
-    """Dense grids passed to one operation do not share a GridSpec."""
 
 
 class FrameError(ValueError):
@@ -40,27 +37,6 @@ class FrameError(ValueError):
     def __reduce__(self):
         # ValueError's own reduce rebuilds from args alone, which lack `frame`.
         return type(self), (self.args[0], self.frame)
-
-
-@dataclass(frozen=True, eq=False)
-class DenseGrid2D:
-    """A dense nx-by-ny array of values laid over a BEV grid.
-
-    values[j, k] corresponds to cell (j, k) of the grid; j indexes x, k
-    indexes y.
-    """
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.shape != (self.grid.nx, self.grid.ny):
-            raise GridMismatchError(
-                f"values shape {arr.shape} does not match grid "
-                f"({self.grid.nx}, {self.grid.ny})"
-            )
-        object.__setattr__(self, "values", arr)
 
 
 @dataclass(frozen=True)
@@ -83,19 +59,6 @@ class LossParams:
             raise ValueError("alpha, gamma and weight_floor must be non-negative")
         check_positive("sigma", self.sigma)
         check_positive("th", self.th)
-
-
-def _stack(frames: Sequence[Frame]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every frame's ids, box rows and frame numbers, stacked in frame order."""
-    ids = np.concatenate([np.zeros(0, dtype=np.int64), *(f.ids for f in frames)])
-    boxes = np.concatenate([np.zeros((0, 7)), *(f.boxes for f in frames)])
-    return ids, boxes, np.repeat(np.arange(len(frames)), [len(f) for f in frames])
-
-
-def _per_frame(rows: np.ndarray, frames: Sequence[Frame]) -> list[np.ndarray]:
-    """Rows stacked frame after frame, cut back into one array per frame."""
-    bounds = np.cumsum([0, *map(len, frames)]).tolist()
-    return [rows[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _first_repeat(ids: np.ndarray, number: np.ndarray, order: np.ndarray) -> Optional[FrameError]:
@@ -156,8 +119,7 @@ def make_heatmap(
     # exp takes them to 0.0, the kernel's value there.
     with np.errstate(over="ignore"):
         stamp = np.exp(-(dj**2 + dk**2) * (1.0 / (sigma * sigma)))
-    for x, y in frame.boxes[:, :2].tolist():
-        j_star, k_star = quantize_to_grid(x, y, grid)
+    for j_star, k_star in grid_cells(frame.boxes[:, :2], grid).tolist():
         j0, j1 = max(j_star - rj, 0), min(j_star + rj + 1, grid.nx)
         k0, k1 = max(k_star - rk, 0), min(k_star + rk + 1, grid.ny)
         window = heat[j0:j1, k0:k1]
@@ -196,9 +158,9 @@ def make_daw(
     # Capped at the grid size, so a huge th cannot overflow the ceil.
     rj = math.ceil(min(th / grid.dx, grid.nx)) + 1
     rk = math.ceil(min(th / grid.dy, grid.ny)) + 1
-    for x, y in frame.boxes[:, :2].tolist():
-        # Also validates the object is on the grid, like the heatmap path.
-        j, k = quantize_to_grid(x, y, grid)
+    # Also validates that every object is on the grid, like the heatmap path.
+    cells = grid_cells(frame.boxes[:, :2], grid)
+    for (x, y), (j, k) in zip(frame.boxes[:, :2].tolist(), cells.tolist()):
         sj, sk = slice(max(j - rj, 0), j + rj + 1), slice(max(k - rk, 0), k + rk + 1)
         d2 = (gx[sj, None] - x) ** 2 + (gy[None, sk] - y) ** 2
         weights[sj, sk] += d2 < th2
@@ -257,7 +219,9 @@ def motion_offsets(frames: Sequence[Frame]) -> list[tuple[np.ndarray, np.ndarray
     error of the first frame that repeats an id or whose offset overflows,
     as a frame-by-frame loop would, as a FrameError that holds its number.
     """
-    ids, boxes, number = _stack(frames)
+    stacked = Stacked([f.boxes for f in frames], np.zeros((0, 7)))
+    ids = Stacked([f.ids for f in frames], np.zeros(0, dtype=np.int64)).rows
+    boxes, number = stacked.rows, stacked.number
     order = np.lexsort((number, ids))
     repeat = _first_repeat(ids, number, order)
     follows = (ids[order[1:]] == ids[order[:-1]]) & (number[order[1:]] == number[order[:-1]] + 1)
@@ -276,7 +240,7 @@ def motion_offsets(frames: Sequence[Frame]) -> list[tuple[np.ndarray, np.ndarray
         raise FrameError(
             "motion offset must be finite: a centre moved beyond the float range", int(overflow.min())
         )
-    return list(zip(_per_frame(offset, frames), _per_frame(newborn, frames)))
+    return list(zip(stacked.split(offset), stacked.split(newborn)))
 
 
 def make_motion_offsets(curr: Frame, prev: Frame) -> tuple[np.ndarray, np.ndarray]:
@@ -300,7 +264,9 @@ def relationship_offsets(
     frames: Sequence[Frame], radius: float = DEFAULT_NEIGHBOR_RADIUS
 ) -> list[np.ndarray]:
     """make_relationship_offsets of every frame, from one neighbour query over them all."""
-    ids, boxes, number = _stack(frames)
+    stacked = Stacked([f.boxes for f in frames], np.zeros((0, 7)))
+    ids = Stacked([f.ids for f in frames], np.zeros(0, dtype=np.int64)).rows
+    boxes, number = stacked.rows, stacked.number
     repeat = _first_repeat(ids, number, np.lexsort((number, ids)))
     if repeat is not None:
         raise repeat
@@ -317,7 +283,7 @@ def relationship_offsets(
     first = order[np.cumsum(counts) - counts]
     rel = np.full((len(ids), 2), np.nan)
     rel[i[first]] = d[first]
-    return _per_frame(rel, frames)
+    return stacked.split(rel)
 
 
 def make_relationship_offsets(frame: Frame, radius: float = DEFAULT_NEIGHBOR_RADIUS) -> np.ndarray:

@@ -20,6 +20,10 @@ error.
 topology_report_by_features is the voxelshapes table as it was first
 built: from the grids of the whole feature algebra, voxelize through the
 encoder chain and the fusion, reading each row off a grid.
+
+The cell-rule oracles are the two copies of the rule that geometry.to_cells
+replaced: the scalar quantize_to_grid, one point at a time, and the voxel
+quantizer of sparsegrid, one axis at a time.
 """
 
 import itertools
@@ -30,13 +34,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from crowdmot.evaluator import EvalCounts, SequenceMetrics, match_frame, mota, mtr_mlr
-from crowdmot.geometry import BOX_FIELDS, Frame, bev_iou, bev_iou_pairs, footprints, pairs_within
+from crowdmot.geometry import (
+    BOX_FIELDS,
+    Frame,
+    OutOfBoundsError,
+    bev_iou,
+    bev_iou_pairs,
+    footprints,
+    pairs_within,
+)
 from crowdmot.records import Box3D
 from crowdmot.simulator import MIN_SEPARATION
 from crowdmot.sparsegrid import DEFAULT_WIDTHS, VoxelSpec, encoder_chain, fuse_hr, fuse_ms, voxelize
 
 # Totals this close to the best one count as ties.
 TIE = 1e-12
+
+# The snap of the cell-rule oracles: a fraction this close to an integer floors up.
+SNAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -379,3 +394,29 @@ def topology_report_by_features(pc, spec=VoxelSpec(), topology="a", widths=DEFAU
     ]
     rows[-1]["dropped_points"] = base.n_dropped
     return rows
+
+
+def quantize_scalar(x, y, grid):
+    """quantize_to_grid on Python scalars: the extent test, the snapped floor, the clamp."""
+    if not (grid.x_min <= x < grid.x_max and grid.y_min <= y < grid.y_max):
+        raise OutOfBoundsError(
+            f"point ({x}, {y}) outside grid extents "
+            f"[{grid.x_min}, {grid.x_max}) x [{grid.y_min}, {grid.y_max})"
+        )
+    j = int(math.floor((x - grid.x_min) / grid.dx + SNAP))
+    k = int(math.floor((y - grid.y_min) / grid.dy + SNAP))
+    return min(j, grid.nx - 1), min(k, grid.ny - 1)
+
+
+def quantize_voxels_by_axis(points, spec):
+    """The (n, 5) points inside a VoxelSpec's extents and their (n, 3) stride-1 cells, axis by axis."""
+    mins = np.array([spec.x_min, spec.y_min, spec.z_min])
+    maxs = np.array([spec.x_max, spec.y_max, spec.z_max])
+    deltas = np.array([spec.dx, spec.dy, spec.dz])
+    inside = np.ones(len(points), dtype=bool)
+    for axis in range(3):
+        inside &= (points[:, axis] >= mins[axis]) & (points[:, axis] < maxs[axis])
+    kept = points[inside]
+    cells = np.floor((kept[:, :3] - mins) / deltas + SNAP).astype(np.int64)
+    np.minimum(cells, np.array(spec.shape) - 1, out=cells)
+    return kept, cells

@@ -182,6 +182,26 @@ class TestTargets:
         assert rc != 0
         assert not out.exists()
 
+    def test_object_on_the_upper_extent_is_named_with_its_frame(self, tmp_path, capsys):
+        # x = x_max lies outside the half-open extent [x_min, x_max); frame 4's
+        # object is off the grid too, but frame 3 comes first.
+        box = '"cz":0.8,"l":0.6,"w":0.6,"h":1.7,"yaw":0.0'
+        lines = []
+        for number in range(5):
+            objects = [f'{{"id":2,"cx":1.0,"cy":-1.0,{box}}}']
+            if number >= 3:
+                objects.append(f'{{"id":{9 + number},"cx":5.0,"cy":2.5,{box}}}')
+            lines.append(f'{{"frame":{number},"timestamp":{number}.0,"objects":[{",".join(objects)}]}}\n')
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text("".join(lines))
+        out = tmp_path / "targets"
+        argv = ["targets", "--gt", str(gt), "--out", str(out), "--grid", "0.5,0.5", "--extent=-5,5,-5,5"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: frame 3, object 12: point (5.0, 2.5) outside grid extents [-5.0, 5.0) x [-5.0, 5.0)\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--sigma", "--th"])
     def test_huge_spread_covers_the_whole_grid(self, gen_dir, tmp_path, flag):
         out = tmp_path / "targets"

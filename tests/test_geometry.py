@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import frame_of
+from oracles import frame_of, quantize_scalar, quantize_voxels_by_axis
 from scipy.spatial import cKDTree
 
 from crowdmot import geometry
@@ -20,11 +20,14 @@ from crowdmot.geometry import (
     cell_center,
     distinct,
     footprints,
+    grid_cells,
     pairs_within,
     quantize_to_grid,
+    to_cells,
     wrap_yaw,
 )
 from crowdmot.records import Box3D, BoxBEV, normalize_yaw
+from crowdmot.sparsegrid import VoxelSpec
 
 GRID = GridSpec(-96.0, 96.0, -48.0, 48.0, 0.6, 0.6)
 
@@ -141,6 +144,115 @@ class TestQuantize:
             cx, cy = cell_center(j, k, GRID)
             assert 0.0 <= x - cx < GRID.dx
             assert 0.0 <= y - cy < GRID.dy
+
+
+def _edge_coordinates(low, high, step, count):
+    """Coordinates on and around one axis of a grid: its extents, an ulp inside and
+    outside them, cell boundaries, non-finite values and any float near the axis."""
+    last = np.nextafter(high, -math.inf)
+    return st.one_of(
+        st.sampled_from([low, last, high, np.nextafter(low, -math.inf), np.nextafter(high, math.inf)]),
+        st.integers(0, count).map(lambda j: low + j * step),
+        st.sampled_from([math.inf, -math.inf, math.nan]),
+        st.floats(low - 3.0 * step, high + 3.0 * step, allow_nan=False),
+    )
+
+
+@st.composite
+def grids(draw):
+    steps = st.sampled_from([0.075, 0.1, 0.2, 0.25, 0.5, 0.6, 1.0, 3.0])
+    dx, dy = draw(steps), draw(steps)
+    nx, ny = draw(st.integers(1, 400)), draw(st.integers(1, 400))
+    x_min, y_min = draw(st.integers(-4000, 4000)) * 0.125, draw(st.integers(-4000, 4000)) * 0.125
+    return GridSpec(x_min, x_min + nx * dx, y_min, y_min + ny * dy, dx, dy)
+
+
+@st.composite
+def grid_points(draw):
+    grid = draw(grids())
+    xs = _edge_coordinates(grid.x_min, grid.x_max, grid.dx, grid.nx)
+    ys = _edge_coordinates(grid.y_min, grid.y_max, grid.dy, grid.ny)
+    return grid, draw(st.lists(st.tuples(xs, ys), max_size=12))
+
+
+class TestCellRule:
+    """to_cells is the one cell rule; quantize_to_grid and grid_cells are its BEV calls."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid_points())
+    @example((GRID, [(GRID.x_min, GRID.y_min), (np.nextafter(GRID.x_max, 0.0), 0.0), (GRID.x_max, 0.0)]))
+    def test_vector_mapping_matches_the_scalar_rule_point_by_point(self, case):
+        grid, points = case
+        inside, cells = to_cells(np.array(points, dtype=float).reshape(-1, 2), grid)
+        expected, kept = [], []
+        for x, y in points:
+            try:
+                expected.append(quantize_scalar(x, y, grid))
+            except OutOfBoundsError as exc:
+                with pytest.raises(OutOfBoundsError) as raised:
+                    quantize_to_grid(x, y, grid)
+                assert str(raised.value) == str(exc)
+                kept.append(False)
+            else:
+                assert quantize_to_grid(x, y, grid) == expected[-1]
+                kept.append(True)
+        assert inside.tolist() == kept
+        assert cells.tolist() == [list(cell) for cell in expected]
+        assert cells.dtype == np.int64 and cells.shape == (len(expected), 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid_points())
+    def test_grid_cells_names_the_first_point_off_the_grid(self, case):
+        grid, points = case
+        xy = np.array(points, dtype=float).reshape(-1, 2)
+        outside = []
+        for x, y in xy.tolist():
+            try:
+                quantize_scalar(x, y, grid)
+            except OutOfBoundsError as exc:
+                outside.append(str(exc))
+        if outside:
+            with pytest.raises(OutOfBoundsError) as raised:
+                grid_cells(xy, grid)
+            assert str(raised.value) == outside[0]
+        else:
+            assert grid_cells(xy, grid).tolist() == to_cells(xy, grid)[1].tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(grids(), st.lists(st.tuples(st.integers(-2000, 2000), st.integers(-2000, 2000)), max_size=8))
+    def test_integer_coordinates_keep_the_scalar_result_and_error_text(self, grid, points):
+        for x, y in points:
+            try:
+                expected = quantize_scalar(x, y, grid)
+            except OutOfBoundsError as exc:
+                with pytest.raises(OutOfBoundsError) as raised:
+                    quantize_to_grid(x, y, grid)
+                assert str(raised.value) == str(exc)
+            else:
+                assert quantize_to_grid(x, y, grid) == expected
+
+    def test_integer_error_text(self):
+        with pytest.raises(OutOfBoundsError) as raised:
+            quantize_to_grid(96, 0, GRID)
+        assert str(raised.value) == "point (96, 0) outside grid extents [-96.0, 96.0) x [-48.0, 48.0)"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_voxels_keep_the_rows_and_cells_of_the_axis_by_axis_rule(self, data):
+        spec = data.draw(st.sampled_from([VoxelSpec(), VoxelSpec(0.0, 3.0, -1.0, 1.0, 0.0, 0.6, 0.1, 0.25, 0.2)]))
+        axes = [
+            _edge_coordinates(low, high, step, count)
+            for low, high, step, count in zip(
+                (spec.x_min, spec.y_min, spec.z_min), (spec.x_max, spec.y_max, spec.z_max),
+                (spec.dx, spec.dy, spec.dz), spec.shape,
+            )
+        ]
+        xyz = data.draw(st.lists(st.tuples(*axes), max_size=30))
+        points = np.column_stack([np.array(xyz).reshape(-1, 3), np.ones((len(xyz), 2))])
+        kept, cells = quantize_voxels_by_axis(points, spec)
+        inside, found = to_cells(points, spec)
+        assert points[inside].tolist() == kept.tolist()
+        assert found.tolist() == cells.tolist()
 
 
 class TestCellCenter:

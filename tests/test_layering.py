@@ -98,6 +98,46 @@ def test_planted_back_edge_is_reported():
     assert back_edges("cli", "from . import __version__, formats\n") == []
 
 
+def assigned_lines(tree: ast.Module, name: str) -> list[int]:
+    """The lines of every statement that assigns to `name`, at any depth."""
+    targets = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets += [(node.lineno, target) for target in node.targets]
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign, ast.NamedExpr)):
+            targets.append((node.lineno, node.target))
+    return sorted(
+        line
+        for line, target in targets
+        for leaf in ast.walk(target)
+        if isinstance(leaf, ast.Name) and leaf.id == name
+    )
+
+
+def test_the_cell_snap_is_assigned_only_in_geometry():
+    # geometry.to_cells is the one cell rule of BEV grids and voxel grids.
+    owners = [
+        name for name in MODULES if assigned_lines(ast.parse((SRC / f"{name}.py").read_text()), "_SNAP")
+    ]
+    assert owners == ["geometry"]
+
+
+@pytest.mark.parametrize(
+    "source, lines",
+    [
+        ("_SNAP = 1e-9", [1]),
+        ("x = 1\n_SNAP: float = 1e-9", [2]),
+        ("a, _SNAP = 1, 1e-9", [1]),
+        ("def f():\n    _SNAP = 1e-9", [2]),
+        ("if (_SNAP := 1e-9):\n    pass", [1]),
+        ("from .geometry import _SNAP", []),
+        ("y = _SNAP + 1", []),
+    ],
+)
+def test_snap_assignments_are_recognised(source, lines):
+    assert assigned_lines(ast.parse(source), "_SNAP") == lines
+
+
 def test_records_uses_only_the_standard_library():
     tree = ast.parse((SRC / "records.py").read_text())
     roots = [

@@ -1,5 +1,7 @@
 """Voxelization, stride algebra, and the fusion topologies."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import topology_report_by_features
 from scipy.sparse import csr_array
 
+from crowdmot.geometry import GridSpec
 from crowdmot.sparsegrid import (
     DEFAULT_WIDTHS,
     ChannelMap,
@@ -60,6 +63,40 @@ class TestVoxelSpec:
     def test_non_divisible_extent_rejected(self):
         with pytest.raises(ValueError):
             VoxelSpec(x_min=0.0, x_max=1.0, dx=0.3)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("x_min", -math.inf), ("x_max", math.inf), ("y_min", math.nan), ("y_max", math.inf),
+         ("z_min", -math.inf), ("z_max", math.nan), ("dx", math.nan), ("dy", math.inf), ("dz", -math.inf)],
+    )
+    def test_non_finite_field_is_a_value_error_naming_it(self, field, value):
+        with pytest.raises(ValueError) as raised:
+            VoxelSpec(**{field: value})
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == f"{field} must be finite, got {value}"
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ((0.0, 1.0, 0.3), (0.0, 1.0, 0.5)),
+            ((0.0, 1.0000005, 1.0), (-2.0, 2.0, 0.5)),
+            ((0.0, 1.00001, 1.0), (0.0, 1.0, 0.5)),
+            ((1.0, 1.0, 0.5), (0.0, 1.0, 0.5)),
+            ((0.0, 1.0, -0.5), (0.0, 1.0, 0.5)),
+            ((0.0, 1e308, 1e-300), (0.0, 1.0, 0.5)),
+            ((-96.0, 96.0, 0.075), (-48.0, 48.0, 0.075)),
+        ],
+    )
+    def test_the_x_and_y_axes_follow_the_grid_spec_rule(self, x, y):
+        # The same cell counts, or the same error up to the spec's own fields.
+        def outcome(make):
+            try:
+                return make().shape[:2]
+            except ValueError as exc:
+                return str(exc).split(":")[0]
+
+        voxels = outcome(lambda: VoxelSpec(x[0], x[1], y[0], y[1], 0.0, 0.2, x[2], y[2], 0.2))
+        assert voxels == outcome(lambda: GridSpec(x[0], x[1], y[0], y[1], x[2], y[2]))
 
 
 class TestPointCloud:

@@ -239,17 +239,23 @@ def quantize_to_grid(x: float, y: float, grid: GridSpec) -> tuple[int, int]:
     return tuple(cells[0].tolist())
 
 
-def cell_center(j: int, k: int, grid: GridSpec, midpoint: bool = False) -> tuple[float, float]:
-    """Metric coordinates of cell (j, k).
+def cell_points(j, k, grid: GridSpec, midpoint: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Metric x of each column index in j and y of each row index in k.
 
-    Defaults to the cell's origin corner (x_min + j*dx, y_min + k*dy), the
-    convention the density weighting distance uses. With midpoint=True the
-    geometric center of the cell is returned instead.
+    Defaults to the cells' origin corners, x_min + j*dx and y_min + k*dy,
+    the convention the density weighting distance uses. With midpoint=True
+    the geometric centers are returned instead. Indices are not checked.
     """
+    shift = 0.5 if midpoint else 0.0
+    return grid.x_min + (np.asarray(j) + shift) * grid.dx, grid.y_min + (np.asarray(k) + shift) * grid.dy
+
+
+def cell_center(j: int, k: int, grid: GridSpec, midpoint: bool = False) -> tuple[float, float]:
+    """Metric coordinates of cell (j, k): cell_points of one cell on the grid."""
     if not (0 <= j < grid.nx and 0 <= k < grid.ny):
         raise OutOfBoundsError(f"cell ({j}, {k}) outside {grid.nx}x{grid.ny} grid")
-    shift = 0.5 if midpoint else 0.0
-    return grid.x_min + (j + shift) * grid.dx, grid.y_min + (k + shift) * grid.dy
+    x, y = cell_points(j, k, grid, midpoint)
+    return float(x), float(y)
 
 
 # The columns of Frame.boxes: the box fields of a JSONL object, in file order.

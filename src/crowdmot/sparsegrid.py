@@ -7,20 +7,24 @@ seeded matrices standing in for convolution kernels, so every operation is
 a deterministic function of its inputs.
 
 A grid stores only its occupied cells, as an (n, 3) int64 coordinate array
-sorted by packed key (x*ny + y)*nz + z and an (n, C) float64 feature array
-(the coordinate-list layout of Minkowski Engine). Voxels follow the one
-cell rule of geometry, as the BEV target grids do: VoxelSpec checks its
-extents with `cell_counts`, and `voxelize` maps points to voxels with
-`to_cells`, dropping those outside, then sums the points' two channels into
-their voxels with `np.add.at` in input order. The
-grid stages pool rows onto coarser cells by a per-depth plan (`_Pooling`: on
+sorted by key and an (n, C) float64 feature array (the coordinate-list
+layout of Minkowski Engine). A cell's key packs its indices as bit fields,
+x << (by + bz) | y << bz | z, with the field widths (bx, by, bz) of the
+stride-1 shape (VoxelSpec.bits), so every stride shares one layout and key
+order is (x, y, z) lexicographic order. A cell's parent at a stride 2**k
+coarser is then the key with each field shifted right by k (`_coarsen`).
+Voxels follow the one cell rule of geometry, as the BEV target grids do:
+VoxelSpec checks its extents with `cell_counts`, and `voxelize` maps points
+to voxels with `to_cells`, dropping those outside, then sums the points'
+two channels into their voxels with `np.add.at` in input order. The grid
+stages pool rows onto coarser cells by a per-depth plan (`_Pooling`: on
 120k rows x 64 channels it took 24 ms, `np.add.at` 95 ms) or join rows by
-packed key (`np.searchsorted`), each planned from coordinates alone, so one
-plan serves every feature array of the same cells. No dense volume is built.
+key (`np.searchsorted`), each planned from keys alone, so one plan serves
+every feature array of the same cells. No dense volume is built.
 
 `topology_report`, the table `voxelshapes` prints, voxelizes once and then
-coarsens the cells' packed keys: a stage's cells depend on no feature, and
-its channels only on the widths. The feature path (`voxelize`,
+coarsens the cells' keys: a stage's cells depend on no feature, and its
+channels only on the widths. The feature path (`voxelize`,
 `encoder_chain`, `downsample`, `fuse_hr`, `fuse_ms`) is library API, its
 values pinned by tests/test_sparsegrid_values.py.
 """
@@ -45,7 +49,9 @@ class VoxelSpec:
     """3D voxel grid geometry: metric extents and per-axis cell sizes.
 
     Checked by geometry.cell_counts, as GridSpec is; shape (nx, ny, nz) is
-    the dense voxel-count bound at stride 1 that it found.
+    the dense voxel-count bound at stride 1 that it found, and bits the
+    widths of the x, y and z key fields that hold indices below it. A shape
+    whose fields need more than 63 bits is rejected, so keys fit int64.
     """
 
     x_min: float = -96.0
@@ -58,9 +64,19 @@ class VoxelSpec:
     dy: float = 0.075
     dz: float = 0.20
     shape: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+    bits: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "shape", cell_counts(self, "xyz"))
+        shape = cell_counts(self, "xyz")
+        bits = tuple((n - 1).bit_length() for n in shape)
+        if sum(bits) > 63:
+            fields = ", ".join(f"{a} {b}" for a, b in zip("xyz", bits))
+            raise ValueError(
+                f"voxel keys need {sum(bits)} bits ({fields}) for "
+                f"{'x'.join(map(str, shape))} cells, more than 63"
+            )
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "bits", bits)
 
     def strided_shape(self, stride: int) -> tuple[int, int, int]:
         nx, ny, nz = self.shape
@@ -104,11 +120,13 @@ class PointCloud:
 class SparseGrid:
     """Occupied voxels only, as a coordinate array and a feature array.
 
-    `coords` is an (n, 3) int64 array of cell indices at `stride`. Its rows
-    are sorted by strictly increasing packed key `(x*ny + y)*nz + z`, where
-    (nx, ny, nz) is the strided bound; that is (x, y, z) lexicographic order.
-    `keys` holds those packed keys. Row i of the (n, C) float64 `features`
-    belongs to the cell coords[i], and `channels` is C.
+    `coords` is an (n, 3) int64 array of cell indices at `stride`, each
+    inside the strided bound. Its rows are sorted by strictly increasing
+    key (`_pack` with spec.bits), that is (x, y, z) lexicographic order, and
+    `keys` holds those keys. Row i of the (n, C) float64 `features` belongs
+    to the cell coords[i], and `channels` is C. The constructor checks the
+    coordinates it is given; grids this module builds from keys it sorted
+    itself come from `_of_keys`, which does not re-check them.
     """
 
     spec: VoxelSpec
@@ -133,12 +151,22 @@ class SparseGrid:
         if outside.any():
             coord = tuple(coords[outside.any(axis=1)][0].tolist())
             raise ValueError(f"coordinate {coord} outside {'x'.join(map(str, bound))} bound")
-        keys = _pack(coords, bound)
+        keys = _pack(coords, self.spec.bits)
         if (np.diff(keys) <= 0).any():
             raise ValueError("coordinates must be unique and sorted by packed key")
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "keys", keys)
+
+    @classmethod
+    def _of_keys(cls, spec: VoxelSpec, stride: int, keys: np.ndarray, features: np.ndarray,
+                 n_dropped: int) -> "SparseGrid":
+        """The grid of strictly increasing keys: unpacked once, not re-checked."""
+        grid = object.__new__(cls)
+        for name, value in (("spec", spec), ("stride", stride), ("coords", _unpack(keys, spec.bits)),
+                            ("features", features), ("n_dropped", n_dropped), ("keys", keys)):
+            object.__setattr__(grid, name, value)
+        return grid
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -190,23 +218,42 @@ class ChannelMap:
         return features @ self.weights.T
 
 
-def _pack(coords: np.ndarray, bound: tuple[int, int, int]) -> np.ndarray:
-    """Packed keys (x*ny + y)*nz + z of (n, 3) coordinates inside `bound`."""
-    return np.ravel_multi_index(coords.T, bound)
+def _pack(coords: np.ndarray, bits: tuple[int, int, int]) -> np.ndarray:
+    """Keys x << (by + bz) | y << bz | z of (n, 3) int64 cells whose indices fit `bits`."""
+    _, by, bz = bits
+    return (coords[:, 0] << (by + bz)) | (coords[:, 1] << bz) | coords[:, 2]
+
+
+def _unpack(keys: np.ndarray, bits: tuple[int, int, int]) -> np.ndarray:
+    """The (n, 3) cells of int64 keys, _pack's inverse."""
+    _, by, bz = bits
+    return np.column_stack([keys >> (by + bz), (keys >> bz) & ((1 << by) - 1), keys & ((1 << bz) - 1)])
+
+
+def _coarsen(keys: np.ndarray, k: int, bits: tuple[int, int, int]) -> np.ndarray:
+    """The keys of the cells `cells >> k`, the parents 2**k times coarser.
+
+    Clearing each field's low k bits and shifting the whole key right by k
+    moves each field's kept bits down k places, still inside that field.
+    """
+    _, by, bz = bits
+    low = [(1 << min(k, width)) - 1 for width in bits]
+    cleared = low[0] << (by + bz) | low[1] << bz | low[2]
+    return (keys & ~cleared) >> k
 
 
 class _Pooling:
-    """How rows at cells `coords` fall into the coarser cells `coords // factor`.
+    """How rows with keys `keys` fall into their parents `_coarsen(keys, k)`.
 
-    `keys` are the occupied coarse cells' packed keys (in `bound`, the
-    coarse strided bound) in increasing order, `counts` their row counts,
-    and `rank[c]` the row of cell c in `ranked_means`. Made from coordinates
-    alone, so one pooling averages every feature array of those rows.
+    `keys` are the occupied coarse cells' keys in increasing order, `counts`
+    their row counts, and `rank[c]` the row of cell c in `ranked_means`.
+    Made from keys alone, so one pooling averages every feature array of
+    those rows.
     """
 
-    def __init__(self, coords: np.ndarray, factor: int, bound: tuple[int, int, int]):
+    def __init__(self, keys: np.ndarray, k: int, bits: tuple[int, int, int]):
         self.keys, inverse, self.counts = distinct(
-            _pack(coords // factor, bound), return_inverse=True, return_counts=True
+            _coarsen(keys, k, bits), return_inverse=True, return_counts=True
         )
         # Rank cells deepest first, so the cells that have a d-th row form a
         # prefix of the ranks. Rows are grouped by cell rank, in input order
@@ -240,39 +287,37 @@ class _Pooling:
 
 
 def _pool(
-    coords: np.ndarray, features: np.ndarray, factor: int, bound: tuple[int, int, int]
+    keys: np.ndarray, features: np.ndarray, k: int, bits: tuple[int, int, int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean-pool feature rows onto the cells of `coords // factor`.
+    """Mean-pool feature rows with keys `keys` onto their parents `_coarsen(keys, k)`.
 
-    `bound` is the strided bound of the coarse cells. Returns the occupied
-    coarse coordinates in key order and each cell's mean feature row.
+    Returns the occupied coarse keys in increasing order and each cell's
+    mean feature row.
     """
-    pooling = _Pooling(coords, factor, bound)
-    coarse = np.column_stack(np.unravel_index(pooling.keys, bound))
-    return coarse, pooling.ranked_means(features)[pooling.rank]
+    pooling = _Pooling(keys, k, bits)
+    return pooling.keys, pooling.ranked_means(features)[pooling.rank]
 
 
 class _Join:
-    """Reads a grid's feature rows at (n, 3) `coords` given at `stride`.
+    """Reads a grid's feature rows at the cells of `keys`, given at `stride`.
 
-    A searchsorted join on packed keys: a grid at `stride` or coarser gives
-    each cell the row of its ancestor; a finer grid is first mean-pooled to
+    A searchsorted join on keys: a grid at `stride` or coarser gives each
+    cell the row of its ancestor; a finer grid is first mean-pooled to
     `stride` by `pooling`, its _Pooling at that stride. Cells the source
-    lacks get zero rows. The join depends only on the coordinates, so
-    calling it reads any feature array of the grid's rows. Where `grid` is
-    at `stride` and `coords` are exactly its cells, the call returns the
-    feature array it was given, not a copy.
+    lacks get zero rows. The join depends only on the keys, so calling it
+    reads any feature array of the grid's rows. Where `grid` is at `stride`
+    and `keys` are exactly its keys, the call returns the feature array it
+    was given, not a copy.
     """
 
-    def __init__(self, grid: SparseGrid, stride: int, coords: np.ndarray,
+    def __init__(self, grid: SparseGrid, stride: int, keys: np.ndarray,
                  pooling: _Pooling | None = None):
         self.pooling = pooling
         if pooling is not None:
             source = pooling.keys
-            keys = _pack(coords, grid.spec.strided_shape(stride))
         else:
             source = grid.keys
-            keys = _pack(coords // (grid.stride // stride), grid.spec.strided_shape(grid.stride))
+            keys = _coarsen(keys, grid.stride.bit_length() - stride.bit_length(), grid.spec.bits)
         self._rows = self._missing = None
         if not np.array_equal(source, keys):
             self._rows = np.minimum(np.searchsorted(source, keys), max(len(source) - 1, 0))
@@ -308,13 +353,12 @@ def voxelize(pc: PointCloud, spec: VoxelSpec = VoxelSpec()) -> SparseGrid:
     """
     inside, cells = to_cells(pc.points, spec)
     kept = pc.points if inside.all() else pc.points[inside]
-    keys, inverse, counts = distinct(_pack(cells, spec.shape), return_inverse=True, return_counts=True)
+    keys, inverse, counts = distinct(_pack(cells, spec.bits), return_inverse=True, return_counts=True)
     sums = np.zeros((2, len(keys)))
     np.add.at(sums[0], inverse, kept[:, 3])
     np.add.at(sums[1], inverse, kept[:, 4])
-    coords = np.column_stack(np.unravel_index(keys, spec.shape))
     features = np.column_stack([counts, (sums / counts).T])
-    return SparseGrid(spec=spec, stride=1, coords=coords, features=features, n_dropped=len(pc) - len(kept))
+    return SparseGrid._of_keys(spec, 1, keys, features, len(pc) - len(kept))
 
 
 def downsample(grid: SparseGrid, mix: ChannelMap) -> SparseGrid:
@@ -327,15 +371,8 @@ def downsample(grid: SparseGrid, mix: ChannelMap) -> SparseGrid:
         raise ValueError(f"stride {grid.stride} cannot be downsampled further")
     if mix.n_in != grid.channels:
         raise ValueError(f"channel map expects {mix.n_in} channels, grid has {grid.channels}")
-    stride = grid.stride * 2
-    coords, means = _pool(grid.coords, grid.features, 2, grid.spec.strided_shape(stride))
-    return SparseGrid(
-        spec=grid.spec,
-        stride=stride,
-        coords=coords,
-        features=mix.apply(means),
-        n_dropped=grid.n_dropped,
-    )
+    keys, means = _pool(grid.keys, grid.features, 1, grid.spec.bits)
+    return SparseGrid._of_keys(grid.spec, grid.stride * 2, keys, mix.apply(means), grid.n_dropped)
 
 
 def fuse_hr(sf2: SparseGrid, sf4: SparseGrid) -> SparseGrid:
@@ -351,14 +388,9 @@ def fuse_hr(sf2: SparseGrid, sf4: SparseGrid) -> SparseGrid:
         )
     if sf2.spec != sf4.spec:
         raise ValueError("inputs use different voxel specs")
-    coords, pooled = _pool(sf2.coords, sf2.features, 2, sf2.spec.strided_shape(4))
-    return SparseGrid(
-        spec=sf2.spec,
-        stride=4,
-        coords=coords,
-        features=np.hstack([pooled, _Join(sf4, 4, coords)(sf4.features)]),
-        n_dropped=sf2.n_dropped,
-    )
+    keys, pooled = _pool(sf2.keys, sf2.features, 1, sf2.spec.bits)
+    features = np.hstack([pooled, _Join(sf4, 4, keys)(sf4.features)])
+    return SparseGrid._of_keys(sf2.spec, 4, keys, features, sf2.n_dropped)
 
 
 def fuse_ms(
@@ -387,15 +419,15 @@ def fuse_ms(
     spec = sf1.spec
     # Every finer level's pooling onto every coarser stride, and every
     # level's join onto every level's cells, are made once: the joins serve
-    # both rounds, the poolings the output step too.
+    # both rounds, the poolings the output step too. Level l is at stride
+    # 2**l, so pooling level s onto level t coarsens its keys by t - s.
     pools = {
-        (source, target): _Pooling(grids[source].coords, strides[target] // strides[source],
-                                   spec.strided_shape(strides[target]))
+        (source, target): _Pooling(grids[source].keys, target - source, spec.bits)
         for target in range(4)
         for source in range(target)
     }
     joins = [
-        [_Join(g, strides[target], grids[target].coords, pools.get((source, target)))
+        [_Join(g, strides[target], grids[target].keys, pools.get((source, target)))
          for source, g in enumerate(grids)]
         for target in range(4)
     ]
@@ -412,21 +444,14 @@ def fuse_ms(
             for level in range(4)
         ]
 
-    bound = spec.strided_shape(4)
-    keys = [_pack(g.coords // (4 // g.stride), bound) for g in grids[:3]]
-    coords = np.column_stack(np.unravel_index(distinct(np.concatenate(keys)), bound))
+    keys = distinct(np.concatenate([_coarsen(g.keys, 2 - level, spec.bits)
+                                    for level, g in enumerate(grids[:3])]))
     out_map = ChannelMap.seeded(4 * width, width, seed=seed * 101 + 97)
     stacked = np.hstack([
-        _Join(g, 4, coords, pools.get((level, 2)))(f)
+        _Join(g, 4, keys, pools.get((level, 2)))(f)
         for level, (g, f) in enumerate(zip(grids, features))
     ])
-    return SparseGrid(
-        spec=spec,
-        stride=4,
-        coords=coords,
-        features=out_map.apply(stacked),
-        n_dropped=sf1.n_dropped,
-    )
+    return SparseGrid._of_keys(spec, 4, keys, out_map.apply(stacked), sf1.n_dropped)
 
 
 def encoder_chain(
@@ -442,13 +467,7 @@ def encoder_chain(
     if base.stride != 1:
         raise ValueError("encoder chain starts from a stride-1 grid")
     stem = ChannelMap.seeded(base.channels, widths[0], seed=seed * 101 + 50)
-    sf1 = SparseGrid(
-        spec=base.spec,
-        stride=1,
-        coords=base.coords,
-        features=stem.apply(base.features),
-        n_dropped=base.n_dropped,
-    )
+    sf1 = SparseGrid._of_keys(base.spec, 1, base.keys, stem.apply(base.features), base.n_dropped)
     sf2 = downsample(sf1, ChannelMap.seeded(widths[0], widths[1], seed=seed * 101 + 51))
     sf3 = downsample(sf2, ChannelMap.seeded(widths[1], widths[2], seed=seed * 101 + 52))
     sf4 = downsample(sf3, ChannelMap.seeded(widths[2], widths[3], seed=seed * 101 + 53))
@@ -468,7 +487,7 @@ def topology_report(
     the stride-2 and stride-8 stages to 0.3 m, and 'c' is the multi-scale
     variant, also at 0.3 m. Returns one row per stage plus the output row,
     the rows that voxelize, encoder_chain and the fusion's grids give; only
-    voxelize runs, and each later stage's cells are the previous ones // 2.
+    voxelize runs, and each later stage's keys are the last stage's coarsened by 1.
     """
     if topology not in ("a", "b", "c"):
         raise ValueError(f"topology must be 'a', 'b' or 'c', got {topology!r}")
@@ -482,13 +501,12 @@ def topology_report(
     # features, so a feature sum that overflows is no concern of it.
     with np.errstate(over="ignore"):
         base = voxelize(pc, spec)
-    cells = base.coords
-    occupied = [len(base)]
-    for stride in VALID_STRIDES[1:]:
-        bound = spec.strided_shape(stride)
-        keys = distinct(_pack(cells // 2, bound))
+    keys = base.keys
+    occupied = [len(keys)]
+    for _ in VALID_STRIDES[1:]:
+        # From the last stage's distinct keys, not the input's: fewer to sort.
+        keys = distinct(_coarsen(keys, 1, spec.bits))
         occupied.append(len(keys))
-        cells = np.column_stack(np.unravel_index(keys, bound))
     rows = [_row(spec, "input", 1, occupied[0], 3)] + [
         _row(spec, f"SF{level + 1}", stride, count, int(width))
         for level, (stride, count, width) in enumerate(zip(VALID_STRIDES, occupied, widths))

@@ -14,8 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import (DenseGrid2D, Frame, GridMismatchError, GridSpec, Stacked, check_positive, distinct,
-                       grid_cells, pairs_within)
+from .geometry import (DenseGrid2D, Frame, GridMismatchError, GridSpec, Stacked, cell_points, check_positive,
+                       distinct, grid_cells, pairs_within)
 
 # Predicted probabilities are clamped into [EPS, 1-EPS] before the loss.
 PROB_EPS = 1e-7
@@ -151,9 +151,7 @@ def make_daw(
     weights = np.zeros((grid.nx, grid.ny))
     if not len(frame):
         return DenseGrid2D(grid, weights)
-    shift = 0.5 if midpoint else 0.0
-    gx = grid.x_min + (np.arange(grid.nx) + shift) * grid.dx
-    gy = grid.y_min + (np.arange(grid.ny) + shift) * grid.dy
+    gx, gy = cell_points(np.arange(grid.nx), np.arange(grid.ny), grid, midpoint)
     th2 = th * th
     # Capped at the grid size, so a huge th cannot overflow the ceil.
     rj = math.ceil(min(th / grid.dx, grid.nx)) + 1

@@ -5,10 +5,10 @@ frame; the writers in crowdmot.formats must give its bytes, and raise where
 it does.
 
 The matching oracles, shared by the tracker, evaluator and acceptance tests,
-enumerate every injective pairing of rows to columns, so they are meant for
-frames of a handful of objects. They read one object at a time, as a
-GtObject or a Detection record; frame_of turns a list of records into the
-Frame the code under test takes. The simulator oracles are the plain loops
+enumerate every injective pairing of rows to columns whose pairs all pass
+the gate, so they are meant for frames of a handful of objects. They read
+one object at a time, as a GtObject or a Detection record; frame_of turns a
+list of records into the Frame the code under test takes. The simulator oracles are the plain loops
 the simulator's array code must reproduce bit for bit.
 
 The per-frame oracles are the loops that evaluation and the offset targets
@@ -23,10 +23,10 @@ encoder chain and the fusion, reading each row off a grid.
 
 The cell-rule oracles are the two copies of the rule that geometry.to_cells
 replaced: the scalar quantize_to_grid, one point at a time, and the voxel
-quantizer of sparsegrid, one axis at a time.
+quantizer of sparsegrid, one axis at a time. ravel_order is the order of
+the row-major keys sparsegrid used before its bit-field keys.
 """
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -109,12 +109,29 @@ def frame_of(objects) -> Frame:
     )
 
 
-def _pairings(rows, cols):
-    """Every injective set of (row, col) pairs, the empty one first."""
-    for r in range(min(len(rows), len(cols)) + 1):
-        for chosen in itertools.combinations(rows, r):
-            for perm in itertools.permutations(cols, r):
-                yield frozenset(zip(chosen, perm))
+def _pairings(allowed):
+    """Every injective set of (row, col) pairs drawn from the pairs in `allowed`.
+
+    Rows are taken in turn, each left out or given a column no earlier row
+    holds, so no set with a pair outside `allowed` is ever built.
+    """
+    cols_of = {}
+    for row, col in allowed:
+        cols_of.setdefault(row, []).append(col)
+    rows = list(cols_of.items())
+
+    def extend(at, used):
+        if at == len(rows):
+            yield ()
+            return
+        yield from extend(at + 1, used)
+        row, cols = rows[at]
+        for col in cols:
+            if col not in used:
+                for rest in extend(at + 1, used | {col}):
+                    yield ((row, col),) + rest
+
+    return (frozenset(pairs) for pairs in extend(0, frozenset()))
 
 
 def exhaustive_assignment(dets, tracks, max_dist):
@@ -132,11 +149,7 @@ def exhaustive_assignment(dets, tracks, max_dist):
             dist = math.hypot(cx - px, cy - py)
             if dist <= max_dist:
                 dists[(i, tid)] = dist
-    gated = [
-        (len(pairs), sum(dists[p] for p in pairs), pairs)
-        for pairs in _pairings(range(len(dets)), [tid for tid, _ in tracks])
-        if all(p in dists for p in pairs)
-    ]
+    gated = [(len(pairs), sum(dists[p] for p in pairs), pairs) for pairs in _pairings(dists)]
     most = max(n for n, _, _ in gated)
     finalists = [(total, pairs) for n, total, pairs in gated if n == most]
     best_total, best_pairs = min(finalists, key=lambda c: c[0])
@@ -159,12 +172,8 @@ def exhaustive_iou_match(iou, threshold):
     Returns the best pair set, its total, and whether it is unique: every
     other assignment has a total more than TIE below it.
     """
-    n, m = iou.shape
-    scored = [
-        (sum(iou[p] for p in pairs), pairs)
-        for pairs in _pairings(range(n), range(m))
-        if all(iou[p] >= threshold for p in pairs)
-    ]
+    allowed = [(i, j) for i, j in np.ndindex(iou.shape) if iou[i, j] >= threshold]
+    scored = [(sum(iou[p] for p in pairs), pairs) for pairs in _pairings(allowed)]
     best_total, best_pairs = max(scored, key=lambda c: c[0])
     unique = all(total < best_total - TIE for total, pairs in scored if pairs != best_pairs)
     return best_pairs, best_total, unique
@@ -420,3 +429,13 @@ def quantize_voxels_by_axis(points, spec):
     cells = np.floor((kept[:, :3] - mins) / deltas + SNAP).astype(np.int64)
     np.minimum(cells, np.array(spec.shape) - 1, out=cells)
     return kept, cells
+
+
+def ravel_order(cells, shape):
+    """The stable order of (n, 3) cells by their np.ravel_multi_index keys in shape.
+
+    The keys (x*ny + y)*nz + z are Python ints, so no cell count overflows them.
+    """
+    _, ny, nz = shape
+    keys = [(x * ny + y) * nz + z for x, y, z in cells.tolist()]
+    return sorted(range(len(keys)), key=keys.__getitem__)

@@ -18,6 +18,7 @@ from crowdmot.geometry import (
     bev_iou,
     bev_iou_pairs,
     cell_center,
+    cell_points,
     distinct,
     footprints,
     grid_cells,
@@ -271,6 +272,12 @@ class TestCellCenter:
     def test_index_out_of_range(self):
         with pytest.raises(OutOfBoundsError):
             cell_center(GRID.nx, 0, GRID)
+
+    @pytest.mark.parametrize("midpoint", [False, True])
+    def test_every_cell_is_its_cell_points_entry(self, midpoint):
+        xs, ys = cell_points(np.arange(GRID.nx), np.arange(GRID.ny), GRID, midpoint)
+        for j, k in ((0, 0), (GRID.nx - 1, GRID.ny - 1), (7, 113), (200, 3)):
+            assert cell_center(j, k, GRID, midpoint) == (xs[j], ys[k])
 
 
 class TestYawNormalization:

@@ -1,12 +1,14 @@
 """Voxelization, stride algebra, and the fusion topologies."""
 
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import topology_report_by_features
+from oracles import ravel_order, topology_report_by_features
 from scipy.sparse import csr_array
 
 from crowdmot.geometry import GridSpec
@@ -19,7 +21,10 @@ from crowdmot.sparsegrid import (
     downsample,
     encoder_chain,
     fuse_hr,
+    _coarsen,
+    _pack,
     _pool,
+    _unpack,
     fuse_ms,
     topology_report,
     voxelize,
@@ -97,6 +102,78 @@ class TestVoxelSpec:
 
         voxels = outcome(lambda: VoxelSpec(x[0], x[1], y[0], y[1], 0.0, 0.2, x[2], y[2], 0.2))
         assert voxels == outcome(lambda: GridSpec(x[0], x[1], y[0], y[1], x[2], y[2]))
+
+    def test_key_field_widths(self):
+        assert SPEC.bits == (12, 11, 6)
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            # 64 bits whose cell product reaches 2**63, which np.ravel_multi_index
+            # rejected too.
+            ((2**22, 2**21, 2**21), "voxel keys need 64 bits (x 22, y 21, z 21) for 4194304x2097152x2097152 cells"),
+            # 65 bits although the cell product stays below 2**63.
+            ((2**22 + 1, 2**21 + 1, 2**19 + 1), "voxel keys need 65 bits (x 23, y 22, z 20)"),
+            ((2**64, 1, 1), "voxel keys need 64 bits (x 64, y 0, z 0)"),
+        ],
+    )
+    def test_keys_wider_than_63_bits_are_rejected(self, shape, message):
+        with pytest.raises(ValueError, match=re.escape(message) + ".*more than 63"):
+            unit_spec(shape)
+
+    def test_a_63_bit_spec_voxelizes_its_last_cell(self):
+        # Its cell product is 2**63, which np.ravel_multi_index rejected.
+        spec = unit_spec((2**21, 2**21, 2**21))
+        assert sum(spec.bits) == 63
+        last = 2**21 - 1
+        grid = voxelize(cloud([[last + 0.5] * 3 + [0.25, 1.0], [0.5] * 3 + [0.75, 0.0]]), spec)
+        assert grid.coords.tolist() == [[0, 0, 0], [last] * 3]
+        assert grid.keys.tolist() == [0, 2**63 - 1]
+        assert downsample(grid, ChannelMap.identity(3)).coords.tolist() == [[0, 0, 0], [last // 2] * 3]
+
+
+def unit_spec(shape):
+    """A VoxelSpec of 1 m cells from the origin, with `shape` cells."""
+    nx, ny, nz = shape
+    return VoxelSpec(0.0, float(nx), 0.0, float(ny), 0.0, float(nz), 1.0, 1.0, 1.0)
+
+
+@st.composite
+def key_shapes(draw):
+    """Cell counts whose key fields take (bx, by, bz) bits, at most 63 together."""
+    widths = draw(st.tuples(*[st.integers(0, 53)] * 3).filter(lambda w: sum(w) <= 63))
+    return tuple(draw(st.integers(2 ** (w - 1) + 1, 2**w)) if w else 1 for w in widths)
+
+
+class TestKeyRule:
+    @settings(max_examples=200, deadline=None)
+    @given(shape=key_shapes(), n=st.integers(0, 50), seed=st.integers(0, 2**32 - 1))
+    @example(shape=(2**21, 2**21, 2**21), n=50, seed=0)  # exactly 63 bits
+    @example(shape=(2**63, 1, 1), n=50, seed=0)  # 63 bits in one field
+    @example(shape=(1, 1, 1), n=3, seed=0)  # no bits at all
+    @example(shape=(2560, 1280, 40), n=50, seed=0)  # the default spec
+    def test_keys_order_unpack_and_coarsen_as_coordinates_do(self, shape, n, seed):
+        spec = unit_spec(shape)
+        assert spec.shape == shape
+        assert spec.bits == tuple((c - 1).bit_length() for c in shape)
+        rng = np.random.default_rng(seed)
+        last = [c - 1 for c in shape]
+        # The first and the last cell of every axis, then random cells, drawn
+        # as uint64 since int64 draws cannot reach 2**63 - 1.
+        corners = np.array(list(itertools.product(*[(0, c) for c in last])), dtype=np.int64)
+        drawn = np.column_stack([rng.integers(0, c, n, np.uint64, endpoint=True) for c in last])
+        cells = np.vstack([corners, drawn.astype(np.int64)])
+        keys = _pack(cells, spec.bits)
+        assert keys.dtype == np.int64 and (keys >= 0).all()
+        assert _unpack(keys, spec.bits).tolist() == cells.tolist()
+        order = ravel_order(cells, shape)
+        assert np.argsort(keys, kind="stable").tolist() == order
+        if math.prod(shape) < 2**63:
+            assert np.argsort(np.ravel_multi_index(cells.T, shape), kind="stable").tolist() == order
+        for k in range(4):
+            coarse = _coarsen(keys, k, spec.bits)
+            assert _unpack(coarse, spec.bits).tolist() == (cells // 2**k).tolist()
+            assert coarse.tolist() == _pack(cells // 2**k, spec.bits).tolist()
 
 
 class TestPointCloud:
@@ -185,13 +262,13 @@ class TestPool:
         features[rng.random(features.shape) < 0.1] = -0.0
         features[rng.random(features.shape) < 0.02] = np.nan
         bound = SPEC.strided_shape(factor)
-        pooled, means = _pool(coords, features, factor, bound)
+        pooled, means = _pool(_pack(coords, SPEC.bits), features, factor.bit_length() - 1, SPEC.bits)
         keys, inverse = np.unique(
             np.ravel_multi_index((coords // factor).T, bound), return_inverse=True
         )
         indicator = csr_array((np.ones(n), (inverse, np.arange(n))), shape=(len(keys), n))
         counts = np.bincount(inverse, minlength=len(keys))
-        assert pooled.tolist() == np.column_stack(np.unravel_index(keys, bound)).tolist()
+        assert _unpack(pooled, SPEC.bits).tolist() == np.column_stack(np.unravel_index(keys, bound)).tolist()
         assert means.tobytes() == ((indicator @ features) / counts[:, None]).tobytes()
 
 

@@ -2,9 +2,10 @@
 
 Every command validates its inputs up front, computes in memory, then writes
 its files plus a manifest.json recording the resolved configuration, seeds,
-and content digests of all inputs and outputs. Inputs are hashed from disk;
-each output's digest is the one its writer computed from the bytes it wrote.
-Reruns with the same inputs produce byte-identical files.
+and content digests of all inputs and outputs. `main` hands each command one
+_Output, the one writer of its output files and its manifest: inputs are
+hashed from disk; each output's digest is the one its writer computed from
+the bytes it wrote. Reruns with the same inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable
 
@@ -164,57 +165,63 @@ def load_gen_config(
     return sim, noise, {"sim": sim_values, "noise": noise_values}
 
 
-def _write_manifest(
-    out_dir: Path, command: str, config: dict, inputs: list[Path], outputs: dict[Path, str]
-) -> None:
-    """manifest.json: inputs hashed from disk, outputs with the digests their writers returned."""
-    # Output paths are stored relative to the manifest so reruns into
-    # different directories stay byte-identical.
-    manifest = {
-        "tool": "crowdmot",
-        "version": __version__,
-        "command": command,
-        "config": config,
-        "inputs": {str(p): formats.sha256_file(p) for p in inputs},
-        "outputs": {str(p.relative_to(out_dir)): digest for p, digest in outputs.items()},
-    }
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    formats.atomic_write_text(out_dir / "manifest.json", text)
+class _Output:
+    """One command's --out directory: the one writer of its files and its manifest.
+
+    write() puts a file under the directory and keeps the digest its writer
+    computed from the bytes it wrote. done() writes manifest.json and prints
+    the command's summary: inputs are hashed from disk, keyed str(Path(arg)),
+    and outputs are keyed by their path relative to the directory, so reruns
+    into different directories stay byte-identical.
+    """
+
+    MANIFEST = "manifest.json"
+
+    def __init__(self, root: str, command: str) -> None:
+        self.root = Path(root)
+        self.command = command
+        self.digests: dict[Path, str] = {}
+
+    def write(self, name: str, writer: Callable[..., str], *args) -> Path:
+        """writer(path, *args) for path `name` under the directory; returns the path."""
+        path = self.root / name
+        self.digests[path] = writer(path, *args)
+        return path
+
+    def done(self, config: dict, inputs: list[str], summary: str) -> int:
+        """Write manifest.json, print `summary` through _say, and return the exit code 0."""
+        manifest = {
+            "tool": "crowdmot",
+            "version": __version__,
+            "command": self.command,
+            "config": config,
+            "inputs": {str(Path(p)): formats.sha256_file(Path(p)) for p in inputs},
+            "outputs": {str(p.relative_to(self.root)): digest for p, digest in self.digests.items()},
+        }
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        formats.atomic_write_text(self.root / self.MANIFEST, text)
+        _say(summary)
+        return 0
 
 
-def _parse_pair(raw: str, flag: str) -> tuple[float, float]:
+def _parse_floats(raw: str, flag: str, count: int, expects: str) -> tuple[float, ...]:
+    """The `count` comma-separated floats of a flag's value; `expects` describes them."""
     parts = raw.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"{flag} expects two comma-separated values, got {raw!r}")
+    if len(parts) != count:
+        raise ConfigError(f"{flag} expects {expects}, got {raw!r}")
     try:
-        return float(parts[0]), float(parts[1])
+        return tuple(float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"{flag}: cannot parse {raw!r}") from None
 
 
-def _parse_extent(raw: str) -> tuple[float, float, float, float]:
-    parts = raw.split(",")
-    if len(parts) != 4:
-        raise ConfigError(f"--extent expects x_min,x_max,y_min,y_max, got {raw!r}")
-    try:
-        return tuple(float(p) for p in parts)  # type: ignore[return-value]
-    except ValueError:
-        raise ConfigError(f"--extent: cannot parse {raw!r}") from None
-
-
-def cmd_gen(args: argparse.Namespace) -> int:
+def cmd_gen(args: argparse.Namespace, out: _Output) -> int:
     sim, noise, echo = load_gen_config(Path(args.config), args.seed)
     frames, timestamps = simulator.gen_scene(sim)
     dets = simulator.corrupt(frames, noise)
-    out = Path(args.out)
-    gt_path, det_path = out / "gt.jsonl", out / "det.jsonl"
-    outputs = {
-        gt_path: formats.write_scene_jsonl(gt_path, frames, timestamps),
-        det_path: formats.write_detections_jsonl(det_path, dets, timestamps),
-    }
-    _write_manifest(out, "gen", echo, [Path(args.config)], outputs)
-    _say(f"wrote {gt_path} and {det_path}")
-    return 0
+    gt_path = out.write("gt.jsonl", formats.write_scene_jsonl, frames, timestamps)
+    det_path = out.write("det.jsonl", formats.write_detections_jsonl, dets, timestamps)
+    return out.done(echo, [args.config], f"wrote {gt_path} and {det_path}")
 
 
 # Grid cells (frames x nx x ny) below which `targets` builds every frame in
@@ -419,14 +426,14 @@ def _read_to_end(fd: int) -> bytes:
     return b"".join(chunks)
 
 
-def cmd_targets(args: argparse.Namespace) -> int:
+def cmd_targets(args: argparse.Namespace, out: _Output) -> int:
     from dataclasses import replace
 
     geometry.check_positive("--sigma", args.sigma)
     geometry.check_positive("--th", args.th)
     geometry.check_positive("--rel-radius", args.rel_radius)
-    dx, dy = _parse_pair(args.grid, "--grid")
-    x_min, x_max, y_min, y_max = _parse_extent(args.extent)
+    dx, dy = _parse_floats(args.grid, "--grid", 2, "two comma-separated values")
+    x_min, x_max, y_min, y_max = _parse_floats(args.extent, "--extent", 4, "x_min,x_max,y_min,y_max")
     try:
         grid = geometry.GridSpec(x_min, x_max, y_min, y_max, dx, dy)
     except ValueError as exc:
@@ -442,19 +449,16 @@ def cmd_targets(args: argparse.Namespace) -> int:
         replace(frame, offset=offset, newborn=newborn, rel=rel)
         for frame, (offset, newborn), rel in zip(frames, motion, rels)
     ]
-    out = Path(args.out)
     # One table of float texts for all the frames one process runs: the
     # heatmaps repeat the same stencil values in every frame. Each forked
     # worker fills its own copy over all the chunks it takes.
     job = partial(
-        _frame_targets, out=out, grid=grid, sigma=args.sigma, th=args.th, dump_pgm=args.dump_pgm,
+        _frame_targets, out=out.root, grid=grid, sigma=args.sigma, th=args.th, dump_pgm=args.dump_pgm,
         reprs={},
     )
-    outputs = {}
     for written in _map_frames(job, frames, grid.nx * grid.ny):
-        outputs.update(written)
-    offsets_path = out / "offsets.jsonl"
-    outputs[offsets_path] = formats.write_offsets_jsonl(offsets_path, offsets, timestamps)
+        out.digests.update(written)
+    out.write("offsets.jsonl", formats.write_offsets_jsonl, offsets, timestamps)
     config = {
         "grid": {"dx": dx, "dy": dy, "x_min": x_min, "x_max": x_max, "y_min": y_min, "y_max": y_max},
         "sigma": args.sigma,
@@ -462,12 +466,10 @@ def cmd_targets(args: argparse.Namespace) -> int:
         "rel_radius": args.rel_radius,
         "dump_pgm": bool(args.dump_pgm),
     }
-    _write_manifest(out, "targets", config, [Path(args.gt)], outputs)
-    _say(f"wrote targets for {len(frames)} frames to {out}")
-    return 0
+    return out.done(config, [args.gt], f"wrote targets for {len(frames)} frames to {out.root}")
 
 
-def cmd_track(args: argparse.Namespace) -> int:
+def cmd_track(args: argparse.Namespace, out: _Output) -> int:
     cfg = tracker.TrackerConfig(
         max_match_dist=args.max_match_dist,
         max_age=args.max_age,
@@ -475,21 +477,17 @@ def cmd_track(args: argparse.Namespace) -> int:
     )
     det_frames, timestamps = formats.read_detections_jsonl(Path(args.det))
     tracks = tracker.run_sequence(det_frames, cfg)
-    out = Path(args.out)
-    traj_path = out / "traj.jsonl"
-    digest = formats.write_trajectories_jsonl(traj_path, tracks, timestamps)
+    traj_path = out.write("traj.jsonl", formats.write_trajectories_jsonl, tracks, timestamps)
     config = {
         "max_match_dist": cfg.max_match_dist,
         "max_age": cfg.max_age,
         "birth_score_min": cfg.birth_score_min,
     }
-    _write_manifest(out, "track", config, [Path(args.det)], {traj_path: digest})
     n_tracks = len(set().union(*(f.ids.tolist() for f in tracks)))
-    _say(f"wrote {n_tracks} trajectories to {traj_path}")
-    return 0
+    return out.done(config, [args.det], f"wrote {n_tracks} trajectories to {traj_path}")
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace, out: _Output) -> int:
     if len(args.gt) != len(args.traj):
         raise ConfigError(
             f"need one --traj per --gt, got {len(args.gt)} vs {len(args.traj)}"
@@ -515,14 +513,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     lines.append("aggregate:")
     lines += _metric_lines(total, pooled_density, args.radius)
     report = "\n".join(lines) + "\n"
-    out = Path(args.out)
-    report_path = out / "report.txt"
-    digest = formats.atomic_write_text(report_path, report)
+    out.write("report.txt", formats.atomic_write_text, report)
     config = {"iou_threshold": cfg.iou_threshold, "density_radius": args.radius}
-    inputs = [Path(p) for p in args.gt] + [Path(p) for p in args.traj]
-    _write_manifest(out, "eval", config, inputs, {report_path: digest})
-    _say(report.rstrip("\n"))
-    return 0
+    return out.done(config, args.gt + args.traj, report.rstrip("\n"))
 
 
 def _check_same_sequence(gt_path: str, gt_times: list, traj_path: str, traj_times: list) -> None:
@@ -544,7 +537,7 @@ def _check_same_sequence(gt_path: str, gt_times: list, traj_path: str, traj_time
 def _manifest_beside(path: str, command: str) -> dict | None:
     """The manifest.json in path's directory, if `command` wrote it with path's file among its outputs."""
     try:
-        manifest = json.loads((Path(path).parent / "manifest.json").read_text(encoding="utf-8"))
+        manifest = json.loads((Path(path).parent / _Output.MANIFEST).read_text(encoding="utf-8"))
     except (OSError, ValueError):
         return None
     if not isinstance(manifest, dict) or manifest.get("command") != command:
@@ -591,19 +584,15 @@ def _metric_lines(metrics, density: float, radius: float) -> list[str]:
     ]
 
 
-def cmd_density(args: argparse.Namespace) -> int:
+def cmd_density(args: argparse.Namespace, out: _Output) -> int:
     frames, _ = formats.read_scene_jsonl(Path(args.gt))
     density = evaluator.density_stats(frames, radius=args.radius)
     text = f"density@{args.radius}m {density!r}\n"
-    out = Path(args.out)
-    density_path = out / "density.txt"
-    digest = formats.atomic_write_text(density_path, text)
-    _write_manifest(out, "density", {"radius": args.radius}, [Path(args.gt)], {density_path: digest})
-    _say(text.rstrip("\n"))
-    return 0
+    out.write("density.txt", formats.atomic_write_text, text)
+    return out.done({"radius": args.radius}, [args.gt], text.rstrip("\n"))
 
 
-def cmd_voxelshapes(args: argparse.Namespace) -> int:
+def cmd_voxelshapes(args: argparse.Namespace, out: _Output) -> int:
     import numpy as np
 
     if args.seed < 0:
@@ -635,16 +624,14 @@ def cmd_voxelshapes(args: argparse.Namespace) -> int:
         )
     lines.append(f"dropped_points {rows[-1]['dropped_points']}")
     text = "\n".join(lines) + "\n"
-    out = Path(args.out)
-    table_path = out / "voxelshapes.txt"
-    digest = formats.atomic_write_text(table_path, text)
+    out.write("voxelshapes.txt", formats.atomic_write_text, text)
     config = {"topology": args.topology, "seed": args.seed, "widths": list(sparsegrid.DEFAULT_WIDTHS)}
-    _write_manifest(out, "voxelshapes", config, [Path(args.points)], {table_path: digest})
-    _say(text.rstrip("\n"))
-    return 0
+    return out.done(config, [args.points], text.rstrip("\n"))
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first call only; importing this module builds none."""
     parser = argparse.ArgumentParser(
         prog="crowdmot",
         description="Crowded-pedestrian 3D MOT workbench: simulate, build targets, track, evaluate.",
@@ -704,10 +691,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _Output(args.out, args.command))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

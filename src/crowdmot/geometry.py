@@ -518,6 +518,19 @@ def pairs_within(a_xy, b_xy, r: float, groups=None) -> tuple[np.ndarray, np.ndar
     return i[order], j[order]
 
 
+def cell_side(bound: float, scale: float) -> float:
+    """The side of square neighbour cells for pairs at most `bound` apart.
+
+    Every side is at least bound, so a pair within bound lies in the same or
+    adjacent cells. The side carries a relative 1e-6 margin, far above the
+    rounding of x / side, and grows with `scale`, the largest coordinate
+    magnitude binned, so that cell indices stay below 2**28; it is never below
+    2**-1000, where the margin would vanish in subnormal rounding. A larger
+    cell only adds candidates.
+    """
+    return max(bound * (1.0 + 1e-6), scale * 2.0**-28, 2.0**-1000)
+
+
 def _cell_candidates(
     a: np.ndarray,
     b: np.ndarray,
@@ -527,12 +540,8 @@ def _cell_candidates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """A superset of the same-label pairs of a and b at most bound apart, unsorted.
 
-    Points are binned into square cells of side at least bound, so a pair
-    within bound lies in the same or adjacent cells. The side carries a
-    relative 1e-6 margin, far above the rounding of x / side, and grows with
-    the coordinates' magnitude so that cell indices stay below 2**28; it is
-    never below 2**-1000, where the margin would vanish in subnormal
-    rounding. A larger cell only adds candidates.
+    Points are binned into square cells of side cell_side(bound, scale), so
+    a pair within bound lies in the same or adjacent cells.
 
     A column is one x index of one label: labels are ranked, and each rank
     owns a band of x indices with a spare one on either side, so x - 1 and
@@ -545,7 +554,7 @@ def _cell_candidates(
     point of b then has no rank and gives no candidates.
     """
     scale = max(float(np.abs(a).max()), float(np.abs(b).max()))
-    side = max(bound * (1.0 + 1e-6), scale * 2.0**-28, 2.0**-1000)
+    side = cell_side(bound, scale)
     cell_a = np.floor(a / side).astype(np.int64)
     cell_b = cell_a if b is a else np.floor(b / side).astype(np.int64)
     # Shifting the lowest index to 1, with one spare index above the

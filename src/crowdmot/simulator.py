@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Frame, Stacked, check_finite_fields, distinct, pairs_within, wrap_yaw
+from .geometry import Frame, Stacked, cell_side, check_finite_fields, distinct, pairs_within, wrap_yaw
 from .records import DENSITY_RADIUS, normalize_yaw
 from .targets import FrameError, motion_offsets, relationship_offsets
 
@@ -363,17 +363,15 @@ class _CellIndex:
 
     A point closer than MIN_SEPARATION to a candidate lies in the candidate's
     cell or one of the eight around it, so too_close tests those cells' points
-    alone, with the same np.hypot rule as a scan over every placed point. As in
-    geometry.pairs_within, the cell side carries a relative 1e-6 margin and
-    grows with `scale` (the largest coordinate magnitude that will be added or
-    asked), so that x / side stays below 2**28 where x / MIN_SEPARATION would
-    overflow; it is never below 2**-1000. `points` is the caller's (n, 2)
+    alone, with the same np.hypot rule as a scan over every placed point. The
+    cell side is geometry.cell_side's, for `scale` the largest coordinate
+    magnitude that will be added or asked. `points` is the caller's (n, 2)
     array, filled in before each index is added.
     """
 
     def __init__(self, points: np.ndarray, scale: float) -> None:
         self.points = points
-        self.side = max(MIN_SEPARATION * (1.0 + 1e-6), scale * 2.0**-28, 2.0**-1000)
+        self.side = cell_side(MIN_SEPARATION, scale)
         self.cells: dict[tuple[int, int], list[int]] = {}
 
     def _cell(self, x: float, y: float) -> tuple[int, int]:

@@ -1,5 +1,6 @@
 """Command-line pipelines: outputs, manifests, determinism, diagnostics."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -621,6 +622,32 @@ def test_manifest_digests_match_the_files(tmp_path, config_path, gen_dir, comman
         assert digest == sha256_file(Path(name)), name
 
 
+def test_manifest_keys_each_input_by_its_normalised_path(tmp_path, gen_dir):
+    raw = f"{tmp_path}/./gen//gt.jsonl"
+    assert str(Path(raw)) != raw
+    out = tmp_path / "density"
+    assert main(["density", "--gt", raw, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"] == {str(gen_dir / "gt.jsonl"): sha256_file(gen_dir / "gt.jsonl")}
+
+
+def test_two_calls_build_one_parser_tree(tmp_path, gen_dir, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    crowdmot.cli._build_parser.cache_clear()
+    for name in ("a", "b"):
+        assert main(["density", "--gt", str(gen_dir / "gt.jsonl"), "--out", str(tmp_path / name)]) == 0
+    commands = ("gen", "targets", "track", "eval", "density", "voxelshapes")
+    assert built == ["crowdmot", *(f"crowdmot {command}" for command in commands)]
+    assert (tmp_path / "a" / "density.txt").read_bytes() == (tmp_path / "b" / "density.txt").read_bytes()
+
+
 def tree_state(root):
     """Every path under root, with the bytes of each file."""
     return {p: p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
@@ -742,6 +769,26 @@ class TestRejectedRadii:
         assert main([command, *inputs, "--out", str(out), f"{flag}={value}"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestFlagLists:
+    """A comma-separated flag value of the wrong length or with a non-number: one line, exit 2."""
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--grid", "0.5", "--grid expects two comma-separated values, got '0.5'"),
+            ("--extent", "-30,30,-20", "--extent expects x_min,x_max,y_min,y_max, got '-30,30,-20'"),
+            ("--grid", "0.5,x", "--grid: cannot parse '0.5,x'"),
+            ("--extent", "-30,30,-20,y", "--extent: cannot parse '-30,30,-20,y'"),
+        ],
+    )
+    def test_fails_with_the_flag_and_its_value(self, gen_dir, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "out"
+        argv = ["targets", "--gt", str(gen_dir / "gt.jsonl"), "--out", str(out)]
+        assert main([*argv, f"{flag}={value}"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
 

@@ -138,6 +138,52 @@ def test_snap_assignments_are_recognised(source, lines):
     assert assigned_lines(ast.parse(source), "_SNAP") == lines
 
 
+def output_rule_breaks(source: str) -> list[str]:
+    """Where cli's source names manifest.json or sha256_file outside _Output, or a cmd_* reads args.out.
+
+    _Output is the one writer of a command's files and its manifest.json,
+    and `main` builds it from args.out, so no cmd_* function needs that flag.
+    """
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if owner != "_Output" and isinstance(node, ast.Constant) and node.value == "manifest.json":
+                found.append(f"{node.lineno}: 'manifest.json' outside _Output")
+            names = {getattr(node, "attr", None), getattr(node, "id", None)}
+            names |= {alias.name for alias in getattr(node, "names", ())}
+            if owner != "_Output" and "sha256_file" in names:
+                found.append(f"{node.lineno}: sha256_file outside _Output")
+            if (
+                owner and owner.startswith("cmd_") and isinstance(node, ast.Attribute)
+                and node.attr == "out" and isinstance(node.value, ast.Name) and node.value.id == "args"
+            ):
+                found.append(f"{node.lineno}: {owner} reads args.out")
+    return found
+
+
+def test_only_the_output_object_writes_the_manifest():
+    assert output_rule_breaks((SRC / "cli.py").read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("class _Output:\n    MANIFEST = 'manifest.json'", []),
+        ("class _Output:\n    def done(self, p):\n        return formats.sha256_file(p)", []),
+        ("MANIFEST = 'manifest.json'", ["1: 'manifest.json' outside _Output"]),
+        ("def _beside(p):\n    return p.parent / 'manifest.json'", ["2: 'manifest.json' outside _Output"]),
+        ("def cmd_x(args, out):\n    return formats.sha256_file(p)", ["2: sha256_file outside _Output"]),
+        ("from .formats import sha256_file", ["1: sha256_file outside _Output"]),
+        ("def cmd_x(args, out):\n    return Path(args.out)", ["2: cmd_x reads args.out"]),
+        ("def main(argv):\n    return _Output(args.out, args.command)", []),
+        ("def cmd_x(args, out):\n    return out.root, args.outdir", []),
+    ],
+)
+def test_output_rule_breaks_are_recognised(source, found):
+    assert output_rule_breaks(source) == found
+
+
 def test_records_uses_only_the_standard_library():
     tree = ast.parse((SRC / "records.py").read_text())
     roots = [

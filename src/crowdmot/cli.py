@@ -255,147 +255,120 @@ def _check_on_grid(frames: list[geometry.Frame], grid: geometry.GridSpec) -> Non
 
 
 def _frame_targets(
-    number: int, frame: geometry.Frame, out: Path, grid: geometry.GridSpec, sigma: float, th: float,
+    number: int, frame: geometry.Frame, out: _Output, grid: geometry.GridSpec, sigma: float, th: float,
     dump_pgm: bool, reprs: dict[int, str],
-) -> dict[Path, str]:
-    """Write frame `number`'s heatmap and weight grids, and their PGMs with dump_pgm.
+) -> None:
+    """Write frame `number`'s heatmap and weight grids through `out`, and their PGMs with dump_pgm.
 
-    reprs is the write_grid memo of float texts the frames share. Returns
-    {path: digest} of the files written.
+    reprs is the write_grid memo of float texts the frames share.
     """
     heat = targets.make_heatmap(frame, grid, sigma=sigma)
     daw = targets.make_daw(frame, grid, th=th)
-    heat_path = out / f"heatmap_{number:04d}.grid"
-    daw_path = out / f"weights_{number:04d}.grid"
-    outputs = {
-        heat_path: formats.write_grid(heat_path, heat, reprs),
-        daw_path: formats.write_grid(daw_path, daw, reprs),
-    }
-    if dump_pgm:
-        for src, dst in ((heat, heat_path), (daw, daw_path)):
-            pgm = dst.with_suffix(".pgm")
-            outputs[pgm] = formats.write_pgm(pgm, src)
-    return outputs
+    for stem, values in ((f"heatmap_{number:04d}", heat), (f"weights_{number:04d}", daw)):
+        out.write(f"{stem}.grid", formats.write_grid, values, reprs)
+        if dump_pgm:
+            out.write(f"{stem}.pgm", formats.write_pgm, values)
 
 
-_Job = Callable[[int, "geometry.Frame"], dict[Path, str]]
+_Job = Callable[[int, "geometry.Frame"], None]
 
 
-def _map_frames(job: _Job, frames: list[geometry.Frame], cells: int) -> list[dict[Path, str]]:
-    """[job(number, frame) for each frame], in frame order.
+def _map_frames(job: _Job, frames: list[geometry.Frame], cells: int, out: _Output) -> None:
+    """job(number, frame) for each frame, where each job writes its files through `out`.
 
-    The frames run in this process when it may use one CPU, when they hold
-    fewer than _PARALLEL_MIN_CELLS grid cells in all (`cells` a frame), or
-    when the process runs other threads, whose locks a forked child would
-    inherit held. Otherwise they run on min(CPUs, frames) forked children
-    (_fork_map), which inherit the loaded modules and the job itself, so
-    nothing is imported or pickled to start them. The jobs write the same
-    files either way.
+    The frames run in this process, in order, when it may use one CPU, when
+    they hold fewer than _PARALLEL_MIN_CELLS grid cells in all (`cells` a
+    frame), or when the process runs other threads, whose locks a forked
+    child would inherit held. Otherwise they run on min(CPUs, frames) forked
+    children (_fork_map), which inherit the loaded modules and the job
+    itself, so nothing is imported or pickled to start them. The jobs write
+    the same files either way, and out.digests ends up holding all of them.
     """
     import threading
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(frames))
     if workers < 2 or len(frames) * cells < _PARALLEL_MIN_CELLS or threading.active_count() > 1:
-        return list(map(job, range(len(frames)), frames))
-    # Four chunks a worker: 1 to 50 frames a chunk took the same time on
-    # the quick start's 100 frames.
-    return _fork_map(job, frames, max(1, len(frames) // (4 * workers)), workers)
+        for number, frame in enumerate(frames):
+            job(number, frame)
+    else:
+        _fork_map(job, frames, workers, out)
 
 
-def _fork_map(job: _Job, frames: list[geometry.Frame], size: int, workers: int) -> list[dict[Path, str]]:
-    """[job(number, frame) for each frame] on `workers` forked children, in frame order.
+def _fork_map(job: _Job, frames: list[geometry.Frame], workers: int, out: _Output) -> None:
+    """job(number, frame) for each frame on `workers` forked children; their digests join out.digests.
 
-    Chunk k holds frames k * size to (k + 1) * size - 1. Before the first
-    fork every chunk's number goes into one pipe as 4 bytes and its write
-    end is closed, so each 4-byte read a child makes gets one whole number
-    or end of file. There are fewer than 8 chunks a worker, under 32 bytes, well
-    inside a pipe's buffer. A child takes chunks until end of file, so a
-    slow child takes fewer, and answers once on its own pipe (_serve).
-
-    This process reads each answer to end of file and reaps each child. Once
-    every child has ended it raises the exception of the lowest failed
-    frame; a child that ended without an answer is an OSError. No child
-    outlives this call: any still running on the way out is killed and reaped.
+    Child k runs frames k, k + workers, ... in order (_serve) and answers
+    once on its own pipe. This process reads each answer to end of file and
+    reaps each child. Once every child has ended it raises the exception of
+    the lowest failed frame; a child that ended without an answer is an
+    OSError. No child outlives this call: any still running on the way out
+    is killed and reaped.
     """
     import pickle
     import signal
 
-    tasks, feed = os.pipe()
-    children: dict[int, int | None] = {}  # pid -> read end of its answer pipe, None once closed
+    children = {}  # pid -> read end of its answer pipe
     try:
-        with open(feed, "wb") as writer:
-            writer.write(b"".join(k.to_bytes(4, "little") for k in range(-(-len(frames) // size))))
-        for _ in range(workers):
+        for first in range(workers):
             read, write = os.pipe()
+            answer = open(read, "rb")
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _serve(job, frames, size, tasks, write)
+                    _serve(job, frames, range(first, len(frames), workers), out, write)
             except BaseException:
-                os.close(read)
+                answer.close()
                 raise
             finally:
                 os.close(write)
-            children[pid] = read
-        outputs: list = [None] * len(frames)
+            children[pid] = answer
         failures = []  # (frame number, exception); a dead child sorts after every frame
-        for pid in list(children):
-            answer = _read_to_end(children[pid])
-            os.close(children[pid])
-            children[pid] = None
+        for pid, answer in list(children.items()):
+            with answer:
+                data = answer.read()
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[pid]
             if status != 0:
                 how = f"exited with code {status}" if status > 0 else f"was killed by signal {-status}"
                 failures.append((len(frames), OSError(f"targets worker died: process {pid} {how}")))
                 continue
-            done, failed = pickle.loads(answer)
-            for number, written in done:
-                outputs[number] = written
+            digests, failed = pickle.loads(data)
+            out.digests.update(digests)
             if failed is not None:
                 failures.append(failed)
         if failures:
             raise min(failures, key=lambda failure: failure[0])[1]
-        return outputs
     finally:
-        os.close(tasks)
-        for pid, read in children.items():
-            if read is not None:
-                os.close(read)
+        for pid, answer in children.items():
+            answer.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
-def _serve(job: _Job, frames: list[geometry.Frame], size: int, tasks: int, answer: int) -> None:
-    """A forked child's life: run chunks until end of file, answer once, and exit.
+def _serve(job: _Job, frames: list[geometry.Frame], numbers: range, out: _Output, answer: int) -> None:
+    """A forked child's life: run frames `numbers` in order until one fails, answer once, and exit.
 
-    The answer is one pickle of (done, failed): done lists (number, outputs)
-    of the frames run, failed is None or (number, exception) of the first
-    frame that raised. After a failure the child empties the chunk pipe, so
-    the other children stop after their current chunk. An exception that
-    cannot cross in a pickle crosses as _portable's stand-in. The child ends
-    in os._exit, never returning into the caller's frames; its status is 0
-    only once the whole answer is written.
+    The answer is one pickle of (digests, failed): the digests out recorded
+    in this child, and None or (number, exception) of the frame that raised.
+    An exception that cannot cross in a pickle crosses as _portable's
+    stand-in. The child ends in os._exit, never returning into the caller's
+    frames; its status is 0 only once the whole answer is written.
     """
     status = 1
     try:
         import pickle
 
-        done, failed = [], None
-        while failed is None and (word := os.read(tasks, 4)):
-            start = int.from_bytes(word, "little") * size
-            for number in range(start, min(start + size, len(frames))):
-                try:
-                    done.append((number, job(number, frames[number])))
-                except Exception as exc:
-                    failed = (number, _portable(exc))
-                    while os.read(tasks, 1 << 16):
-                        pass
-                    break
-        data = memoryview(pickle.dumps((done, failed)))
-        while data:
-            data = data[os.write(answer, data):]
+        out.digests.clear()
+        failed = None
+        for number in numbers:
+            try:
+                job(number, frames[number])
+            except Exception as exc:
+                failed = (number, _portable(exc))
+                break
+        with open(answer, "wb") as pipe:
+            pickle.dump((out.digests, failed), pipe)
         status = 0
     finally:
         os._exit(status)
@@ -417,13 +390,6 @@ def _portable(exc: Exception) -> Exception:
             OSError if isinstance(exc, OSError) else ValueError if isinstance(exc, ValueError) else RuntimeError
         )
         return kind(f"{type(exc).__name__}: {exc}")
-
-
-def _read_to_end(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    return b"".join(chunks)
 
 
 def cmd_targets(args: argparse.Namespace, out: _Output) -> int:
@@ -451,13 +417,11 @@ def cmd_targets(args: argparse.Namespace, out: _Output) -> int:
     ]
     # One table of float texts for all the frames one process runs: the
     # heatmaps repeat the same stencil values in every frame. Each forked
-    # worker fills its own copy over all the chunks it takes.
+    # worker fills its own copy over all the frames it takes.
     job = partial(
-        _frame_targets, out=out.root, grid=grid, sigma=args.sigma, th=args.th, dump_pgm=args.dump_pgm,
-        reprs={},
+        _frame_targets, out=out, grid=grid, sigma=args.sigma, th=args.th, dump_pgm=args.dump_pgm, reprs={}
     )
-    for written in _map_frames(job, frames, grid.nx * grid.ny):
-        out.digests.update(written)
+    _map_frames(job, frames, grid.nx * grid.ny, out)
     out.write("offsets.jsonl", formats.write_offsets_jsonl, offsets, timestamps)
     config = {
         "grid": {"dx": dx, "dy": dy, "x_min": x_min, "x_max": x_max, "y_min": y_min, "y_max": y_max},
@@ -470,6 +434,8 @@ def cmd_targets(args: argparse.Namespace, out: _Output) -> int:
 
 
 def cmd_track(args: argparse.Namespace, out: _Output) -> int:
+    from dataclasses import asdict
+
     cfg = tracker.TrackerConfig(
         max_match_dist=args.max_match_dist,
         max_age=args.max_age,
@@ -478,16 +444,13 @@ def cmd_track(args: argparse.Namespace, out: _Output) -> int:
     det_frames, timestamps = formats.read_detections_jsonl(Path(args.det))
     tracks = tracker.run_sequence(det_frames, cfg)
     traj_path = out.write("traj.jsonl", formats.write_trajectories_jsonl, tracks, timestamps)
-    config = {
-        "max_match_dist": cfg.max_match_dist,
-        "max_age": cfg.max_age,
-        "birth_score_min": cfg.birth_score_min,
-    }
     n_tracks = len(set().union(*(f.ids.tolist() for f in tracks)))
-    return out.done(config, [args.det], f"wrote {n_tracks} trajectories to {traj_path}")
+    return out.done(asdict(cfg), [args.det], f"wrote {n_tracks} trajectories to {traj_path}")
 
 
 def cmd_eval(args: argparse.Namespace, out: _Output) -> int:
+    from dataclasses import asdict
+
     if len(args.gt) != len(args.traj):
         raise ConfigError(
             f"need one --traj per --gt, got {len(args.gt)} vs {len(args.traj)}"
@@ -514,7 +477,7 @@ def cmd_eval(args: argparse.Namespace, out: _Output) -> int:
     lines += _metric_lines(total, pooled_density, args.radius)
     report = "\n".join(lines) + "\n"
     out.write("report.txt", formats.atomic_write_text, report)
-    config = {"iou_threshold": cfg.iou_threshold, "density_radius": args.radius}
+    config = {**asdict(cfg), "density_radius": args.radius}
     return out.done(config, args.gt + args.traj, report.rstrip("\n"))
 
 
@@ -665,8 +628,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("eval", help="CLEAR-MOT metrics for trajectories against GT")
-    p.add_argument("--gt", required=True, nargs="+")
-    p.add_argument("--traj", required=True, nargs="+")
+    p.add_argument("--gt", required=True, nargs="+", action="extend")
+    p.add_argument("--traj", required=True, nargs="+", action="extend")
     p.add_argument("--out", required=True)
     p.add_argument("--iou-th", type=float, default=0.5)
     p.add_argument("--radius", type=float, default=2.0, help="density statistic radius")

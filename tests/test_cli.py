@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -401,10 +402,12 @@ class TestTargetsWorkers:
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "forks, fork = [], os.fork\n"
             "os.fork = lambda: forks.append(1) or fork()\n"
-            "tag = 'frame'\n"
-            "job = lambda number, frame: f'{tag} {number} {frame} {os.getpid() != parent}'\n"
+            "tag, out = 'frame', cli._Output('unused', 'targets')\n"
+            "def job(number, frame):\n"
+            "    out.digests[number] = f'{tag} {number} {frame} {os.getpid() != parent}'\n"
             "parent = os.getpid()\n"
-            "print(cli._map_frames(job, list('abcdefghij'), cli._PARALLEL_MIN_CELLS), len(forks))\n"
+            "cli._map_frames(job, list('abcdefghij'), cli._PARALLEL_MIN_CELLS, out)\n"
+            "print([out.digests[number] for number in range(10)], len(forks))\n"
         )
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
@@ -412,18 +415,20 @@ class TestTargetsWorkers:
         assert result.stdout.splitlines()[-1] == f"{expected} 2"
 
     def test_each_frame_runs_once_on_more_workers_than_cpus(self, tmp_path):
-        # The workers share one chunk pipe: a chunk taken twice or lost shows
-        # in the log each frame appends to.
+        # Each worker takes every workers-th frame: a frame run twice or
+        # skipped shows in the log each frame appends to.
         code = (
             "import os, sys\n"
             "import crowdmot.cli as cli\n"
+            "out = cli._Output('unused', 'targets')\n"
             "def job(number, frame):\n"
             "    fd = os.open(sys.argv[1], os.O_WRONLY | os.O_APPEND | os.O_CREAT)\n"
             "    os.write(fd, b'%d\\n' % number)\n"
             "    os.close(fd)\n"
-            "    return frame\n"
+            "    out.digests[number] = frame\n"
             "frames = list(range(500))\n"
-            "print(cli._fork_map(job, frames, 1, len(os.sched_getaffinity(0)) + 2) == frames)\n"
+            "cli._fork_map(job, frames, len(os.sched_getaffinity(0)) + 2, out)\n"
+            "print([out.digests[number] for number in range(500)] == frames)\n"
         )
         log = tmp_path / "log"
         result = subprocess.run(
@@ -445,10 +450,26 @@ class TestTargetsWorkers:
                 raise ValueError("an earlier frame failed")
             return frame
 
+        out = crowdmot.cli._Output("unused", "targets")
         with pytest.raises(ValueError, match="^an earlier frame failed$"):
-            crowdmot.cli._fork_map(job, list(range(10)), 2, 2)
+            crowdmot.cli._fork_map(job, list(range(10)), 2, out)
         with pytest.raises(OSError, match="^Unpicklable: frame 7 failed$"):
-            crowdmot.cli._fork_map(job, [*range(3), *range(4, 10)], 2, 2)
+            crowdmot.cli._fork_map(job, [*range(3), *range(4, 10)], 2, out)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_the_lowest_failed_frame_wins_when_its_worker_answers_last(self):
+        # Worker 1 holds frame 1 and answers after worker 0 has answered the
+        # failure of frame 4.
+        def job(number, frame):
+            if number == 1:
+                time.sleep(0.5)
+                raise ValueError("frame 1 failed")
+            if number == 4:
+                raise OSError("frame 4 failed")
+
+        with pytest.raises(ValueError, match="^frame 1 failed$"):
+            crowdmot.cli._fork_map(job, list(range(10)), 2, crowdmot.cli._Output("unused", "targets"))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -483,6 +504,21 @@ class TestTrackAndEval:
         report = (eval_out / "report.txt").read_text()
         assert "MOTA 1.0" in report
         assert "density@2.0m" in report
+
+    def test_repeated_gt_and_traj_flags_evaluate_every_pair(self, config_path, tmp_path):
+        gts, trajs = [], []
+        for seed in ("3", "4"):
+            gen, trk = tmp_path / f"gen-{seed}", tmp_path / f"trk-{seed}"
+            assert main(["gen", "--config", str(config_path), "--seed", seed, "--out", str(gen)]) == 0
+            assert main(["track", "--det", str(gen / "det.jsonl"), "--out", str(trk)]) == 0
+            gts.append(str(gen / "gt.jsonl"))
+            trajs.append(str(trk / "traj.jsonl"))
+        assert main(["eval", "--gt", *gts, "--traj", *trajs, "--out", str(tmp_path / "one")]) == 0
+        repeated = ["--gt", gts[0], "--traj", trajs[0], "--gt", gts[1], "--traj", trajs[1]]
+        assert main(["eval", *repeated, "--out", str(tmp_path / "repeated")]) == 0
+        report = (tmp_path / "one" / "report.txt").read_text()
+        assert report.count("sequence: ") == 2
+        assert (tmp_path / "repeated" / "report.txt").read_text() == report
 
     def test_eval_arithmetic_fixture(self, tmp_path):
         # Two GT objects over five frames (P=10). Track 0 covers object 0 but

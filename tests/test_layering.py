@@ -139,14 +139,22 @@ def test_snap_assignments_are_recognised(source, lines):
 
 
 def output_rule_breaks(source: str) -> list[str]:
-    """Where cli's source names manifest.json or sha256_file outside _Output, or a cmd_* reads args.out.
+    """Where cli's source gets around _Output.
 
     _Output is the one writer of a command's files and its manifest.json,
     and `main` builds it from args.out, so no cmd_* function needs that flag.
+    Outside _Output, cli names manifest.json and sha256_file nowhere, and a
+    formats writer (write_*, atomic_write_text) only as an argument of out.write.
     """
     found = []
     for top in ast.parse(source).body:
         owner = getattr(top, "name", None)
+        passed = {
+            id(arg)
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "out.write"
+            for arg in node.args
+        }
         for node in ast.walk(top):
             if owner != "_Output" and isinstance(node, ast.Constant) and node.value == "manifest.json":
                 found.append(f"{node.lineno}: 'manifest.json' outside _Output")
@@ -154,6 +162,9 @@ def output_rule_breaks(source: str) -> list[str]:
             names |= {alias.name for alias in getattr(node, "names", ())}
             if owner != "_Output" and "sha256_file" in names:
                 found.append(f"{node.lineno}: sha256_file outside _Output")
+            writers = sorted(n for n in names if n and (n.startswith("write_") or n == "atomic_write_text"))
+            if owner != "_Output" and writers and id(node) not in passed:
+                found += [f"{node.lineno}: {name} outside out.write" for name in writers]
             if (
                 owner and owner.startswith("cmd_") and isinstance(node, ast.Attribute)
                 and node.attr == "out" and isinstance(node.value, ast.Name) and node.value.id == "args"
@@ -178,6 +189,13 @@ def test_only_the_output_object_writes_the_manifest():
         ("def cmd_x(args, out):\n    return Path(args.out)", ["2: cmd_x reads args.out"]),
         ("def main(argv):\n    return _Output(args.out, args.command)", []),
         ("def cmd_x(args, out):\n    return out.root, args.outdir", []),
+        ("def cmd_x(args, out):\n    out.write('a.grid', formats.write_grid, grid)", []),
+        ("class _Output:\n    def done(self):\n        formats.atomic_write_text(p, text)", []),
+        ("def _job(out):\n    formats.write_grid(out.root / 'a.grid', grid)", ["2: write_grid outside out.write"]),
+        ("def _job(out):\n    out.write('a.pgm', partial(formats.write_pgm), grid)", ["2: write_pgm outside out.write"]),
+        ("def _job(out):\n    save(formats.write_grid)", ["2: write_grid outside out.write"]),
+        ("from .formats import atomic_write_text", ["1: atomic_write_text outside out.write"]),
+        ("def cmd_x(args, out):\n    writer.write(b'')\n    os.write(fd, b'')", []),
     ],
 )
 def test_output_rule_breaks_are_recognised(source, found):

@@ -60,33 +60,58 @@ def check_finite_fields(config) -> None:
 def distinct(values, return_inverse: bool = False, return_counts: bool = False):
     """The sorted distinct values of a 1-d array, as np.unique returns them.
 
-    One sort (an argsort where the inverse is asked) and a neighbour mask.
-    With a flag set, returns a tuple: the distinct values, then, in this
-    order, the inverse (the index of each input value among them) and each
-    one's count. Equal values must compare equal, as integers do. Unlike
-    np.unique, whose first call imports numpy.ma (about 14 ms and 1.2 MB),
-    it loads nothing.
+    One sort and a neighbour mask. With a flag set, returns a tuple: the
+    distinct values, then, in this order, the inverse (the index of each
+    input value among them) and each one's count. Equal values must compare
+    equal, as integers do. Where the inverse is asked, integers whose span
+    fits in 62 - b bits, b the bits of the largest row index, are sorted as
+    packed int64 words (value - min) << b | row, which carry each value's row
+    with it; other values are argsorted. Unlike np.unique, whose first call
+    imports numpy.ma (about 14 ms and 1.2 MB), it loads nothing.
     """
     values = np.asarray(values)
     if return_inverse:
-        order = np.argsort(values)
-        ordered = values[order]
+        order, ordered = _sorted_rows(values)
     else:
         ordered = np.sort(values)
     first = np.empty(len(ordered), dtype=bool)
     first[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    found = ordered[first]
     if not (return_inverse or return_counts):
-        return found
-    result = (found,)
+        return ordered[first]
+    starts = np.flatnonzero(first)
+    result = (values[order[starts]] if return_inverse else ordered[starts],)
     if return_inverse:
         inverse = np.empty(len(order), dtype=np.intp)
         inverse[order] = np.cumsum(first) - 1
         result += (inverse,)
     if return_counts:
-        result += (np.diff(np.append(np.flatnonzero(first), len(first))),)
+        result += (np.diff(np.append(starts, len(first))),)
     return result
+
+
+def _sorted_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An order that sorts 1-d values, and keys that sort and compare as values[order] do.
+
+    Packed integers come from one np.sort, their keys value - min. The
+    order among equal values differs from an argsort's, but no output of
+    distinct depends on it. With the inverse and counts of 20k voxel keys,
+    distinct took 0.33 ms against 0.48 ms for an argsort and its gather
+    (timeit, best of 5 x 200, 2-vCPU VM, numpy 2.4).
+    """
+    if values.dtype.kind in "iu" and len(values):
+        bits = (len(values) - 1).bit_length()
+        low = values.min()
+        if int(values.max()) - int(low) < 2 ** (62 - bits):
+            # Exact in int64 modulo 2**64, so for uint64 values too.
+            words = values.astype(np.int64)
+            words -= low.astype(np.int64)
+            words <<= bits
+            words |= np.arange(len(values))
+            words.sort()
+            return words & ((1 << bits) - 1), words >> bits
+    order = np.argsort(values)
+    return order, values[order]
 
 
 class Stacked:
@@ -150,18 +175,34 @@ def to_cells(points, spec) -> tuple[np.ndarray, np.ndarray]:
     axis is floor((p - low) / step + _SNAP), at most the last cell: the snap
     can carry a point an ulp below the upper extent onto the bound. Returns
     the (n,) bool mask and the (inside rows, d) int64 cells, in input order.
+
+    Each axis is copied out once as a contiguous column, tested and binned in
+    place, and its cells written to one column of the result (a transposed
+    (d, rows) array): the same IEEE operations per element as on the whole
+    (n, d) view, whatever the points' memory layout. On 20k voxel points,
+    0.21 ms against 0.69 ms for six temporaries of the (n, 3) view (timeit,
+    best of 5 x 200, 2-vCPU VM, numpy 2.4).
     """
     low, high, step = np.array(_bounds(spec, "xyz"[: len(spec.shape)]))
-    coords = np.asarray(points, dtype=np.float64)[:, : len(low)]
-    inside = np.ones(len(coords), dtype=bool)
-    # Axis by axis: on 20k voxel points, 0.19 ms against 1.08 ms for one
-    # (n, 3) comparison reduced along its rows (2-vCPU VM, numpy 2.4).
-    for axis in range(len(low)):
-        inside &= (coords[:, axis] >= low[axis]) & (coords[:, axis] < high[axis])
-    kept = coords if inside.all() else coords[inside]
-    cells = np.floor((kept - low) / step + _SNAP).astype(np.int64)
-    np.minimum(cells, np.array(spec.shape) - 1, out=cells)
-    return inside, cells
+    points = np.asarray(points, dtype=np.float64)
+    columns = np.empty((len(low), len(points)))
+    inside = np.ones(len(points), dtype=bool)
+    test = np.empty(len(points), dtype=bool)
+    for axis, column in enumerate(columns):
+        column[:] = points[:, axis]
+        inside &= np.greater_equal(column, low[axis], out=test)
+        inside &= np.less(column, high[axis], out=test)
+    if not inside.all():
+        columns = columns[:, inside]
+    cells = np.empty(columns.shape, dtype=np.int64)
+    for column, cell, lo, d, count in zip(columns, cells, low, step, spec.shape):
+        column -= lo
+        column /= d
+        column += _SNAP
+        np.floor(column, out=column)
+        cell[:] = column
+        np.minimum(cell, count - 1, out=cell)
+    return inside, cells.T
 
 
 @dataclass(frozen=True)

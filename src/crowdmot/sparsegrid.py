@@ -96,7 +96,8 @@ class PointCloud:
         if not np.isfinite(pts).all():
             bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))[0]
             raise ValueError(f"point {bad} has a non-finite value: {pts[bad].tolist()}")
-        if not np.isin(pts[:, 4], (0.0, 1.0)).all():
+        flag = pts[:, 4]
+        if not ((flag == 0.0) | (flag == 1.0)).all():
             raise ValueError("time_flag channel must be 0 or 1")
         object.__setattr__(self, "points", pts)
 
@@ -227,7 +228,11 @@ def _pack(coords: np.ndarray, bits: tuple[int, int, int]) -> np.ndarray:
 def _unpack(keys: np.ndarray, bits: tuple[int, int, int]) -> np.ndarray:
     """The (n, 3) cells of int64 keys, _pack's inverse."""
     _, by, bz = bits
-    return np.column_stack([keys >> (by + bz), (keys >> bz) & ((1 << by) - 1), keys & ((1 << bz) - 1)])
+    coords = np.empty((len(keys), 3), dtype=np.int64)
+    np.right_shift(keys, by + bz, out=coords[:, 0])
+    np.bitwise_and(keys >> bz, (1 << by) - 1, out=coords[:, 1])
+    np.bitwise_and(keys, (1 << bz) - 1, out=coords[:, 2])
+    return coords
 
 
 def _coarsen(keys: np.ndarray, k: int, bits: tuple[int, int, int]) -> np.ndarray:
@@ -347,17 +352,29 @@ def voxelize(pc: PointCloud, spec: VoxelSpec = VoxelSpec()) -> SparseGrid:
     Each occupied voxel's feature is (point count, mean intensity, mean
     time_flag): its points summed with np.add.at in input order from 0.0,
     the bits of the (voxels x points) indicator product, over the count. A
-    voxel whose intensities sum past the float range gets an inf mean, and
-    numpy warns of the overflow unless called under np.errstate. Points
-    outside the extents are dropped and counted in the grid's n_dropped.
+    voxel whose intensities sum past the float range instead gets the sum
+    of its points' shares x / count, added in input order, so its mean is
+    finite wherever that sum is; numpy's overflow warning is not raised.
+    Points outside the extents are dropped and counted in the grid's
+    n_dropped. Cells come from to_cells and keys from one distinct.
     """
     inside, cells = to_cells(pc.points, spec)
     kept = pc.points if inside.all() else pc.points[inside]
     keys, inverse, counts = distinct(_pack(cells, spec.bits), return_inverse=True, return_counts=True)
+    features = np.empty((len(keys), 3))
+    features[:, 0] = counts
     sums = np.zeros((2, len(keys)))
-    np.add.at(sums[0], inverse, kept[:, 3])
-    np.add.at(sums[1], inverse, kept[:, 4])
-    features = np.column_stack([counts, (sums / counts).T])
+    with np.errstate(over="ignore"):
+        np.add.at(sums[0], inverse, kept[:, 3])
+        np.add.at(sums[1], inverse, kept[:, 4])
+        np.divide(sums, counts, out=features[:, 1:].T)
+        # Time flags are 0 or 1, so only an intensity sum can pass the float range.
+        overflowed = np.isinf(sums[0])
+        if overflowed.any():
+            rows = overflowed[inverse]
+            shares = np.zeros(len(keys))
+            np.add.at(shares, inverse[rows], kept[rows, 3] / counts[inverse[rows]])
+            features[overflowed, 1] = shares[overflowed]
     return SparseGrid._of_keys(spec, 1, keys, features, len(pc) - len(kept))
 
 
@@ -497,10 +514,7 @@ def topology_report(
     for name, width in named:
         if not isinstance(width, (int, np.integer)) or width < 0:
             raise ValueError(f"{name} must be a non-negative integer, got {width!r}")
-    # The table reads the input grid's cells and dropped count, never its
-    # features, so a feature sum that overflows is no concern of it.
-    with np.errstate(over="ignore"):
-        base = voxelize(pc, spec)
+    base = voxelize(pc, spec)
     keys = base.keys
     occupied = [len(keys)]
     for _ in VALID_STRIDES[1:]:

@@ -1210,10 +1210,28 @@ class TestVoxelshapes:
         table = (out / "voxelshapes.txt").read_text()
         assert "input         1      0.075      2560x1280x40         0" in table
 
+    def test_fortran_ordered_points_give_the_same_table(self, tmp_path):
+        # np.load keeps a file's Fortran order; five columns are not padded,
+        # so the points reach voxelize in that layout.
+        rng = np.random.default_rng(3)
+        pts = np.column_stack([rng.uniform(-100, 100, 500), rng.uniform(-50, 50, 500),
+                               rng.uniform(-6, 4, 500), rng.uniform(0, 1, 500),
+                               rng.integers(0, 2, 500)])
+        tables = []
+        for name, layout in (("c", np.ascontiguousarray), ("fortran", np.asfortranarray)):
+            path = tmp_path / f"{name}.npy"
+            np.save(path, layout(pts))
+            assert np.load(path).flags.f_contiguous == (name == "fortran")
+            out = tmp_path / f"vox_{name}"
+            assert main(["voxelshapes", "--points", str(path), "--out", str(out), "--topology", "c"]) == 0
+            tables.append((out / "voxelshapes.txt").read_bytes())
+        assert b"dropped_points 0" not in tables[0]
+        assert tables[1] == tables[0]
+
     @pytest.mark.parametrize("topology", ["a", "b", "c"])
     def test_huge_intensities_print_no_warning(self, tmp_path, topology):
-        # Two points of intensity 1.7e308 in one voxel: their sum overflows,
-        # but the table reads no feature, so it warns of nothing.
+        # Two points of intensity 1.7e308 in one voxel: voxelize averages
+        # their shares, not their sum, which would overflow.
         path = tmp_path / "hot.npy"
         np.save(path, np.array([[0.01, 0.01, 0.01, 1.7e308], [0.02, 0.02, 0.02, 1.7e308]]))
         out = tmp_path / "vox"

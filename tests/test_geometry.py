@@ -694,15 +694,33 @@ class TestDistinct:
         ),
         inverse=st.booleans(),
         counts=st.booleans(),
+        dtype=st.sampled_from(["int64", "int32", "uint64"]),
     )
-    @example(values=[], inverse=True, counts=True)
-    @example(values=[7], inverse=True, counts=True)
-    @example(values=[-2] * 9, inverse=True, counts=True)
-    @example(values=[INT64.max, INT64.min, INT64.max], inverse=True, counts=True)
-    def test_matches_np_unique(self, values, inverse, counts):
-        values = np.array(values, dtype=np.int64)
+    @example(values=[], inverse=True, counts=True, dtype="int64")
+    @example(values=[7], inverse=True, counts=True, dtype="int64")
+    @example(values=[-2] * 9, inverse=True, counts=True, dtype="int64")
+    @example(values=[INT64.max, INT64.min, INT64.max], inverse=True, counts=True, dtype="int64")
+    # uint64 values at and above 2**63 (negative values wrap there), of a
+    # narrow span and of the full one.
+    @example(values=[-1, -3, -1, -2], inverse=True, counts=True, dtype="uint64")
+    @example(values=[-1, INT64.min, 0, -1], inverse=True, counts=True, dtype="uint64")
+    @example(values=[2**31 - 1, -(2**31), 0, -(2**31)], inverse=True, counts=False, dtype="int32")
+    # Five values leave 62 - 3 bits for the span: 2**59 - 1 is packed, 2**59 is not.
+    @example(values=[-7, 2**59 - 8, -7, 0, 1], inverse=True, counts=True, dtype="int64")
+    @example(values=[-7, 2**59 - 7, -7, 0, 1], inverse=True, counts=True, dtype="int64")
+    @example(values=[INT64.min + 2**61 - 1, INT64.min], inverse=True, counts=True, dtype="int64")
+    @example(values=[INT64.min + 2**61, INT64.min], inverse=True, counts=True, dtype="int64")
+    def test_matches_np_unique(self, values, inverse, counts, dtype):
+        # Python ints wrap into the narrower or unsigned dtype.
+        values = np.array(values, dtype=np.int64).astype(dtype)
         expected = np.unique(values, return_inverse=inverse, return_counts=counts)
-        got = distinct(values, return_inverse=inverse, return_counts=counts)
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            got = distinct(values, return_inverse=inverse, return_counts=counts)
+        # The inverse comes from packed words where the span leaves room for
+        # the row bits, and from an argsort elsewhere.
+        bits = (len(values) - 1).bit_length()
+        packed = len(values) > 0 and int(values.max()) - int(values.min()) < 2 ** (62 - bits)
+        assert argsort.called == (inverse and not packed)
         if not (inverse or counts):
             expected, got = (expected,), (got,)
         assert len(got) == len(expected)

@@ -61,7 +61,8 @@ seed = 4
 # alone; otherwise main(argv) runs, on a 2-CPU pool that starts at any work
 # size when pool is true. Prints the crowdmot submodules that ran (a module
 # not yet run is still a lazy module object, and type() does not run it),
-# whether numpy is loaded, the top-level modules loaded and the fork count.
+# whether numpy is loaded, whether numpy.ma is (np.unique's first call imports
+# it: about 14 ms and 1.2 MB), the top-level modules loaded and the fork count.
 PROBE = """\
 import json, os, sys, types
 argv, pool = json.loads(sys.argv[1])
@@ -86,7 +87,7 @@ ran = sorted(
     if name.startswith("crowdmot.") and name != "crowdmot.cli" and type(module) is types.ModuleType
 )
 roots = sorted({name.split(".")[0] for name in sys.modules})
-print(json.dumps([ran, "numpy" in sys.modules, roots, len(forks)]))
+print(json.dumps([ran, "numpy" in sys.modules, "numpy.ma" in sys.modules, roots, len(forks)]))
 """
 
 
@@ -96,8 +97,8 @@ def probe(argv, pool=False):
         env={**os.environ, "CROWDMOT_LOG": "quiet"}, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    ran, numpy_loaded, roots, forks = json.loads(result.stdout.splitlines()[-1])
-    return set(ran), numpy_loaded, set(roots), forks
+    ran, numpy_loaded, ma_loaded, roots, forks = json.loads(result.stdout.splitlines()[-1])
+    return set(ran), numpy_loaded, ma_loaded, set(roots), forks
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +116,7 @@ def inputs(tmp_path_factory):
     ids=["import-crowdmot", "import-cli", "help", "version", "missing-flags", "unknown-command"],
 )
 def test_start_up_runs_no_submodule_and_imports_no_numpy(argv):
-    ran, numpy_loaded, _, _ = probe(argv)
+    ran, numpy_loaded, _, _, _ = probe(argv)
     assert ran == set() and not numpy_loaded
 
 
@@ -137,15 +138,15 @@ COMMANDS = {
 def test_each_command_runs_only_its_modules(command, inputs, tmp_path):
     argv, expected = COMMANDS[command]
     argv = [arg.format(i=inputs) for arg in argv] + ["--out", str(tmp_path / "out")]
-    ran, numpy_loaded, _, _ = probe(argv)
-    assert ran == expected and numpy_loaded
+    ran, numpy_loaded, ma_loaded, _, _ = probe(argv)
+    assert ran == expected and numpy_loaded and not ma_loaded
     assert (tmp_path / "out" / "manifest.json").is_file()
 
 
 def test_the_targets_pool_imports_no_process_machinery(inputs, tmp_path):
     argv, expected = COMMANDS["targets"]
     argv = [arg.format(i=inputs) for arg in argv] + ["--out", str(tmp_path / "out")]
-    ran, _, roots, forks = probe(argv, pool=True)
+    ran, _, _, roots, forks = probe(argv, pool=True)
     assert forks == 2 and ran == expected
     assert roots.isdisjoint({"multiprocessing", "concurrent", "logging", "socket", "subprocess"})
     assert (tmp_path / "out" / "manifest.json").is_file()

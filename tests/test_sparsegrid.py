@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from oracles import ravel_order, topology_report_by_features
 from scipy.sparse import csr_array
 
-from crowdmot.geometry import GridSpec
+from crowdmot.geometry import GridSpec, to_cells
 from crowdmot.sparsegrid import (
     DEFAULT_WIDTHS,
     ChannelMap,
@@ -278,6 +279,33 @@ class TestVoxelize:
         assert grid.occupancy == {(1280, 640, 25)}
         assert grid.stride == 1 and grid.channels == 3
 
+    @pytest.mark.parametrize("layout", ["fortran", "row-strided"])
+    def test_point_layout_changes_no_cell_key_or_feature_bit(self, layout):
+        rng = np.random.default_rng(5)
+        n = 600
+        # Some points fall outside the x extent, so rows are dropped too.
+        points = np.column_stack([
+            rng.uniform(-100, 100, n), rng.uniform(-45, 45, n), rng.uniform(-4.5, 2.5, n),
+            rng.standard_normal(n), rng.integers(0, 2, n),
+        ])
+        if layout == "fortran":
+            view = np.asfortranarray(points)
+        else:
+            # Every other row of a larger array; the rows between are NaN.
+            view = np.full((2 * n, 5), np.nan)[::2]
+            view[:] = points
+        assert not PointCloud(view).points.flags.c_contiguous
+        inside, cells = to_cells(view, SPEC)
+        assert 0 < inside.sum() < n
+        expected_inside, expected_cells = to_cells(points, SPEC)
+        assert inside.tolist() == expected_inside.tolist()
+        assert cells.dtype == np.int64 and cells.tolist() == expected_cells.tolist()
+        grid, expected = voxelize(PointCloud(view), SPEC), voxelize(PointCloud(points), SPEC)
+        assert grid.keys.tobytes() == expected.keys.tobytes()
+        assert grid.coords.tolist() == expected.coords.tolist()
+        assert grid.features.tobytes() == expected.features.tobytes()
+        assert grid.n_dropped == expected.n_dropped == n - inside.sum()
+
     def test_count_and_means(self):
         grid = voxelize(
             cloud(
@@ -376,14 +404,21 @@ class TestVoxelize:
         assert grid.coords.tolist() == np.column_stack(np.unravel_index(keys, SPEC.shape)).tolist()
         assert grid.features.tobytes() == expected.tobytes()
 
-    def test_intensity_sum_past_the_float_range_gives_an_inf_mean(self):
-        pc = cloud([[0.01, 0.01, 0.01, 1.7e308, 0.0], [0.02, 0.02, 0.02, 1.7e308, 1.0]])
-        # Match the word, not numpy's name of the ufunc that overflowed.
-        with pytest.warns(RuntimeWarning, match="overflow"):
+    def test_intensity_sum_past_the_float_range_gives_the_sum_of_the_shares(self):
+        # 1.7e308 + 1.7e308 overflows; 1.7e308 / 2 + 1.7e308 / 2 does not. A
+        # voxel whose sum stays finite keeps the plain sum over the count.
+        pc = cloud([
+            [0.01, 0.01, 0.01, 1.7e308, 0.0],
+            [0.02, 0.02, 0.02, 1.7e308, 1.0],
+            [1.01, 0.01, 0.01, 0.1, 0.0],
+            [1.02, 0.01, 0.01, 0.2, 0.0],
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             grid = voxelize(pc, SPEC)
-        assert grid.features.tolist() == [[2.0, np.inf, 0.5]]
-        with np.errstate(over="ignore"):
-            assert voxelize(pc, SPEC).features.tolist() == [[2.0, np.inf, 0.5]]
+            rows = topology_report(pc, SPEC, "c")
+        assert grid.features.tolist() == [[2.0, 1.7e308, 0.5], [2.0, (0.1 + 0.2) / 2, 0.0]]
+        assert rows[0]["occupied"] == 2
 
 
 class TestDownsample:

@@ -22,36 +22,13 @@ from typing import Callable
 # so a call loads only the modules its subcommand uses (see the package).
 from . import __version__, evaluator, formats, geometry, simulator, sparsegrid, targets, tracker
 
-# Names this module once imported from those modules, still readable as
-# crowdmot.cli.<name>. Each read looks the name up on its module again and
-# caches nothing, so a wrapper later set on the module is what it returns.
-_REEXPORTS = {
-    "evaluator": ("MatchConfig", "aggregate", "density_stats", "evaluate_sequence"),
-    "formats": (
-        "atomic_write_text",
-        "read_detections_jsonl",
-        "read_scene_jsonl",
-        "read_trajectories_jsonl",
-        "sha256_file",
-        "write_detections_jsonl",
-        "write_grid",
-        "write_offsets_jsonl",
-        "write_pgm",
-        "write_scene_jsonl",
-        "write_trajectories_jsonl",
-    ),
-    "geometry": ("Frame", "GridSpec", "OutOfBoundsError", "check_positive", "quantize_to_grid"),
-    "simulator": ("NoiseConfig", "SimConfig", "corrupt", "gen_scene"),
-    "sparsegrid": ("DEFAULT_WIDTHS", "PointCloud", "VoxelSpec", "topology_report"),
-    "targets": ("make_daw", "make_heatmap", "motion_offsets", "relationship_offsets"),
-    "tracker": ("TrackerConfig", "run_sequence"),
-}
-_OWNER = {name: module for module, names in _REEXPORTS.items() for name in names}
-
 
 def __getattr__(name: str):
-    if name in _OWNER:
-        return getattr(globals()[_OWNER[name]], name)
+    # crowdmot.cli.gen_scene stays readable until the benchmark's own test
+    # (bench/test_bench.py) reads crowdmot.simulator.gen_scene instead. Each
+    # read looks it up again, so a wrapper later set on simulator is returned.
+    if name == "gen_scene":
+        return simulator.gen_scene
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -65,32 +42,22 @@ def _say(text: str) -> None:
         print(text)
 
 
-_SIM_FIELDS = {
-    "n_pedestrians": (int, None),
-    "n_frames": (int, None),
-    "x_min": (float, -96.0),
-    "x_max": (float, 96.0),
-    "y_min": (float, -48.0),
-    "y_max": (float, 48.0),
-    "target_density2": (float, 1.0),
-    "speed_min": (float, 0.5),
-    "speed_max": (float, 1.5),
-    "frame_rate": (float, 10.0),
-    "seed": (int, 0),
-}
+def _ini_fields(config_type) -> dict[str, tuple[str, object]]:
+    """INI field -> (type, default) for each field of a config dataclass, in field order.
 
-_NOISE_FIELDS = {
-    "pos_sigma": (float, 0.0),
-    "offset_sigma": (float, 0.0),
-    "p_miss": (float, 0.0),
-    "clutter_rate": (float, 0.0),
-    "score_true_mean": (float, 0.9),
-    "score_true_sigma": (float, 0.05),
-    "score_clutter_mean": (float, 0.3),
-    "score_clutter_sigma": (float, 0.1),
-    "emit_rel": (bool, False),
-    "seed": (int, 1),
-}
+    The type is the field's annotation ("int", "float" or "bool"), and the
+    default is None for a required field. SimConfig.area is read as the four
+    float fields x_min, x_max, y_min and y_max.
+    """
+    import dataclasses
+
+    fields = {}
+    for field in dataclasses.fields(config_type):
+        if field.name == "area":
+            fields.update(zip(("x_min", "x_max", "y_min", "y_max"), (("float", v) for v in field.default)))
+        else:
+            fields[field.name] = (field.type, None if field.default is dataclasses.MISSING else field.default)
+    return fields
 
 
 def _parse_section(parser: "configparser.ConfigParser", section: str, fields: dict) -> dict:
@@ -99,20 +66,18 @@ def _parse_section(parser: "configparser.ConfigParser", section: str, fields: di
     for key in present:
         if key not in fields:
             raise ConfigError(f"[{section}] unknown field {key!r}")
-    for key, (cast, default) in fields.items():
+    for key, (kind, default) in fields.items():
         if key in present:
             raw = present[key]
             try:
-                if cast is bool:
+                if kind == "bool":
                     if raw.lower() not in ("true", "false", "0", "1"):
                         raise ValueError(raw)
                     values[key] = raw.lower() in ("true", "1")
                 else:
-                    values[key] = cast(raw)
+                    values[key] = {"int": int, "float": float}[kind](raw)
             except ValueError:
-                raise ConfigError(
-                    f"[{section}] field {key!r}: cannot parse {raw!r} as {cast.__name__}"
-                ) from None
+                raise ConfigError(f"[{section}] field {key!r}: cannot parse {raw!r} as {kind}") from None
         elif default is None:
             raise ConfigError(f"[{section}] missing required field {key!r}")
         else:
@@ -123,8 +88,15 @@ def _parse_section(parser: "configparser.ConfigParser", section: str, fields: di
 def load_gen_config(
     path: Path, seed_override: int | None
 ) -> tuple[simulator.SimConfig, simulator.NoiseConfig, dict]:
-    """Parse a gen config file into sim/noise configs plus a full echo dict."""
+    """Parse a gen config file into sim/noise configs plus a full echo dict.
+
+    The file holds [sim] and optionally [noise], and nothing else. Each of
+    their fields takes its type and default from SimConfig and NoiseConfig,
+    except [noise] seed: its default is 1, not NoiseConfig's 0, the one
+    value this module owns.
+    """
     import configparser
+    import dataclasses
 
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -138,26 +110,22 @@ def load_gen_config(
         raise ConfigError(f"cannot read config file {path}")
     if not parser.has_section("sim"):
         raise ConfigError("missing required section [sim]")
-    sim_values = _parse_section(parser, "sim", _SIM_FIELDS)
-    noise_values = _parse_section(parser, "noise", _NOISE_FIELDS)
+    extra = next((name for name in parser.sections() if name not in ("sim", "noise")), None)
+    if extra is not None:
+        raise ConfigError(f"unknown section [{extra}]: a gen config holds [sim] and optional [noise]")
+    if parser.defaults():
+        raise ConfigError("[DEFAULT] must be empty: its fields would reach every section")
+    sim_values = _parse_section(parser, "sim", _ini_fields(simulator.SimConfig))
+    noise_values = _parse_section(parser, "noise", {**_ini_fields(simulator.NoiseConfig), "seed": ("int", 1)})
     if seed_override is not None:
         sim_values["seed"] = seed_override
         noise_values["seed"] = seed_override + 1
+    # The [sim] fields that SimConfig lacks are those of its area, in order.
+    own = {field.name for field in dataclasses.fields(simulator.SimConfig)}
     try:
         sim = simulator.SimConfig(
-            n_pedestrians=sim_values["n_pedestrians"],
-            n_frames=sim_values["n_frames"],
-            area=(
-                sim_values["x_min"],
-                sim_values["x_max"],
-                sim_values["y_min"],
-                sim_values["y_max"],
-            ),
-            target_density2=sim_values["target_density2"],
-            speed_min=sim_values["speed_min"],
-            speed_max=sim_values["speed_max"],
-            frame_rate=sim_values["frame_rate"],
-            seed=sim_values["seed"],
+            area=tuple(value for key, value in sim_values.items() if key not in own),
+            **{key: value for key, value in sim_values.items() if key in own},
         )
         noise = simulator.NoiseConfig(**noise_values)
     except ValueError as exc:
@@ -433,14 +401,18 @@ def cmd_targets(args: argparse.Namespace, out: _Output) -> int:
     return out.done(config, [args.gt], f"wrote targets for {len(frames)} frames to {out.root}")
 
 
+def _given(args: argparse.Namespace, config_type):
+    """config_type built from the flags given for its fields; the others keep its defaults."""
+    import dataclasses
+
+    fields = dataclasses.fields(config_type)
+    return config_type(**{field.name: getattr(args, field.name) for field in fields if hasattr(args, field.name)})
+
+
 def cmd_track(args: argparse.Namespace, out: _Output) -> int:
     from dataclasses import asdict
 
-    cfg = tracker.TrackerConfig(
-        max_match_dist=args.max_match_dist,
-        max_age=args.max_age,
-        birth_score_min=args.birth_score_min,
-    )
+    cfg = _given(args, tracker.TrackerConfig)
     det_frames, timestamps = formats.read_detections_jsonl(Path(args.det))
     tracks = tracker.run_sequence(det_frames, cfg)
     traj_path = out.write("traj.jsonl", formats.write_trajectories_jsonl, tracks, timestamps)
@@ -455,7 +427,8 @@ def cmd_eval(args: argparse.Namespace, out: _Output) -> int:
         raise ConfigError(
             f"need one --traj per --gt, got {len(args.gt)} vs {len(args.traj)}"
         )
-    cfg = evaluator.MatchConfig(iou_threshold=args.iou_th)
+    cfg = _given(args, evaluator.MatchConfig)
+    radius = getattr(args, "radius", evaluator.DENSITY_RADIUS)
     per_seq = []
     densities = []
     lines = []
@@ -465,19 +438,19 @@ def cmd_eval(args: argparse.Namespace, out: _Output) -> int:
         _check_same_sequence(gt_path, gt_times, traj_path, pred_times)
         _check_tracked_from_scene(gt_path, traj_path)
         metrics = evaluator.evaluate_sequence(gt_frames, pred_frames, cfg)
-        density = evaluator.density_stats(gt_frames, radius=args.radius)
+        density = evaluator.density_stats(gt_frames, radius=radius)
         samples = sum(len(f) for f in gt_frames)
         per_seq.append(metrics)
         densities.append((density, samples))
         lines.append(f"sequence: gt={gt_path} traj={traj_path}")
-        lines += _metric_lines(metrics, density, args.radius)
+        lines += _metric_lines(metrics, density, radius)
     total = evaluator.aggregate(per_seq)
     pooled_density = sum(d * s for d, s in densities) / sum(s for _, s in densities)
     lines.append("aggregate:")
-    lines += _metric_lines(total, pooled_density, args.radius)
+    lines += _metric_lines(total, pooled_density, radius)
     report = "\n".join(lines) + "\n"
     out.write("report.txt", formats.atomic_write_text, report)
-    config = {**asdict(cfg), "density_radius": args.radius}
+    config = {**asdict(cfg), "density_radius": radius}
     return out.done(config, args.gt + args.traj, report.rstrip("\n"))
 
 
@@ -548,11 +521,12 @@ def _metric_lines(metrics, density: float, radius: float) -> list[str]:
 
 
 def cmd_density(args: argparse.Namespace, out: _Output) -> int:
+    radius = getattr(args, "radius", evaluator.DENSITY_RADIUS)
     frames, _ = formats.read_scene_jsonl(Path(args.gt))
-    density = evaluator.density_stats(frames, radius=args.radius)
-    text = f"density@{args.radius}m {density!r}\n"
+    density = evaluator.density_stats(frames, radius=radius)
+    text = f"density@{radius}m {density!r}\n"
     out.write("density.txt", formats.atomic_write_text, text)
-    return out.done({"radius": args.radius}, [args.gt], text.rstrip("\n"))
+    return out.done({"radius": radius}, [args.gt], text.rstrip("\n"))
 
 
 def cmd_voxelshapes(args: argparse.Namespace, out: _Output) -> int:
@@ -622,23 +596,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("track", help="link a detection file into trajectories")
     p.add_argument("--det", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--max-match-dist", type=float, default=1.0)
-    p.add_argument("--max-age", type=int, default=3)
-    p.add_argument("--birth-score-min", type=float, default=0.3)
+    # These flags and those of eval and density default to argparse.SUPPRESS:
+    # one not given leaves its value to its owner, a config type (_given) or
+    # evaluator.DENSITY_RADIUS.
+    p.add_argument("--max-match-dist", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--max-age", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--birth-score-min", type=float, default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("eval", help="CLEAR-MOT metrics for trajectories against GT")
     p.add_argument("--gt", required=True, nargs="+", action="extend")
     p.add_argument("--traj", required=True, nargs="+", action="extend")
     p.add_argument("--out", required=True)
-    p.add_argument("--iou-th", type=float, default=0.5)
-    p.add_argument("--radius", type=float, default=2.0, help="density statistic radius")
+    p.add_argument("--iou-th", type=float, default=argparse.SUPPRESS, dest="iou_threshold", metavar="IOU_TH")
+    p.add_argument("--radius", type=float, default=argparse.SUPPRESS, help="density statistic radius")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("density", help="crowding statistic of a GT file")
     p.add_argument("--gt", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--radius", type=float, default=2.0)
+    p.add_argument("--radius", type=float, default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("voxelshapes", help="stride/resolution/occupancy table for a point cloud")

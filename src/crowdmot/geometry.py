@@ -209,7 +209,8 @@ def to_cells(points, spec) -> tuple[np.ndarray, np.ndarray]:
 class GridSpec:
     """Rectangular BEV grid: extents in meters, cell sizes dx/dy in meters.
 
-    shape (nx, ny) holds the cell counts cell_counts found.
+    shape (nx, ny) holds the cell counts cell_counts found, each below 2**63
+    so that every cell index fits int64.
     """
 
     x_min: float
@@ -221,7 +222,13 @@ class GridSpec:
     shape: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "shape", cell_counts(self, "xy"))
+        shape = cell_counts(self, "xy")
+        for axis, count in zip("xy", shape):
+            if count >= 2**63:
+                raise ValueError(
+                    f"{axis} extent holds {count:.6g} cells, more than an int64 cell index can number"
+                )
+        object.__setattr__(self, "shape", shape)
 
     @property
     def nx(self) -> int:

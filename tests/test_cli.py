@@ -2,8 +2,10 @@
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import multiprocessing
 import os
@@ -23,8 +25,11 @@ from hypothesis import strategies as st
 
 import crowdmot.cli
 from crowdmot.cli import main
+from crowdmot.evaluator import MatchConfig
 from crowdmot.formats import read_grid, sha256_file
-from crowdmot.records import Box3D
+from crowdmot.records import DENSITY_RADIUS, Box3D
+from crowdmot.simulator import NoiseConfig, SimConfig
+from crowdmot.tracker import TrackerConfig
 from test_golden import CONFIG as GOLDEN_CONFIG
 from test_golden import GOLDEN, GOLDEN_GRIDS
 
@@ -118,8 +123,16 @@ class TestGen:
         [
             ("[sim]\nseed = 1\nseed = 2\n", "option 'seed' in section 'sim' already exists"),
             ("seed = 1\n[sim]\n", "File contains no section headers."),
+            ("[sim]\nn_pedestrians = 5\nn_frames = 2\n[nosie]\np_miss = 0.5\n",
+             "unknown section [nosie]: a gen config holds [sim] and optional [noise]"),
+            ("[sim]\nn_pedestrians = 5\nn_frames = 2\n[noise]\n[extra]\n", "unknown section [extra]"),
+            ("[DEFAULT]\nseed = 3\n[sim]\nn_pedestrians = 5\nn_frames = 2\n",
+             "[DEFAULT] must be empty: its fields would reach every section"),
+            ("[DEFAULT]\np_miss = 0.5\n[sim]\nn_pedestrians = 5\nn_frames = 2\n[noise]\n",
+             "[DEFAULT] must be empty"),
         ],
-        ids=["repeated-key", "no-section-header"],
+        ids=["repeated-key", "no-section-header", "misspelt-noise", "extra-section", "default-into-sim",
+             "default-into-noise"],
     )
     def test_malformed_config_is_one_error_line(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.ini"
@@ -809,7 +822,10 @@ class TestRejectedRadii:
 
 
 class TestFlagLists:
-    """A comma-separated flag value of the wrong length or with a non-number: one line, exit 2."""
+    """A comma-separated flag value of the wrong length, with a non-number or of too many cells.
+
+    Each ends in one line and exit code 2.
+    """
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -818,6 +834,8 @@ class TestFlagLists:
             ("--extent", "-30,30,-20", "--extent expects x_min,x_max,y_min,y_max, got '-30,30,-20'"),
             ("--grid", "0.5,x", "--grid: cannot parse '0.5,x'"),
             ("--extent", "-30,30,-20,y", "--extent: cannot parse '-30,30,-20,y'"),
+            ("--grid", "1e-300,1e-300",
+             "x extent holds 1.92e+302 cells, more than an int64 cell index can number"),
         ],
     )
     def test_fails_with_the_flag_and_its_value(self, gen_dir, tmp_path, capsys, flag, value, message):
@@ -955,6 +973,87 @@ class TestRejectedGenConfig:
         err = self.run(tmp_path, capsys, CONFIG.encode().replace(b"seed = 4", b"seed = 4 ; \xff"))
         path = tmp_path / "scene.ini"
         assert err.startswith(f"error: {path}: not UTF-8: ") and "0xff" in err
+
+
+# The required [sim] fields, set in every INI below.
+REQUIRED = {"n_pedestrians": 5, "n_frames": 2}
+AREA = ("x_min", "x_max", "y_min", "y_max")
+CONFIG_FIELDS = [("sim", field) for field in dataclasses.fields(SimConfig)] + [
+    ("noise", field) for field in dataclasses.fields(NoiseConfig)
+]
+
+
+def default_echo() -> dict:
+    """The manifest echo of an INI holding only the required fields: every other value is its default."""
+    sim = dataclasses.asdict(SimConfig(**REQUIRED))
+    sim.update(zip(AREA, sim.pop("area")))
+    return {"sim": sim, "noise": {**dataclasses.asdict(NoiseConfig()), "seed": 1}}
+
+
+def ini_text(sections: dict) -> str:
+    text = ""
+    for section, values in sections.items():
+        text += f"[{section}]\n" + "".join(f"{key} = {str(value).lower()}\n" for key, value in values.items())
+    return text
+
+
+class TestGenConfigFollowsTheConfigTypes:
+    """Each [sim] and [noise] field takes its type and default from SimConfig and NoiseConfig."""
+
+    @pytest.mark.parametrize(
+        "section, field", CONFIG_FIELDS, ids=[f"{section}-{field.name}" for section, field in CONFIG_FIELDS]
+    )
+    def test_a_field_set_alone_reaches_the_config_and_the_echo(self, tmp_path, section, field):
+        echo = default_echo()
+        if field.name == "area":
+            value = (-40.0, 40.0, -20.0, 20.0)
+            given = dict(zip(AREA, value))
+        else:
+            default = echo[section][field.name]
+            kind = {"int": int, "float": float, "bool": bool}[field.type]
+            value = not default if kind is bool else default + 2 if kind is int else default / 2 + 0.125
+            assert type(value) is kind and value != default
+            given = {field.name: value}
+        sections = {"sim": dict(REQUIRED), "noise": {}}
+        sections[section].update(given)
+        config = tmp_path / "scene.ini"
+        config.write_text(ini_text(sections))
+        sim, noise, _ = crowdmot.cli.load_gen_config(config, None)
+        assert getattr(sim if section == "sim" else noise, field.name) == value
+        out = tmp_path / "gen"
+        assert main(["gen", "--config", str(config), "--out", str(out)]) == 0
+        echo[section].update(given)
+        assert json.loads((out / "manifest.json").read_text())["config"] == echo
+
+    def test_an_ini_of_the_required_fields_echoes_every_default(self, tmp_path):
+        config = tmp_path / "scene.ini"
+        config.write_text(ini_text({"sim": REQUIRED}))
+        sim, noise, _ = crowdmot.cli.load_gen_config(config, None)
+        assert (sim, noise) == (SimConfig(**REQUIRED), NoiseConfig(seed=1))
+        out = tmp_path / "gen"
+        assert main(["gen", "--config", str(config), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"] == default_echo()
+
+    def test_track_eval_and_density_flags_default_to_their_owners(self, gen_dir, tmp_path):
+        numbers = itertools.count()
+
+        def config(*argv):
+            out = tmp_path / f"out{next(numbers)}"
+            assert main([*argv, "--out", str(out)]) == 0
+            return json.loads((out / "manifest.json").read_text())["config"]
+
+        det, gt = str(gen_dir / "det.jsonl"), str(gen_dir / "gt.jsonl")
+        traj = tmp_path / "track" / "traj.jsonl"
+        assert main(["track", "--det", det, "--out", str(traj.parent)]) == 0
+        tracked = dataclasses.asdict(TrackerConfig())
+        assert config("track", "--det", det) == tracked
+        assert config("track", "--det", det, "--max-age", "4") == {**tracked, "max_age": 4}
+        evaluated = {**dataclasses.asdict(MatchConfig()), "density_radius": DENSITY_RADIUS}
+        assert config("eval", "--gt", gt, "--traj", str(traj)) == evaluated
+        assert config("eval", "--gt", gt, "--traj", str(traj), "--iou-th", "0.25", "--radius", "3") == {
+            "iou_threshold": 0.25, "density_radius": 3.0
+        }
+        assert config("density", "--gt", gt) == {"radius": DENSITY_RADIUS}
 
 
 class TestMalformedJsonl:

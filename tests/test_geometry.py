@@ -1,6 +1,7 @@
 """Grid quantization and rotated-IoU behavior, including a raster oracle."""
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -117,6 +118,20 @@ class TestGridSpec:
         values = {"x_min": 0.0, "x_max": 1.0, "y_min": 0.0, "y_max": 1.0, "dx": 0.5, "dy": 0.5}
         with pytest.raises(ValueError, match=f"^{field} must be finite, got inf$"):
             GridSpec(**{**values, field: math.inf})
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ((0.0, 2.0**63, 0.0, 1.0, 1.0, 1.0), "x extent holds 9.22337e+18 cells"),
+            ((-60.0, 60.0, -40.0, 40.0, 0.5, 1e-300), "y extent holds 8e+301 cells"),
+        ],
+    )
+    def test_rejects_a_cell_count_past_int64_naming_the_axis(self, values, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}, more than an int64 cell index"):
+            GridSpec(*values)
+
+    def test_accepts_the_largest_int64_cell_count_a_float_extent_gives(self):
+        assert GridSpec(0.0, 2.0**63 - 1024, 0.0, 1.0, 1.0, 1.0).shape == (2**63 - 1024, 1)
 
 
 class TestQuantize:

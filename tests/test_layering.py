@@ -222,3 +222,39 @@ def test_every_public_name_resolves():
 
     assert [name for name in crowdmot.__all__ if not hasattr(crowdmot, name)] == []
     assert len(set(crowdmot.__all__)) == len(crowdmot.__all__)
+
+
+def library_names_on(module) -> list[str]:
+    """The names of crowdmot.__all__ that resolve on module, but __version__, which names no library code."""
+    import crowdmot
+
+    return sorted(name for name in crowdmot.__all__ if name != "__version__" and hasattr(module, name))
+
+
+def test_cli_reexports_only_gen_scene():
+    # Each library name is read from its own module. crowdmot.cli.gen_scene
+    # stays until bench/test_bench.py reads crowdmot.simulator.gen_scene.
+    import crowdmot.cli
+
+    assert library_names_on(crowdmot.cli) == ["gen_scene"]
+
+
+def test_planted_reexports_are_reported():
+    import types
+
+    import crowdmot
+
+    table = types.ModuleType("table")
+    exec(
+        "from crowdmot import evaluator\n"
+        "def __getattr__(name):\n"
+        "    if name in ('MatchConfig', 'density_stats'):\n"
+        "        return getattr(evaluator, name)\n"
+        "    raise AttributeError(name)\n",
+        table.__dict__,
+    )
+    assert library_names_on(table) == ["MatchConfig", "density_stats"]
+    plain = types.ModuleType("plain")
+    plain.__version__, plain.tracker = crowdmot.__version__, crowdmot.tracker
+    plain.TrackerConfig = crowdmot.tracker.TrackerConfig
+    assert library_names_on(plain) == ["TrackerConfig"]

@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 
 # The public names, by the submodule that defines them.
 _EXPORTS = {
-    "records": ("Box3D", "BoxBEV"),
     # DenseGrid2D comes last, so that __all__ lists it just before the targets' names.
     "geometry": ("Frame", "GridSpec", "bev_iou", "cell_center", "quantize_to_grid", "DenseGrid2D"),
     "targets": (

@@ -428,7 +428,7 @@ def cmd_eval(args: argparse.Namespace, out: _Output) -> int:
             f"need one --traj per --gt, got {len(args.gt)} vs {len(args.traj)}"
         )
     cfg = _given(args, evaluator.MatchConfig)
-    radius = getattr(args, "radius", evaluator.DENSITY_RADIUS)
+    radius = getattr(args, "radius", geometry.DENSITY_RADIUS)
     per_seq = []
     densities = []
     lines = []
@@ -521,7 +521,7 @@ def _metric_lines(metrics, density: float, radius: float) -> list[str]:
 
 
 def cmd_density(args: argparse.Namespace, out: _Output) -> int:
-    radius = getattr(args, "radius", evaluator.DENSITY_RADIUS)
+    radius = getattr(args, "radius", geometry.DENSITY_RADIUS)
     frames, _ = formats.read_scene_jsonl(Path(args.gt))
     density = evaluator.density_stats(frames, radius=radius)
     text = f"density@{radius}m {density!r}\n"
@@ -532,8 +532,6 @@ def cmd_density(args: argparse.Namespace, out: _Output) -> int:
 def cmd_voxelshapes(args: argparse.Namespace, out: _Output) -> int:
     import numpy as np
 
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     try:
         raw = np.load(args.points)
     except (OSError, ValueError, EOFError) as exc:
@@ -562,7 +560,7 @@ def cmd_voxelshapes(args: argparse.Namespace, out: _Output) -> int:
     lines.append(f"dropped_points {rows[-1]['dropped_points']}")
     text = "\n".join(lines) + "\n"
     out.write("voxelshapes.txt", formats.atomic_write_text, text)
-    config = {"topology": args.topology, "seed": args.seed, "widths": list(sparsegrid.DEFAULT_WIDTHS)}
+    config = {"topology": args.topology, "widths": list(sparsegrid.DEFAULT_WIDTHS)}
     return out.done(config, [args.points], text.rstrip("\n"))
 
 
@@ -598,7 +596,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     # These flags and those of eval and density default to argparse.SUPPRESS:
     # one not given leaves its value to its owner, a config type (_given) or
-    # evaluator.DENSITY_RADIUS.
+    # geometry.DENSITY_RADIUS.
     p.add_argument("--max-match-dist", type=float, default=argparse.SUPPRESS)
     p.add_argument("--max-age", type=int, default=argparse.SUPPRESS)
     p.add_argument("--birth-score-min", type=float, default=argparse.SUPPRESS)
@@ -622,10 +620,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", required=True, help=".npy array of shape (n, 3|4|5)")
     p.add_argument("--out", required=True)
     p.add_argument("--topology", choices=("a", "b", "c"), default="a")
-    p.add_argument(
-        "--seed", type=int, default=0,
-        help="recorded in the manifest; the table holds no feature, so it changes no byte of it",
-    )
     p.set_defaults(func=cmd_voxelshapes)
     return parser
 

@@ -15,8 +15,8 @@ from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Frame, Stacked, bev_iou_bounds, bev_iou_pairs, check_positive, footprints, pairs_within
-from .records import DENSITY_RADIUS
+from .geometry import (DENSITY_RADIUS, Frame, Stacked, bev_iou_bounds, bev_iou_pairs, check_positive,
+                       footprints, pairs_within)
 
 # Coverage thresholds for mostly-tracked / mostly-lost trajectory counting.
 MT_COVERAGE = 0.8

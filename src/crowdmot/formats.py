@@ -56,8 +56,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .geometry import BOX_FIELDS, DenseGrid2D, Frame, GridSpec, wrap_yaw
-from .records import Box3D
+from .geometry import BOX_FIELDS, DenseGrid2D, Frame, GridSpec, valid_boxes, wrap_yaw
 
 
 class FormatError(ValueError):
@@ -253,17 +252,17 @@ def _numbers(obj: dict, key: str, n: int) -> list[float]:
 
 
 def _box(obj: dict) -> list[float]:
-    """obj's box fields in BOX_FIELDS order, checked and yaw-wrapped as Box3D does it."""
-    box = Box3D(
-        cx=_number(obj, "cx"),
-        cy=_number(obj, "cy"),
-        cz=_number(obj, "cz"),
-        length=_number(obj, "l"),
-        height=_number(obj, "h"),
-        width=_number(obj, "w"),
-        yaw=_number(obj, "yaw"),
-    )
-    return [box.cx, box.cy, box.cz, box.length, box.width, box.height, box.yaw]
+    """obj's box fields in BOX_FIELDS order, its yaw wrapped; the first bad field raises.
+
+    Fields are read in the order cx, cy, cz, l, h, w, yaw, each a finite
+    number, and then l, h and w must be positive.
+    """
+    box = {key: _number(obj, key) for key in ("cx", "cy", "cz", "l", "h", "w", "yaw")}
+    for key in ("l", "h", "w"):
+        if not box[key] > 0.0:
+            raise FormatError(f"{key!r} must be positive, got {box[key]!r}")
+    box["yaw"] = float(wrap_yaw(box["yaw"]))
+    return [box[key] for key in BOX_FIELDS]
 
 
 # Stands for a rel field a detection does not have: absent is not null.
@@ -297,7 +296,7 @@ def _box_columns(objects: list) -> Optional[Frame]:
     if len(set(ids)) != len(ids) or not all(-_INT64 <= key < _INT64 for key in ids):
         return None
     boxes = np.array(rows, dtype=float).reshape(-1, 7)
-    if not (np.isfinite(boxes).all() and (boxes[:, 3:6] > 0.0).all()):
+    if not valid_boxes(boxes):
         return None
     boxes[:, 6] = wrap_yaw(boxes[:, 6])
     return Frame(np.array(ids, dtype=np.int64), boxes)

@@ -14,7 +14,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .records import BoxBEV
+# Radius (meters) at which the crowding statistic and the simulator's
+# crowding level are defined.
+DENSITY_RADIUS = 2.0
 
 # A cell index whose fraction lands within this distance of an integer is
 # snapped up before flooring, so a coordinate on a cell boundary lands in the
@@ -26,7 +28,7 @@ _SNAP = 1e-9
 _AREA_EPS = 1e-12
 
 # Signs of the half-length and half-width offsets of a box's corners,
-# counter-clockwise from (+l/2, +w/2), as in BoxBEV.corners.
+# counter-clockwise from (+l/2, +w/2).
 _CORNER_SIGNS = np.array([[1.0, -1.0, -1.0, 1.0], [1.0, 1.0, -1.0, -1.0]])
 
 # Up to this many (i, j) pairs, pairs_within tests every pair: that costs
@@ -311,7 +313,11 @@ BOX_FIELDS = ("cx", "cy", "cz", "l", "w", "h", "yaw")
 
 
 def wrap_yaw(yaw: np.ndarray) -> np.ndarray:
-    """records.normalize_yaw of every entry, bit for bit: fmod is exact in both."""
+    """Each angle wrapped into [-pi, pi): fmod(yaw + pi, 2 pi), plus 2 pi where negative, less pi.
+
+    The one yaw wrap of the package. fmod is exact, so a scalar loop of the
+    same three steps gives the same bits.
+    """
     wrapped = np.fmod(yaw + math.pi, 2.0 * math.pi)
     wrapped = np.where(wrapped < 0.0, wrapped + 2.0 * math.pi, wrapped)
     return wrapped - math.pi
@@ -321,8 +327,8 @@ def wrap_yaw(yaw: np.ndarray) -> np.ndarray:
 class Frame:
     """One frame's objects as columns, row k for object k.
 
-    ids (n,) int64 are unique; boxes (n, 7) float64 hold BOX_FIELDS, all
-    finite, with positive sides and the yaw wrapped as Box3D wraps it.
+    ids (n,) int64 are unique; boxes (n, 7) float64 hold BOX_FIELDS, valid
+    as valid_boxes checks them, with each yaw wrapped by wrap_yaw.
     Detection frames also hold score (n,), offset (n, 3), newborn (n,) bool,
     rel (n, 2), NaN where the relationship is null or absent, and has_rel
     (n,) bool, true where the object carried a rel field. Tracker output
@@ -347,28 +353,30 @@ class Frame:
         return cls(np.zeros(0, dtype=np.int64), np.zeros((0, 7)))
 
 
+def valid_boxes(boxes: np.ndarray) -> bool:
+    """Whether every field of (n, 7) BOX_FIELDS rows is finite and every l, w and h positive."""
+    return bool(np.isfinite(boxes).all() and (boxes[:, 3:6] > 0.0).all())
+
+
 def footprints(boxes: np.ndarray) -> np.ndarray:
     """(n, 5) BEV rows (cx, cy, length, width, yaw) of (n, 7) Frame.boxes rows.
 
-    The yaw is wrapped once more, as Box3D.bev() wraps it, so a row equals
-    the fields of its Box3D's footprint.
+    The yaw is wrapped once more: wrapping a wrapped yaw can move it by an
+    ulp, and the evaluator's IoUs, pinned by the golden digests, are taken
+    on these twice-wrapped bits.
     """
     rows = boxes[:, [0, 1, 3, 4, 6]]
     rows[:, 4] = wrap_yaw(rows[:, 4])
     return rows
 
 
-def bev_fields(boxes) -> np.ndarray:
-    """(n, 5) rows (cx, cy, length, width, yaw) of a sequence of BoxBEV."""
-    return np.array([(b.cx, b.cy, b.length, b.width, b.yaw) for b in boxes], dtype=float).reshape(-1, 5)
-
-
 def _corners(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Corners and half-diagonals of (cx, cy, length, width, yaw) rows.
 
-    corners[0] and corners[1] hold each box's four corner xs and ys, made by
-    the same math.cos/math.sin values and the same operations, in the same
-    order, as BoxBEV.corners, so their bits match.
+    corners[0] and corners[1] hold each box's four corner xs and ys,
+    counter-clockwise from (+l/2, +w/2): x = cx + c·dx − s·dy and
+    y = cy + s·dx + c·dy, with c and s from math.cos and math.sin, so a
+    scalar loop of these operations gives the same bits.
     """
     cx, cy, length, width, yaw = fields.T[:, :, None]
     c = np.array(list(map(math.cos, yaw.ravel().tolist()))).reshape(-1, 1)
@@ -430,14 +438,15 @@ def bev_iou_pairs(fields_a: np.ndarray, fields_b: np.ndarray, i, j) -> np.ndarra
     """Rotated BEV IoU of rectangles fields_a[i[k]] and fields_b[j[k]] for every k.
 
     fields_a and fields_b are (n, 5) rows (cx, cy, length, width, yaw), as
-    bev_fields and footprints make them; i and j index them. Exact convex
+    footprints makes them; i and j index them. Exact convex
     polygon clipping, run for all pairs at once. Equal boxes give exactly
     1.0. Each pair is ordered canonically (the box whose row is the smaller
     tuple is clipped against the other), so a swapped pair returns identical
     bits. Pairs whose centres are at least the sum of the half-diagonals
     apart, and overlaps below 1e-12 in area, give exactly 0.0. Corners are
     made only for the rows some pair names, so a few pairs of a long field
-    array cost no more than those of a short one.
+    array cost no more than those of a short one. A clipped pair whose
+    intersection area or union is beyond the float range raises ValueError.
     """
     rows_a, i = distinct(np.asarray(i, dtype=np.intp), return_inverse=True)
     rows_b, j = distinct(np.asarray(j, dtype=np.intp), return_inverse=True)
@@ -457,11 +466,16 @@ def bev_iou_pairs(fields_a: np.ndarray, fields_b: np.ndarray, i, j) -> np.ndarra
     swap = (b < a)[np.arange(len(live)), first]
     lo = np.where(swap, j[live], i[live])
     hi = np.where(swap, i[live], j[live])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         polygon, count = _clip(corners[:, lo], corners[:, hi])
         inter = np.abs(_shoelace(polygon, count))
+        union = a[:, 2] * a[:, 3] + b[:, 2] * b[:, 3] - inter
+    finite = np.isfinite(inter) & np.isfinite(union)
+    if not finite.all():
+        k = finite.argmin()
+        raise ValueError(f"BEV IoU of footprints {a[k].tolist()} and {b[k].tolist()} "
+                         "overflows: its intersection or union is not finite")
     overlap = (count >= 3) & (inter >= _AREA_EPS)
-    union = a[:, 2] * a[:, 3] + b[:, 2] * b[:, 3] - inter
     iou[live[overlap]] = inter[overlap] / union[overlap]
     return iou
 
@@ -477,7 +491,8 @@ def bev_iou_bounds(fields_a: np.ndarray, fields_b: np.ndarray, i, j) -> np.ndarr
     half-diagonal, far above the rounding of bev_iou_pairs' corners and
     shoelace sum, which grows with the coordinates' magnitude; the bound is
     raised by a relative 2**-20 for its own rounding, and is inf where U
-    reaches A + B - U.
+    reaches A + B - U or A + B - U is not finite, so a pair whose IoU
+    overflows is kept, for bev_iou_pairs to reject.
     """
     fields_a, fields_b = np.reshape(fields_a, (-1, 5)), np.reshape(fields_b, (-1, 5))
     a, b = fields_a[i], fields_b[j]
@@ -501,17 +516,24 @@ def bev_iou_bounds(fields_a: np.ndarray, fields_b: np.ndarray, i, j) -> np.ndarr
         scale = np.maximum(np.abs(a[:, :2]).max(axis=1), np.abs(b[:, :2]).max(axis=1)) + radius
         overlap = np.minimum(*boxes) + 2.0**-32 * scale * scale
         union = a[:, 2] * a[:, 3] + b[:, 2] * b[:, 3] - overlap
-        bound = np.where(union > 0.0, overlap / union, math.inf)
+        bound = np.where((union > 0.0) & (union < math.inf), overlap / union, math.inf)
     return bound * (1.0 + 2.0**-20)
 
 
-def bev_iou(a: BoxBEV, b: BoxBEV) -> float:
-    """Intersection-over-union of two rotated rectangles on the BEV plane.
+def bev_iou(a, b) -> float:
+    """Intersection-over-union of the BEV footprints of two boxes, each one BOX_FIELDS row.
 
-    One pair through bev_iou_pairs: symmetric in its arguments to the bit,
-    1.0 for equal boxes, and 0.0 for overlaps below 1e-12 in area.
+    ValueError unless both rows pass valid_boxes. One pair through
+    bev_iou_pairs, on the footprints the evaluator clips: symmetric in its
+    arguments to the bit, 1.0 for equal boxes, and 0.0 for overlaps below
+    1e-12 in area.
     """
-    return float(bev_iou_pairs(bev_fields([a]), bev_fields([b]), [0], [0])[0])
+    boxes = np.array([a, b], dtype=float)
+    if boxes.shape != (2, 7) or not valid_boxes(boxes):
+        raise ValueError(f"bev_iou needs two rows of {len(BOX_FIELDS)} finite box fields with "
+                         f"positive sides, got {a!r} and {b!r}")
+    rows = footprints(boxes)
+    return float(bev_iou_pairs(rows, rows, [0], [1])[0])
 
 
 def pairs_within(a_xy, b_xy, r: float, groups=None) -> tuple[np.ndarray, np.ndarray]:

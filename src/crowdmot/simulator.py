@@ -16,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Frame, Stacked, cell_side, check_finite_fields, distinct, pairs_within, wrap_yaw
-from .records import DENSITY_RADIUS, normalize_yaw
+from .geometry import (DENSITY_RADIUS, Frame, Stacked, cell_side, check_finite_fields, distinct,
+                       pairs_within, wrap_yaw)
 from .targets import FrameError, motion_offsets, relationship_offsets
 
 # Hard floor on pedestrian center separation, held in every frame.
@@ -493,7 +493,7 @@ def gen_scene(cfg: SimConfig) -> tuple[list[Frame], list[float]]:
             anchor_clock[ci] = rng.uniform(2.0, 5.0)
             heading = float(anchor_heading[ci])
             if fi > 0:
-                heading = anchor_heading[ci] = normalize_yaw(heading + rng.uniform(-1.2, 1.2))
+                heading = anchor_heading[ci] = float(wrap_yaw(heading + rng.uniform(-1.2, 1.2)))
             speed = rng.uniform(cfg.speed_min, cfg.speed_max)
             anchor_vel[ci] = (speed * math.cos(heading), speed * math.sin(heading))
         due = np.flatnonzero(member_clock <= 0.0)

@@ -4,6 +4,10 @@ The JSONL text oracle builds one dict per object and one json.dumps per
 frame; the writers in crowdmot.formats must give its bytes, and raise where
 it does.
 
+The box oracles are the scalar rules that geometry's array code must
+reproduce bit for bit: normalize_yaw, the yaw wrap, and the corners of one
+footprint. box_row builds one box as the BOX_FIELDS row a Frame holds.
+
 The matching oracles, shared by the tracker, evaluator and acceptance tests,
 enumerate every injective pairing of rows to columns whose pairs all pass
 the gate, so they are meant for frames of a handful of objects. They read
@@ -43,7 +47,6 @@ from crowdmot.geometry import (
     footprints,
     pairs_within,
 )
-from crowdmot.records import Box3D
 from crowdmot.simulator import MIN_SEPARATION
 from crowdmot.sparsegrid import DEFAULT_WIDTHS, VoxelSpec, encoder_chain, fuse_hr, fuse_ms, voxelize
 
@@ -54,47 +57,72 @@ TIE = 1e-12
 SNAP = 1e-9
 
 
+def normalize_yaw(yaw):
+    """Wrap one angle into [-pi, pi): the scalar rule geometry.wrap_yaw must give bit for bit."""
+    wrapped = math.fmod(yaw + math.pi, 2.0 * math.pi)
+    if wrapped < 0.0:
+        wrapped += 2.0 * math.pi
+    return wrapped - math.pi
+
+
+def box_row(cx, cy, cz=0.85, l=0.6, w=0.6, h=1.7, yaw=0.0):
+    """One box as a BOX_FIELDS row, its yaw wrapped as the JSONL readers wrap it; a pedestrian by default."""
+    return (cx, cy, cz, l, w, h, normalize_yaw(yaw))
+
+
+def footprint(box):
+    """(cx, cy, length, width, yaw) of one BOX_FIELDS row, its yaw wrapped again as footprints wraps it."""
+    cx, cy, _, length, width, _, yaw = box
+    return cx, cy, length, width, normalize_yaw(yaw)
+
+
+def corners(rect):
+    """The corners of one (cx, cy, length, width, yaw) rectangle, counter-clockwise from (+l/2, +w/2).
+
+    The per-box rule whose bits geometry._corners must give.
+    """
+    cx, cy, length, width, yaw = rect
+    c, s = math.cos(yaw), math.sin(yaw)
+    hl, hw = 0.5 * length, 0.5 * width
+    return [
+        (cx + c * dx - s * dy, cy + s * dx + c * dy)
+        for dx, dy in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))
+    ]
+
+
 @dataclass(frozen=True)
 class GtObject:
-    """One annotated object: its id and its box."""
+    """One annotated object: its id and its box, a BOX_FIELDS row."""
 
     instance_id: int
-    box: Box3D
+    box: tuple
 
 
 @dataclass(frozen=True)
 class Detection:
-    """One detection: box, score, predicted motion offset (ox, oy, oz) and frame number."""
+    """One detection: box (a BOX_FIELDS row), score and predicted motion offset (ox, oy, oz)."""
 
-    box: Box3D
+    box: tuple
     score: float
     offset: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    frame: int = 0
 
 
 def frame_of(objects) -> Frame:
-    """The Frame of one frame's GtObjects, (id, Box3D) pairs or Detections.
+    """The Frame of one frame's GtObjects, (id, box row) pairs or Detections.
 
     A detection's id is its index in the list, as in a detection file; its
     frame has no newborn flag and no rel. An empty list gives an empty frame
-    with every detection column. Detections of more than one frame raise
-    ValueError: a Frame holds one frame.
+    with every detection column.
     """
     objects = list(objects)
     dets = not objects or isinstance(objects[0], Detection)
     if dets:
-        frames = {d.frame for d in objects}
-        if len(frames) > 1:
-            raise ValueError(f"detections span multiple frames: {sorted(frames)}")
         ids, boxes = range(len(objects)), [d.box for d in objects]
     elif isinstance(objects[0], GtObject):
         ids, boxes = [o.instance_id for o in objects], [o.box for o in objects]
     else:
         ids, boxes = [k for k, _ in objects], [b for _, b in objects]
-    columns = np.array(
-        [(b.cx, b.cy, b.cz, b.length, b.width, b.height, b.yaw) for b in boxes], dtype=float
-    ).reshape(-1, 7)
-    frame = Frame(np.array(ids, dtype=np.int64).reshape(-1), columns)
+    frame = Frame(np.array(ids, dtype=np.int64).reshape(-1), np.array(boxes, dtype=float).reshape(-1, 7))
     if not dets:
         return frame
     n = len(objects)
@@ -144,7 +172,7 @@ def exhaustive_assignment(dets, tracks, max_dist):
     """
     dists = {}
     for i, d in enumerate(dets):
-        px, py = d.box.cx + d.offset[0], d.box.cy + d.offset[1]
+        px, py = d.box[0] + d.offset[0], d.box[1] + d.offset[1]
         for tid, (cx, cy) in tracks:
             dist = math.hypot(cx - px, cy - py)
             if dist <= max_dist:
@@ -162,7 +190,7 @@ def iou_matrix(gt_boxes, pred_boxes):
     iou = np.zeros((len(gt_boxes), len(pred_boxes)))
     for i, g in enumerate(gt_boxes):
         for j, p in enumerate(pred_boxes):
-            iou[i, j] = bev_iou(g.bev(), p.bev())
+            iou[i, j] = bev_iou(g, p)
     return iou
 
 

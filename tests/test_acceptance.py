@@ -8,7 +8,8 @@ here (brute force, enumeration, finite differences) or is exact arithmetic.
 import time
 
 import numpy as np
-from oracles import Detection, GtObject, exhaustive_assignment, exhaustive_iou_match, frame_of, iou_matrix
+from oracles import Detection, GtObject, box_row, exhaustive_assignment, exhaustive_iou_match, frame_of
+from oracles import iou_matrix
 import pytest
 
 from crowdmot.cli import main
@@ -16,7 +17,6 @@ from crowdmot.evaluator import MatchConfig, density_stats, evaluate_sequence, ma
 from crowdmot.evaluator import EvalCounts
 from crowdmot.formats import sha256_file
 from crowdmot.geometry import GridSpec
-from crowdmot.records import Box3D
 from crowdmot.simulator import NoiseConfig, SimConfig, corrupt, gen_scene
 from crowdmot.sparsegrid import (
     ChannelMap,
@@ -44,14 +44,10 @@ def report(criterion: str) -> None:
     print(f"ACCEPTANCE {criterion}: PASS")
 
 
-def ped_box(x, y):
-    return Box3D(cx=x, cy=y, cz=0.85, length=0.6, height=1.7, width=0.6)
-
-
 def random_loss_grids(rng, nx=64, ny=64, n_objects=8):
     grid = GridSpec(0.0, float(nx), 0.0, float(ny), 1.0, 1.0)
     objs = [
-        GtObject(i, Box3D(rng.uniform(2, nx - 2), rng.uniform(2, ny - 2), 0.85, 0.6, 1.7, 0.6))
+        GtObject(i, box_row(rng.uniform(2, nx - 2), rng.uniform(2, ny - 2)))
         for i in range(n_objects)
     ]
     gt = make_heatmap(frame_of(objs), grid, sigma=1.0)
@@ -136,7 +132,7 @@ def test_criterion_3_relationship_offsets_match_brute_force():
         ys = rng.uniform(-span, span, n)
         if case % 5 == 0:
             xs, ys = np.round(xs), np.round(ys)  # provoke exact distance ties
-        objs = [GtObject(i, ped_box(xs[i], ys[i])) for i in range(n)]
+        objs = [GtObject(i, box_row(xs[i], ys[i])) for i in range(n)]
         rel = make_relationship_offsets(frame_of(objs))
 
         nearest = {}
@@ -205,10 +201,9 @@ def test_criterion_5_greedy_association_matches_exhaustive():
             target = c + noise
             dets.append(
                 Detection(
-                    box=ped_box(float(pos[0]), float(pos[1])),
+                    box=box_row(float(pos[0]), float(pos[1])),
                     score=float(rng.uniform(0.5, 1.0)),
                     offset=(float(target[0] - pos[0]), float(target[1] - pos[1]), 0.0),
-                    frame=0,
                 )
             )
         for _ in range(rng.poisson(0.5)):
@@ -218,10 +213,9 @@ def test_criterion_5_greedy_association_matches_exhaustive():
                     break
             dets.append(
                 Detection(
-                    box=ped_box(float(pos[0]), float(pos[1])),
+                    box=box_row(float(pos[0]), float(pos[1])),
                     score=float(rng.uniform(0.5, 1.0)),
                     offset=(0.0, 0.0, 0.0),
-                    frame=0,
                 )
             )
         greedy = {
@@ -248,11 +242,11 @@ def test_criterion_6_clear_mot_arithmetic_and_hungarian():
         n_pr = int(rng.integers(0, 7))
         anchors = rng.uniform(-5, 5, size=(max(n_gt + n_pr, 1), 2))
         gts = [
-            GtObject(i, ped_box(*(anchors[i % len(anchors)] + rng.normal(0, 0.8, 2))))
+            GtObject(i, box_row(*(anchors[i % len(anchors)] + rng.normal(0, 0.8, 2))))
             for i in range(n_gt)
         ]
         preds = [
-            (j, ped_box(*(anchors[j % len(anchors)] + rng.normal(0, 0.1, 2))))
+            (j, box_row(*(anchors[j % len(anchors)] + rng.normal(0, 0.1, 2))))
             for j in range(n_pr)
         ]
         iou = iou_matrix([g.box for g in gts], [b for _, b in preds])

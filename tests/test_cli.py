@@ -27,7 +27,7 @@ import crowdmot.cli
 from crowdmot.cli import main
 from crowdmot.evaluator import MatchConfig
 from crowdmot.formats import read_grid, sha256_file
-from crowdmot.records import DENSITY_RADIUS, Box3D
+from crowdmot.geometry import DENSITY_RADIUS
 from crowdmot.simulator import NoiseConfig, SimConfig
 from crowdmot.tracker import TrackerConfig
 from test_golden import CONFIG as GOLDEN_CONFIG
@@ -622,26 +622,30 @@ class TestTrackAndEval:
         )
         assert not out.exists()
 
-    def test_track_eval_and_density_build_no_box_objects(
-        self, tmp_path, config_path, gen_dir, monkeypatch
+    @pytest.mark.parametrize(
+        "side, gt_xy, traj_xy, yaw",
+        [(1e154, (0.0, 0.0), (1.0, 0.0), 0.0), (1e308, (0.0, 0.0), (1.0, 0.0), 0.0),
+         (0.6, (1e200, 1e200), (1e200, 1e200), 0.05)],
+        ids=["union-overflows", "sides-overflow", "far-from-origin"],
+    )
+    def test_a_pair_whose_iou_overflows_fails_with_one_line(
+        self, tmp_path, capsys, side, gt_xy, traj_xy, yaw
     ):
-        def refuse(self):
-            raise AssertionError("a Box3D was built")
+        def write(name, xy, **fields):
+            box = {"id": 0, "cx": xy[0], "cy": xy[1], "cz": 0.8, "l": side, "w": side, "h": 1.7, **fields}
+            path = tmp_path / name
+            path.write_text(json.dumps({"frame": 0, "timestamp": 0.0, "objects": [box]}) + "\n")
+            return str(path)
 
-        monkeypatch.setattr(Box3D, "__post_init__", refuse)
-        again = tmp_path / "again"
-        assert main(["gen", "--config", str(config_path), "--out", str(again)]) == 0
-        assert digest_dir(again) == digest_dir(gen_dir)
-        assert main(["targets", "--gt", str(again / "gt.jsonl"), "--out", str(tmp_path / "tg"),
-                     "--grid", "0.5,0.5", "--extent=-30,30,-20,20"]) == 0
-        trk = tmp_path / "trk"
-        assert main(["track", "--det", str(gen_dir / "det.jsonl"), "--out", str(trk)]) == 0
-        gt = str(gen_dir / "gt.jsonl")
-        assert main(["eval", "--gt", gt, "--traj", str(trk / "traj.jsonl"),
-                     "--out", str(tmp_path / "eval")]) == 0
-        assert main(["density", "--gt", gt, "--out", str(tmp_path / "density")]) == 0
-        with pytest.raises(AssertionError, match="a Box3D was built"):
-            Box3D(0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
+        gt, traj = write("gt.jsonl", gt_xy, yaw=0.0), write("traj.jsonl", traj_xy, yaw=yaw, score=0.9)
+        out = tmp_path / "eval"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", "--gt", gt, "--traj", traj, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: BEV IoU of footprints [") and err.count("\n") == 1
+        assert err.endswith(" overflows: its intersection or union is not finite\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["gen", "targets", "track", "eval", "density", "voxelshapes"])
@@ -1118,8 +1122,7 @@ class TestMalformedJsonl:
             ('1,"timestamp":0.1', [GT.replace('"id":0', '"id":"abc"')],
              "'id' must be an integer, got 'abc'"),
             ('1,"timestamp":0.1', [GT.replace('"l":0.6', '"l":-1')],
-             "box sizes must be finite and positive: Box3D(cx=1.0, cy=0.0, cz=0.8, "
-             "length=-1.0, height=1.7, width=0.6, yaw=0.0)"),
+             "'l' must be positive, got -1.0"),
             ('1,"timestamp":0.1', [GT, GT], "duplicate id 0"),
         ],
         ids=["timestamp-overflow", "frame-string", "timestamp-repeated", "cx-string", "cx-bool",
@@ -1241,25 +1244,16 @@ class TestVoxelshapes:
             assert main(["voxelshapes", "--points", str(points_file), "--out", str(out), "--topology", "c"]) == 0
         assert digest_dir(out1) == digest_dir(out2)
 
-    def test_seed_changes_no_byte_of_the_table(self, points_file, tmp_path):
-        manifests = {}
-        for seed in ("1", "7"):
-            out = tmp_path / f"seed{seed}"
-            assert main(["voxelshapes", "--points", str(points_file), "--out", str(out),
-                         "--topology", "c", "--seed", seed]) == 0
-            manifests[seed] = json.loads((out / "manifest.json").read_text())
-        table = (tmp_path / "seed1" / "voxelshapes.txt").read_bytes()
-        assert (tmp_path / "seed7" / "voxelshapes.txt").read_bytes() == table
-        assert (manifests["1"]["config"]["seed"], manifests["7"]["config"]["seed"]) == (1, 7)
-        manifests["7"]["config"]["seed"] = 1
-        assert manifests["7"] == manifests["1"]
-
-    def test_negative_seed_rejected(self, points_file, tmp_path, capsys):
+    def test_seed_flag_is_gone(self, points_file, tmp_path, capsys):
         out = tmp_path / "vox"
-        assert main(["voxelshapes", "--points", str(points_file), "--out", str(out),
-                     "--seed", "-1"]) == 2
-        assert capsys.readouterr().err == "error: --seed must be non-negative, got -1\n"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["voxelshapes", "--points", str(points_file), "--out", str(out), "--seed", "1"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
         assert not out.exists()
+        assert main(["voxelshapes", "--points", str(points_file), "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert list(config) == ["topology", "widths"]
 
     def test_bad_shape_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.npy"

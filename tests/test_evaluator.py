@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from oracles import GtObject, exhaustive_iou_match, frame_of, iou_matrix
+from oracles import box_row as box
 from scipy.optimize import linear_sum_assignment as scipy_assignment
 
 from crowdmot.evaluator import (
@@ -26,11 +27,6 @@ from crowdmot.evaluator import (
     mtr_mlr,
 )
 from crowdmot.geometry import bev_iou, bev_iou_bounds, bev_iou_pairs, footprints
-from crowdmot.records import Box3D
-
-
-def box(x, y, l=0.6, w=0.6, yaw=0.0):
-    return Box3D(cx=x, cy=y, cz=0.85, length=l, height=1.7, width=w, yaw=yaw)
 
 
 def gt(instance_id, x, y, **kw):
@@ -38,12 +34,12 @@ def gt(instance_id, x, y, **kw):
 
 
 def match(gts, preds, prev_map, cfg=MatchConfig()):
-    """match_frame on a frame of GtObjects and one of (track id, Box3D) pairs."""
+    """match_frame on a frame of GtObjects and one of (track id, box row) pairs."""
     return match_frame(frame_of(gts), frame_of(preds), prev_map, cfg)
 
 
 def evaluate(gt_frames, pred_frames):
-    """evaluate_sequence on per-frame GtObjects and (track id, Box3D) pairs."""
+    """evaluate_sequence on per-frame GtObjects and (track id, box row) pairs."""
     return evaluate_sequence([frame_of(f) for f in gt_frames], [frame_of(f) for f in pred_frames])
 
 
@@ -88,7 +84,7 @@ class TestMatchFrame:
     def test_carried_pairing_at_exactly_the_threshold_is_kept(self):
         # Track 7's IoU with its GT is the threshold itself, so the pairing
         # carries over: no switch to track 9, whose IoU is 1.0.
-        threshold = bev_iou(box(0.0, 0.0).bev(), box(0.3, 0.0).bev())
+        threshold = bev_iou(box(0.0, 0.0), box(0.3, 0.0))
         cfg = MatchConfig(iou_threshold=threshold)
         result = match([gt(0, 0.0, 0.0)], [(9, box(0.0, 0.0)), (7, box(0.3, 0.0))], {0: 7}, cfg)
         assert result.matches == [(0, 7)]
@@ -153,7 +149,7 @@ def tie_rule_match(gts, preds, threshold):
     math.fsum total, and take the lexicographically smallest sorted list.
     """
     score = {
-        (g.instance_id, tid): bev_iou(g.box.bev(), b.bev())
+        (g.instance_id, tid): bev_iou(g.box, b)
         for g in gts
         for tid, b in preds
     }
@@ -211,7 +207,7 @@ class TestTieRule:
         width = 1000.0 - math.nextafter(1000.0, 0.0)
         gts = [gt(0, 0.0, 0.0), gt(1, 0.0, 0.0, l=1000.0, w=1000.0)]
         preds = [(10, box(0.0, 0.0)), (11, box(1000.0 - width, 0.0, l=1000.0, w=1000.0))]
-        sliver = bev_iou(gts[1].box.bev(), preds[1][1].bev())
+        sliver = bev_iou(gts[1].box, preds[1][1])
         assert 0.0 < sliver and 1.0 + sliver == 1.0
         result = match(gts, preds, {}, MatchConfig(1e-20))
         assert result.matches == [(0, 10)] == tie_rule_match(gts, preds, 1e-20)
@@ -499,6 +495,22 @@ class TestThresholdGate:
             expected = match_frame(gts, preds, {}, cfg, (i, j, iou))
             assert match_frame(gts, preds, {}, cfg, kept) == expected
             assert match_frame(gts, preds, {}, cfg) == expected
+
+    @pytest.mark.parametrize(
+        "side, gt_xy, pred_xy, yaw",
+        [(1e154, (0.0, 0.0), (1.0, 0.0), 0.0), (1e308, (0.0, 0.0), (1.0, 0.0), 0.0),
+         (0.6, (1e200, 1e200), (1e200, 1e200), 0.05)],
+        ids=["union-overflows", "sides-overflow", "far-from-origin"],
+    )
+    def test_a_pair_whose_iou_overflows_is_kept_and_rejected(self, side, gt_xy, pred_xy, yaw):
+        # A + B - U, the areas or the clipped area are beyond the float range.
+        gts = frame_of([gt(0, *gt_xy, l=side, w=side)])
+        preds = frame_of([(0, box(*pred_xy, l=side, w=side, yaw=yaw))])
+        bound = bev_iou_bounds(footprints(gts.boxes), footprints(preds.boxes), [0], [0])
+        assert bound.tolist() == [math.inf]
+        for threshold in (None, 0.5, 1.0):
+            with pytest.raises(ValueError, match="overflows: its intersection or union is not finite"):
+                _sequence_ious([gts.boxes], [preds.boxes], threshold)
 
     def test_crowded_frame_drops_candidates(self):
         # A 0.6 m box shifted 0.3 m along its length keeps an IoU of 1/3.

@@ -1,5 +1,6 @@
 """Grid quantization and rotated-IoU behavior, including a raster oracle."""
 
+import json
 import math
 import re
 from unittest import mock
@@ -8,14 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import frame_of, quantize_scalar, quantize_voxels_by_axis
+from oracles import box_row, corners, footprint, normalize_yaw, quantize_scalar, quantize_voxels_by_axis
 from scipy.spatial import cKDTree
 
 from crowdmot import geometry
 from crowdmot.geometry import (
+    BOX_FIELDS,
     GridSpec,
     OutOfBoundsError,
-    bev_fields,
     bev_iou,
     bev_iou_pairs,
     cell_center,
@@ -26,50 +27,54 @@ from crowdmot.geometry import (
     pairs_within,
     quantize_to_grid,
     to_cells,
+    valid_boxes,
     wrap_yaw,
 )
-from crowdmot.records import Box3D, BoxBEV, normalize_yaw
+from crowdmot.formats import read_scene_jsonl
 from crowdmot.sparsegrid import VoxelSpec
 
 GRID = GridSpec(-96.0, 96.0, -48.0, 48.0, 0.6, 0.6)
 
 
-def raster_iou(a: BoxBEV, b: BoxBEV, cells: int = 1400) -> float:
-    """Rasterized IoU oracle: point-in-box tests on a fine regular pixel grid."""
-    corners = np.array(a.corners() + b.corners())
-    lo, hi = corners.min(axis=0), corners.max(axis=0)
+def raster_iou(a: tuple, b: tuple, cells: int = 1400) -> float:
+    """Rasterized IoU oracle of two box rows: point-in-box tests on a fine regular pixel grid."""
+    a, b = footprint(a), footprint(b)
+    points = np.array(corners(a) + corners(b))
+    lo, hi = points.min(axis=0), points.max(axis=0)
     xs = np.linspace(lo[0], hi[0], cells)
     ys = np.linspace(lo[1], hi[1], cells)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
 
-    def inside(box: BoxBEV) -> np.ndarray:
-        c, s = math.cos(box.yaw), math.sin(box.yaw)
-        dx, dy = gx - box.cx, gy - box.cy
+    def inside(rect: tuple) -> np.ndarray:
+        cx, cy, length, width, yaw = rect
+        c, s = math.cos(yaw), math.sin(yaw)
+        dx, dy = gx - cx, gy - cy
         u = c * dx + s * dy
         v = -s * dx + c * dy
-        return (np.abs(u) <= box.length / 2) & (np.abs(v) <= box.width / 2)
+        return (np.abs(u) <= length / 2) & (np.abs(v) <= width / 2)
 
     in_a, in_b = inside(a), inside(b)
     union = (in_a | in_b).sum()
     return float((in_a & in_b).sum() / union) if union else 0.0
 
 
-def scalar_iou(a: BoxBEV, b: BoxBEV) -> float:
-    """Bit oracle: rotated IoU by per-pair Sutherland-Hodgman clipping in floats.
+def scalar_iou(a: tuple, b: tuple) -> float:
+    """Bit oracle: rotated IoU of two box rows' footprints by per-pair Sutherland-Hodgman clipping.
 
     The kernel must return these bits: the same canonical operand order,
     early zero beyond the half-diagonals, vertex order and 1e-12 area floor.
     """
+    a, b = footprint(a), footprint(b)
     if a == b:
         return 1.0
-    if (b.cx, b.cy, b.length, b.width, b.yaw) < (a.cx, a.cy, a.length, a.width, a.yaw):
+    if b < a:
         a, b = b, a
-    ra = 0.5 * math.hypot(a.length, a.width)
-    rb = 0.5 * math.hypot(b.length, b.width)
-    if math.hypot(a.cx - b.cx, a.cy - b.cy) >= ra + rb:
+    ra = 0.5 * math.hypot(a[2], a[3])
+    rb = 0.5 * math.hypot(b[2], b[3])
+    if math.hypot(a[0] - b[0], a[1] - b[1]) >= ra + rb:
         return 0.0
-    output = a.corners()
-    clip = b.corners()
+    output = corners(a)
+    clip = corners(b)
     for k in range(4):
         if not output:
             break
@@ -96,7 +101,7 @@ def scalar_iou(a: BoxBEV, b: BoxBEV) -> float:
     inter = abs(0.5 * area)
     if inter < 1e-12:
         return 0.0
-    return inter / (a.area + b.area - inter)
+    return inter / (a[2] * a[3] + b[2] * b[3] - inter)
 
 
 class TestGridSpec:
@@ -298,48 +303,54 @@ class TestCellCenter:
 class TestYawNormalization:
     def test_wraps_into_range(self):
         for yaw in (-7.0, -math.pi, 0.0, 3.5, math.pi, 9.0):
-            wrapped = normalize_yaw(yaw)
+            wrapped = float(wrap_yaw(yaw))
             assert -math.pi <= wrapped < math.pi
             assert math.isclose(
                 math.fmod(wrapped - yaw, 2 * math.pi), 0.0, abs_tol=1e-9
             ) or math.isclose(abs(math.fmod(wrapped - yaw, 2 * math.pi)), 2 * math.pi, abs_tol=1e-9)
 
-    def test_box_normalizes_at_construction(self):
-        box = BoxBEV(0, 0, 1, 1, yaw=math.pi)
-        assert box.yaw == -math.pi
-        assert Box3D(0, 0, 0, 1, 1, 1, yaw=4 * math.pi).yaw == pytest.approx(0.0)
+    @pytest.mark.parametrize("ints", [False, True], ids=["bulk", "object-by-object"])
+    def test_boxes_are_wrapped_when_read(self, tmp_path, ints):
+        # An int field sends the frame to the object-by-object decoder.
+        objects = [{"id": k, "cx": 0 if ints else 0.0, "cy": 0.0, "cz": 0.0, "l": 1.0, "w": 1.0,
+                    "h": 1.0, "yaw": yaw} for k, yaw in enumerate((math.pi, 4 * math.pi))]
+        path = tmp_path / "gt.jsonl"
+        path.write_text(json.dumps({"frame": 0, "timestamp": 0.0, "objects": objects}) + "\n")
+        [frame], _ = read_scene_jsonl(path)
+        assert frame.boxes[0, 6] == -math.pi
+        assert frame.boxes[1, 6] == pytest.approx(0.0)
 
 
 class TestBoxesRejectNonFinite:
-    BOX3D = {
-        "cx": 0.0, "cy": 0.0, "cz": 0.8, "length": 0.6, "height": 1.7, "width": 0.6, "yaw": 0.0
-    }
-    BOXBEV = {"cx": 0.0, "cy": 0.0, "length": 0.6, "width": 0.6, "yaw": 0.0}
+    BOX = dict(zip(BOX_FIELDS, box_row(0.0, 0.0)))
+    BAD = [(field, value) for field in BOX_FIELDS for value in (math.nan, math.inf, -math.inf)]
+    BAD += [(field, value) for field in ("l", "w", "h") for value in (0.0, -0.0, -1.0)]
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", list(BOX3D))
-    def test_box3d(self, field, value):
-        with pytest.raises(ValueError, match="finite"):
-            Box3D(**{**self.BOX3D, field: value})
+    def bad(self, field, value):
+        return tuple({**self.BOX, field: value}.values())
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", list(BOXBEV))
-    def test_box_bev(self, field, value):
-        with pytest.raises(ValueError, match="finite"):
-            BoxBEV(**{**self.BOXBEV, field: value})
+    @pytest.mark.parametrize("field, value", BAD)
+    def test_valid_boxes(self, field, value):
+        good = tuple(self.BOX.values())
+        assert valid_boxes(np.array([good, good])) and not valid_boxes(np.array([good, self.bad(field, value)]))
+
+    @pytest.mark.parametrize("field, value", BAD)
+    def test_bev_iou(self, field, value):
+        with pytest.raises(ValueError, match="finite box fields with positive sides"):
+            bev_iou(tuple(self.BOX.values()), self.bad(field, value))
 
 
 class TestBevIou:
     def test_identical_boxes(self):
-        box = BoxBEV(3.0, -2.0, 0.8, 0.5, 0.7)
+        box = _box(3.0, -2.0, 0.8, 0.5, 0.7)
         assert bev_iou(box, box) == 1.0
 
     def test_disjoint_boxes(self):
-        assert bev_iou(BoxBEV(0, 0, 1, 1, 0), BoxBEV(100, 0, 1, 1, 0)) == 0.0
+        assert bev_iou(_box(0, 0, 1, 1, 0), _box(100, 0, 1, 1, 0)) == 0.0
 
     def test_half_offset_squares(self):
-        a = BoxBEV(0.0, 0.0, 1.0, 1.0, 0.0)
-        b = BoxBEV(0.5, 0.0, 1.0, 1.0, 0.0)
+        a = _box(0.0, 0.0, 1.0, 1.0, 0.0)
+        b = _box(0.5, 0.0, 1.0, 1.0, 0.0)
         assert bev_iou(a, b) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_symmetry_is_exact(self):
@@ -365,18 +376,11 @@ class TestBevIou:
         for i in range(200):
             a = _random_box(rng, yaw=0.0)
             b = _random_box(rng, yaw=0.0)
-            ix = max(
-                0.0,
-                min(a.cx + a.length / 2, b.cx + b.length / 2)
-                - max(a.cx - a.length / 2, b.cx - b.length / 2),
-            )
-            iy = max(
-                0.0,
-                min(a.cy + a.width / 2, b.cy + b.width / 2)
-                - max(a.cy - a.width / 2, b.cy - b.width / 2),
-            )
+            (ax, ay, _, al, aw, _, _), (bx, by, _, bl, bw, _, _) = a, b
+            ix = max(0.0, min(ax + al / 2, bx + bl / 2) - max(ax - al / 2, bx - bl / 2))
+            iy = max(0.0, min(ay + aw / 2, by + bw / 2) - max(ay - aw / 2, by - bw / 2))
             inter = ix * iy
-            expected = inter / (a.area + b.area - inter) if inter > 0 else 0.0
+            expected = inter / (al * aw + bl * bw - inter) if inter > 0 else 0.0
             assert bev_iou(a, b) == pytest.approx(expected, abs=1e-12)
             if i < 10 and inter > 0:
                 assert bev_iou(a, b) == pytest.approx(raster_iou(a, b), abs=1e-3)
@@ -385,9 +389,9 @@ class TestBevIou:
         rng = np.random.default_rng(8)
         for _ in range(12):
             a = _random_box(rng)
-            b = BoxBEV(
-                a.cx + rng.uniform(-1.0, 1.0),
-                a.cy + rng.uniform(-1.0, 1.0),
+            b = _box(
+                a[0] + rng.uniform(-1.0, 1.0),
+                a[1] + rng.uniform(-1.0, 1.0),
                 rng.uniform(0.5, 2.0),
                 rng.uniform(0.5, 2.0),
                 rng.uniform(-math.pi, math.pi),
@@ -395,14 +399,14 @@ class TestBevIou:
             assert bev_iou(a, b) == pytest.approx(raster_iou(a, b), abs=2e-3)
 
     def test_degenerate_touching_edges(self):
-        a = BoxBEV(0.0, 0.0, 1.0, 1.0, 0.0)
-        b = BoxBEV(1.0, 0.0, 1.0, 1.0, 0.0)
+        a = _box(0.0, 0.0, 1.0, 1.0, 0.0)
+        b = _box(1.0, 0.0, 1.0, 1.0, 0.0)
         assert bev_iou(a, b) == 0.0
 
 
-def _diamond(cx: float, side: float) -> BoxBEV:
+def _diamond(cx: float, side: float) -> tuple:
     """A square turned by 45 degrees: its corners lie on the x axis."""
-    return BoxBEV(cx, 0.0, side, side, math.pi / 4)
+    return _box(cx, 0.0, side, side, math.pi / 4)
 
 
 class TestBevIouPairs:
@@ -412,7 +416,7 @@ class TestBevIouPairs:
     def assert_bits(a_boxes, b_boxes):
         k = np.arange(len(a_boxes))
         expected = np.array([scalar_iou(a, b) for a, b in zip(a_boxes, b_boxes)])
-        a, b = bev_fields(a_boxes), bev_fields(b_boxes)
+        a, b = footprints(np.array(a_boxes)), footprints(np.array(b_boxes))
         assert bev_iou_pairs(a, b, k, k).tobytes() == expected.tobytes()
         assert bev_iou_pairs(b, a, k, k).tobytes() == expected.tobytes()
         return expected
@@ -421,7 +425,7 @@ class TestBevIouPairs:
         rng = np.random.default_rng(11)
         a = [_random_box(rng) for _ in range(3000)]
         b = [
-            BoxBEV(box.cx + rng.normal(0, 1.0), box.cy + rng.normal(0, 1.0),
+            _box(box[0] + rng.normal(0, 1.0), box[1] + rng.normal(0, 1.0),
                    rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0), rng.uniform(-4, 4))
             for box in a
         ]
@@ -434,29 +438,29 @@ class TestBevIouPairs:
         for _ in range(1500):
             scale = 10.0 ** rng.uniform(-3, 3)
             centre = rng.uniform(-100, 100, 2)
-            a.append(BoxBEV(*centre, *(scale * rng.uniform(0.3, 3.0, 2)), rng.uniform(-4, 4)))
-            b.append(BoxBEV(*(centre + scale * rng.normal(0, 0.8, 2)),
+            a.append(_box(*centre, *(scale * rng.uniform(0.3, 3.0, 2)), rng.uniform(-4, 4)))
+            b.append(_box(*(centre + scale * rng.normal(0, 0.8, 2)),
                             *(scale * rng.uniform(0.3, 3.0, 2)), rng.uniform(-4, 4)))
         iou = self.assert_bits(a, b)
         assert np.count_nonzero(iou) > 500
 
     def test_special_pairs(self):
-        square = BoxBEV(2.0, -1.0, 1.0, 1.0, 0.0)
+        square = _box(2.0, -1.0, 1.0, 1.0, 0.0)
         pairs = [
             (square, square),  # identical
-            (square, BoxBEV(2.0, -1.0, 1.0, 1.0, 0.0)),  # equal, not the same object
-            (square, BoxBEV(2.0, -1.0, 0.5, 2.0, 0.3)),  # coincident centres
-            (square, BoxBEV(2.0, -1.0, 1.0, 1.0, math.pi / 2)),  # same footprint, other yaw
-            (square, BoxBEV(3.0, -1.0, 1.0, 1.0, 0.0)),  # edges touch
-            (square, BoxBEV(3.0, 0.0, 1.0, 1.0, 0.0)),  # corners touch
-            (square, BoxBEV(2.5, -1.0, 1.0, 1.0, 0.0)),  # half offset
-            (BoxBEV(0.0, 0.0, 2.0, 1.0, math.pi), BoxBEV(0.1, 0.0, 2.0, 1.0, -math.pi)),
-            (BoxBEV(0.0, 0.0, 2.0, 1.0, math.nextafter(math.pi, 0.0)),
-             BoxBEV(0.0, 0.1, 2.0, 1.0, -math.pi)),  # yaws at +-pi
-            (square, BoxBEV(2.1, -0.9, 0.3, 0.2, 0.7)),  # nested
-            (BoxBEV(2.1, -0.9, 0.3, 0.2, 0.7), square),  # nested, other order
-            (BoxBEV(0.0, 0.0, 1e-3, 1e-3, 0.2), BoxBEV(2e-4, 0.0, 1e-3, 1e-3, -0.2)),
-            (BoxBEV(0.0, 0.0, 1e3, 1e3, 0.2), BoxBEV(200.0, 0.0, 1e3, 1e3, -0.2)),
+            (square, _box(2.0, -1.0, 1.0, 1.0, 0.0)),  # equal, not the same object
+            (square, _box(2.0, -1.0, 0.5, 2.0, 0.3)),  # coincident centres
+            (square, _box(2.0, -1.0, 1.0, 1.0, math.pi / 2)),  # same footprint, other yaw
+            (square, _box(3.0, -1.0, 1.0, 1.0, 0.0)),  # edges touch
+            (square, _box(3.0, 0.0, 1.0, 1.0, 0.0)),  # corners touch
+            (square, _box(2.5, -1.0, 1.0, 1.0, 0.0)),  # half offset
+            (_box(0.0, 0.0, 2.0, 1.0, math.pi), _box(0.1, 0.0, 2.0, 1.0, -math.pi)),
+            (_box(0.0, 0.0, 2.0, 1.0, math.nextafter(math.pi, 0.0)),
+             _box(0.0, 0.1, 2.0, 1.0, -math.pi)),  # yaws at +-pi
+            (square, _box(2.1, -0.9, 0.3, 0.2, 0.7)),  # nested
+            (_box(2.1, -0.9, 0.3, 0.2, 0.7), square),  # nested, other order
+            (_box(0.0, 0.0, 1e-3, 1e-3, 0.2), _box(2e-4, 0.0, 1e-3, 1e-3, -0.2)),
+            (_box(0.0, 0.0, 1e3, 1e3, 0.2), _box(200.0, 0.0, 1e3, 1e3, -0.2)),
         ]
         iou = self.assert_bits([p[0] for p in pairs], [p[1] for p in pairs])
         assert iou[0] == iou[1] == iou[3] == 1.0
@@ -485,20 +489,17 @@ class TestBevIouPairs:
             a, b = _random_box(rng), _random_box(rng)
             assert bev_iou(a, b) == scalar_iou(a, b)
 
-    def test_box3d_stands_for_its_footprint(self):
+    def test_footprints_are_the_scalar_footprints(self):
         rng = np.random.default_rng(14)
         boxes = [
-            Box3D(*rng.uniform(-2, 2, 3), *rng.uniform(0.3, 2.0, 3), rng.uniform(-7, 7))
+            (*rng.uniform(-2, 2, 3), *rng.uniform(0.3, 2.0, 3), rng.uniform(-7, 7))
             for _ in range(200)
         ]
-        i, j = np.divmod(np.arange(200 * 200), 200)
-        rows = footprints(frame_of(list(enumerate(boxes))).boxes)
-        bev = bev_fields([b.bev() for b in boxes])
-        assert rows.tobytes() == bev.tobytes()
-        assert bev_iou_pairs(rows, rows, i, j).tobytes() == bev_iou_pairs(bev, bev, i, j).tobytes()
+        rows = footprints(np.array(boxes))
+        assert rows.tobytes() == np.array([footprint(b) for b in boxes]).tobytes()
 
     def test_empty(self):
-        assert bev_iou_pairs(bev_fields([]), bev_fields([]), [], []).shape == (0,)
+        assert bev_iou_pairs(np.zeros((0, 5)), np.zeros((0, 5)), [], []).shape == (0,)
 
 
 # Around every multiple of pi the wrap has its rounding edges, and
@@ -744,8 +745,13 @@ class TestDistinct:
             assert a.tolist() == b.tolist()
 
 
-def _random_box(rng: np.random.Generator, yaw: float | None = None) -> BoxBEV:
-    return BoxBEV(
+def _box(cx: float, cy: float, length: float, width: float, yaw: float = 0.0) -> tuple:
+    """A box row of the given footprint."""
+    return box_row(cx, cy, l=length, w=width, yaw=yaw)
+
+
+def _random_box(rng: np.random.Generator, yaw: float | None = None) -> tuple:
+    return _box(
         cx=rng.uniform(-5, 5),
         cy=rng.uniform(-5, 5),
         length=rng.uniform(0.3, 3.0),
@@ -754,12 +760,12 @@ def _random_box(rng: np.random.Generator, yaw: float | None = None) -> BoxBEV:
     )
 
 
-def _rigid(box: BoxBEV, angle: float, tx: float, ty: float) -> BoxBEV:
+def _rigid(box: tuple, angle: float, tx: float, ty: float) -> tuple:
     c, s = math.cos(angle), math.sin(angle)
-    return BoxBEV(
-        cx=c * box.cx - s * box.cy + tx,
-        cy=s * box.cx + c * box.cy + ty,
-        length=box.length,
-        width=box.width,
-        yaw=box.yaw + angle,
+    return _box(
+        cx=c * box[0] - s * box[1] + tx,
+        cy=s * box[0] + c * box[1] + ty,
+        length=box[3],
+        width=box[4],
+        yaw=box[6] + angle,
     )

@@ -1,4 +1,4 @@
-"""The modules form one acyclic layering: value types, algorithms, then IO/CLI.
+"""The modules form one acyclic layering: geometry, algorithms, then IO/CLI.
 
 Each module may import only crowdmot modules of an earlier layer. The check
 reads the sources with ast, so it sees every import statement, including
@@ -6,7 +6,6 @@ ones inside functions, without importing anything.
 """
 
 import ast
-import sys
 from pathlib import Path
 
 import pytest
@@ -15,7 +14,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "crowdmot"
 
 # Modules in one layer do not import each other.
 LAYERS = [
-    {"records"},
     {"geometry"},
     {"targets", "tracker", "evaluator", "sparsegrid"},
     {"simulator"},
@@ -80,7 +78,7 @@ def test_imports_only_earlier_layers(name):
         ("import crowdmot.formats as f", "formats"),
         ("def f():\n    from .formats import write_grid", "formats"),
         ("from . import __version__", None),
-        ("from .records import Box3D", "records"),
+        ("from .geometry import Frame", "geometry"),
         ("import numpy", None),
         ("from numpy import zeros", None),
     ],
@@ -94,7 +92,7 @@ def test_planted_back_edge_is_reported():
     source = (SRC / "simulator.py").read_text() + "\nfrom .formats import write_grid\n"
     line = len(source.splitlines())
     assert back_edges("simulator", source) == [f"simulator.py:{line} imports formats"]
-    assert back_edges("records", "from .records import Box3D\n") == ["records.py:1 imports records"]
+    assert back_edges("geometry", "from .geometry import Frame\n") == ["geometry.py:1 imports geometry"]
     assert back_edges("cli", "from . import __version__, formats\n") == []
 
 
@@ -202,19 +200,77 @@ def test_output_rule_breaks_are_recognised(source, found):
     assert output_rule_breaks(source) == found
 
 
-def test_records_uses_only_the_standard_library():
-    tree = ast.parse((SRC / "records.py").read_text())
-    roots = [
-        alias.name
+def box_rule_breaks(name: str, source: str) -> list[str]:
+    """Where a module's source takes over a rule of the box rows.
+
+    A box is a BOX_FIELDS row of a geometry.Frame, so no class declares a
+    cx field, in its body or as self.cx; and geometry.wrap_yaw is the one
+    yaw wrap, so no other function calls fmod (math.fmod, np.fmod or an
+    imported fmod).
+    """
+    tree = ast.parse(source)
+    allowed = set()
+    if name == "geometry":
+        allowed = {
+            id(node)
+            for top in tree.body
+            if isinstance(top, ast.FunctionDef) and top.name == "wrap_yaw"
+            for node in ast.walk(top)
+        }
+    found = [
+        f"{name}.py:{node.lineno} calls fmod outside geometry.wrap_yaw"
         for node in ast.walk(tree)
-        if isinstance(node, ast.Import)
-        for alias in node.names
-    ] + [
-        "." * node.level + (node.module or "")
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
+        if isinstance(node, ast.Call) and id(node) not in allowed
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "fmod"
     ]
-    assert roots and all(root.split(".")[0] in sys.stdlib_module_names for root in roots)
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        fields = [t.id for stmt in cls.body for t in assignment_targets(stmt) if isinstance(t, ast.Name)]
+        fields += [
+            t.attr
+            for node in ast.walk(cls)
+            for t in assignment_targets(node)
+            if isinstance(t, ast.Attribute) and ast.unparse(t.value) == "self"
+        ]
+        if "cx" in fields:
+            found.append(f"{name}.py:{cls.lineno} class {cls.name} declares a cx field")
+    return found
+
+
+def assignment_targets(node: ast.AST) -> list[ast.expr]:
+    """The targets of an assignment statement; none for any other node."""
+    if isinstance(node, ast.Assign):
+        return node.targets
+    return [node.target] if isinstance(node, ast.AnnAssign) else []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_boxes_are_rows_and_wrap_yaw_is_the_one_yaw_wrap(name):
+    assert box_rule_breaks(name, (SRC / f"{name}.py").read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "name, source, found",
+    [
+        ("geometry", "def wrap_yaw(yaw):\n    return np.fmod(yaw + math.pi, 2.0 * math.pi)", []),
+        ("simulator", "def wrap_yaw(yaw):\n    return np.fmod(yaw, 2.0)",
+         ["simulator.py:2 calls fmod outside geometry.wrap_yaw"]),
+        ("geometry", "def footprints(b):\n    return math.fmod(b, 2.0)",
+         ["geometry.py:2 calls fmod outside geometry.wrap_yaw"]),
+        ("formats", "from math import fmod\nyaw = fmod(a, b)",
+         ["formats.py:2 calls fmod outside geometry.wrap_yaw"]),
+        ("formats", "yaw = math.remainder(a, b)\nfmod = 1", []),
+        ("records", "@dataclass\nclass BoxBEV:\n    cx: float\n    cy: float",
+         ["records.py:2 class BoxBEV declares a cx field"]),
+        ("formats", "class P:\n    cx = 0.0", ["formats.py:1 class P declares a cx field"]),
+        ("formats", "class P:\n    def __init__(self, x):\n        self.cx = x",
+         ["formats.py:1 class P declares a cx field"]),
+        ("formats", "class P:\n    x: float\n\ncx = 1.0", []),
+        ("formats", "class P:\n    def f(self, box):\n        cx = box[0]\n        box.cx = cx", []),
+        ("formats", "def f(box):\n    cx = box[0]", []),
+    ],
+)
+def test_box_rule_breaks_are_recognised(name, source, found):
+    assert box_rule_breaks(name, source) == found
 
 
 def test_every_public_name_resolves():

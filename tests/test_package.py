@@ -13,7 +13,7 @@ import pytest
 
 from crowdmot.cli import main
 
-SUBMODULES = ("records", "geometry", "targets", "tracker", "evaluator", "sparsegrid", "simulator", "formats")
+SUBMODULES = ("geometry", "targets", "tracker", "evaluator", "sparsegrid", "simulator", "formats")
 
 # Constructor arguments after the message, for the exception classes that take more.
 EXTRA_ARGS = {"FrameError": (2,)}
@@ -120,7 +120,7 @@ def test_start_up_runs_no_submodule_and_imports_no_numpy(argv):
     assert ran == set() and not numpy_loaded
 
 
-BASE = {"records", "geometry", "formats"}
+BASE = {"geometry", "formats"}
 COMMANDS = {
     "gen": (["gen", "--config", "{i}/scene.ini"], BASE | {"targets", "simulator"}),
     "targets": (

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import GtObject, frame_of
+from oracles import GtObject, box_row, frame_of
 
 from crowdmot.geometry import GridSpec, OutOfBoundsError, quantize_to_grid
-from crowdmot.records import Box3D
 from crowdmot.targets import (
     DenseGrid2D,
     GridMismatchError,
@@ -24,10 +23,7 @@ GRID = GridSpec(-8.0, 8.0, -8.0, 8.0, 0.5, 0.5)
 
 
 def ped(instance_id, x, y, z=0.85):
-    return GtObject(
-        instance_id=instance_id,
-        box=Box3D(cx=x, cy=y, cz=z, length=0.6, height=1.7, width=0.6),
-    )
+    return GtObject(instance_id=instance_id, box=box_row(x, y, z))
 
 
 def plain_focal_loss(pred, gt, alpha=2.0, gamma=4.0):
@@ -74,7 +70,7 @@ class TestHeatmap:
         heat = make_heatmap(frame_of(objs), GRID, sigma=2.0)
         assert heat.values.min() >= 0.0 and heat.values.max() == 1.0
         peak_cells = {
-            (int((o.box.cx + 8) / 0.5), int((o.box.cy + 8) / 0.5)) for o in objs
+            (int((o.box[0] + 8) / 0.5), int((o.box[1] + 8) / 0.5)) for o in objs
         }
         assert int((heat.values == 1.0).sum()) == len(peak_cells)
 
@@ -161,7 +157,7 @@ class TestWindowedStencils:
         kk = np.arange(grid.ny, dtype=np.float64)[None, :]
         inv_s2 = 1.0 / (sigma * sigma)
         for obj in objects:
-            j, k = quantize_to_grid(obj.box.cx, obj.box.cy, grid)
+            j, k = quantize_to_grid(obj.box[0], obj.box[1], grid)
             # Near the sigma floor the exponent overflows to -inf, which exp takes to 0.0.
             with np.errstate(over="ignore"):
                 kernel = np.exp(-((jj - j) ** 2 + (kk - k) ** 2) * inv_s2)
@@ -175,7 +171,7 @@ class TestWindowedStencils:
         gy = grid.y_min + (np.arange(grid.ny) + shift) * grid.dy
         weights = np.zeros((grid.nx, grid.ny))
         for obj in objects:
-            d2 = (gx[:, None] - obj.box.cx) ** 2 + (gy[None, :] - obj.box.cy) ** 2
+            d2 = (gx[:, None] - obj.box[0]) ** 2 + (gy[None, :] - obj.box[1]) ** 2
             weights += d2 < th * th
         return weights
 
@@ -336,7 +332,7 @@ def brute_force_relationships(objects, radius=3.0):
         for b in objects:
             if b.instance_id == a.instance_id:
                 continue
-            d2 = (b.box.cx - a.box.cx) ** 2 + (b.box.cy - a.box.cy) ** 2
+            d2 = (b.box[0] - a.box[0]) ** 2 + (b.box[1] - a.box[1]) ** 2
             key = (d2, b.instance_id)
             if best is None or key < best[0]:
                 best = (key, b)
@@ -344,8 +340,8 @@ def brute_force_relationships(objects, radius=3.0):
             b = best[1]
             out[a.instance_id] = (
                 b.instance_id,
-                b.box.cx - a.box.cx,
-                b.box.cy - a.box.cy,
+                b.box[0] - a.box[0],
+                b.box[1] - a.box[1],
             )
         else:
             out[a.instance_id] = None

@@ -4,9 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from oracles import Detection, exhaustive_assignment, frame_of
+from oracles import Detection, box_row, exhaustive_assignment, frame_of
 
-from crowdmot.records import Box3D
 from crowdmot.tracker import (
     TrackerConfig,
     TrackerState,
@@ -18,13 +17,8 @@ from crowdmot.tracker import (
 CFG = TrackerConfig()
 
 
-def det(x, y, score=0.9, ox=0.0, oy=0.0, frame=0):
-    return Detection(
-        box=Box3D(cx=x, cy=y, cz=0.85, length=0.6, height=1.7, width=0.6),
-        score=score,
-        offset=(ox, oy, 0.0),
-        frame=frame,
-    )
+def det(x, y, score=0.9, ox=0.0, oy=0.0):
+    return Detection(box=box_row(x, y), score=score, offset=(ox, oy, 0.0))
 
 
 class TestAssociate:
@@ -83,15 +77,10 @@ class TestAssociate:
             ]
             for i, tid in associate(frame_of(dets), tracks, CFG):
                 if tid is not None:
-                    px = dets[i].box.cx + dets[i].offset[0]
-                    py = dets[i].box.cy + dets[i].offset[1]
+                    px = dets[i].box[0] + dets[i].offset[0]
+                    py = dets[i].box[1] + dets[i].offset[1]
                     cx, cy = dict(tracks)[tid]
                     assert math.hypot(cx - px, cy - py) <= CFG.max_match_dist
-
-    def test_mixed_frames_rejected(self):
-        # A Frame holds one frame: detections of two frames do not make one.
-        with pytest.raises(ValueError, match="multiple frames"):
-            associate(frame_of([det(0, 0, frame=0), det(1, 1, frame=1)]), [], CFG)
 
 
 class TestStep:
@@ -110,7 +99,7 @@ class TestStep:
     def test_constant_detection_builds_one_track(self):
         state = TrackerState()
         for frame in range(10):
-            out = step(state, frame_of([det(0, 0, frame=frame)]), CFG, frame=frame)
+            out = step(state, frame_of([det(0, 0)]), CFG, frame=frame)
             assert out.ids.tolist() == [0]
         assert len(state.live) == 1 and not state.dead
 
@@ -119,7 +108,7 @@ class TestStep:
         step(state, frame_of([det(0, 0)]), CFG, frame=0)
         for frame in range(1, 1 + CFG.max_age):
             step(state, frame_of([]), CFG, frame=frame)
-        out = step(state, frame_of([det(0.1, 0.0, frame=CFG.max_age + 1)]), CFG, frame=CFG.max_age + 1)
+        out = step(state, frame_of([det(0.1, 0.0)]), CFG, frame=CFG.max_age + 1)
         assert out.ids.tolist() == [0] and len(state.live) == 1 and not state.dead
 
     def test_gap_beyond_max_age_assigns_new_identity(self):
@@ -128,7 +117,7 @@ class TestStep:
         for frame in range(1, 2 + CFG.max_age):
             step(state, frame_of([]), CFG, frame=frame)
         assert not state.live
-        out = step(state, frame_of([det(0.1, 0.0, frame=CFG.max_age + 2)]), CFG, frame=CFG.max_age + 2)
+        out = step(state, frame_of([det(0.1, 0.0)]), CFG, frame=CFG.max_age + 2)
         assert out.ids.tolist() == [1]
 
     def test_out_of_order_frame_rejected(self):
@@ -156,7 +145,7 @@ class TestRunSequence:
         rng = np.random.default_rng(1)
         frames = [
             [
-                det(rng.uniform(-5, 5), rng.uniform(-5, 5), score=rng.uniform(0.3, 1.0), frame=f)
+                det(rng.uniform(-5, 5), rng.uniform(-5, 5), score=rng.uniform(0.3, 1.0))
                 for _ in range(6)
             ]
             for f in range(15)
@@ -173,7 +162,7 @@ class TestRunSequence:
         rng = np.random.default_rng(2)
         frames = [
             [
-                det(rng.uniform(-20, 20), rng.uniform(-20, 20), score=rng.uniform(0.3, 1.0), frame=f)
+                det(rng.uniform(-20, 20), rng.uniform(-20, 20), score=rng.uniform(0.3, 1.0))
                 for _ in range(rng.integers(0, 8))
             ]
             for f in range(30)
@@ -203,14 +192,14 @@ class TestRunSequence:
                 for c in centers
             ]
             base = {
-                (dets[i].box.cx, tid)
+                (dets[i].box[0], tid)
                 for i, tid in associate(frame_of(dets), tracks, CFG)
                 if tid is not None
             }
             perm = rng.permutation(n)
             shuffled = [dets[i] for i in perm]
             permuted = {
-                (shuffled[i].box.cx, tid)
+                (shuffled[i].box[0], tid)
                 for i, tid in associate(frame_of(shuffled), tracks, CFG)
                 if tid is not None
             }

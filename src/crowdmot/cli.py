@@ -3,9 +3,10 @@
 Every command validates its inputs up front, computes in memory, then writes
 its files plus a manifest.json recording the resolved configuration, seeds,
 and content digests of all inputs and outputs. `main` hands each command one
-_Output, the one writer of its output files and its manifest: inputs are
-hashed from disk; each output's digest is the one its writer computed from
-the bytes it wrote. Reruns with the same inputs produce byte-identical files.
+_Output, the one reader of its input files and writer of its output files
+and its manifest: each input's digest is taken from the bytes the command
+read; each output's digest is the one its writer computed from the bytes it
+wrote. Reruns with the same inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -134,13 +135,16 @@ def load_gen_config(
 
 
 class _Output:
-    """One command's --out directory: the one writer of its files and its manifest.
+    """The one reader of a command's input files and writer of its --out directory and manifest.
 
-    write() puts a file under the directory and keeps the digest its writer
-    computed from the bytes it wrote. done() writes manifest.json and prints
-    the command's summary: inputs are hashed from disk, keyed str(Path(arg)),
-    and outputs are keyed by their path relative to the directory, so reruns
-    into different directories stay byte-identical.
+    read() reads an input file once and keeps the digest of the bytes it
+    read; write() puts a file under the directory and keeps the digest its
+    writer computed from the bytes it wrote. done() writes manifest.json and
+    prints the command's summary: inputs are keyed str(Path(arg)), with the
+    digests of the bytes the command read (an input no reader hashed, as
+    gen's config, is hashed from disk), and outputs are keyed by their path
+    relative to the directory, so reruns into different directories stay
+    byte-identical.
     """
 
     MANIFEST = "manifest.json"
@@ -149,6 +153,16 @@ class _Output:
         self.root = Path(root)
         self.command = command
         self.digests: dict[Path, str] = {}
+        self.inputs: dict[str, str] = {}
+
+    def read(self, arg: str, reader: Callable):
+        """reader(path, digest) for input `arg`, a hashlib digest it updates with every byte it reads."""
+        import hashlib  # here, not at the top: _hashlib's import costs about 3 ms at start-up
+
+        digest = hashlib.sha256()
+        value = reader(Path(arg), digest)
+        self.inputs[str(Path(arg))] = digest.hexdigest()
+        return value
 
     def write(self, name: str, writer: Callable[..., str], *args) -> Path:
         """writer(path, *args) for path `name` under the directory; returns the path."""
@@ -158,12 +172,13 @@ class _Output:
 
     def done(self, config: dict, inputs: list[str], summary: str) -> int:
         """Write manifest.json, print `summary` through _say, and return the exit code 0."""
+        keys = [str(Path(p)) for p in inputs]
         manifest = {
             "tool": "crowdmot",
             "version": __version__,
             "command": self.command,
             "config": config,
-            "inputs": {str(Path(p)): formats.sha256_file(Path(p)) for p in inputs},
+            "inputs": {key: self.inputs.get(key) or formats.sha256_file(Path(key)) for key in keys},
             "outputs": {str(p.relative_to(self.root)): digest for p, digest in self.digests.items()},
         }
         text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -372,7 +387,7 @@ def cmd_targets(args: argparse.Namespace, out: _Output) -> int:
         grid = geometry.GridSpec(x_min, x_max, y_min, y_max, dx, dy)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    frames, timestamps = formats.read_scene_jsonl(Path(args.gt))
+    frames, timestamps = out.read(args.gt, formats.read_scene_jsonl)
     # Validate every object against the grid and build every offset target
     # before writing anything, so a bad late frame cannot leave partial
     # outputs behind.
@@ -413,7 +428,7 @@ def cmd_track(args: argparse.Namespace, out: _Output) -> int:
     from dataclasses import asdict
 
     cfg = _given(args, tracker.TrackerConfig)
-    det_frames, timestamps = formats.read_detections_jsonl(Path(args.det))
+    det_frames, timestamps = out.read(args.det, formats.read_detections_jsonl)
     tracks = tracker.run_sequence(det_frames, cfg)
     traj_path = out.write("traj.jsonl", formats.write_trajectories_jsonl, tracks, timestamps)
     n_tracks = len(set().union(*(f.ids.tolist() for f in tracks)))
@@ -433,8 +448,8 @@ def cmd_eval(args: argparse.Namespace, out: _Output) -> int:
     densities = []
     lines = []
     for gt_path, traj_path in zip(args.gt, args.traj):
-        gt_frames, gt_times = formats.read_scene_jsonl(Path(gt_path))
-        pred_frames, pred_times = formats.read_trajectories_jsonl(Path(traj_path))
+        gt_frames, gt_times = out.read(gt_path, formats.read_scene_jsonl)
+        pred_frames, pred_times = out.read(traj_path, formats.read_trajectories_jsonl)
         _check_same_sequence(gt_path, gt_times, traj_path, pred_times)
         _check_tracked_from_scene(gt_path, traj_path)
         metrics = evaluator.evaluate_sequence(gt_frames, pred_frames, cfg)
@@ -522,7 +537,7 @@ def _metric_lines(metrics, density: float, radius: float) -> list[str]:
 
 def cmd_density(args: argparse.Namespace, out: _Output) -> int:
     radius = getattr(args, "radius", geometry.DENSITY_RADIUS)
-    frames, _ = formats.read_scene_jsonl(Path(args.gt))
+    frames, _ = out.read(args.gt, formats.read_scene_jsonl)
     density = evaluator.density_stats(frames, radius=radius)
     text = f"density@{radius}m {density!r}\n"
     out.write("density.txt", formats.atomic_write_text, text)
@@ -533,11 +548,10 @@ def cmd_voxelshapes(args: argparse.Namespace, out: _Output) -> int:
     import numpy as np
 
     try:
-        raw = np.load(args.points)
-    except (OSError, ValueError, EOFError) as exc:
+        raw = out.read(args.points, formats.read_npy)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load point file {args.points}: {exc}") from None
-    if not isinstance(raw, np.ndarray):
-        raw.close()
+    if raw is None:
         raise ConfigError(f"{args.points} is an archive of arrays, not one .npy array")
     if raw.dtype.kind not in "iuf":
         raise ConfigError(f"points must be integers or floats, got dtype {raw.dtype}")

@@ -12,7 +12,10 @@ Frames are numbered 0, 1, ... with strictly increasing timestamps; every
 number is finite, ids are integers unique within their frame that fit in 64
 bits, and objects are written in ascending id order. Every JSONL file is
 written through _write_frames, and every JSONL reader goes through
-_read_frames, which returns one geometry.Frame of columns per line.
+_read_frames, which returns one geometry.Frame of columns per line. A
+reader given a hashlib object updates it with every byte it read, so a
+caller gets the file's digest without reading it again; so does read_npy,
+the reader of a .npy array.
 
 A writer builds no per-object dicts and calls no json.dumps. It gathers
 every float the file writes (timestamps, box columns, scores, offsets and
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -55,6 +59,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from .geometry import BOX_FIELDS, DenseGrid2D, Frame, GridSpec, valid_boxes, wrap_yaw
 
@@ -91,11 +96,56 @@ def atomic_write_text(path: Path, text: str) -> str:
 
 
 def sha256_file(path: Path) -> str:
+    """The SHA-256 of a file that no reader hashed as it read it."""
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+# The first bytes of a zip archive, as np.savez writes one (an empty one has the second).
+_ZIP_PREFIXES = (b"PK\x03\x04", b"PK\x05\x06")
+
+
+def read_npy(path: Path, digest=None) -> Optional[np.ndarray]:
+    """The one array of a .npy file, or None where the file is a zip archive (an .npz).
+
+    The file is read once, and digest, a hashlib object, is updated with its
+    bytes. The array is a read-only view of those bytes: nothing is copied.
+    The magic string and the header are read with numpy.lib.format's
+    readers. Version 3.0 headers are read as 2.0 ones: the two differ only
+    in decoding the header as UTF-8 rather than latin-1, which changes only
+    the non-ASCII field names of a structured dtype. A shape with a negative
+    dimension, or more elements than the bytes after the header hold, is a
+    FormatError before anything is allocated; bytes past the elements are
+    ignored, as np.load ignores them.
+    """
+    data = path.read_bytes()
+    if digest is not None:
+        digest.update(data)
+    if data.startswith(_ZIP_PREFIXES):
+        return None
+    if not data:
+        raise FormatError("No data left in file")
+    stream = io.BytesIO(data)
+    version = npy_format.read_magic(stream)
+    if version not in ((1, 0), (2, 0), (3, 0)):
+        raise FormatError(f"we only support format version (1,0), (2,0), and (3,0), not {version}")
+    read_header = npy_format.read_array_header_1_0 if version == (1, 0) else npy_format.read_array_header_2_0
+    shape, fortran_order, dtype = read_header(stream)
+    if dtype.hasobject:
+        raise FormatError("Object arrays cannot be loaded when allow_pickle=False")
+    if any(n < 0 for n in shape):
+        raise FormatError(f"shape {shape} has a negative dimension")
+    count, start = math.prod(shape), stream.tell()
+    if count * dtype.itemsize > len(data) - start:
+        present = (len(data) - start) // dtype.itemsize
+        raise FormatError(
+            f"Failed to read all data for array. Expected {shape} = {count} elements, "
+            f"could only read {present} elements. (file seems not fully written?)"
+        )
+    return np.ndarray(shape, dtype, buffer=data, offset=start, order="F" if fortran_order else "C")
 
 
 def _repr_table(
@@ -385,17 +435,19 @@ def _read_frames(
     path: Path,
     columns: Callable[[list], Optional[Frame]],
     one_by_one: Callable[[list], Frame],
+    digest=None,
 ) -> tuple[list[Frame], list[float]]:
     """One Frame per line and the frame timestamps.
 
     Frames must be numbered 0, 1, ... in order with strictly increasing
     timestamps, and each object needs an integer id unique within its frame.
     columns(objects) checks and gathers a frame in bulk; where it returns
-    None, one_by_one(objects) decodes the frame object by object.
+    None, one_by_one(objects) decodes the frame object by object. digest,
+    a hashlib object, is updated with the file's bytes (_read_records).
     """
     frames: list[Frame] = []
     timestamps: list[float] = []
-    for line_no, rec in _read_records(path):
+    for line_no, rec in _read_records(path, digest):
         try:
             frame = _integer(rec, "frame")
             if frame != len(frames):
@@ -418,9 +470,9 @@ def _read_frames(
     return frames, timestamps
 
 
-def read_scene_jsonl(path: Path) -> tuple[list[Frame], list[float]]:
+def read_scene_jsonl(path: Path, digest=None) -> tuple[list[Frame], list[float]]:
     """Per-frame GT columns and the frame timestamps."""
-    return _read_frames(path, _box_columns, _boxes_one_by_one)
+    return _read_frames(path, _box_columns, _boxes_one_by_one, digest)
 
 
 def _detection(obj: dict) -> tuple:
@@ -439,14 +491,14 @@ def _detection(obj: dict) -> tuple:
     return box, score, offset, newborn, rel, "rel" in obj
 
 
-def read_detections_jsonl(path: Path) -> tuple[list[Frame], list[float]]:
+def read_detections_jsonl(path: Path, digest=None) -> tuple[list[Frame], list[float]]:
     """Per-frame detection columns (ids as in the file) and the frame timestamps."""
-    return _read_frames(path, _detection_columns, _detections_one_by_one)
+    return _read_frames(path, _detection_columns, _detections_one_by_one, digest)
 
 
-def read_trajectories_jsonl(path: Path) -> tuple[list[Frame], list[float]]:
+def read_trajectories_jsonl(path: Path, digest=None) -> tuple[list[Frame], list[float]]:
     """Per-frame (track id, box) columns, as the evaluator consumes them; scores are not read."""
-    return _read_frames(path, _box_columns, _boxes_one_by_one)
+    return _read_frames(path, _box_columns, _boxes_one_by_one, digest)
 
 
 def _reject_constant(name: str):
@@ -457,9 +509,12 @@ def _reject_constant(name: str):
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
-def _read_records(path: Path) -> Iterable[tuple[int, dict]]:
+def _read_records(path: Path, digest=None) -> Iterable[tuple[int, dict]]:
+    """(line number, record) of each non-blank line; digest is updated with every line's bytes."""
     with open(path, "rb") as handle:
         for line_no, line in enumerate(handle, start=1):
+            if digest is not None:
+                digest.update(line)
             try:
                 line = line.decode("utf-8").strip()
                 if not line:

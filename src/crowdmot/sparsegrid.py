@@ -24,7 +24,9 @@ every feature array of the same cells. No dense volume is built.
 
 `topology_report`, the table `voxelshapes` prints, voxelizes once and then
 coarsens the cells' keys: a stage's cells depend on no feature, and its
-channels only on the widths. The feature path (`voxelize`,
+channels only on the widths. `voxelize` finds only the distinct keys up
+front; its grid's coordinates and features are built on first read, so
+the table builds neither. The feature path (`voxelize`,
 `encoder_chain`, `downsample`, `fuse_hr`, `fuse_ms`) is library API, its
 values pinned by tests/test_sparsegrid_values.py.
 """
@@ -33,6 +35,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -127,7 +131,8 @@ class SparseGrid:
     `keys` holds those keys. Row i of the (n, C) float64 `features` belongs
     to the cell coords[i], and `channels` is C. The constructor checks the
     coordinates it is given; grids this module builds from keys it sorted
-    itself come from `_of_keys`, which does not re-check them.
+    itself come from `_of_keys`, which does not re-check them and unpacks
+    `coords` on first read.
     """
 
     spec: VoxelSpec
@@ -160,17 +165,36 @@ class SparseGrid:
         object.__setattr__(self, "keys", keys)
 
     @classmethod
-    def _of_keys(cls, spec: VoxelSpec, stride: int, keys: np.ndarray, features: np.ndarray,
-                 n_dropped: int) -> "SparseGrid":
-        """The grid of strictly increasing keys: unpacked once, not re-checked."""
+    def _of_keys(cls, spec: VoxelSpec, stride: int, keys: np.ndarray,
+                 features: np.ndarray | Callable[[], np.ndarray], n_dropped: int) -> "SparseGrid":
+        """The grid of strictly increasing keys, not re-checked.
+
+        `coords` is unpacked from the keys on first read. `features` is the
+        array, or a function of no arguments that builds it on first read.
+        """
         grid = object.__new__(cls)
-        for name, value in (("spec", spec), ("stride", stride), ("coords", _unpack(keys, spec.bits)),
-                            ("features", features), ("n_dropped", n_dropped), ("keys", keys)):
+        build = {"coords": partial(_unpack, keys, spec.bits)}
+        if callable(features):
+            build["features"] = features
+        else:
+            object.__setattr__(grid, "features", features)
+        for name, value in (("spec", spec), ("stride", stride), ("n_dropped", n_dropped),
+                            ("keys", keys), ("_build", build)):
             object.__setattr__(grid, name, value)
         return grid
 
+    def __getattr__(self, name: str):
+        # Only a field _of_keys left unbuilt gets here: built once, then kept.
+        builds = self.__dict__.get("_build", {})
+        if name not in builds:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = builds[name]()
+        object.__setattr__(self, name, value)
+        del builds[name]
+        return value
+
     def __len__(self) -> int:
-        return len(self.coords)
+        return len(self.keys)
 
     @property
     def channels(self) -> int:
@@ -356,11 +380,19 @@ def voxelize(pc: PointCloud, spec: VoxelSpec = VoxelSpec()) -> SparseGrid:
     of its points' shares x / count, added in input order, so its mean is
     finite wherever that sum is; numpy's overflow warning is not raised.
     Points outside the extents are dropped and counted in the grid's
-    n_dropped. Cells come from to_cells and keys from one distinct.
+    n_dropped. Cells come from to_cells and keys from one distinct; the
+    features are built (_voxel_features) on the grid's first read of them.
     """
     inside, cells = to_cells(pc.points, spec)
-    kept = pc.points if inside.all() else pc.points[inside]
-    keys, inverse, counts = distinct(_pack(cells, spec.bits), return_inverse=True, return_counts=True)
+    packed = _pack(cells, spec.bits)
+    features = partial(_voxel_features, pc.points, inside, packed)
+    return SparseGrid._of_keys(spec, 1, distinct(packed), features, len(pc) - len(packed))
+
+
+def _voxel_features(points: np.ndarray, inside: np.ndarray, packed: np.ndarray) -> np.ndarray:
+    """voxelize's features of the points inside, whose voxel keys are `packed`."""
+    kept = points if inside.all() else points[inside]
+    keys, inverse, counts = distinct(packed, return_inverse=True, return_counts=True)
     features = np.empty((len(keys), 3))
     features[:, 0] = counts
     sums = np.zeros((2, len(keys)))
@@ -375,7 +407,7 @@ def voxelize(pc: PointCloud, spec: VoxelSpec = VoxelSpec()) -> SparseGrid:
             shares = np.zeros(len(keys))
             np.add.at(shares, inverse[rows], kept[rows, 3] / counts[inverse[rows]])
             features[overflowed, 1] = shares[overflowed]
-    return SparseGrid._of_keys(spec, 1, keys, features, len(pc) - len(kept))
+    return features
 
 
 def downsample(grid: SparseGrid, mix: ChannelMap) -> SparseGrid:

@@ -24,6 +24,9 @@ error.
 topology_report_by_features is the voxelshapes table as it was first
 built: from the grids of the whole feature algebra, voxelize through the
 encoder chain and the fusion, reading each row off a grid.
+voxelize_eagerly is voxelize as it was before its grid built coordinates
+and features on first read: everything at once, through the checking
+SparseGrid constructor.
 
 The cell-rule oracles are the two copies of the rule that geometry.to_cells
 replaced: the scalar quantize_to_grid, one point at a time, and the voxel
@@ -44,11 +47,23 @@ from crowdmot.geometry import (
     OutOfBoundsError,
     bev_iou,
     bev_iou_pairs,
+    distinct,
     footprints,
     pairs_within,
+    to_cells,
 )
 from crowdmot.simulator import MIN_SEPARATION
-from crowdmot.sparsegrid import DEFAULT_WIDTHS, VoxelSpec, encoder_chain, fuse_hr, fuse_ms, voxelize
+from crowdmot.sparsegrid import (
+    DEFAULT_WIDTHS,
+    SparseGrid,
+    VoxelSpec,
+    _pack,
+    _unpack,
+    encoder_chain,
+    fuse_hr,
+    fuse_ms,
+    voxelize,
+)
 
 # Totals this close to the best one count as ties.
 TIE = 1e-12
@@ -431,6 +446,27 @@ def topology_report_by_features(pc, spec=VoxelSpec(), topology="a", widths=DEFAU
     ]
     rows[-1]["dropped_points"] = base.n_dropped
     return rows
+
+
+def voxelize_eagerly(pc, spec=VoxelSpec()):
+    """sparsegrid.voxelize's grid, its coordinates and features computed before it is built."""
+    inside, cells = to_cells(pc.points, spec)
+    kept = pc.points if inside.all() else pc.points[inside]
+    keys, inverse, counts = distinct(_pack(cells, spec.bits), return_inverse=True, return_counts=True)
+    features = np.empty((len(keys), 3))
+    features[:, 0] = counts
+    sums = np.zeros((2, len(keys)))
+    with np.errstate(over="ignore"):
+        np.add.at(sums[0], inverse, kept[:, 3])
+        np.add.at(sums[1], inverse, kept[:, 4])
+        np.divide(sums, counts, out=features[:, 1:].T)
+        overflowed = np.isinf(sums[0])
+        if overflowed.any():
+            rows = overflowed[inverse]
+            shares = np.zeros(len(keys))
+            np.add.at(shares, inverse[rows], kept[rows, 3] / counts[inverse[rows]])
+            features[overflowed, 1] = shares[overflowed]
+    return SparseGrid(spec, 1, _unpack(keys, spec.bits), features, len(pc) - len(kept))
 
 
 def quantize_scalar(x, y, grid):

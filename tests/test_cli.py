@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crowdmot.cli
+from crowdmot import sparsegrid
 from crowdmot.cli import main
 from crowdmot.evaluator import MatchConfig
 from crowdmot.formats import read_grid, sha256_file
@@ -673,6 +674,41 @@ def test_manifest_digests_match_the_files(tmp_path, config_path, gen_dir, comman
         assert digest == sha256_file(out / name), name
     for name, digest in manifest["inputs"].items():
         assert digest == sha256_file(Path(name)), name
+
+
+@pytest.mark.parametrize("command", ["targets", "track", "eval", "density", "voxelshapes"])
+def test_each_input_is_read_once_and_its_digest_is_that_of_its_bytes(
+    tmp_path, gen_dir, monkeypatch, command
+):
+    """A command opens each input file once: the manifest's digest is of the bytes it decoded."""
+    points = tmp_path / "points.npy"
+    np.save(points, np.random.default_rng(0).uniform(-20.0, 20.0, (500, 3)))
+    trk = tmp_path / "trk"
+    assert main(["track", "--det", str(gen_dir / "det.jsonl"), "--out", str(trk)]) == 0
+    gt, det, traj = gen_dir / "gt.jsonl", gen_dir / "det.jsonl", trk / "traj.jsonl"
+    argv, inputs = {
+        "targets": (["--gt", str(gt), "--grid", "0.5,0.5", "--extent=-30,30,-20,20"], [gt]),
+        "track": (["--det", str(det)], [det]),
+        "eval": (["--gt", str(gt), "--traj", str(traj)], [gt, traj]),
+        "density": (["--gt", str(gt)], [gt]),
+        "voxelshapes": (["--points", str(points)], [points]),
+    }[command]
+    opened = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened.append(Path(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr("builtins.open", counting_open)
+    out = tmp_path / "out"
+    assert main([command, *argv, "--out", str(out)]) == 0
+    monkeypatch.undo()
+    assert [opened.count(path) for path in inputs] == [1] * len(inputs)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"] == {str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in inputs}
 
 
 def test_manifest_keys_each_input_by_its_normalised_path(tmp_path, gen_dir):
@@ -1337,6 +1373,92 @@ class TestVoxelshapes:
         lines = (out / "voxelshapes.txt").read_text().splitlines()
         assert [int(line.split()[4]) for line in lines[1:7]] == [1] * 6
 
+    # Each point file below gives the table of its values saved as a C-order
+    # float64 .npy file, or the one-line error named; {path} stands for it.
+    LOADER_CASES = {
+        "v1.0": lambda path, pts: np.save(path, pts),
+        "v2.0": lambda path, pts: _write_npy(path, pts, (2, 0)),
+        "v3.0": lambda path, pts: _write_npy(path, pts, (3, 0)),
+        "big-endian f8": lambda path, pts: np.save(path, pts.astype(">f8")),
+        "f4": lambda path, pts: np.save(path, pts.astype("<f4")),
+        "int64": lambda path, pts: np.save(path, np.round(pts).astype(np.int64)),
+        "fortran": lambda path, pts: np.save(path, np.asfortranarray(pts)),
+        "fortran, 3 columns": lambda path, pts: np.save(path, np.asfortranarray(pts[:, :3])),
+        "trailing bytes": lambda path, pts: (np.save(path, pts), _append(path, b"trailing bytes")),
+        "truncated body": (
+            lambda path, pts: path.write_bytes(_npy_header(pts.shape) + pts.tobytes()[:-8]),
+            "cannot load point file {path}: Failed to read all data for array. Expected (400, 5) = "
+            "2000 elements, could only read 1999 elements. (file seems not fully written?)",
+        ),
+        "negative dimension": (
+            lambda path, pts: path.write_bytes(_npy_header((-3, 5)) + pts[:2].tobytes()),
+            "cannot load point file {path}: shape (-3, 5) has a negative dimension",
+        ),
+        "huge header": (
+            lambda path, pts: path.write_bytes(_npy_header((10**12, 5)) + pts[:2].tobytes()),
+            "cannot load point file {path}: Failed to read all data for array. Expected "
+            "(1000000000000, 5) = 5000000000000 elements, could only read 10 elements. "
+            "(file seems not fully written?)",
+        ),
+        "object array": (
+            lambda path, pts: np.save(path, pts.astype(object), allow_pickle=True),
+            "cannot load point file {path}: Object arrays cannot be loaded when allow_pickle=False",
+        ),
+        "complex": (
+            lambda path, pts: np.save(path, pts.astype(complex)),
+            "points must be integers or floats, got dtype complex128",
+        ),
+        "npz": (
+            lambda path, pts: _write_npz(path, points=pts),
+            "{path} is an archive of arrays, not one .npy array",
+        ),
+        "empty file": (
+            lambda path, pts: path.write_bytes(b""), "cannot load point file {path}: No data left in file"
+        ),
+        "directory": (
+            lambda path, pts: path.mkdir(),
+            "cannot load point file {path}: [Errno 21] Is a directory: '{path}'",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(LOADER_CASES))
+    def test_point_file_loader_matrix(self, tmp_path, capsys, case):
+        rng = np.random.default_rng(5)
+        pts = np.column_stack([rng.uniform(-100, 100, 400), rng.uniform(-50, 50, 400),
+                               rng.uniform(-6, 4, 400), rng.uniform(0, 1, 400), rng.integers(0, 2, 400)])
+        write, message = self.LOADER_CASES[case], None
+        if isinstance(write, tuple):
+            write, message = write
+        path, out = tmp_path / "points.npy", tmp_path / "vox"
+        write(path, pts)
+        code = main(["voxelshapes", "--points", str(path), "--out", str(out), "--topology", "c"])
+        err = capsys.readouterr().err
+        if message is not None:
+            assert (code, err) == (2, f"error: {message.format(path=path)}\n")
+            assert not out.exists()
+            return
+        assert (code, err) == (0, "")
+        values = np.load(path)
+        np.save(tmp_path / "plain.npy", np.ascontiguousarray(values, dtype=np.float64))
+        plain = tmp_path / "plain"
+        assert main(["voxelshapes", "--points", str(tmp_path / "plain.npy"), "--out", str(plain),
+                     "--topology", "c"]) == 0
+        table = (out / "voxelshapes.txt").read_bytes()
+        assert table == (plain / "voxelshapes.txt").read_bytes() and b"dropped_points 0\n" not in table
+
+    def test_loaded_points_are_a_read_only_view_of_the_bytes_read(self, tmp_path, monkeypatch):
+        path = tmp_path / "points.npy"
+        rng = np.random.default_rng(0)
+        np.save(path, np.column_stack([rng.uniform(-20.0, 20.0, (50, 4)), rng.integers(0, 2, 50)]))
+        seen = []
+        report = sparsegrid.topology_report
+        monkeypatch.setattr(sparsegrid, "topology_report",
+                            lambda pc, *args, **kwargs: seen.append(pc.points) or report(pc, *args, **kwargs))
+        assert main(["voxelshapes", "--points", str(path), "--out", str(tmp_path / "vox")]) == 0
+        [points] = seen
+        assert not points.flags.writeable and isinstance(points.base, bytes)
+        assert points.tobytes() == np.load(path).tobytes()
+
     def test_single_point(self, tmp_path):
         path = tmp_path / "one.npy"
         np.save(path, np.array([[0.0, 0.0, 0.0]]))
@@ -1345,6 +1467,28 @@ class TestVoxelshapes:
         lines = (out / "voxelshapes.txt").read_text().splitlines()
         occupied = [int(line.split()[4]) for line in lines[1:7]]
         assert occupied == [1, 1, 1, 1, 1, 1]
+
+
+def _npy_header(shape):
+    """A version 1.0 .npy header for a C-order little-endian float64 array of `shape`."""
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, {"descr": "<f8", "fortran_order": False, "shape": shape})
+    return header.getvalue()
+
+
+def _write_npy(path, values, version):
+    with open(path, "wb") as handle:
+        np.lib.format.write_array(handle, values, version=version)
+
+
+def _write_npz(path, **arrays):
+    with open(path, "wb") as handle:
+        np.savez(handle, **arrays)
+
+
+def _append(path, data):
+    with open(path, "ab") as handle:
+        handle.write(data)
 
 
 class TestConsoleEntrypoint:

@@ -585,6 +585,35 @@ class TestBulkReader:
         assert bulk.boxes[0, 0] == 1.0 and bulk.score.tolist() == [1.0]
 
 
+class TestReaderDigests:
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    @pytest.mark.parametrize(
+        "ending", ["\n", "\r\n\n  \n", ""], ids=["newline", "crlf-blank-lines", "no-newline"]
+    )
+    def test_a_reader_hashes_every_byte_of_the_file(self, tmp_path, kind, ending):
+        second = json.dumps({"frame": 1, "timestamp": 0.1, "objects": [DET]})
+        data = (jsonl_line([DET]) + ending + "\n" + second + ending).encode()
+        path = tmp_path / "in.jsonl"
+        path.write_bytes(data)
+        digest = hashlib.sha256()
+        frames, _ = READERS[kind](path, digest)
+        assert len(frames) == 2 and digest.hexdigest() == hashlib.sha256(data).hexdigest()
+
+    @pytest.mark.parametrize("name", ["points.npy", "points.npz"])
+    def test_read_npy_hashes_the_file_it_read(self, tmp_path, name):
+        path = tmp_path / name
+        values = np.arange(12.0).reshape(4, 3)
+        with open(path, "wb") as handle:
+            (np.save if name.endswith(".npy") else np.savez)(handle, values)
+        digest = hashlib.sha256()
+        array = formats.read_npy(path, digest)
+        assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+        if name.endswith(".npz"):
+            assert array is None
+        else:
+            assert array.tobytes() == values.tobytes() and not array.flags.writeable
+
+
 # The JSONL writers against the dict + json.dumps oracle, byte for byte.
 
 WRITERS = {

@@ -162,12 +162,13 @@ def test_voxelshapes_table_matches_golden_digest(tmp_path, topology):
 
 @pytest.mark.parametrize("topology", sorted(VOXELSHAPES))
 def test_voxelshapes_table_computes_no_feature(tmp_path, monkeypatch, topology):
-    # Past voxelize's input grid the table is planned from coordinates alone:
-    # with every later feature step made to raise, it still has the golden bytes.
+    # The table is planned from voxelize's keys alone: with the input grid's
+    # coordinate unpacking and feature build, and every later feature step,
+    # made to raise, it still has the golden bytes.
     def refuse(*args, **kwargs):
         raise AssertionError("the voxelshapes table computed a feature")
 
-    for name in ("downsample", "encoder_chain", "fuse_hr", "fuse_ms"):
+    for name in ("_unpack", "_voxel_features", "downsample", "encoder_chain", "fuse_hr", "fuse_ms"):
         monkeypatch.setattr(sparsegrid, name, refuse)
     monkeypatch.setattr(sparsegrid.ChannelMap, "apply", refuse)
     test_voxelshapes_table_matches_golden_digest(tmp_path, topology)

@@ -139,19 +139,24 @@ def test_snap_assignments_are_recognised(source, lines):
 def output_rule_breaks(source: str) -> list[str]:
     """Where cli's source gets around _Output.
 
-    _Output is the one writer of a command's files and its manifest.json,
-    and `main` builds it from args.out, so no cmd_* function needs that flag.
-    Outside _Output, cli names manifest.json and sha256_file nowhere, and a
-    formats writer (write_*, atomic_write_text) only as an argument of out.write.
+    _Output is the one reader of a command's input files and writer of its
+    files and its manifest.json, and `main` builds it from args.out, so no
+    cmd_* function needs that flag. Outside _Output, cli names manifest.json
+    and sha256_file nowhere, a formats writer (write_*, atomic_write_text)
+    only as an argument of out.write, and a formats reader (formats.read_*)
+    only as an argument of out.read, which keeps the digest of what it read.
     """
     found = []
     for top in ast.parse(source).body:
         owner = getattr(top, "name", None)
         passed = {
-            id(arg)
-            for node in ast.walk(top)
-            if isinstance(node, ast.Call) and ast.unparse(node.func) == "out.write"
-            for arg in node.args
+            method: {
+                id(arg)
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == method
+                for arg in node.args
+            }
+            for method in ("out.write", "out.read")
         }
         for node in ast.walk(top):
             if owner != "_Output" and isinstance(node, ast.Constant) and node.value == "manifest.json":
@@ -161,8 +166,13 @@ def output_rule_breaks(source: str) -> list[str]:
             if owner != "_Output" and "sha256_file" in names:
                 found.append(f"{node.lineno}: sha256_file outside _Output")
             writers = sorted(n for n in names if n and (n.startswith("write_") or n == "atomic_write_text"))
-            if owner != "_Output" and writers and id(node) not in passed:
+            if owner != "_Output" and writers and id(node) not in passed["out.write"]:
                 found += [f"{node.lineno}: {name} outside out.write" for name in writers]
+            if (
+                owner != "_Output" and isinstance(node, ast.Attribute) and node.attr.startswith("read_")
+                and ast.unparse(node.value) == "formats" and id(node) not in passed["out.read"]
+            ):
+                found.append(f"{node.lineno}: formats.{node.attr} outside out.read")
             if (
                 owner and owner.startswith("cmd_") and isinstance(node, ast.Attribute)
                 and node.attr == "out" and isinstance(node.value, ast.Name) and node.value.id == "args"
@@ -194,6 +204,11 @@ def test_only_the_output_object_writes_the_manifest():
         ("def _job(out):\n    save(formats.write_grid)", ["2: write_grid outside out.write"]),
         ("from .formats import atomic_write_text", ["1: atomic_write_text outside out.write"]),
         ("def cmd_x(args, out):\n    writer.write(b'')\n    os.write(fd, b'')", []),
+        ("def cmd_x(args, out):\n    frames, _ = out.read(args.gt, formats.read_scene_jsonl)", []),
+        ("def cmd_x(args, out):\n    frames, _ = formats.read_scene_jsonl(Path(args.gt))",
+         ["2: formats.read_scene_jsonl outside out.read"]),
+        ("def cmd_x(args, out):\n    raw = out.write('a', formats.read_npy)", ["2: formats.read_npy outside out.read"]),
+        ("def _header(stream):\n    return npy.read_magic(stream)", []),
     ],
 )
 def test_output_rule_breaks_are_recognised(source, found):

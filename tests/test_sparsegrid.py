@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import ravel_order, topology_report_by_features
+from oracles import ravel_order, topology_report_by_features, voxelize_eagerly
 from scipy.sparse import csr_array
 
 from crowdmot.geometry import GridSpec, to_cells
@@ -419,6 +419,54 @@ class TestVoxelize:
             rows = topology_report(pc, SPEC, "c")
         assert grid.features.tolist() == [[2.0, 1.7e308, 0.5], [2.0, (0.1 + 0.2) / 2, 0.0]]
         assert rows[0]["occupied"] == 2
+
+
+def bits_of(array):
+    return array.dtype, array.shape, array.tobytes()
+
+
+class TestLazyVoxelGrid:
+    """voxelize finds only the keys; its grid builds coords and features on first read."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(0, 200),
+        side=st.integers(1, 6),
+        outside_share=st.sampled_from([0.0, 0.3, 1.0]),
+        hot=st.booleans(),
+        order=st.sampled_from(["features", "coords", "keys"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=0, side=1, outside_share=0.0, hot=False, order="features", seed=0)  # the empty cloud
+    @example(n=1, side=1, outside_share=0.0, hot=False, order="coords", seed=0)  # one point
+    @example(n=2, side=1, outside_share=0.0, hot=True, order="features", seed=0)  # only the overflow
+    def test_fields_match_the_eager_oracle_in_any_read_order(self, n, side, outside_share, hot, order, seed):
+        # Points fall into few voxels, so most voxels hold several; some lie
+        # outside the extents. With hot, the first two points share a voxel
+        # and intensities of 1.7e308, whose sum passes the float range.
+        rng = np.random.default_rng(seed)
+        mins = np.array([SPEC.x_min, SPEC.y_min, SPEC.z_min])
+        cells = np.array(SPEC.shape) // 2 + rng.integers(0, side, (n, 3))
+        cells[:2] = cells[:1]
+        xyz = mins + (cells + rng.uniform(0.1, 0.9, (n, 3))) * np.array([SPEC.dx, SPEC.dy, SPEC.dz])
+        outside = rng.random(n) < outside_share
+        outside[:2] &= not hot
+        xyz[outside, 0] = SPEC.x_max + rng.uniform(0.0, 5.0, outside.sum())
+        intensity = rng.standard_normal(n)
+        intensity[:2] = 1.7e308 if hot else intensity[:2]
+        pc = PointCloud(np.column_stack([xyz, intensity, rng.integers(0, 2, n)]))
+        grid, expected = voxelize(pc, SPEC), voxelize_eagerly(pc, SPEC)
+        assert grid.n_dropped == expected.n_dropped == outside.sum()
+        assert bits_of(grid.keys) == bits_of(expected.keys) and len(grid) == len(expected)
+        if order == "keys":
+            assert "coords" not in vars(grid) and "features" not in vars(grid)
+        names = {"features": ("features", "coords"), "coords": ("coords", "features"), "keys": ()}[order]
+        for name in names:
+            first = getattr(grid, name)
+            assert bits_of(first) == bits_of(getattr(expected, name))
+            assert getattr(grid, name) is first
+        # The two hot points' sum overflows, yet every mean stays finite.
+        assert np.isfinite(expected.features).all()
 
 
 class TestDownsample:

@@ -23,10 +23,11 @@ key (`np.searchsorted`), each planned from keys alone, so one plan serves
 every feature array of the same cells. No dense volume is built.
 
 `topology_report`, the table `voxelshapes` prints, voxelizes once and then
-coarsens the cells' keys: a stage's cells depend on no feature, and its
-channels only on the widths. `voxelize` finds only the distinct keys up
-front; its grid's coordinates and features are built on first read, so
-the table builds neither. The feature path (`voxelize`,
+counts every stage from one sort of the cells' Z-order keys
+(`_stage_counts`): a stage's cells depend on no feature, and its channels
+only on the widths. `voxelize` finds only the distinct keys up front; its
+grid's coordinates and features are built on first read, so the table
+builds neither. The feature path (`voxelize`,
 `encoder_chain`, `downsample`, `fuse_hr`, `fuse_ms`) is library API, its
 values pinned by tests/test_sparsegrid_values.py.
 """
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -269,6 +270,68 @@ def _coarsen(keys: np.ndarray, k: int, bits: tuple[int, int, int]) -> np.ndarray
     low = [(1 << min(k, width)) - 1 for width in bits]
     cleared = low[0] << (by + bz) | low[1] << bz | low[2]
     return (keys & ~cleared) >> k
+
+
+def _stage_counts(keys: np.ndarray, bits: tuple[int, int, int]) -> list[int]:
+    """The occupied cells at strides 1, 2, 4 and 8 of the cells of distinct keys `keys`.
+
+    One sort of Z-order (Morton) keys. A woven key keeps each field's bits
+    above its low l = min(width, 3) in the `_pack` layout, and puts the low
+    bits below them, interleaved by `_weave_table`: bit 2 of every field
+    above bit 1 above bit 0. A cell's parent 2**k times coarser is its woven
+    key shifted right past the bits of levels 0 to k - 1. A shift keeps the
+    sorted order, so each stride counts the sorted neighbours whose shifted
+    keys differ.
+    """
+    bx, by, bz = bits
+    low = tuple(min(width, 3) for width in bits)
+    lx, ly, lz = low
+    # Every field keeps its width, so woven keys fit sum(bits) bits as keys
+    # do. Where that is 32 bits or fewer they sort as uint32: 43 against
+    # 103 µs as int64 for the 18,672 keys of the 20k-point benchmark cloud.
+    dtype = np.uint32 if sum(bits) <= 32 else np.int64
+    keys = keys.astype(dtype)
+    # The fields' low bits, as the table's index x << (ly + lz) | y << lz | z.
+    # One gather from the table costs less than moving the nine bits one at
+    # a time: stage counting took 136 against 197 µs that way on the 18,672
+    # keys above.
+    index = keys >> (by + bz - ly - lz) & ((1 << lx) - 1) << (ly + lz)
+    index |= keys >> (bz - lz) & ((1 << ly) - 1) << lz
+    index |= keys & (1 << lz) - 1
+    woven = _weave_table(low, dtype).take(index)
+    # Above them, the high bits: x's stay in place, y's move up lx, z's lx + ly.
+    woven |= keys & ((1 << bx) - (1 << lx)) << (by + bz)
+    woven |= (keys & ((1 << by) - (1 << ly)) << bz) << lx
+    woven |= (keys & (1 << bz) - (1 << lz)) << (lx + ly)
+    woven.sort()
+    # Sorted neighbours have different parents at stride 2**k where their
+    # XOR reaches the bits above levels 0 to k - 1.
+    changes = woven[1:] ^ woven[:-1]
+    occupied = [len(keys)]
+    for k in (1, 2, 3):
+        shift = sum(min(k, l) for l in low)
+        occupied.append(min(len(keys), 1) + int(np.count_nonzero(changes >= 1 << shift)))
+    return occupied
+
+
+@cache
+def _weave_table(low: tuple[int, int, int], dtype: type) -> np.ndarray:
+    """The interleaved low bits of each index x << (ly + lz) | y << lz | z, low = (lx, ly, lz).
+
+    Level j holds bit j of each field wider than j, x's above y's above z's,
+    and the levels are stacked from j = 0 at the bottom up.
+    """
+    index = np.arange(1 << sum(low), dtype=dtype)
+    table = np.zeros_like(index)
+    lx, ly, lz = low
+    place = 0
+    for j in range(3):
+        for width, offset in ((lz, 0), (ly, lz), (lx, ly + lz)):
+            if j < width:
+                table |= (index >> (offset + j) & 1) << place
+                place += 1
+    table.flags.writeable = False
+    return table
 
 
 class _Pooling:
@@ -536,7 +599,8 @@ def topology_report(
     the stride-2 and stride-8 stages to 0.3 m, and 'c' is the multi-scale
     variant, also at 0.3 m. Returns one row per stage plus the output row,
     the rows that voxelize, encoder_chain and the fusion's grids give; only
-    voxelize runs, and each later stage's keys are the last stage's coarsened by 1.
+    voxelize runs, and `_stage_counts` counts every stride's cells from one
+    sort of its keys woven into Z order.
     """
     if topology not in ("a", "b", "c"):
         raise ValueError(f"topology must be 'a', 'b' or 'c', got {topology!r}")
@@ -547,12 +611,7 @@ def topology_report(
         if not isinstance(width, (int, np.integer)) or width < 0:
             raise ValueError(f"{name} must be a non-negative integer, got {width!r}")
     base = voxelize(pc, spec)
-    keys = base.keys
-    occupied = [len(keys)]
-    for _ in VALID_STRIDES[1:]:
-        # From the last stage's distinct keys, not the input's: fewer to sort.
-        keys = distinct(_coarsen(keys, 1, spec.bits))
-        occupied.append(len(keys))
+    occupied = _stage_counts(base.keys, spec.bits)
     rows = [_row(spec, "input", 1, occupied[0], 3)] + [
         _row(spec, f"SF{level + 1}", stride, count, int(width))
         for level, (stride, count, width) in enumerate(zip(VALID_STRIDES, occupied, widths))

@@ -26,7 +26,9 @@ built: from the grids of the whole feature algebra, voxelize through the
 encoder chain and the fusion, reading each row off a grid.
 voxelize_eagerly is voxelize as it was before its grid built coordinates
 and features on first read: everything at once, through the checking
-SparseGrid constructor.
+SparseGrid constructor. stage_counts_by_coarsening counts the table's
+stages as topology_report did before its one Z-order sort: one distinct of
+the last stage's keys coarsened by one shift per stride.
 
 The cell-rule oracles are the two copies of the rule that geometry.to_cells
 replaced: the scalar quantize_to_grid, one point at a time, and the voxel
@@ -57,6 +59,7 @@ from crowdmot.sparsegrid import (
     DEFAULT_WIDTHS,
     SparseGrid,
     VoxelSpec,
+    _coarsen,
     _pack,
     _unpack,
     encoder_chain,
@@ -467,6 +470,15 @@ def voxelize_eagerly(pc, spec=VoxelSpec()):
             np.add.at(shares, inverse[rows], kept[rows, 3] / counts[inverse[rows]])
             features[overflowed, 1] = shares[overflowed]
     return SparseGrid(spec, 1, _unpack(keys, spec.bits), features, len(pc) - len(kept))
+
+
+def stage_counts_by_coarsening(keys, bits):
+    """The occupied cells at strides 1, 2, 4 and 8 of distinct keys, one distinct a stride."""
+    occupied = [len(keys)]
+    for _ in range(3):
+        keys = distinct(_coarsen(keys, 1, bits))
+        occupied.append(len(keys))
+    return occupied
 
 
 def quantize_scalar(x, y, grid):

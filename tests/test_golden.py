@@ -24,6 +24,7 @@ import pytest
 from crowdmot import sparsegrid
 from crowdmot.cli import main
 from crowdmot.formats import sha256_file
+from crowdmot.geometry import distinct
 
 CONFIG = """\
 [sim]
@@ -163,12 +164,23 @@ def test_voxelshapes_table_matches_golden_digest(tmp_path, topology):
 @pytest.mark.parametrize("topology", sorted(VOXELSHAPES))
 def test_voxelshapes_table_computes_no_feature(tmp_path, monkeypatch, topology):
     # The table is planned from voxelize's keys alone: with the input grid's
-    # coordinate unpacking and feature build, and every later feature step,
-    # made to raise, it still has the golden bytes.
+    # coordinate unpacking and feature build, every later feature step and
+    # the per-stride coarsening made to raise, it still has the golden
+    # bytes. Past voxelize's own distinct, it sorts once more (_stage_counts
+    # sorts its keys itself), so a per-stage distinct would show here.
     def refuse(*args, **kwargs):
-        raise AssertionError("the voxelshapes table computed a feature")
+        raise AssertionError("the voxelshapes table computed a feature or coarsened a stage")
 
-    for name in ("_unpack", "_voxel_features", "downsample", "encoder_chain", "fuse_hr", "fuse_ms"):
+    for name in ("_unpack", "_voxel_features", "_coarsen", "downsample", "encoder_chain",
+                 "fuse_hr", "fuse_ms"):
         monkeypatch.setattr(sparsegrid, name, refuse)
     monkeypatch.setattr(sparsegrid.ChannelMap, "apply", refuse)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return distinct(*args, **kwargs)
+
+    monkeypatch.setattr(sparsegrid, "distinct", counted)
     test_voxelshapes_table_matches_golden_digest(tmp_path, topology)
+    assert len(calls) == 1

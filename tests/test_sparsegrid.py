@@ -9,10 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import ravel_order, topology_report_by_features, voxelize_eagerly
+from oracles import (
+    ravel_order,
+    stage_counts_by_coarsening,
+    topology_report_by_features,
+    voxelize_eagerly,
+)
 from scipy.sparse import csr_array
 
-from crowdmot.geometry import GridSpec, to_cells
+from crowdmot.geometry import GridSpec, distinct, to_cells
 from crowdmot.sparsegrid import (
     DEFAULT_WIDTHS,
     ChannelMap,
@@ -25,6 +30,7 @@ from crowdmot.sparsegrid import (
     _coarsen,
     _pack,
     _pool,
+    _stage_counts,
     _unpack,
     fuse_ms,
     topology_report,
@@ -175,6 +181,39 @@ class TestKeyRule:
             coarse = _coarsen(keys, k, spec.bits)
             assert _unpack(coarse, spec.bits).tolist() == (cells // 2**k).tolist()
             assert coarse.tolist() == _pack(cells // 2**k, spec.bits).tolist()
+
+
+class TestStageCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=key_shapes(),
+        n=st.integers(0, 200),
+        spread=st.sampled_from([2, 9, 40, 2**62]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(shape=(2560, 1280, 40), n=200, spread=9, seed=0)  # the default spec, 29 bits
+    @example(shape=(2560, 1280, 1), n=200, spread=9, seed=1)  # z extents of 1 to 4 cells
+    @example(shape=(2560, 1280, 2), n=200, spread=9, seed=2)
+    @example(shape=(2560, 1280, 3), n=200, spread=9, seed=3)
+    @example(shape=(2560, 1280, 4), n=200, spread=9, seed=4)
+    @example(shape=(2**20, 2**10, 2**4), n=200, spread=9, seed=5)  # 34 bits, past 32
+    @example(shape=(2**29, 2**33, 2), n=200, spread=9, seed=6)  # 63 bits, a 1-bit z
+    @example(shape=(2**29, 2**33, 2), n=200, spread=2**62, seed=7)
+    @example(shape=(2560, 1280, 40), n=0, spread=9, seed=0)  # an empty cloud
+    @example(shape=(2**29, 2**33, 2), n=1, spread=9, seed=0)  # one voxel
+    def test_counts_are_those_of_one_coarsening_a_stride(self, shape, n, spread, seed):
+        # Clusters of cells `spread` wide, so that many share a parent.
+        rng = np.random.default_rng(seed)
+        last = np.array(shape, dtype=np.uint64) - 1
+        corner = np.column_stack([rng.integers(0, c, 4, np.uint64, endpoint=True) for c in last])
+        offsets = rng.integers(0, spread, (n, 3), np.uint64)
+        cells = np.minimum(corner[rng.integers(0, 4, n)] + offsets, last).astype(np.int64)
+        spec = unit_spec(shape)
+        keys = distinct(_pack(cells, spec.bits))
+        expected = stage_counts_by_coarsening(keys, spec.bits)
+        assert expected == [len({tuple(c) for c in (cells >> k).tolist()}) for k in range(4)]
+        # Any order of the keys gives the same counts.
+        assert _stage_counts(rng.permutation(keys), spec.bits) == expected
 
 
 class TestPointCloud:

@@ -62,18 +62,17 @@ def check_finite_fields(config) -> None:
 def distinct(values, return_inverse: bool = False, return_counts: bool = False):
     """The sorted distinct values of a 1-d array, as np.unique returns them.
 
-    One sort and a neighbour mask. With a flag set, returns a tuple: the
-    distinct values, then, in this order, the inverse (the index of each
-    input value among them) and each one's count. Equal values must compare
-    equal, as integers do. Where the inverse is asked, integers whose span
-    fits in 62 - b bits, b the bits of the largest row index, are sorted as
-    packed int64 words (value - min) << b | row, which carry each value's row
-    with it; other values are argsorted. Unlike np.unique, whose first call
-    imports numpy.ma (about 14 ms and 1.2 MB), it loads nothing.
+    One sort and a neighbour mask: an argsort where the inverse is asked,
+    one np.sort otherwise. With a flag set, returns a tuple: the distinct
+    values, then, in this order, the inverse (the index of each input value
+    among them) and each one's count. Equal values must compare equal, as
+    integers do. Unlike np.unique, whose first call imports numpy.ma (about
+    14 ms and 1.2 MB), it loads nothing.
     """
     values = np.asarray(values)
     if return_inverse:
-        order, ordered = _sorted_rows(values)
+        order = np.argsort(values)
+        ordered = values[order]
     else:
         ordered = np.sort(values)
     first = np.empty(len(ordered), dtype=bool)
@@ -82,7 +81,7 @@ def distinct(values, return_inverse: bool = False, return_counts: bool = False):
     if not (return_inverse or return_counts):
         return ordered[first]
     starts = np.flatnonzero(first)
-    result = (values[order[starts]] if return_inverse else ordered[starts],)
+    result = (ordered[starts],)
     if return_inverse:
         inverse = np.empty(len(order), dtype=np.intp)
         inverse[order] = np.cumsum(first) - 1
@@ -90,30 +89,6 @@ def distinct(values, return_inverse: bool = False, return_counts: bool = False):
     if return_counts:
         result += (np.diff(np.append(starts, len(first))),)
     return result
-
-
-def _sorted_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """An order that sorts 1-d values, and keys that sort and compare as values[order] do.
-
-    Packed integers come from one np.sort, their keys value - min. The
-    order among equal values differs from an argsort's, but no output of
-    distinct depends on it. With the inverse and counts of 20k voxel keys,
-    distinct took 0.33 ms against 0.48 ms for an argsort and its gather
-    (timeit, best of 5 x 200, 2-vCPU VM, numpy 2.4).
-    """
-    if values.dtype.kind in "iu" and len(values):
-        bits = (len(values) - 1).bit_length()
-        low = values.min()
-        if int(values.max()) - int(low) < 2 ** (62 - bits):
-            # Exact in int64 modulo 2**64, so for uint64 values too.
-            words = values.astype(np.int64)
-            words -= low.astype(np.int64)
-            words <<= bits
-            words |= np.arange(len(values))
-            words.sort()
-            return words & ((1 << bits) - 1), words >> bits
-    order = np.argsort(values)
-    return order, values[order]
 
 
 class Stacked:
@@ -550,8 +525,7 @@ def pairs_within(a_xy, b_xy, r: float, groups=None) -> tuple[np.ndarray, np.ndar
     groups, when given, is a pair (group_a, group_b) of integer labels, one
     per point of a_xy and of b_xy, such as frame numbers; only pairs whose
     points carry the same label are returned. One call so answers the
-    queries of many frames whose points are stacked into one array; when
-    every point carries one label, the call runs as one without groups.
+    queries of many frames whose points are stacked into one array.
     """
     if not 0.0 <= r < math.inf:
         raise ValueError(f"neighbour radius must be finite and >= 0, got {r}")
@@ -566,10 +540,6 @@ def pairs_within(a_xy, b_xy, r: float, groups=None) -> tuple[np.ndarray, np.ndar
         label_b = label_a if same else np.reshape(np.asarray(groups[1], dtype=np.int64), -1)
         if (len(label_a), len(label_b)) != (len(a), len(b)):
             raise ValueError("neighbour search needs one group label per point")
-        # One label in all, as in a one-frame call: the labels cut no pair.
-        labels = np.concatenate([label_a[:1], label_b[:1]])
-        if len(labels) and (label_a == labels[0]).all() and (label_b == labels[0]).all():
-            label_a = label_b = None
     bound = r * (1.0 + 1e-9)
     # A distance beyond the float range is inf, which is not near.
     if len(a) * len(b) <= _DENSE_PAIRS:

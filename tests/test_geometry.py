@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from oracles import box_row, corners, footprint, normalize_yaw, quantize_scalar, quantize_voxels_by_axis
 from scipy.spatial import cKDTree
 
-from crowdmot import geometry
 from crowdmot.geometry import (
     BOX_FIELDS,
     GridSpec,
@@ -638,23 +637,6 @@ class TestPairsWithinGroups:
         one = np.zeros(len(a_xy), dtype=np.int64), np.zeros(len(b_xy), dtype=np.int64)
         assert list(zip(i.tolist(), j.tolist())) == brute_pairs(a_xy, b_xy, r, *one)
 
-    def test_one_label_skips_the_label_bands(self):
-        # 3,000 points take the cell path; with one label it bins no label bands.
-        points = np.random.default_rng(2).uniform(-50.0, 50.0, (3000, 2))
-        labels = np.full(3000, 7)
-        calls = []
-
-        def spy(a, b, bound, label_a, label_b):
-            calls.append((label_a, label_b))
-            return cell_candidates(a, b, bound, label_a, label_b)
-
-        cell_candidates = geometry._cell_candidates
-        with mock.patch.object(geometry, "_cell_candidates", spy):
-            i, j = pairs_within(points, points, 1.0, (labels, labels))
-        assert calls == [(None, None)]
-        expected = pairs_within(points, points, 1.0)
-        assert i.tolist() == expected[0].tolist() and j.tolist() == expected[1].tolist()
-
     @pytest.mark.parametrize("same", [False, True])
     def test_thousands_of_labels_at_the_cell_scale_cap(self, same):
         # Coordinates up to 1e300 set the cell side to 1e300 * 2**-28, so a
@@ -721,7 +703,7 @@ class TestDistinct:
     @example(values=[-1, -3, -1, -2], inverse=True, counts=True, dtype="uint64")
     @example(values=[-1, INT64.min, 0, -1], inverse=True, counts=True, dtype="uint64")
     @example(values=[2**31 - 1, -(2**31), 0, -(2**31)], inverse=True, counts=False, dtype="int32")
-    # Five values leave 62 - 3 bits for the span: 2**59 - 1 is packed, 2**59 is not.
+    # Spans just below and at 2**59, and of 2**61 up from INT64.min.
     @example(values=[-7, 2**59 - 8, -7, 0, 1], inverse=True, counts=True, dtype="int64")
     @example(values=[-7, 2**59 - 7, -7, 0, 1], inverse=True, counts=True, dtype="int64")
     @example(values=[INT64.min + 2**61 - 1, INT64.min], inverse=True, counts=True, dtype="int64")
@@ -732,11 +714,8 @@ class TestDistinct:
         expected = np.unique(values, return_inverse=inverse, return_counts=counts)
         with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
             got = distinct(values, return_inverse=inverse, return_counts=counts)
-        # The inverse comes from packed words where the span leaves room for
-        # the row bits, and from an argsort elsewhere.
-        bits = (len(values) - 1).bit_length()
-        packed = len(values) > 0 and int(values.max()) - int(values.min()) < 2 ** (62 - bits)
-        assert argsort.called == (inverse and not packed)
+        # The inverse comes from an argsort; without it one np.sort serves.
+        assert argsort.called == inverse
         if not (inverse or counts):
             expected, got = (expected,), (got,)
         assert len(got) == len(expected)

@@ -288,6 +288,70 @@ def test_box_rule_breaks_are_recognised(name, source, found):
     assert box_rule_breaks(name, source) == found
 
 
+def unique_rule_breaks(name: str, source: str) -> list[str]:
+    """Where a module's source sorts out distinct values with numpy instead of geometry.distinct.
+
+    geometry.distinct is the one sort-unique: no module names a numpy
+    unique* function (unique, and numpy 2's unique_values, unique_inverse,
+    unique_counts and unique_all), as an attribute of numpy or any alias of
+    it, or imported from numpy. np.unique's first call also imports numpy.ma.
+    """
+    tree = ast.parse(source)
+    numpy = {"np", "numpy"} | {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "numpy"
+    }
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute) and node.attr.startswith("unique")
+            and ast.unparse(node.value).split(".")[0] in numpy
+        ):
+            found.append(f"{name}.py:{node.lineno} uses {ast.unparse(node)} instead of geometry.distinct")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy" and not node.level:
+            found += [
+                f"{name}.py:{node.lineno} imports {node.module}.{alias.name} instead of geometry.distinct"
+                for alias in node.names
+                if alias.name.startswith("unique")
+            ]
+    return found
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_distinct_is_the_one_sort_unique(name):
+    assert unique_rule_breaks(name, (SRC / f"{name}.py").read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("import numpy as np\nkeys = np.unique(a)", ["sparsegrid.py:2 uses np.unique instead of geometry.distinct"]),
+        ("import numpy\nnumpy.unique(a, return_counts=True)",
+         ["sparsegrid.py:2 uses numpy.unique instead of geometry.distinct"]),
+        ("from numpy import unique\nunique(a)", ["sparsegrid.py:1 imports numpy.unique instead of geometry.distinct"]),
+        ("from numpy import sort, unique as uq", ["sparsegrid.py:1 imports numpy.unique instead of geometry.distinct"]),
+        ("np.unique_values(a)", ["sparsegrid.py:1 uses np.unique_values instead of geometry.distinct"]),
+        ("np.unique_inverse(a)", ["sparsegrid.py:1 uses np.unique_inverse instead of geometry.distinct"]),
+        ("np.unique_counts(a)", ["sparsegrid.py:1 uses np.unique_counts instead of geometry.distinct"]),
+        ("np.unique_all(a)", ["sparsegrid.py:1 uses np.unique_all instead of geometry.distinct"]),
+        ("import numpy as xp\nkeys = list(map(xp.unique, rows))",
+         ["sparsegrid.py:2 uses xp.unique instead of geometry.distinct"]),
+        ("def encoder_chain(a):\n    import numpy as np\n    return np.lib.arraysetops.unique(a)",
+         ["sparsegrid.py:3 uses np.lib.arraysetops.unique instead of geometry.distinct"]),
+        ("from numpy.lib.arraysetops import unique_all",
+         ["sparsegrid.py:1 imports numpy.lib.arraysetops.unique_all instead of geometry.distinct"]),
+        ("from .geometry import distinct\nkeys = distinct(a, return_inverse=True)", []),
+        ("from numpy import sort\nids_unique = table.unique(ids)", []),
+        ("raise ValueError('coordinates must be unique')\n# np.unique imports numpy.ma", []),
+    ],
+)
+def test_unique_rule_breaks_are_recognised(source, found):
+    assert unique_rule_breaks("sparsegrid", source) == found
+
+
 def test_every_public_name_resolves():
     import crowdmot
 

@@ -36,7 +36,6 @@ _EXPORTS = {
         "mtr_mlr",
     ),
     "sparsegrid": (
-        "ChannelMap",
         "PointCloud",
         "SparseGrid",
         "VoxelSpec",

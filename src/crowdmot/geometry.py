@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -345,22 +345,29 @@ def footprints(boxes: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _corners(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _corners(fields: np.ndarray) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray], np.ndarray]:
     """Corners and half-diagonals of (cx, cy, length, width, yaw) rows.
 
-    corners[0] and corners[1] hold each box's four corner xs and ys,
-    counter-clockwise from (+l/2, +w/2): x = cx + c·dx − s·dy and
-    y = cy + s·dx + c·dy, with c and s from math.cos and math.sin, so a
-    scalar loop of these operations gives the same bits.
+    Returns `place` and the half-diagonals. place(rows, centres) gives the
+    corners of rows `rows` moved to the (m, 2) `centres`, a (2, m, 4) array
+    of each box's four corner xs and ys, counter-clockwise from
+    (+l/2, +w/2): x = cx + c·dx − s·dy and y = cy + s·dx + c·dy, with c and
+    s from math.cos and math.sin, so a scalar loop of these operations
+    gives the same bits. Each row's products are made once, for any centre.
     """
-    cx, cy, length, width, yaw = fields.T[:, :, None]
+    _, _, length, width, yaw = fields.T[:, :, None]
     c = np.array(list(map(math.cos, yaw.ravel().tolist()))).reshape(-1, 1)
     s = np.array(list(map(math.sin, yaw.ravel().tolist()))).reshape(-1, 1)
     dx = 0.5 * length * _CORNER_SIGNS[0]
     dy = 0.5 * width * _CORNER_SIGNS[1]
-    corners = np.stack((cx + c * dx - s * dy, cy + s * dx + c * dy))
+    terms = np.stack((c * dx, s * dy, s * dx, c * dy))
+
+    def place(rows: np.ndarray, centres: np.ndarray) -> np.ndarray:
+        cdx, sdy, sdx, cdy = terms[:, rows]
+        return np.stack((centres[:, :1] + cdx - sdy, centres[:, 1:] + sdx + cdy))
+
     half_diagonal = 0.5 * np.array(list(map(math.hypot, length.ravel().tolist(), width.ravel().tolist())))
-    return corners, half_diagonal.reshape(-1)
+    return place, half_diagonal.reshape(-1)
 
 
 def _clip(polygon: np.ndarray, clip: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -418,16 +425,20 @@ def bev_iou_pairs(fields_a: np.ndarray, fields_b: np.ndarray, i, j) -> np.ndarra
     1.0. Each pair is ordered canonically (the box whose row is the smaller
     tuple is clipped against the other), so a swapped pair returns identical
     bits. Pairs whose centres are at least the sum of the half-diagonals
-    apart, and overlaps below 1e-12 in area, give exactly 0.0. Corners are
-    made only for the rows some pair names, so a few pairs of a long field
-    array cost no more than those of a short one. A clipped pair whose
-    intersection area or union is beyond the float range raises ValueError.
+    apart, and overlaps below 1e-12 in area, give exactly 0.0. A pair is
+    clipped with its first box's centre at the origin and the other's at
+    the difference of their centres, so a pair's IoU does not depend on
+    where it lies: the same boxes give the same bits near the origin and
+    1e15 m from it. Corner terms are made only for the rows some pair
+    names, so a few pairs of a long field array cost no more than those of
+    a short one. A clipped pair whose intersection area or union is beyond
+    the float range raises ValueError.
     """
     rows_a, i = distinct(np.asarray(i, dtype=np.intp), return_inverse=True)
     rows_b, j = distinct(np.asarray(j, dtype=np.intp), return_inverse=True)
     fields_a, fields_b = np.reshape(fields_a, (-1, 5)), np.reshape(fields_b, (-1, 5))
     fields = np.concatenate([fields_a[rows_a], fields_b[rows_b]])
-    corners, half = _corners(fields)
+    place, half = _corners(fields)
     j = j + len(rows_a)
     a, b = fields[i], fields[j]
     iou = (a == b).all(axis=1).astype(float)
@@ -442,7 +453,8 @@ def bev_iou_pairs(fields_a: np.ndarray, fields_b: np.ndarray, i, j) -> np.ndarra
     lo = np.where(swap, j[live], i[live])
     hi = np.where(swap, i[live], j[live])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        polygon, count = _clip(corners[:, lo], corners[:, hi])
+        offset = fields[hi, :2] - fields[lo, :2]
+        polygon, count = _clip(place(lo, np.zeros_like(offset)), place(hi, offset))
         inter = np.abs(_shoelace(polygon, count))
         union = a[:, 2] * a[:, 3] + b[:, 2] * b[:, 3] - inter
     finite = np.isfinite(inter) & np.isfinite(union)

@@ -1,43 +1,35 @@
 """Sparse voxel grids and the resolution algebra of the point-cloud encoder.
 
-Models the encoder's shape/occupancy behavior without any learned weights:
+Models the encoder's shapes and occupancy without any learned weights:
 voxelization of a (two-frame) point cloud, stride-doubling downsamples, and
-the two high-resolution fusion topologies. Feature transforms are fixed
-seeded matrices standing in for convolution kernels, so every operation is
-a deterministic function of its inputs.
+the two high-resolution fusion topologies. A stage is the set of cells it
+occupies and the number of channels it carries. No feature value is
+computed: a stage's cells depend on no feature, and its channels only on
+the widths.
 
-A grid stores only its occupied cells, as an (n, 3) int64 coordinate array
-sorted by key and an (n, C) float64 feature array (the coordinate-list
-layout of Minkowski Engine). A cell's key packs its indices as bit fields,
-x << (by + bz) | y << bz | z, with the field widths (bx, by, bz) of the
-stride-1 shape (VoxelSpec.bits), so every stride shares one layout and key
-order is (x, y, z) lexicographic order. A cell's parent at a stride 2**k
-coarser is then the key with each field shifted right by k (`_coarsen`).
-Voxels follow the one cell rule of geometry, as the BEV target grids do:
-VoxelSpec checks its extents with `cell_counts`, and `voxelize` maps points
-to voxels with `to_cells`, dropping those outside, then sums the points'
-two channels into their voxels with `np.add.at` in input order. The grid
-stages pool rows onto coarser cells by a per-depth plan (`_Pooling`: on
-120k rows x 64 channels it took 24 ms, `np.add.at` 95 ms) or join rows by
-key (`np.searchsorted`), each planned from keys alone, so one plan serves
-every feature array of the same cells. No dense volume is built.
+A grid stores only its occupied cells, as sorted int64 keys (the
+coordinate list of Minkowski Engine, without its feature rows). A cell's
+key packs its indices as bit fields, x << (by + bz) | y << bz | z, with the
+field widths (bx, by, bz) of the stride-1 shape (VoxelSpec.bits), so every
+stride shares one layout and key order is (x, y, z) lexicographic order. A
+cell's parent at a stride 2**k coarser is then the key with each field
+shifted right by k (`_coarsen`), and a stage's cells are the distinct
+parents of its input's cells. Voxels follow the one cell rule of geometry,
+as the BEV target grids do: VoxelSpec checks its extents with
+`cell_counts`, and `voxelize` maps points to voxels with `to_cells`,
+dropping those outside. No dense volume is built.
 
 `topology_report`, the table `voxelshapes` prints, voxelizes once and then
 counts every stage from one sort of the cells' Z-order keys
-(`_stage_counts`): a stage's cells depend on no feature, and its channels
-only on the widths. `voxelize` finds only the distinct keys up front; its
-grid's coordinates and features are built on first read, so the table
-builds neither. The feature path (`voxelize`,
-`encoder_chain`, `downsample`, `fuse_hr`, `fuse_ms`) is library API, its
-values pinned by tests/test_sparsegrid_values.py.
+(`_stage_counts`), without building the stage grids that `encoder_chain`,
+`downsample`, `fuse_hr` and `fuse_ms` build; the tests check its rows
+against those grids.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from functools import cache, partial
-from typing import Callable
+from functools import cache
 
 import numpy as np
 
@@ -124,82 +116,54 @@ class PointCloud:
 
 @dataclass(frozen=True, eq=False)
 class SparseGrid:
-    """Occupied voxels only, as a coordinate array and a feature array.
+    """Occupied voxels only, as sorted cell keys, and a channel count.
 
-    `coords` is an (n, 3) int64 array of cell indices at `stride`, each
-    inside the strided bound. Its rows are sorted by strictly increasing
-    key (`_pack` with spec.bits), that is (x, y, z) lexicographic order, and
-    `keys` holds those keys. Row i of the (n, C) float64 `features` belongs
-    to the cell coords[i], and `channels` is C. The constructor checks the
-    coordinates it is given; grids this module builds from keys it sorted
-    itself come from `_of_keys`, which does not re-check them and unpacks
-    `coords` on first read.
+    `keys` holds the int64 keys (`_pack` with spec.bits) of the occupied
+    cells at `stride`, each inside the strided bound, in strictly increasing
+    order, that is (x, y, z) lexicographic order. `coords` unpacks them into
+    an (n, 3) int64 array of cell indices when read. `channels` is the
+    stage's feature width. The constructor checks the stride and the channel
+    count and takes the keys as given; `from_coords` builds a grid from
+    caller-given cells and checks them.
     """
 
     spec: VoxelSpec
     stride: int
-    coords: np.ndarray
-    features: np.ndarray
+    keys: np.ndarray
+    channels: int
     n_dropped: int = 0
-    keys: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.stride not in VALID_STRIDES:
             raise ValueError(f"stride must be one of {VALID_STRIDES}, got {self.stride}")
-        coords = np.asarray(self.coords)
+        if not isinstance(self.channels, (int, np.integer)) or self.channels < 0:
+            raise ValueError(f"channels must be a non-negative integer, got {self.channels!r}")
+
+    @classmethod
+    def from_coords(cls, spec: VoxelSpec, stride: int, coords, channels: int,
+                    n_dropped: int = 0) -> "SparseGrid":
+        """The grid of (n, 3) integer cells, each inside the bound at `stride`, unique and sorted by key."""
+        coords = np.asarray(coords)
         if coords.ndim != 2 or coords.shape[1] != 3 or coords.dtype.kind not in "iu":
             raise ValueError(f"coords must be (n, 3) integers, got {coords.dtype}{coords.shape}")
         coords = coords.astype(np.int64, copy=False)
-        features = np.asarray(self.features, dtype=np.float64)
-        if features.ndim != 2 or features.shape[0] != len(coords):
-            raise ValueError(f"features have shape {features.shape}, expected ({len(coords)}, C)")
-        bound = self.spec.strided_shape(self.stride)
+        # The keys of cells outside the bound are meaningless, but those are rejected.
+        grid = cls(spec, stride, _pack(coords, spec.bits), channels, n_dropped)
+        bound = spec.strided_shape(stride)
         outside = (coords < 0) | (coords >= bound)
         if outside.any():
             coord = tuple(coords[outside.any(axis=1)][0].tolist())
             raise ValueError(f"coordinate {coord} outside {'x'.join(map(str, bound))} bound")
-        keys = _pack(coords, self.spec.bits)
-        if (np.diff(keys) <= 0).any():
+        if (np.diff(grid.keys) <= 0).any():
             raise ValueError("coordinates must be unique and sorted by packed key")
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "keys", keys)
-
-    @classmethod
-    def _of_keys(cls, spec: VoxelSpec, stride: int, keys: np.ndarray,
-                 features: np.ndarray | Callable[[], np.ndarray], n_dropped: int) -> "SparseGrid":
-        """The grid of strictly increasing keys, not re-checked.
-
-        `coords` is unpacked from the keys on first read. `features` is the
-        array, or a function of no arguments that builds it on first read.
-        """
-        grid = object.__new__(cls)
-        build = {"coords": partial(_unpack, keys, spec.bits)}
-        if callable(features):
-            build["features"] = features
-        else:
-            object.__setattr__(grid, "features", features)
-        for name, value in (("spec", spec), ("stride", stride), ("n_dropped", n_dropped),
-                            ("keys", keys), ("_build", build)):
-            object.__setattr__(grid, name, value)
         return grid
-
-    def __getattr__(self, name: str):
-        # Only a field _of_keys left unbuilt gets here: built once, then kept.
-        builds = self.__dict__.get("_build", {})
-        if name not in builds:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        value = builds[name]()
-        object.__setattr__(self, name, value)
-        del builds[name]
-        return value
 
     def __len__(self) -> int:
         return len(self.keys)
 
     @property
-    def channels(self) -> int:
-        return self.features.shape[1]
+    def coords(self) -> np.ndarray:
+        return _unpack(self.keys, self.spec.bits)
 
     @property
     def occupancy(self) -> set[tuple[int, int, int]]:
@@ -218,30 +182,6 @@ class SparseGrid:
     def bev_shape(self) -> tuple[int, int]:
         nx, ny, _ = self.spec.strided_shape(self.stride)
         return nx, ny
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelMap:
-    """Fixed linear feature transform standing in for a learned kernel."""
-
-    weights: np.ndarray
-
-    @classmethod
-    def seeded(cls, n_in: int, n_out: int, seed: int = 0) -> "ChannelMap":
-        rng = np.random.default_rng([seed, n_in, n_out])
-        return cls(rng.standard_normal((n_out, n_in)) / math.sqrt(n_in))
-
-    @classmethod
-    def identity(cls, n: int) -> "ChannelMap":
-        return cls(np.eye(n))
-
-    @property
-    def n_in(self) -> int:
-        return self.weights.shape[1]
-
-    def apply(self, features: np.ndarray) -> np.ndarray:
-        """Map one feature vector, or each row of an (n, n_in) feature array."""
-        return features @ self.weights.T
 
 
 def _pack(coords: np.ndarray, bits: tuple[int, int, int]) -> np.ndarray:
@@ -334,192 +274,52 @@ def _weave_table(low: tuple[int, int, int], dtype: type) -> np.ndarray:
     return table
 
 
-class _Pooling:
-    """How rows with keys `keys` fall into their parents `_coarsen(keys, k)`.
-
-    `keys` are the occupied coarse cells' keys in increasing order, `counts`
-    their row counts, and `rank[c]` the row of cell c in `ranked_means`.
-    Made from keys alone, so one pooling averages every feature array of
-    those rows.
-    """
-
-    def __init__(self, keys: np.ndarray, k: int, bits: tuple[int, int, int]):
-        self.keys, inverse, self.counts = distinct(
-            _coarsen(keys, k, bits), return_inverse=True, return_counts=True
-        )
-        # Rank cells deepest first, so the cells that have a d-th row form a
-        # prefix of the ranks. Rows are grouped by cell rank, in input order
-        # within a cell, then split by depth (a row's place in its cell):
-        # slice d holds the d-th row of each cell that has one, in rank order.
-        by_count = np.argsort(-self.counts, kind="stable")
-        self.rank = np.empty_like(by_count)
-        self.rank[by_count] = np.arange(len(by_count))
-        rank = self.rank[inverse]
-        by_rank = np.argsort(rank, kind="stable")
-        ranked_counts = self.counts[by_count]
-        self._ranked_counts = ranked_counts[:, None]
-        depth = np.arange(len(by_rank)) - (np.cumsum(ranked_counts) - ranked_counts)[rank[by_rank]]
-        rows = by_rank[np.argsort(depth, kind="stable")]
-        self._slices = np.split(rows, np.cumsum(np.bincount(depth))[:-1])
-
-    def ranked_means(self, features: np.ndarray) -> np.ndarray:
-        """Each coarse cell's mean feature row, the cell of rank r in row r.
-
-        A cell's rows are added in input order, starting from 0.0: the
-        order, and so the bits, of a sparse (cells x rows) indicator matrix
-        times `features`. One vectorised add per depth keeps that order.
-        """
-        first, *deeper = self._slices
-        sums = features[first]
-        sums += 0.0
-        for rows in deeper:
-            sums[: len(rows)] += features[rows]
-        sums /= self._ranked_counts
-        return sums
-
-
-def _pool(
-    keys: np.ndarray, features: np.ndarray, k: int, bits: tuple[int, int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean-pool feature rows with keys `keys` onto their parents `_coarsen(keys, k)`.
-
-    Returns the occupied coarse keys in increasing order and each cell's
-    mean feature row.
-    """
-    pooling = _Pooling(keys, k, bits)
-    return pooling.keys, pooling.ranked_means(features)[pooling.rank]
-
-
-class _Join:
-    """Reads a grid's feature rows at the cells of `keys`, given at `stride`.
-
-    A searchsorted join on keys: a grid at `stride` or coarser gives each
-    cell the row of its ancestor; a finer grid is first mean-pooled to
-    `stride` by `pooling`, its _Pooling at that stride. Cells the source
-    lacks get zero rows. The join depends only on the keys, so calling it
-    reads any feature array of the grid's rows. Where `grid` is at `stride`
-    and `keys` are exactly its keys, the call returns the feature array it
-    was given, not a copy.
-    """
-
-    def __init__(self, grid: SparseGrid, stride: int, keys: np.ndarray,
-                 pooling: _Pooling | None = None):
-        self.pooling = pooling
-        if pooling is not None:
-            source = pooling.keys
-        else:
-            source = grid.keys
-            keys = _coarsen(keys, grid.stride.bit_length() - stride.bit_length(), grid.spec.bits)
-        self._rows = self._missing = None
-        if not np.array_equal(source, keys):
-            self._rows = np.minimum(np.searchsorted(source, keys), max(len(source) - 1, 0))
-            if len(source):
-                missing = source[self._rows] != keys
-                self._missing = missing if missing.any() else None
-        if pooling is not None and len(source):
-            # Pooled rows come in the pooling's rank order.
-            self._rows = pooling.rank if self._rows is None else pooling.rank[self._rows]
-
-    def __call__(self, features: np.ndarray) -> np.ndarray:
-        if self.pooling is not None:
-            features = self.pooling.ranked_means(features)
-        if self._rows is None:
-            return features
-        if not len(features):
-            return np.zeros((len(self._rows), features.shape[1]))
-        rows = features[self._rows]
-        if self._missing is not None:
-            rows[self._missing] = 0.0
-        return rows
-
-
 def voxelize(pc: PointCloud, spec: VoxelSpec = VoxelSpec()) -> SparseGrid:
     """Bucket points into stride-1 voxels.
 
-    Each occupied voxel's feature is (point count, mean intensity, mean
-    time_flag): its points summed with np.add.at in input order from 0.0,
-    the bits of the (voxels x points) indicator product, over the count. A
-    voxel whose intensities sum past the float range instead gets the sum
-    of its points' shares x / count, added in input order, so its mean is
-    finite wherever that sum is; numpy's overflow warning is not raised.
-    Points outside the extents are dropped and counted in the grid's
-    n_dropped. Cells come from to_cells and keys from one distinct; the
-    features are built (_voxel_features) on the grid's first read of them.
+    The grid's keys are the distinct keys of the points' cells (to_cells,
+    then one distinct), and its 3 channels are the width of a voxel's
+    (point count, mean intensity, mean time_flag) feature. Points outside
+    the extents are dropped and counted in the grid's n_dropped.
     """
-    inside, cells = to_cells(pc.points, spec)
-    packed = _pack(cells, spec.bits)
-    features = partial(_voxel_features, pc.points, inside, packed)
-    return SparseGrid._of_keys(spec, 1, distinct(packed), features, len(pc) - len(packed))
+    _, cells = to_cells(pc.points, spec)
+    return SparseGrid(spec, 1, distinct(_pack(cells, spec.bits)), 3, len(pc) - len(cells))
 
 
-def _voxel_features(points: np.ndarray, inside: np.ndarray, packed: np.ndarray) -> np.ndarray:
-    """voxelize's features of the points inside, whose voxel keys are `packed`."""
-    kept = points if inside.all() else points[inside]
-    keys, inverse, counts = distinct(packed, return_inverse=True, return_counts=True)
-    features = np.empty((len(keys), 3))
-    features[:, 0] = counts
-    sums = np.zeros((2, len(keys)))
-    with np.errstate(over="ignore"):
-        np.add.at(sums[0], inverse, kept[:, 3])
-        np.add.at(sums[1], inverse, kept[:, 4])
-        np.divide(sums, counts, out=features[:, 1:].T)
-        # Time flags are 0 or 1, so only an intensity sum can pass the float range.
-        overflowed = np.isinf(sums[0])
-        if overflowed.any():
-            rows = overflowed[inverse]
-            shares = np.zeros(len(keys))
-            np.add.at(shares, inverse[rows], kept[rows, 3] / counts[inverse[rows]])
-            features[overflowed, 1] = shares[overflowed]
-    return features
+def downsample(grid: SparseGrid, width: int) -> SparseGrid:
+    """Halve the spatial resolution (double the stride), to `width` channels.
 
-
-def downsample(grid: SparseGrid, mix: ChannelMap) -> SparseGrid:
-    """Halve the spatial resolution (double the stride).
-
-    Parent occupancy is the union of child occupancies; each parent feature
-    is the channel map applied to the average of its occupied children.
+    Parent occupancy is the union of child occupancies: the distinct keys
+    of the children's parents.
     """
     if grid.stride > 4:
         raise ValueError(f"stride {grid.stride} cannot be downsampled further")
-    if mix.n_in != grid.channels:
-        raise ValueError(f"channel map expects {mix.n_in} channels, grid has {grid.channels}")
-    keys, means = _pool(grid.keys, grid.features, 1, grid.spec.bits)
-    return SparseGrid._of_keys(grid.spec, grid.stride * 2, keys, mix.apply(means), grid.n_dropped)
+    keys = distinct(_coarsen(grid.keys, 1, grid.spec.bits))
+    return SparseGrid(grid.spec, grid.stride * 2, keys, width, grid.n_dropped)
 
 
 def fuse_hr(sf2: SparseGrid, sf4: SparseGrid) -> SparseGrid:
-    """Fuse the second-stage and final-stage features at stride 4 (0.3 m BEV).
+    """Fuse the second-stage and final-stage grids at stride 4 (0.3 m BEV).
 
     The stride-2 input is pooled down one step and the stride-8 input is
-    replicated up one step; features are concatenated channel-wise on the
-    pooled stride-2 footprint.
+    replicated up onto its cells, so the output occupies the pooled stride-2
+    footprint and carries the channels of both inputs side by side.
     """
     if sf2.stride != 2 or sf4.stride != 8:
-        raise ValueError(
-            f"fuse_hr expects strides (2, 8), got ({sf2.stride}, {sf4.stride})"
-        )
+        raise ValueError(f"fuse_hr expects strides (2, 8), got ({sf2.stride}, {sf4.stride})")
     if sf2.spec != sf4.spec:
         raise ValueError("inputs use different voxel specs")
-    keys, pooled = _pool(sf2.keys, sf2.features, 1, sf2.spec.bits)
-    features = np.hstack([pooled, _Join(sf4, 4, keys)(sf4.features)])
-    return SparseGrid._of_keys(sf2.spec, 4, keys, features, sf2.n_dropped)
+    return downsample(sf2, sf2.channels + sf4.channels)
 
 
-def fuse_ms(
-    sf1: SparseGrid,
-    sf2: SparseGrid,
-    sf3: SparseGrid,
-    sf4: SparseGrid,
-    width: int = 64,
-    seed: int = 0,
-) -> SparseGrid:
+def fuse_ms(sf1: SparseGrid, sf2: SparseGrid, sf3: SparseGrid, sf4: SparseGrid,
+            width: int = 64) -> SparseGrid:
     """Multi-scale fusion of all four encoder stages at stride 4.
 
-    Every stage is projected to a common width, then two exchange rounds run:
-    each round resamples every scale onto every other scale's native
-    occupancy, sums the contributions, and applies a per-scale channel map.
-    The exchanged features are finally resampled to stride 4, concatenated,
-    and projected back to `width` channels.
+    Every stage exchanges its channels with every other scale, then each is
+    resampled to stride 4 and the stack is projected to `width` channels.
+    The output occupies the union of SF1, SF2 and SF3 pooled to stride 4;
+    SF4 is replicated up onto those cells and adds none.
     """
     grids = [sf1, sf2, sf3, sf4]
     strides = [g.stride for g in grids]
@@ -527,50 +327,14 @@ def fuse_ms(
         raise ValueError(f"fuse_ms expects strides [1, 2, 4, 8], got {strides}")
     if len({g.spec for g in grids}) != 1:
         raise ValueError("inputs use different voxel specs")
-
     spec = sf1.spec
-    # Every finer level's pooling onto every coarser stride, and every
-    # level's join onto every level's cells, are made once: the joins serve
-    # both rounds, the poolings the output step too. Level l is at stride
-    # 2**l, so pooling level s onto level t coarsens its keys by t - s.
-    pools = {
-        (source, target): _Pooling(grids[source].keys, target - source, spec.bits)
-        for target in range(4)
-        for source in range(target)
-    }
-    joins = [
-        [_Join(g, strides[target], grids[target].keys, pools.get((source, target)))
-         for source, g in enumerate(grids)]
-        for target in range(4)
-    ]
-
-    features = [
-        ChannelMap.seeded(g.channels, width, seed=seed * 101 + level).apply(g.features)
-        for level, g in enumerate(grids)
-    ]
-    for rnd in range(2):
-        features = [
-            ChannelMap.seeded(width, width, seed=seed * 101 + 10 * (rnd + 1) + level).apply(
-                sum(join(f) for join, f in zip(joins[level], features))
-            )
-            for level in range(4)
-        ]
-
     keys = distinct(np.concatenate([_coarsen(g.keys, 2 - level, spec.bits)
                                     for level, g in enumerate(grids[:3])]))
-    out_map = ChannelMap.seeded(4 * width, width, seed=seed * 101 + 97)
-    stacked = np.hstack([
-        _Join(g, 4, keys, pools.get((level, 2)))(f)
-        for level, (g, f) in enumerate(zip(grids, features))
-    ])
-    return SparseGrid._of_keys(spec, 4, keys, out_map.apply(stacked), sf1.n_dropped)
+    return SparseGrid(spec, 4, keys, width, sf1.n_dropped)
 
 
-def encoder_chain(
-    base: SparseGrid,
-    widths: tuple[int, int, int, int] = DEFAULT_WIDTHS,
-    seed: int = 0,
-) -> tuple[SparseGrid, SparseGrid, SparseGrid, SparseGrid]:
+def encoder_chain(base: SparseGrid, widths: tuple[int, int, int, int] = DEFAULT_WIDTHS
+                  ) -> tuple[SparseGrid, SparseGrid, SparseGrid, SparseGrid]:
     """Build the four encoder stages SF1..SF4 from a stride-1 grid.
 
     SF1 keeps stride 1 at widths[0] channels; each later stage halves the
@@ -578,11 +342,10 @@ def encoder_chain(
     """
     if base.stride != 1:
         raise ValueError("encoder chain starts from a stride-1 grid")
-    stem = ChannelMap.seeded(base.channels, widths[0], seed=seed * 101 + 50)
-    sf1 = SparseGrid._of_keys(base.spec, 1, base.keys, stem.apply(base.features), base.n_dropped)
-    sf2 = downsample(sf1, ChannelMap.seeded(widths[0], widths[1], seed=seed * 101 + 51))
-    sf3 = downsample(sf2, ChannelMap.seeded(widths[1], widths[2], seed=seed * 101 + 52))
-    sf4 = downsample(sf3, ChannelMap.seeded(widths[2], widths[3], seed=seed * 101 + 53))
+    sf1 = SparseGrid(base.spec, 1, base.keys, widths[0], base.n_dropped)
+    sf2 = downsample(sf1, widths[1])
+    sf3 = downsample(sf2, widths[2])
+    sf4 = downsample(sf3, widths[3])
     return sf1, sf2, sf3, sf4
 
 

@@ -21,12 +21,9 @@ IoU kernel call, one id join per frame. Each offset oracle returns the
 results of the frames before the first frame that fails, and that frame's
 error.
 
-topology_report_by_features is the voxelshapes table as it was first
-built: from the grids of the whole feature algebra, voxelize through the
-encoder chain and the fusion, reading each row off a grid.
-voxelize_eagerly is voxelize as it was before its grid built coordinates
-and features on first read: everything at once, through the checking
-SparseGrid constructor. stage_counts_by_coarsening counts the table's
+topology_report_by_stages is the voxelshapes table as it was first built:
+from the stage grids, voxelize through the encoder chain and the fusion,
+reading each row off a grid. stage_counts_by_coarsening counts the table's
 stages as topology_report did before its one Z-order sort: one distinct of
 the last stage's keys coarsened by one shift per stride.
 
@@ -52,16 +49,12 @@ from crowdmot.geometry import (
     distinct,
     footprints,
     pairs_within,
-    to_cells,
 )
 from crowdmot.simulator import MIN_SEPARATION
 from crowdmot.sparsegrid import (
     DEFAULT_WIDTHS,
-    SparseGrid,
     VoxelSpec,
     _coarsen,
-    _pack,
-    _unpack,
     encoder_chain,
     fuse_hr,
     fuse_ms,
@@ -422,20 +415,19 @@ def relationship_offsets_by_frames(frames, radius):
     return out, None
 
 
-def topology_report_by_features(pc, spec=VoxelSpec(), topology="a", widths=DEFAULT_WIDTHS,
-                                width_ms=64, seed=0):
-    """sparsegrid.topology_report's rows, read off the grids the feature algebra builds."""
+def topology_report_by_stages(pc, spec=VoxelSpec(), topology="a", widths=DEFAULT_WIDTHS, width_ms=64):
+    """sparsegrid.topology_report's rows, read off the stage grids of voxelize, encoder_chain and the fusion."""
     if topology not in ("a", "b", "c"):
         raise ValueError(f"topology must be 'a', 'b' or 'c', got {topology!r}")
     base = voxelize(pc, spec)
-    sf1, sf2, sf3, sf4 = encoder_chain(base, widths, seed)
+    sf1, sf2, sf3, sf4 = encoder_chain(base, widths)
     stages = [("input", base), ("SF1", sf1), ("SF2", sf2), ("SF3", sf3), ("SF4", sf4)]
     if topology == "a":
         stages.append(("output", sf4))
     elif topology == "b":
         stages.append(("output", fuse_hr(sf2, sf4)))
     else:
-        stages.append(("output", fuse_ms(sf1, sf2, sf3, sf4, width=width_ms, seed=seed)))
+        stages.append(("output", fuse_ms(sf1, sf2, sf3, sf4, width=width_ms)))
     rows = [
         {
             "name": name,
@@ -449,27 +441,6 @@ def topology_report_by_features(pc, spec=VoxelSpec(), topology="a", widths=DEFAU
     ]
     rows[-1]["dropped_points"] = base.n_dropped
     return rows
-
-
-def voxelize_eagerly(pc, spec=VoxelSpec()):
-    """sparsegrid.voxelize's grid, its coordinates and features computed before it is built."""
-    inside, cells = to_cells(pc.points, spec)
-    kept = pc.points if inside.all() else pc.points[inside]
-    keys, inverse, counts = distinct(_pack(cells, spec.bits), return_inverse=True, return_counts=True)
-    features = np.empty((len(keys), 3))
-    features[:, 0] = counts
-    sums = np.zeros((2, len(keys)))
-    with np.errstate(over="ignore"):
-        np.add.at(sums[0], inverse, kept[:, 3])
-        np.add.at(sums[1], inverse, kept[:, 4])
-        np.divide(sums, counts, out=features[:, 1:].T)
-        overflowed = np.isinf(sums[0])
-        if overflowed.any():
-            rows = overflowed[inverse]
-            shares = np.zeros(len(keys))
-            np.add.at(shares, inverse[rows], kept[rows, 3] / counts[inverse[rows]])
-            features[overflowed, 1] = shares[overflowed]
-    return SparseGrid(spec, 1, _unpack(keys, spec.bits), features, len(pc) - len(kept))
 
 
 def stage_counts_by_coarsening(keys, bits):

@@ -19,7 +19,6 @@ from crowdmot.formats import sha256_file
 from crowdmot.geometry import GridSpec
 from crowdmot.simulator import NoiseConfig, SimConfig, corrupt, gen_scene
 from crowdmot.sparsegrid import (
-    ChannelMap,
     PointCloud,
     VoxelSpec,
     downsample,
@@ -335,7 +334,7 @@ def test_criterion_9_voxel_resolution_algebra():
 
     grid = base
     while grid.stride < 8:
-        coarser = downsample(grid, ChannelMap.identity(grid.channels))
+        coarser = downsample(grid, grid.channels)
         assert len(coarser) <= len(grid)
         assert {(x // 2, y // 2, z // 2) for x, y, z in grid.occupancy} == coarser.occupancy
         grid = coarser

@@ -624,21 +624,12 @@ class TestTrackAndEval:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "side, gt_xy, traj_xy, yaw",
-        [(1e154, (0.0, 0.0), (1.0, 0.0), 0.0), (1e308, (0.0, 0.0), (1.0, 0.0), 0.0),
-         (0.6, (1e200, 1e200), (1e200, 1e200), 0.05)],
-        ids=["union-overflows", "sides-overflow", "far-from-origin"],
+        "side, gt_xy, traj_xy",
+        [(1e154, (0.0, 0.0), (1.0, 0.0)), (1e308, (0.0, 0.0), (1.0, 0.0))],
+        ids=["union-overflows", "sides-overflow"],
     )
-    def test_a_pair_whose_iou_overflows_fails_with_one_line(
-        self, tmp_path, capsys, side, gt_xy, traj_xy, yaw
-    ):
-        def write(name, xy, **fields):
-            box = {"id": 0, "cx": xy[0], "cy": xy[1], "cz": 0.8, "l": side, "w": side, "h": 1.7, **fields}
-            path = tmp_path / name
-            path.write_text(json.dumps({"frame": 0, "timestamp": 0.0, "objects": [box]}) + "\n")
-            return str(path)
-
-        gt, traj = write("gt.jsonl", gt_xy, yaw=0.0), write("traj.jsonl", traj_xy, yaw=yaw, score=0.9)
+    def test_a_pair_whose_iou_overflows_fails_with_one_line(self, tmp_path, capsys, side, gt_xy, traj_xy):
+        gt, traj = _one_box_files(tmp_path, side, gt_xy, traj_xy, 0.0)
         out = tmp_path / "eval"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -647,6 +638,30 @@ class TestTrackAndEval:
         assert err.startswith("error: BEV IoU of footprints [") and err.count("\n") == 1
         assert err.endswith(" overflows: its intersection or union is not finite\n")
         assert not out.exists()
+
+    def test_a_pair_far_from_the_origin_scores_as_at_the_origin(self, tmp_path):
+        # The pair that once overflowed 1e200 m out: its report is the one
+        # of the same boxes at the origin.
+        reports = []
+        for name, xy in (("near", (0.0, 0.0)), ("far", (1e200, 1e200))):
+            (tmp_path / name).mkdir()
+            gt, traj = _one_box_files(tmp_path / name, 0.6, xy, xy, 0.05)
+            out = tmp_path / name / "eval"
+            assert main(["eval", "--gt", gt, "--traj", traj, "--out", str(out)]) == 0
+            # The first line names the input files.
+            reports.append((out / "report.txt").read_text().split("\n", 1)[1])
+        assert reports[0] == reports[1] and "  MOTA 1.0\n" in reports[1]
+
+
+def _one_box_files(root, side, gt_xy, traj_xy, yaw):
+    """A one-frame GT file and trajectory file of one box each, side by side, the track's at `yaw`."""
+    def write(name, xy, **fields):
+        box = {"id": 0, "cx": xy[0], "cy": xy[1], "cz": 0.8, "l": side, "w": side, "h": 1.7, **fields}
+        path = root / name
+        path.write_text(json.dumps({"frame": 0, "timestamp": 0.0, "objects": [box]}) + "\n")
+        return str(path)
+
+    return write("gt.jsonl", gt_xy, yaw=0.0), write("traj.jsonl", traj_xy, yaw=yaw, score=0.9)
 
 
 @pytest.mark.parametrize("command", ["gen", "targets", "track", "eval", "density", "voxelshapes"])

@@ -497,20 +497,33 @@ class TestThresholdGate:
             assert match_frame(gts, preds, {}, cfg) == expected
 
     @pytest.mark.parametrize(
-        "side, gt_xy, pred_xy, yaw",
-        [(1e154, (0.0, 0.0), (1.0, 0.0), 0.0), (1e308, (0.0, 0.0), (1.0, 0.0), 0.0),
-         (0.6, (1e200, 1e200), (1e200, 1e200), 0.05)],
-        ids=["union-overflows", "sides-overflow", "far-from-origin"],
+        "side, gt_xy, pred_xy",
+        [(1e154, (0.0, 0.0), (1.0, 0.0)), (1e308, (0.0, 0.0), (1.0, 0.0))],
+        ids=["union-overflows", "sides-overflow"],
     )
-    def test_a_pair_whose_iou_overflows_is_kept_and_rejected(self, side, gt_xy, pred_xy, yaw):
+    def test_a_pair_whose_iou_overflows_is_kept_and_rejected(self, side, gt_xy, pred_xy):
         # A + B - U, the areas or the clipped area are beyond the float range.
         gts = frame_of([gt(0, *gt_xy, l=side, w=side)])
-        preds = frame_of([(0, box(*pred_xy, l=side, w=side, yaw=yaw))])
+        preds = frame_of([(0, box(*pred_xy, l=side, w=side))])
         bound = bev_iou_bounds(footprints(gts.boxes), footprints(preds.boxes), [0], [0])
         assert bound.tolist() == [math.inf]
         for threshold in (None, 0.5, 1.0):
             with pytest.raises(ValueError, match="overflows: its intersection or union is not finite"):
                 _sequence_ious([gts.boxes], [preds.boxes], threshold)
+
+    def test_a_pair_far_from_the_origin_scores_as_at_the_origin(self):
+        # Its corners are clipped relative to the pair, so the pair that once
+        # overflowed 1e200 m out has its IoU at the origin; its bound there
+        # is inf, so the gate keeps it.
+        def ious(xy, threshold):
+            gts = frame_of([gt(0, *xy, l=0.6, w=0.6)])
+            preds = frame_of([(0, box(*xy, l=0.6, w=0.6, yaw=0.05))])
+            return [[part.tolist() for part in frame] for frame in _sequence_ious([gts.boxes], [preds.boxes], threshold)]
+
+        for threshold in (None, 0.5):
+            near = ious((0.0, 0.0), threshold)
+            assert ious((1e200, 1e200), threshold) == near
+            assert 0.95 < near[0][2][0] < 0.96
 
     def test_crowded_frame_drops_candidates(self):
         # A 0.6 m box shifted 0.3 m along its length keeps an IoU of 1/3.

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import box_row, corners, footprint, normalize_yaw, quantize_scalar, quantize_voxels_by_axis
 from scipy.spatial import cKDTree
@@ -61,7 +61,8 @@ def scalar_iou(a: tuple, b: tuple) -> float:
     """Bit oracle: rotated IoU of two box rows' footprints by per-pair Sutherland-Hodgman clipping.
 
     The kernel must return these bits: the same canonical operand order,
-    early zero beyond the half-diagonals, vertex order and 1e-12 area floor.
+    early zero beyond the half-diagonals, corners relative to the first
+    box's centre, vertex order and 1e-12 area floor.
     """
     a, b = footprint(a), footprint(b)
     if a == b:
@@ -72,8 +73,9 @@ def scalar_iou(a: tuple, b: tuple) -> float:
     rb = 0.5 * math.hypot(b[2], b[3])
     if math.hypot(a[0] - b[0], a[1] - b[1]) >= ra + rb:
         return 0.0
-    output = corners(a)
-    clip = corners(b)
+    # The pair is clipped with a's centre at the origin.
+    output = corners((0.0, 0.0, *a[2:]))
+    clip = corners((b[0] - a[0], b[1] - a[1], *b[2:]))
     for k in range(4):
         if not output:
             break
@@ -499,6 +501,28 @@ class TestBevIouPairs:
 
     def test_empty(self):
         assert bev_iou_pairs(np.zeros((0, 5)), np.zeros((0, 5)), [], []).shape == (0,)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # Any float, or a multiple of 0.25 m, which a 0.25 m shift keeps exact.
+        c=st.one_of(st.floats(-1e15, 1e15), st.integers(-4 * 10**15, 4 * 10**15).map(lambda k: k / 4)),
+        shift=st.sampled_from([0.0, 0.25]),
+        yaw=st.floats(-math.pi, math.pi),
+    )
+    # 0.6 m pedestrians, yaws 0 and 0.05: far from the origin their corners
+    # once rounded to an IoU of 0.767 at 3e7 and 0.0 at 1e8.
+    @example(c=3e7, shift=0.0, yaw=0.05)
+    @example(c=1e8, shift=0.0, yaw=0.05)
+    @example(c=1e15, shift=0.0, yaw=0.05)
+    @example(c=-1e15, shift=0.25, yaw=0.05)
+    def test_a_pair_far_from_the_origin_has_its_iou_at_the_origin(self, c, shift, yaw):
+        # Where c + shift is exact, both pairs are the same boxes, moved.
+        assume((c + shift) - c == shift)
+
+        def iou(x):
+            return bev_iou(_box(x + shift, x, 0.6, 0.6, yaw), _box(x, x, 0.6, 0.6, 0.0))
+
+        assert iou(c) == iou(0.0)
 
 
 # Around every multiple of pi the wrap has its rounding edges, and

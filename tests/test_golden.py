@@ -164,17 +164,14 @@ def test_voxelshapes_table_matches_golden_digest(tmp_path, topology):
 @pytest.mark.parametrize("topology", sorted(VOXELSHAPES))
 def test_voxelshapes_table_computes_no_feature(tmp_path, monkeypatch, topology):
     # The table is planned from voxelize's keys alone: with the input grid's
-    # coordinate unpacking and feature build, every later feature step and
-    # the per-stride coarsening made to raise, it still has the golden
-    # bytes. Past voxelize's own distinct, it sorts once more (_stage_counts
+    # coordinate unpacking, every stage function and the per-stride
+    # coarsening made to raise, it still has the golden bytes. Past voxelize's own distinct, it sorts once more (_stage_counts
     # sorts its keys itself), so a per-stage distinct would show here.
     def refuse(*args, **kwargs):
-        raise AssertionError("the voxelshapes table computed a feature or coarsened a stage")
+        raise AssertionError("the voxelshapes table unpacked cells or built a stage")
 
-    for name in ("_unpack", "_voxel_features", "_coarsen", "downsample", "encoder_chain",
-                 "fuse_hr", "fuse_ms"):
+    for name in ("_unpack", "_coarsen", "downsample", "encoder_chain", "fuse_hr", "fuse_ms"):
         monkeypatch.setattr(sparsegrid, name, refuse)
-    monkeypatch.setattr(sparsegrid.ChannelMap, "apply", refuse)
     calls = []
 
     def counted(*args, **kwargs):

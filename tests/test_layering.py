@@ -352,6 +352,69 @@ def test_unique_rule_breaks_are_recognised(source, found):
     assert unique_rule_breaks("sparsegrid", source) == found
 
 
+def key_rule_breaks(source: str) -> list[str]:
+    """Where sparsegrid's source computes more than the cells of its grids.
+
+    A sparse grid is its sorted keys and a channel count, so sparsegrid
+    draws no random numbers: it names numpy.random nowhere, as an attribute
+    of numpy or any alias of it, or in an import (which default_rng needs).
+    Nor does it define a __getattr__, at module level or in a class, that
+    could build a field on first read.
+    """
+    tree = ast.parse(source)
+    numpy = {"np", "numpy"} | {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "numpy"
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "random" and ast.unparse(node.value) in numpy:
+            found.append(f"sparsegrid.py:{node.lineno} uses {ast.unparse(node)}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""
+            names = [f"{module}.{a.name}" if module else a.name for a in node.names]
+            found += [
+                f"sparsegrid.py:{node.lineno} imports {name}"
+                for name in names
+                if name == "numpy.random" or name.startswith("numpy.random.")
+            ]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "__getattr__":
+            found.append(f"sparsegrid.py:{node.lineno} defines __getattr__")
+    return found
+
+
+def test_sparse_grids_are_keys():
+    assert key_rule_breaks((SRC / "sparsegrid.py").read_text()) == []
+
+
+def test_planted_random_draw_is_reported():
+    source = (SRC / "sparsegrid.py").read_text() + "\nW = np.random.default_rng(0).standard_normal(3)\n"
+    line = len(source.splitlines())
+    assert key_rule_breaks(source) == [f"sparsegrid.py:{line} uses np.random"]
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("import numpy as np\nrng = np.random.default_rng(0)", ["sparsegrid.py:2 uses np.random"]),
+        ("import numpy as xp\nw = xp.random.standard_normal(3)", ["sparsegrid.py:2 uses xp.random"]),
+        ("from numpy.random import default_rng", ["sparsegrid.py:1 imports numpy.random.default_rng"]),
+        ("from numpy import random", ["sparsegrid.py:1 imports numpy.random"]),
+        ("import numpy.random as npr", ["sparsegrid.py:1 imports numpy.random"]),
+        ("def __getattr__(name):\n    raise AttributeError(name)", ["sparsegrid.py:1 defines __getattr__"]),
+        ("class SparseGrid:\n    def __getattr__(self, name):\n        return 0",
+         ["sparsegrid.py:2 defines __getattr__"]),
+        ("from numpy import sort\nkeys = distinct(a)\ngrid.random = 1", []),
+        ("def coords_of(grid):\n    return getattr(grid, 'keys')", []),
+    ],
+)
+def test_key_rule_breaks_are_recognised(source, found):
+    assert key_rule_breaks(source) == found
+
+
 def test_every_public_name_resolves():
     import crowdmot
 
